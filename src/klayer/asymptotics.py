@@ -60,16 +60,14 @@ class ExpansionReport:
     quantity: str
     epsilons: np.ndarray
     computed: np.ndarray
-    predicted_leading: np.ndarray
+    leading_coefficient: float
     extrapolated_coefficient: float
     relative_gap: float
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {self.quantity!r}")
-        if not (
-            len(self.epsilons) == len(self.computed) == len(self.predicted_leading)
-        ):
+        if len(self.epsilons) != len(self.computed):
             raise ValueError("sequences must share a length")
         if len(self.epsilons) < 3:
             raise ValueError("need at least 3 epsilons")
@@ -133,21 +131,19 @@ def _fit_with_log_correction(eps: np.ndarray, scaled: np.ndarray) -> float:
 
 
 def verify_expansion(
-    quantity: str,
     params: Params,
     R: float,
     eps_list,
     level_c: float | None = None,
     domain: RadialBallDomain | None = None,
     tol_rel: float = 1e-8,
-) -> ExpansionReport:
-    """Sweep eps, measure the quantity, extrapolate eps -> 0, compare.
+) -> dict[str, ExpansionReport]:
+    """Sweep eps once, measure every quantity, extrapolate eps -> 0, compare.
 
-    eps_list must be decreasing with at least 3 entries.  level_c (default
-    b/2) only applies to the thickness quantity.
+    Returns one report per quantity, keyed in QUANTITIES order.  eps_list
+    must be decreasing with at least 3 entries.  level_c (default b/2) sets
+    the level of the thickness quantity.
     """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}; pick one of {QUANTITIES}")
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 3 or not np.all(np.diff(eps) < 0):
         raise ValueError("eps_list must be decreasing with >= 3 entries")
@@ -155,40 +151,33 @@ def verify_expansion(
         domain = RadialBallDomain(R=R, n=params.n, count=3000)
     c = params.b / 2.0 if level_c is None else level_c
 
-    computed = np.empty(eps.size)
+    # quantity -> (measurement on a steady state, leading coefficient)
+    table = {
+        "slope_W": (lambda st: boundary_slope(st.W), slope_W_leading(params, R)),
+        "slope_U": (lambda st: boundary_slope(st.U), slope_U_leading(params, R)),
+        "lambda_eps": (lambda st: st.lambda_eps, lambda_leading(params, R)),
+        "thickness": (lambda st: measure_thickness(st.W, c), thickness_leading(c, params, R)),
+    }
+    computed = {q: np.empty(eps.size) for q in QUANTITIES}
     for i, e in enumerate(eps):
         par = Params(epsilon=float(e), p=params.p, b=params.b, m=params.m, n=params.n)
         steady = solve_nonlocal(par, domain, tol_rel=tol_rel).steady
-        if quantity == "slope_W":
-            computed[i] = boundary_slope(steady.W)
-        elif quantity == "slope_U":
-            computed[i] = boundary_slope(steady.U)
-        elif quantity == "lambda_eps":
-            computed[i] = steady.lambda_eps
-        else:
-            computed[i] = measure_thickness(steady.W, c)
+        for q in QUANTITIES:
+            computed[q][i] = table[q][0](steady)
 
-    if quantity == "slope_W":
-        coeff = slope_W_leading(params, R)
-    elif quantity == "slope_U":
-        coeff = slope_U_leading(params, R)
-    elif quantity == "lambda_eps":
-        coeff = lambda_leading(params, R)
-    else:
-        coeff = thickness_leading(c, params, R)
-
-    k = _EPS_POWER[quantity]
-    predicted = coeff * eps ** (-k)
-    extrapolated = _fit_with_log_correction(eps, computed * eps**k)
-    gap = abs(extrapolated - coeff) / abs(coeff)
-    return ExpansionReport(
-        quantity=quantity,
-        epsilons=eps,
-        computed=computed,
-        predicted_leading=predicted,
-        extrapolated_coefficient=extrapolated,
-        relative_gap=gap,
-    )
+    reports = {}
+    for q in QUANTITIES:
+        coeff = table[q][1]
+        extrapolated = _fit_with_log_correction(eps, computed[q] * eps ** _EPS_POWER[q])
+        reports[q] = ExpansionReport(
+            quantity=q,
+            epsilons=eps,
+            computed=computed[q],
+            leading_coefficient=coeff,
+            extrapolated_coefficient=extrapolated,
+            relative_gap=abs(extrapolated - coeff) / abs(coeff),
+        )
+    return reports
 
 
 def boundary_mass_fraction(steady: SteadyState, depth: float) -> float:

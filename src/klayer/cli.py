@@ -9,20 +9,18 @@ Commands
     verify          small-eps expansion suite (boundary slopes, lambda_eps,
                     layer thickness); exit code 2 when a gap exceeds its
                     tolerance
-    sweep           steady solves over eps-list x p-list on a worker pool
+    sweep           steady solves over eps-list x p-list, one row per pair
 
 Configuration comes from key=value files plus command-line flags (flags win).
 Numbers are serialised with 17 significant digits so repeated runs produce
-byte-identical CSVs.  KLAYER_THREADS caps the sweep worker pool.
+byte-identical CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,28 +203,47 @@ def _write_summary(path: Path, items: dict) -> None:
             fh.write(f"{key},{_fmt(value)}\n")
 
 
+# keys each --shape accepts, e.g. 'ellipse:a=1.4142,b=0.7071'
+_SHAPE_KEYS = {"disk": ("r",), "ellipse": ("a", "b"), "star": ("r0", "amplitude", "k")}
+
+
 def _parse_shape(cfg: RunConfig):
     raw = cfg.shape.strip().lower()
     name, _, args = raw.partition(":")
+    if name not in _SHAPE_KEYS:
+        raise ConfigError(
+            f"unknown shape '{cfg.shape}' "
+            "(disk:r=.. | ellipse:a=..,b=.. | star:r0=..,amplitude=..,k=..)"
+        )
     kv = {}
     if args:
         for token in args.replace(";", ",").split(","):
-            k, _, v = token.partition("=")
-            kv[k.strip()] = float(v)
-    if name == "disk":
-        return planar2d.Disk(kv.get("r", cfg.R))
-    if name == "ellipse":
-        return planar2d.Ellipse(kv.get("a", math.sqrt(2.0)), kv.get("b", 1.0 / math.sqrt(2.0)))
-    if name == "star":
-        return planar2d.Star(
-            kv.get("r0", cfg.R), kv.get("amplitude", 0.15), int(kv.get("k", 5))
-        )
-    raise ConfigError(f"unknown shape '{cfg.shape}' (disk | ellipse:a=..,b=.. | star:r0=..,amplitude=..,k=..)")
+            k, eq, v = (part.strip() for part in token.partition("="))
+            if not eq:
+                raise ConfigError(f"shape argument '{token.strip()}' is not key=value")
+            if k not in _SHAPE_KEYS[name]:
+                raise ConfigError(
+                    f"unknown key '{k}' for shape '{name}' "
+                    f"(keys: {', '.join(_SHAPE_KEYS[name])})"
+                )
+            try:
+                kv[k] = float(v)
+            except ValueError:
+                raise ConfigError(f"shape key '{k}' must be a number, got {v!r}") from None
+    try:
+        if name == "disk":
+            return planar2d.Disk(kv.get("r", cfg.R))
+        if name == "ellipse":
+            return planar2d.Ellipse(kv.get("a", math.sqrt(2.0)), kv.get("b", 1.0 / math.sqrt(2.0)))
+        return planar2d.Star(kv.get("r0", cfg.R), kv.get("amplitude", 0.15), kv.get("k", 5))
+    except ValueError as exc:
+        raise ConfigError(f"shape '{cfg.shape}': {exc}") from None
 
 
-def _maybe_plot_profile(cfg: RunConfig, steady) -> None:
+def _pyplot(cfg: RunConfig):
+    """matplotlib.pyplot when --plots is set and matplotlib imports, else None."""
     if not cfg.plots:
-        return
+        return None
     try:
         import matplotlib
 
@@ -234,6 +251,13 @@ def _maybe_plot_profile(cfg: RunConfig, steady) -> None:
         import matplotlib.pyplot as plt
     except ImportError:
         print("plots requested but matplotlib is unavailable; skipping", file=sys.stderr)
+        return None
+    return plt
+
+
+def _maybe_plot_profile(cfg: RunConfig, steady) -> None:
+    plt = _pyplot(cfg)
+    if plt is None:
         return
     fig, ax = plt.subplots(1, 2, figsize=(9, 3.4))
     r = steady.W.grid.nodes
@@ -248,31 +272,25 @@ def _maybe_plot_profile(cfg: RunConfig, steady) -> None:
     plt.close(fig)
 
 
-def _maybe_plot_field(cfg: RunConfig, field: planar2d.PlanarField, name: str) -> None:
-    if not cfg.plots:
+def _maybe_plot_fields(cfg: RunConfig, fields: dict) -> None:
+    plt = _pyplot(cfg)
+    if plt is None:
         return
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plots requested but matplotlib is unavailable; skipping", file=sys.stderr)
-        return
-    fig, ax = plt.subplots(figsize=(5, 4.2))
-    im = ax.imshow(
-        field.values.T,
-        origin="lower",
-        extent=field.grid.bbox,
-        cmap="gray",
-        interpolation="nearest",
-    )
-    fig.colorbar(im, ax=ax)
-    ax.set_xlabel("x")
-    ax.set_ylabel("y")
-    fig.tight_layout()
-    fig.savefig(cfg.out / f"{name}.png", dpi=160)
-    plt.close(fig)
+    for name, field in fields.items():
+        fig, ax = plt.subplots(figsize=(5, 4.2))
+        im = ax.imshow(
+            field.values.T,
+            origin="lower",
+            extent=field.grid.bbox,
+            cmap="gray",
+            interpolation="nearest",
+        )
+        fig.colorbar(im, ax=ax)
+        ax.set_xlabel("x")
+        ax.set_ylabel("y")
+        fig.tight_layout()
+        fig.savefig(cfg.out / f"{name}.png", dpi=160)
+        plt.close(fig)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +340,7 @@ def _run_steady_2d(cfg: RunConfig) -> int:
             "constraint_residual": res.constraint_residual,
         },
     )
-    _maybe_plot_field(cfg, st.W, "steady_W")
-    _maybe_plot_field(cfg, st.U, "steady_U")
+    _maybe_plot_fields(cfg, {"steady_W": st.W, "steady_U": st.U})
     return 0
 
 
@@ -386,24 +403,17 @@ def _run_evolve(cfg: RunConfig) -> int:
 def _run_verify(cfg: RunConfig) -> int:
     eps_list = cfg.eps_list or (4e-3, 2e-3, 1e-3)
     dom = RadialBallDomain(R=cfg.R, n=cfg.params.n, count=cfg.grid_count)
-    predictors = {
-        "slope_W": asymptotics.slope_W_leading,
-        "slope_U": asymptotics.slope_U_leading,
-        "lambda_eps": asymptotics.lambda_leading,
-        "thickness": lambda par, R: asymptotics.thickness_leading(cfg.level(), par, R),
-    }
+    reports = asymptotics.verify_expansion(
+        cfg.params, cfg.R, eps_list, level_c=cfg.level(), domain=dom, tol_rel=cfg.tol
+    )
     rows = []
     worst_fail = False
-    for quantity in asymptotics.QUANTITIES:
-        report = asymptotics.verify_expansion(
-            quantity, cfg.params, cfg.R, eps_list, level_c=cfg.level(), domain=dom,
-            tol_rel=cfg.tol,
-        )
-        predicted = predictors[quantity](cfg.params, cfg.R)
+    for quantity, report in reports.items():
         ok = report.relative_gap <= VERIFY_TOL[quantity]
         worst_fail |= not ok
         rows.append(
-            f"{quantity},{_fmt(predicted)},{_fmt(report.extrapolated_coefficient)},"
+            f"{quantity},{_fmt(report.leading_coefficient)},"
+            f"{_fmt(report.extrapolated_coefficient)},"
             f"{_fmt(report.relative_gap)},{int(ok)}"
         )
         print(
@@ -417,8 +427,7 @@ def _run_verify(cfg: RunConfig) -> int:
     return 2 if worst_fail else 0
 
 
-def _sweep_job(args):
-    eps, p, cfg = args
+def _sweep_row(cfg: RunConfig, eps: float, p: float) -> tuple:
     params = Params(epsilon=eps, p=p, b=cfg.params.b, m=cfg.params.m, n=cfg.params.n)
     dom = RadialBallDomain(R=cfg.R, n=params.n, count=cfg.grid_count)
     st = solve_nonlocal(params, dom, tol_rel=cfg.tol).steady
@@ -441,19 +450,12 @@ def _sweep_job(args):
 def _run_sweep(cfg: RunConfig) -> int:
     eps_list = cfg.eps_list or (cfg.params.epsilon,)
     p_list = cfg.p_list or (cfg.params.p,)
-    jobs = [(eps, p, cfg) for eps in eps_list for p in p_list]
-    env_cap = os.environ.get("KLAYER_THREADS")
-    workers = max(1, min(len(jobs), int(env_cap) if env_cap else (os.cpu_count() or 1)))
-    if workers == 1:
-        results = [_sweep_job(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs))
-    results.sort(key=lambda row: (row[0], row[1]))
+    jobs = sorted((eps, p) for eps in eps_list for p in p_list)
+    rows = [_sweep_row(cfg, eps, p) for eps, p in jobs]
     _write_csv(
         cfg.out / "sweep.csv",
         "eps,p,lambda_eps,amplitude,sigma,slope_W,slope_U,thickness",
-        results,
+        rows,
     )
     return 0
 

@@ -190,19 +190,9 @@ def cfl_time_step(state: EvolutionState, params: Params, safety: float = 0.8) ->
     return safety * float(np.min(cells.dr)) / speed
 
 
-def step(
-    state: EvolutionState,
-    steady: SteadyState | DiscreteSteady | None,
-    params: Params,
-    cfg: SchemeConfig,
-) -> EvolutionState:
-    """One IMEX update.  steady is accepted for grid-compatibility validation
-    only; the update itself does not use it."""
+def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionState:
+    """One IMEX update of (u, v) by cfg.dt."""
     grid = state.u.grid
-    if steady is not None:
-        ref_grid = steady.U.grid if hasattr(steady.U, "grid") else None
-        if ref_grid is not None and ref_grid.nodes.shape != grid.nodes.shape:
-            raise ValueError("steady reference lives on an incompatible grid")
     cells = _cells(grid)
     r = grid.nodes
     n = grid.n
@@ -306,7 +296,7 @@ def relax_to_discrete_steady(
     for _ in range(max_steps):
         cfg = SchemeConfig(dt=step_dt, t_end=1.0, cfl_safety=0.8)
         try:
-            new = step(state, None, params, cfg)
+            new = step(state, params, cfg)
         except TimeStepError:
             step_dt *= 0.5
             if step_dt < 1e-12:
@@ -403,6 +393,8 @@ def evolve(
     )
     if reference is None:
         reference = relax_to_discrete_steady(steady, grid, params)
+    elif reference.U.values.shape != grid.nodes.shape:
+        raise ValueError("steady reference lives on an incompatible grid")
     U_ref = reference.U.values
     W_ref = np.exp(reference.V.values)
     om = unit_sphere_area(grid.n)
@@ -430,7 +422,7 @@ def evolve(
     while state.t < cfg.t_end - 1e-12 * cfg.t_end:
         for _ in range(40):
             try:
-                new = step(state, reference, params,
+                new = step(state, params,
                            SchemeConfig(dt=dt, t_end=cfg.t_end,
                                         cfl_safety=cfg.cfl_safety,
                                         output_every=cfg.output_every))

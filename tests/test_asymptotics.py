@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from klayer import asymptotics
 from klayer.asymptotics import (
+    QUANTITIES,
     ExpansionReport,
     boundary_mass_fraction,
     cp,
@@ -142,7 +144,7 @@ class TestExpansionReport:
                 quantity="nope",
                 epsilons=np.ones(3),
                 computed=np.ones(3),
-                predicted_leading=np.ones(3),
+                leading_coefficient=1.0,
                 extrapolated_coefficient=1.0,
                 relative_gap=0.0,
             )
@@ -151,14 +153,14 @@ class TestExpansionReport:
                 quantity="slope_W",
                 epsilons=np.ones(2),
                 computed=np.ones(2),
-                predicted_leading=np.ones(2),
+                leading_coefficient=1.0,
                 extrapolated_coefficient=1.0,
                 relative_gap=0.0,
             )
 
     def test_requires_decreasing_eps(self):
         with pytest.raises(ValueError):
-            verify_expansion("slope_W", DISK, 1.0, [1e-3, 2e-3, 4e-3])
+            verify_expansion(DISK, 1.0, [1e-3, 2e-3, 4e-3])
 
 
 @pytest.fixture(scope="module")
@@ -176,20 +178,34 @@ def sweep():
     return out
 
 
+@pytest.fixture(scope="module")
+def coarse(domain):
+    return verify_expansion(DISK, 1.0, [2e-2, 1.4e-2, 1e-2], domain=domain)
+
+
 class TestVerifyExpansionCoarse:
     # a loose, fast sweep; the tight tolerances run in the acceptance suite
-    def test_slope_W_gap_small(self, domain):
-        report = verify_expansion(
-            "slope_W", DISK, 1.0, [2e-2, 1.4e-2, 1e-2], domain=domain
-        )
+    def test_slope_W_gap_small(self, coarse):
+        report = coarse["slope_W"]
         assert report.relative_gap < 0.2
         assert report.computed.shape == (3,)
 
-    def test_lambda_gap_small(self, domain):
-        report = verify_expansion(
-            "lambda_eps", DISK, 1.0, [2e-2, 1.4e-2, 1e-2], domain=domain
-        )
+    def test_lambda_gap_small(self, coarse):
+        report = coarse["lambda_eps"]
         assert report.relative_gap < 0.2
+
+    def test_one_solve_per_eps(self, domain, monkeypatch):
+        calls = []
+
+        def counting(params, *args, **kwargs):
+            calls.append(params.epsilon)
+            return solve_nonlocal(params, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "solve_nonlocal", counting)
+        reports = verify_expansion(DISK, 1.0, [2e-2, 1.4e-2, 1e-2], domain=domain)
+        assert calls == [2e-2, 1.4e-2, 1e-2]
+        assert tuple(reports) == QUANTITIES
+        assert all(reports[q].quantity == q for q in QUANTITIES)
 
 
 class TestPLimit:

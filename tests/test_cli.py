@@ -90,6 +90,17 @@ class TestRunSteadyRadial:
         )
         assert rc == 1
 
+    def test_plots(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "plots"
+        rc = main(["steady-radial", "--config", str(cfg_file), "--out", str(out), "--plots"])
+        assert rc == 0
+        if importlib.util.find_spec("matplotlib") is not None:
+            assert (out / "steady_profile.png").exists()
+        else:
+            err = capsys.readouterr().err
+            assert "plots requested but matplotlib is unavailable; skipping" in err
+            assert not list(out.glob("*.png"))
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("epsilon=0.01\n")
@@ -98,8 +109,7 @@ class TestRunSteadyRadial:
 
 
 class TestRunSweep:
-    def test_sweep_csv_sorted(self, cfg_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("KLAYER_THREADS", "2")
+    def test_sweep_csv_sorted(self, cfg_file, tmp_path):
         out = tmp_path / "sweep"
         rc = main(
             [
@@ -123,10 +133,9 @@ class TestRunSweep:
         keys = [tuple(map(float, ln.split(",")[:2])) for ln in lines[1:]]
         assert keys == sorted(keys)
 
-    def test_sweep_threads_deterministic(self, cfg_file, tmp_path, monkeypatch):
+    def test_sweep_deterministic(self, cfg_file, tmp_path):
         outs = []
-        for name, threads in (("t1", "1"), ("t4", "4")):
-            monkeypatch.setenv("KLAYER_THREADS", threads)
+        for name in ("s1", "s2"):
             out = tmp_path / name
             rc = main(
                 [
@@ -213,6 +222,27 @@ class TestRunSteady2D:
             err = capsys.readouterr().err
             assert "plots requested but matplotlib is unavailable; skipping" in err
             assert not list(out.glob("*.png"))
+
+
+    @pytest.mark.parametrize(
+        "shape, named",
+        [
+            ("ellipse:aa=2", "'aa'"),
+            ("disk:radius=3", "'radius'"),
+            ("star:r0=1,amp=0.3", "'amp'"),
+            ("star:k=2.5", "k=2.5"),
+            ("disk:3", "'3'"),
+        ],
+    )
+    def test_bad_shape_rejected(self, cfg_file, tmp_path, capsys, shape, named):
+        out = tmp_path / "bad_shape"
+        rc = main(["steady-2d", "--config", str(cfg_file), "--eps", "0.05",
+                   "--shape", shape, "--h", "0.05", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert named in err
+        assert not (out / "steady_field.csv").exists()
 
 
 class TestRunVerify:

@@ -4,6 +4,7 @@ import pytest
 from klayer.core import Params, RadialProfile, make_graded_grid
 from klayer.errors import PositivityError, TimeStepError
 from klayer.evolve_radial import (
+    DiscreteSteady,
     EvolutionState,
     SchemeConfig,
     cfl_time_step,
@@ -47,7 +48,7 @@ class TestStep:
         dt = 0.5 * cfl_time_step(state, PAR)
         cfg = SchemeConfig(dt=dt, t_end=1.0)
         for _ in range(100):
-            state = step(state, ref, PAR, cfg)
+            state = step(state, PAR, cfg)
         assert np.max(np.abs(state.u.values - ref.U.values)) <= 1e-8
         assert np.max(np.abs(state.v.values - ref.V.values)) <= 1e-8
 
@@ -59,7 +60,7 @@ class TestStep:
         cfg = SchemeConfig(dt=dt, t_end=1.0)
         mass = cells.mass(state.u.values)
         for _ in range(50):
-            state = step(state, ref, PAR, cfg)
+            state = step(state, PAR, cfg)
             new_mass = cells.mass(state.u.values)
             assert abs(new_mass - mass) / mass <= 1e-12
             mass = new_mass
@@ -68,7 +69,7 @@ class TestStep:
         grid, steady, ref = setup
         state = perturbed_state(grid, ref)
         cfg = SchemeConfig(dt=0.5 * cfl_time_step(state, PAR), t_end=1.0)
-        out = step(state, ref, PAR, cfg)
+        out = step(state, PAR, cfg)
         assert out.v.values[-1] == np.log(PAR.b)
 
     def test_cfl_violation_raises(self, setup):
@@ -76,7 +77,7 @@ class TestStep:
         state = perturbed_state(grid, ref)
         cfg = SchemeConfig(dt=1e3, t_end=1e4)
         with pytest.raises(TimeStepError):
-            step(state, ref, PAR, cfg)
+            step(state, PAR, cfg)
 
     def test_positivity_guard(self, setup):
         grid, steady, ref = setup
@@ -125,6 +126,17 @@ class TestEvolve:
         cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
         with pytest.raises(ValueError):
             evolve(ref.U, w_bad, PAR, steady, cfg, reference=ref)
+
+    def test_reference_grid_checked(self, setup):
+        grid, steady, ref = setup
+        other = make_graded_grid(1.0, 2, 10.0 / 99, 100)
+        wrong = DiscreteSteady(
+            U=RadialProfile(other, np.ones(other.count)),
+            V=RadialProfile(other, np.zeros(other.count)),
+        )
+        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
+        with pytest.raises(ValueError, match="incompatible grid"):
+            evolve(ref.U, ref.W, PAR, steady, cfg, reference=wrong)
 
     def test_w_only_perturbation_returns_to_steady(self, setup):
         # mass unchanged, so the attractor is the same pair
