@@ -1,4 +1,4 @@
-"""Resolution of the nonlocal mass constraint by bisection on the amplitude.
+"""Resolution of the nonlocal mass constraint by a bracketed root-finder.
 
 The steady problem couples eps * Lap W = lam * W^(1+p) (Dirichlet data b) to
 the constraint lam * integral(W^p) = m.  The map
@@ -7,9 +7,13 @@ the constraint lam * integral(W^p) = m.  The map
 
 is continuous and strictly increasing, so the constrained amplitude is the
 unique root of g(lam) = m, bracketed below by m / (b^p |Omega|) (where
-W <= b forces g <= m) and above by doubling.  Bisection is used rather than a
-Newton/secant update: monotonicity of the discrete g is all that is certified,
-and bisection never leaves the bracket.
+W <= b forces g <= m) and above by doubling.  Inside the bracket the root is
+refined by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
+f(x) = log(g(e^x) / m), x = log lam, which is close to linear in the layer
+regime where g grows like a power of lam.  A proposal that does not lie
+strictly inside the bracket is replaced by the bisection midpoint, so every
+iterate stays in the certified bracket: monotonicity of the discrete g is all
+that is relied on, and the bracket still shrinks onto the unique root.
 
 The module is generic over the local solver: any domain object exposing
 volume() and solve_local(sigma, params) works (radial balls here, masked 2D
@@ -41,15 +45,17 @@ __all__ = [
 ]
 
 _MAX_DOUBLINGS = 128
-_MAX_BISECTIONS = 400
+_MAX_EVALS = 400
 
 
 @dataclass(frozen=True)
 class NonlocalResult:
-    """Converged steady state plus bisection diagnostics.
+    """Converged steady state plus root-finder diagnostics.
 
-    constraint_residual is the relative defect |lam * integral(W^p) - m| / m
-    at the accepted amplitude.
+    bisection_iters counts the constraint evaluations (local solves) of the
+    whole solve, doubling phase included; the name predates the Illinois
+    update.  constraint_residual is the relative defect
+    |lam * integral(W^p) - m| / m at the accepted amplitude.
     """
 
     steady: SteadyState
@@ -66,7 +72,7 @@ class RadialBallDomain:
 
     A fresh grid adapted to each requested sigma is built unless a fixed grid
     is supplied: the boundary spacing tracks 1/160 of the layer width so the
-    profile (and its p-th power) stay resolved across the whole bisection
+    profile (and its p-th power) stay resolved across the whole root
     bracket.
     """
 
@@ -152,18 +158,32 @@ def solve_nonlocal(params: Params, domain, tol_rel: float = 1e-8) -> NonlocalRes
                 f"constraint value still below m after {_MAX_DOUBLINGS} doublings"
             )
         lam, g, W, integral = lam_hi, g_hi, W_hi, integral_hi
+        # Illinois regula falsi on f = log(g / m) over x = log lam; `side`
+        # records which end the last iterate replaced, and the end kept twice
+        # in a row has its f halved
+        f_lo, f_hi = math.log(g_lo / m), math.log(g_hi / m)
+        side = 0
         while abs(g - m) / m >= tol_rel:
-            if iters > _MAX_BISECTIONS or (lam_hi - lam_lo) <= 4 * math.ulp(lam_hi):
+            if iters >= _MAX_EVALS or (lam_hi - lam_lo) <= 4 * math.ulp(lam_hi):
                 raise NoConvergenceError(
-                    f"bisection stagnated at relative defect {abs(g - m) / m}"
+                    f"root-finder stagnated at relative defect {abs(g - m) / m}"
                 )
-            lam = 0.5 * (lam_lo + lam_hi)
+            x_lo, x_hi = math.log(lam_lo), math.log(lam_hi)
+            lam = math.exp(x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo))
+            if not lam_lo < lam < lam_hi:
+                lam = 0.5 * (lam_lo + lam_hi)
             g, W, integral = evaluate(lam)
             iters += 1
             if g > m:
-                lam_hi = lam
+                lam_hi, f_hi = lam, math.log(g / m)
+                if side == -1:
+                    f_lo *= 0.5
+                side = -1
             else:
-                lam_lo = lam
+                lam_lo, f_lo = lam, math.log(g / m)
+                if side == 1:
+                    f_hi *= 0.5
+                side = 1
 
     amplitude = m / integral
     U = _scaled_power(W, amplitude, params.p)

@@ -190,7 +190,9 @@ def _projected_distance(shape, x, y, iters: int = 32):
     """Signed distance via damped Newton projection onto the boundary curve.
 
     Seeded by the nearest of a dense polyline of boundary points, then refined
-    by Newton on the stationarity of the squared distance; 32-iteration cap.
+    by Newton on the stationarity of the squared distance.  Raises
+    NoConvergenceError if the last parameter step still exceeds 1e-10 at the
+    iteration cap, far below any admissible grid spacing.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -204,6 +206,7 @@ def _projected_distance(shape, x, y, iters: int = 32):
     _, nearest = tree.query(np.column_stack([px, py]))
     t = t_seed[nearest]
 
+    step_max = math.inf
     for _ in range(iters):
         cx, cy = shape.curve(t)
         dx = cx - px
@@ -215,8 +218,14 @@ def _projected_distance(shape, x, y, iters: int = 32):
         hess = np.where(hess > 1e-12, hess, d1x**2 + d1y**2)
         step = np.clip(-g / hess, -0.2, 0.2)  # damped
         t = t + step
-        if np.max(np.abs(step)) < 1e-14:
+        step_max = float(np.max(np.abs(step)))
+        if step_max < 1e-14:
             break
+    if step_max > 1e-10:
+        raise NoConvergenceError(
+            f"boundary projection not converged after {iters} iterations "
+            f"(last parameter step {step_max})"
+        )
 
     cx, cy = shape.curve(t)
     dist = np.hypot(cx - px, cy - py)
@@ -442,9 +451,11 @@ def solve_local_2d(
 
     Damped Newton; the sparse LU factorisation of the Jacobian is reused
     across iterations while the residual keeps contracting (the reaction
-    diagonal moves slowly), and refreshed otherwise.  initial is "lower"
-    (distance-based layer profile, the default), "super" (constant b), or an
-    array of shape (N_inside,) / full grid shape.
+    diagonal moves slowly), and refreshed otherwise.  The Jacobian is
+    structurally symmetric and -J is a strictly row-dominant M-matrix, so it
+    is factorised without pivoting under a minimum-degree ordering of
+    A + A^T.  initial is "lower" (distance-based layer profile, the default),
+    "super" (constant b), or an array of shape (N_inside,) / full grid shape.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -491,7 +502,12 @@ def solve_local_2d(
         if lu is None or limited or res > 0.3 * res_prev:
             J = sparse.csc_matrix(sigma * L)
             J.setdiag(J.diagonal() - (1.0 + p) * w**p)
-            lu = splu(J)
+            lu = splu(
+                J,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         res_prev = res
         delta = lu.solve(-F)
         alpha = cfg.damping
@@ -519,9 +535,9 @@ def solve_local_2d(
 
 
 class Planar2DDomain:
-    """Adapter exposing the masked grid to the nonlocal bisection.
+    """Adapter exposing the masked grid to the nonlocal root-finder.
 
-    Keeps the last converged field as the next warm start (the bisection
+    Keeps the last converged field as the next warm start (the root-finder
     visits nearby sigmas, so Newton then needs only a couple of iterations).
     """
 
@@ -550,7 +566,7 @@ def solve_nonlocal_2d(
     tol_rel: float = 1e-6,
     cfg: LocalSolveConfig = LocalSolveConfig(),
 ) -> NonlocalResult:
-    """Nonlocal solve on a masked 2D grid (same bisection as the radial path)."""
+    """Nonlocal solve on a masked 2D grid (same root-finder as the radial path)."""
     return solve_nonlocal(params, Planar2DDomain(grid, cfg), tol_rel=tol_rel)
 
 
@@ -582,28 +598,33 @@ def curvature_thickness_report(
     xmin, xmax, ymin, ymax = grid.bbox
     max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h
 
+    # arc positions of the march: sequential sums of ds (as a scalar loop
+    # doing s += ds would produce), continued while the previous one is below
+    # max_march
+    s = np.cumsum(np.full(int(math.ceil(max_march / ds)) + 2, ds))
+    s = s[np.concatenate(([0.0], s[:-1])) < max_march]
+    points = np.array([sample.point for sample in samples], dtype=float).reshape(-1, 2)
+    normals = np.array([sample.inward_normal for sample in samples], dtype=float)
+    normals = normals.reshape(-1, 2)
+    px = points[:, 0:1] + s * normals[:, 0:1]  # (rays, steps)
+    py = points[:, 1:2] + s * normals[:, 1:2]
+    pos = np.stack([px.ravel(), py.ravel()], axis=-1)
+    phi = interp_phi(pos).reshape(px.shape)
+    val = interp_w(pos).reshape(px.shape)
+
+    outside_box = ~((xmin <= px) & (px <= xmax) & (ymin <= py) & (py <= ymax))
+    exits = outside_box | ((s > grid.h) & (phi > 0.0))
+    stops = exits | (val < c)
+    first = np.argmax(stops, axis=1)
+    rays = np.arange(len(points))
+    hit = stops[rays, first] & ~exits[rays, first]
+
     rows = []
-    for sample in samples:
-        pos = sample.point.copy()
-        normal = sample.inward_normal
-        prev_val = params.b
-        prev_s = 0.0
-        s = 0.0
-        found = None
-        while s < max_march:
-            s += ds
-            pos = sample.point + s * normal
-            if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
-                break
-            if s > grid.h and interp_phi(pos)[0] > 0.0:
-                break  # ray left the domain before crossing
-            val = float(interp_w(pos)[0])
-            if val < c:
-                frac = (prev_val - c) / (prev_val - val)
-                found = prev_s + frac * (s - prev_s)
-                break
-            prev_val = val
-            prev_s = s
-        if found is not None:
-            rows.append((sample.arclength, sample.curvature, found))
+    for k in np.flatnonzero(hit):
+        j = first[k]
+        prev_val = val[k, j - 1] if j > 0 else params.b
+        prev_s = s[j - 1] if j > 0 else 0.0
+        frac = (prev_val - c) / (prev_val - val[k, j])
+        found = prev_s + frac * (s[j] - prev_s)
+        rows.append((samples[k].arclength, samples[k].curvature, found))
     return np.array(rows, dtype=float).reshape(-1, 3)

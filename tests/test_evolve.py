@@ -208,3 +208,28 @@ class TestRelaxation:
         grid, steady, ref = setup
         assert np.max(np.abs(ref.U.values - steady.U.values)) < 1e-3
         assert np.max(np.abs(np.exp(ref.V.values) - steady.W.values)) < 1e-3
+
+    def test_stops_at_rounding_floor(self):
+        # tol = 0 can only be met on an exact fixed point, which rounding may
+        # never reach: the stop falls back to 16 ulps of change per step
+        grid = make_graded_grid(1.0, 2, 10.0 / 63, 64)
+        dom = RadialBallDomain(R=1.0, n=2, fixed_grid=grid)
+        steady = solve_nonlocal(PAR, dom, tol_rel=1e-10).steady
+        state = EvolutionState(
+            t=0.0, u=steady.U, v=RadialProfile(grid, np.log(steady.W.values))
+        )
+        dt = 0.5 * cfl_time_step(state, PAR)
+        ref = relax_to_discrete_steady(
+            steady, grid, PAR, dt=dt, tol=0.0, max_steps=100_000
+        )
+        new = step(
+            EvolutionState(t=0.0, u=ref.U, v=ref.V), PAR, SchemeConfig(dt=dt, t_end=1.0)
+        )
+        floor = 16 * np.finfo(float).eps
+        du = np.max(np.abs(new.u.values - ref.U.values)) / np.max(ref.U.values)
+        scale_v = np.max(np.abs(ref.V.values)) + 1.0
+        dv = np.max(np.abs(new.v.values - ref.V.values)) / scale_v
+        # the rounding limit cycle peaks at ~16.5 ulps on this grid, and the
+        # returned U carries the final mass renormalisation
+        assert du <= 2 * floor
+        assert dv <= 2 * floor

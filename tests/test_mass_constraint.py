@@ -96,6 +96,98 @@ class TestSolveNonlocal:
             solve_nonlocal(PAR, domain, tol_rel=0.0)
 
 
+class _Stub:
+    """W stand-in for stub domains: scaling it returns itself."""
+
+    def scaled_power(self, amplitude, p):
+        return self
+
+
+class SteepConstraint:
+    """Stub domain with a prescribed strictly increasing g(lam); records
+    every amplitude the root-finder visits."""
+
+    def __init__(self, g):
+        self.g = g
+        self.visited = []
+
+    def volume(self):
+        return 1.0
+
+    def solve_local(self, sigma, params):
+        lam = params.epsilon / sigma
+        self.visited.append(lam)
+        return _Stub(), self.g(lam) / lam
+
+
+def plain_bisection(g, lam_lo, m, tol_rel):
+    """Doubling then midpoint bisection to |g - m| / m < tol_rel; returns
+    (lam, number of g evaluations)."""
+    evals = 1
+    lam, val = lam_lo, g(lam_lo)
+    lam_hi = lam_lo
+    while val <= m and abs(val - m) / m >= tol_rel:
+        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+        lam, val = lam_hi, g(lam_hi)
+        evals += 1
+    while abs(val - m) / m >= tol_rel:
+        lam = 0.5 * (lam_lo + lam_hi)
+        val = g(lam)
+        evals += 1
+        if val > m:
+            lam_hi = lam
+        else:
+            lam_lo = lam
+    return lam, evals
+
+
+class TestIllinois:
+    @pytest.mark.parametrize(
+        "g, smooth",
+        [
+            (lambda lam: (lam / 5.3) ** 40, True),
+            (lambda lam: np.exp(40.0 * (lam / 5.3 - 1.0)), True),
+            # slope jumps 11-fold at the root: regula falsi converges only
+            # linearly there, but must still stay in the bracket
+            (lambda lam: np.exp(lam - 5.3) if lam < 5.3 else (lam / 5.3) ** 60, False),
+        ],
+        ids=["power40", "exponential", "kinked"],
+    )
+    def test_iterates_stay_in_bracket(self, g, smooth):
+        dom = SteepConstraint(g)
+        res = solve_nonlocal(PAR, dom, tol_rel=1e-10)
+        assert res.constraint_residual < 1e-10
+        assert res.bisection_iters == len(dom.visited)
+        gs = [g(lam) for lam in dom.visited]
+        # doubling phase: the first amplitude above m closes the bracket
+        k = next(i for i, val in enumerate(gs) if val > PAR.m)
+        lo, hi = dom.visited[k - 1], dom.visited[k]
+        assert gs[k - 1] < PAR.m
+        for lam, val in zip(dom.visited[k + 1 :], gs[k + 1 :]):
+            assert lo < lam < hi
+            if val > PAR.m:
+                hi = lam
+            else:
+                lo = lam
+        if smooth:
+            _, bisection_evals = plain_bisection(g, 1.0, PAR.m, 1e-10)
+            assert res.bisection_iters <= bisection_evals
+
+    def test_matches_plain_bisection_on_disk(self):
+        par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
+        dom = RadialBallDomain(R=1.0, n=2, count=2500)
+        res = solve_nonlocal(par, dom, tol_rel=1e-8)
+        lam_lo = par.m / (par.b**par.p * dom.volume())
+        lam_ref, _ = plain_bisection(
+            lambda lam: constraint_value(lam, par, dom), lam_lo, par.m, 1e-8
+        )
+        # g grows like lam^(1/2) here: each root sits within 2e-8 of the
+        # exact one
+        assert res.steady.amplitude == pytest.approx(lam_ref, rel=4e-8)
+        assert res.constraint_residual < 1e-8
+        assert res.bisection_iters <= 12
+
+
 class TestBracketFailure:
     def test_reported_after_doubling_cap(self):
         class TinyConstraint:

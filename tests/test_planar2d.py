@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
+from klayer import planar2d
 from klayer.core import Params
+from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 from klayer.planar2d import (
     Disk,
     Ellipse,
     Planar2DDomain,
     Star,
+    _projected_distance,
     build_domain,
     curvature_thickness_report,
     solve_local_2d,
@@ -85,6 +89,13 @@ class TestGeometry:
         expected = (r**2 + r * r0 * A * k**2) / r**3
         assert star.curvature(0.0) == pytest.approx(expected, rel=1e-5)
 
+    def test_projection_checks_convergence(self):
+        shape = Ellipse(1.4142, 0.7071)
+        X, Y = np.meshgrid(np.linspace(-1.5, 1.5, 31), np.linspace(-0.8, 0.8, 17))
+        with pytest.raises(NoConvergenceError):
+            _projected_distance(shape, X, Y, iters=1)
+        assert np.all(np.isfinite(_projected_distance(shape, X, Y)))
+
     def test_too_coarse_h_rejected(self):
         with pytest.raises(ValueError):
             build_domain(Disk(0.05), 0.02)
@@ -136,6 +147,14 @@ class TestLocal2D:
         diff = np.nanmax(np.abs(W_super.values - W_lower.values))
         assert diff <= 10 * 1e-10
 
+    def test_ordering_matches_default_factorisation(self, disk_grid, monkeypatch):
+        # oracle: scipy's default column ordering with partial pivoting
+        grid, _ = disk_grid
+        fast = solve_local_2d(0.05, PAR, grid)
+        monkeypatch.setattr(planar2d, "splu", lambda J, **kwargs: splu(J))
+        ref = solve_local_2d(0.05, PAR, grid)
+        assert np.nanmax(np.abs(fast.values - ref.values)) <= 1e-12
+
     def test_invalid_sigma(self, disk_grid):
         grid, _ = disk_grid
         with pytest.raises(ValueError):
@@ -178,7 +197,53 @@ class TestNonlocal2D:
         assert rel_change < 10 * 0.04  # O(h) cut-cell boundary
 
 
+def scalar_ray_march(W, samples, c, params, step_fraction=0.5):
+    """One ray at a time, one step at a time: the reference for the
+    vectorised probe.  Also returns each ray's outcome."""
+    grid = W.grid
+    interp_w = W.interpolator(params.b)
+    interp_phi = RegularGridInterpolator(
+        (grid.x, grid.y), grid.phi, method="linear", bounds_error=False, fill_value=1.0
+    )
+    ds = step_fraction * grid.h
+    xmin, xmax, ymin, ymax = grid.bbox
+    max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h
+    rows, outcomes = [], []
+    for sample in samples:
+        prev_val, prev_s, s = params.b, 0.0, 0.0
+        outcome = "end"
+        while s < max_march:
+            s += ds
+            pos = sample.point + s * sample.inward_normal
+            if not (xmin <= pos[0] <= xmax and ymin <= pos[1] <= ymax):
+                outcome = "box"
+                break
+            if s > grid.h and interp_phi(pos)[0] > 0.0:
+                outcome = "exit"
+                break
+            val = float(interp_w(pos)[0])
+            if val < c:
+                frac = (prev_val - c) / (prev_val - val)
+                rows.append((sample.arclength, sample.curvature,
+                             prev_s + frac * (s - prev_s)))
+                outcome = "hit"
+                break
+            prev_val, prev_s = val, s
+        outcomes.append(outcome)
+    return np.array(rows, dtype=float).reshape(-1, 3), outcomes
+
+
 class TestThicknessReport:
+    def test_matches_scalar_march(self):
+        grid, samples = build_domain(
+            Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), 0.02, n_samples=128
+        )
+        W = solve_nonlocal_2d(PAR, grid, tol_rel=1e-6).steady.W
+        table = curvature_thickness_report(W, samples, 0.5, PAR)
+        ref, outcomes = scalar_ray_march(W, samples, 0.5, PAR)
+        assert "hit" in outcomes and "exit" in outcomes
+        assert np.array_equal(table, ref)
+
     def test_disk_thickness_uniform(self, disk_grid, disk_nonlocal, radial_reference):
         grid, samples = disk_grid
         table = curvature_thickness_report(disk_nonlocal.steady.W, samples, 0.5, PAR)
