@@ -46,6 +46,8 @@ __all__ = [
 
 _MAX_DOUBLINGS = 128
 _MAX_EVALS = 400
+# an adapted grid's boundary spacing is the layer width over this
+_BOUNDARY_REFINE = 160.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class RadialBallDomain:
         count: int = 2500,
         cfg: LocalSolveConfig = LocalSolveConfig(),
         fixed_grid: RadialGrid | None = None,
-        boundary_refine: float = 160.0,
     ):
         if R <= 0:
             raise ValueError(f"R must be positive, got {R}")
@@ -92,7 +93,6 @@ class RadialBallDomain:
         self.count = int(count)
         self.cfg = cfg
         self.fixed_grid = fixed_grid
-        self.boundary_refine = float(boundary_refine)
 
     def volume(self) -> float:
         return ball_volume(self.R, self.n)
@@ -101,7 +101,7 @@ class RadialBallDomain:
         if self.fixed_grid is not None:
             return self.fixed_grid
         ell = layer_width(sigma, params)
-        h_b = min(ell / self.boundary_refine, self.R / (self.count - 1))
+        h_b = min(ell / _BOUNDARY_REFINE, self.R / (self.count - 1))
         return make_graded_grid(self.R, self.n, 10.0 * h_b, self.count)
 
     def solve_local(self, sigma: float, params: Params):
