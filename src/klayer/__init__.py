@@ -1,7 +1,7 @@
 """Boundary-layer steady states and nonlinear stability of a singular
 chemotaxis system: radial and 2D nonlocal elliptic solvers, closed-form layer
-barriers, small-diffusion expansion checks, and a conservative IMEX time
-integrator for the transformed radial system."""
+barriers, small-diffusion expansion checks, and a conservative, positive
+implicit time integrator for the transformed radial system."""
 
 from .core import (
     Params,
@@ -22,7 +22,6 @@ from .errors import (
     NoCrossingError,
     PositivityError,
     SolverError,
-    TimeStepError,
 )
 from .mass_constraint import (
     NonlocalResult,
@@ -31,7 +30,6 @@ from .mass_constraint import (
     solve_nonlocal,
 )
 from .radial_steady import (
-    LocalSolveConfig,
     barrier_lower,
     barrier_upper,
     boundary_slope,

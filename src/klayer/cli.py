@@ -5,7 +5,8 @@ Commands
     steady-2d       nonlocal steady state on a masked 2D domain, CSV x,y,W,U
                     plus a curvature/thickness table along the boundary
     evolve          radial time integration from a perturbed steady state,
-                    CSV diagnostics t,mass,linf_u,l2_u,linf_w,l2_w,energy
+                    CSV diagnostics t,mass,linf_u,l2_u,linf_w,l2_w,energy;
+                    the step dt defaults to t_end / 1000
     verify          small-eps expansion suite (boundary slopes, lambda_eps,
                     layer thickness); exit code 2 when a gap exceeds its
                     tolerance
@@ -59,7 +60,7 @@ class RunConfig:
     eps_list: tuple = ()
     p_list: tuple = ()
     t_end: float = 20.0
-    dt: float = 0.0  # 0: choose from the CFL bound
+    dt: float = 0.0  # 0: t_end / 1000
     perturb: float = 0.01
     level_c: float = 0.0  # 0: b/2
     samples: int = 48
@@ -372,8 +373,7 @@ def _run_evolve(cfg: RunConfig) -> int:
         grid=grid,
         values=np.exp(reference.V.values * (1.0 + cfg.perturb * math.cos(phase) * v_shape)),
     )
-    state = evolve_radial.EvolutionState(t=0.0, u=u0, v=RadialProfile(grid, np.log(w0.values)))
-    dt = cfg.dt if cfg.dt > 0 else 0.5 * evolve_radial.cfl_time_step(state, cfg.params)
+    dt = cfg.dt if cfg.dt > 0 else cfg.t_end / 1000
     scheme = evolve_radial.SchemeConfig(
         dt=dt, t_end=cfg.t_end, output_every=cfg.output_every
     )
@@ -392,7 +392,7 @@ def _run_evolve(cfg: RunConfig) -> int:
             "final_distance": d[-1],
             "mass_drift": float(np.max(np.abs(series.mass - series.mass[0]))
                                 / series.mass[0]),
-            "dt": series.dt_used,
+            "dt": dt,
             "perturb": cfg.perturb,
             "seed": cfg.seed,
         },

@@ -13,10 +13,6 @@ class BracketFailureError(SolverError):
     """A root bracket could not be established."""
 
 
-class TimeStepError(SolverError):
-    """The requested time step violates the advective CFL restriction."""
-
-
 class PositivityError(SolverError):
     """A field that must stay positive became non-positive."""
 

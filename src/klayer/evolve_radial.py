@@ -1,37 +1,44 @@
 """Time integration of the transformed radial system and stability diagnostics.
 
-Working variables are the cell density u and the log-chemical v = ln w (the
-substitution that removes the singular logarithmic drift), evolved by
+The state is the cell density u and the log-chemical v = ln w (the
+substitution that removes the singular logarithmic drift) of
 
     u_t = (1/r^(n-1)) [ (r^(n-1) u_r)_r - p (r^(n-1) u v_r)_r ]
-    v_t = (eps/r^(n-1)) (r^(n-1) v_r)_r + eps v_r^2 - u
+    w_t = (eps/r^(n-1)) (r^(n-1) w_r)_r - u w
 
-with total flux u_r - p u v_r = 0 at both r = 0 and r = R, and v(R) = ln b.
+with total flux u_r - p u v_r = 0 at both r = 0 and r = R, and w(R) = b.
 
-Scheme: finite volumes on the node-centred cells of the radial grid, IMEX in
-time - diffusion implicit (tridiagonal solves in the r^(n-1)-weighted
-operator), chemotactic flux, eps v_r^2 and the -u sink explicit.  The
-chemotactic face flux uses arithmetic-mean u and a centred v_r.  Because all
-u-updates are telescoping face-flux differences with zero boundary flux, the
-discrete mass sum(V_i u_i) is conserved to solver rounding each step.
+Scheme: finite volumes on the node-centred cells of the radial grid, one
+step being two implicit tridiagonal M-matrix solves, so it stays positive for
+every dt.  u moves first, by the exponentially fitted face flux of
+Scharfetter & Gummel (IEEE Trans. Electron Devices 16, 1969)
 
-The continuous steady pair is not an exact fixed point of the discrete flux
-form, so stability diagnostics are measured against the scheme's own
-attractor, which relax_to_discrete_steady() solves for by Newton (same mass,
-no dt).  It keeps the name from when it time-stepped to the pair, because the
-benchmark tracer times it under that name.
+    g (B(-d) u_i - B(d) u_(i+1)),  g = area / dr,  d = p (v_(i+1) - v_i),
+
+with B(x) = x / (e^x - 1) = 1 / exprel(x) and v at the start of the step;
+its matrix has column sums V_i / dt, so the discrete mass sum(V_i u_i) is
+conserved to solver rounding.  Then w solves w_t = eps Lap w - u w at the new
+u, and v = ln w.
+
+A face carries zero flux exactly when u_(i+1) / u_i = e^d, so the scheme's
+stationary density is U = C W^p and its steady pair solves
+eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).  Stability
+diagnostics are measured against that pair, which relax_to_discrete_steady()
+solves by Newton (no dt).  It keeps the name from when it time-stepped to the
+pair, because the benchmark tracer times it under that name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.special import exprel
 
 from .core import Params, RadialGrid, RadialProfile, SteadyState, unit_sphere_area
-from .errors import NoConvergenceError, PositivityError, TimeStepError
+from .errors import NoConvergenceError, PositivityError
 
 __all__ = [
     "EvolutionState",
@@ -43,12 +50,9 @@ __all__ = [
     "relax_to_discrete_steady",
     "lyapunov_energy",
     "fit_decay_rate",
-    "cfl_time_step",
 ]
 
-# fraction of the advective CFL bound that step() admits
-_CFL_SAFETY = 0.8
-# Newton steps allowed for the discrete steady pair; it takes 2-3
+# Newton steps allowed for the discrete steady pair; it takes 2-4
 _RELAX_MAX_ITERS = 30
 
 
@@ -110,7 +114,6 @@ class EvolutionSeries:
     l2_w: np.ndarray
     energy: np.ndarray
     reference: DiscreteSteady
-    dt_used: float
     renormalized_mass_factor: float
 
     def distance(self) -> np.ndarray:
@@ -142,99 +145,43 @@ class _Cells:
         return unit_sphere_area(self.grid.n) * float(np.dot(self.volumes, u))
 
 
-def _node_gradient(v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Three-point nodal gradient along the last axis; zero at r = 0 by symmetry."""
-    g = np.empty_like(v)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    g[..., 1:-1] = (
-        -hp / (hm * (hm + hp)) * v[..., :-2]
-        + (hp - hm) / (hm * hp) * v[..., 1:-1]
-        + hm / (hp * (hm + hp)) * v[..., 2:]
-    )
-    g[..., 0] = 0.0
-    h1 = r[-1] - r[-2]
-    h2 = r[-2] - r[-3]
-    g[..., -1] = (
-        v[..., -3] * h1 / (h2 * (h1 + h2))
-        - v[..., -2] * (h1 + h2) / (h1 * h2)
-        + v[..., -1] * (2 * h1 + h2) / (h1 * (h1 + h2))
-    )
-    return g
-
-
 def _solve_tridiag(lo, di, up, rhs):
+    """Solve the tridiagonal system with sub-, main and super-diagonal lo, di, up."""
     ab = np.zeros((3, di.size))
-    ab[0, 1:] = up[:-1]
+    ab[0, 1:] = up
     ab[1, :] = di
-    ab[2, :-1] = lo[1:]
+    ab[2, :-1] = lo
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
 
 
-def cfl_time_step(state: EvolutionState, params: Params) -> float:
-    """Largest admissible dt: 0.8 * min spacing / max advective speed."""
-    cells = _Cells(state.u.grid)
-    v_r_faces = np.diff(state.v.values) / cells.dr
-    speed = params.p * float(np.max(np.abs(v_r_faces)))
-    if speed == 0.0:
-        return math.inf
-    return _CFL_SAFETY * float(np.min(cells.dr)) / speed
-
-
 def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionState:
-    """One IMEX update of (u, v) by cfg.dt."""
+    """One update of (u, w = e^v) by cfg.dt; positive for every dt."""
     grid = state.u.grid
     cells = _Cells(grid)
-    r = grid.nodes
-    n = grid.n
-    N = r.size
     dt = cfg.dt
-    u = state.u.values
-    v = state.v.values
-
-    v_r_faces = np.diff(v) / cells.dr
-    speed = params.p * float(np.max(np.abs(v_r_faces)))
-    if speed > 0 and dt > _CFL_SAFETY * float(np.min(cells.dr)) / speed:
-        raise TimeStepError(
-            f"dt={dt} exceeds the advective CFL bound "
-            f"{_CFL_SAFETY * float(np.min(cells.dr)) / speed}"
-        )
-
     V = cells.volumes
-    a_over_dr = cells.areas / cells.dr  # interior faces 1..N-1
+    g = cells.areas / cells.dr  # interior faces 1..N-1
 
-    # --- u update: implicit diffusion, explicit chemotactic flux -----------
-    u_face = 0.5 * (u[:-1] + u[1:])
-    adv = -params.p * cells.areas * u_face * v_r_faces  # flux at interior faces
-    rhs_u = (V / dt) * u
-    rhs_u[:-1] += adv
-    rhs_u[1:] -= adv
-    lo = np.zeros(N)
+    # --- u: implicit Scharfetter-Gummel flux at the old v --------------------
+    d = params.p * np.diff(state.v.values)
+    leave = g / exprel(-d)  # g B(-d): out of node i across its right face
+    enter = g / exprel(d)  # g B(d): out of node i+1 across its left face
     di = V / dt
-    up = np.zeros(N)
-    di[:-1] += a_over_dr
-    di[1:] += a_over_dr
-    lo[1:] = -a_over_dr
-    up[:-1] = -a_over_dr
-    u_new = _solve_tridiag(lo, di, up, rhs_u)
-    if np.any(u_new <= 0):
-        raise PositivityError("u lost positivity; reduce dt or the perturbation")
+    di[:-1] += leave
+    di[1:] += enter
+    u_new = _solve_tridiag(-leave, di, -enter, V / dt * state.u.values)
 
-    # --- v update: implicit diffusion, explicit eps v_r^2 and -u -----------
-    q = _node_gradient(v, r) ** 2
-    rhs_v = (V / dt) * v + V * (params.epsilon * q - u)
-    lo = np.zeros(N)
-    di = V / dt
-    up = np.zeros(N)
-    di[:-1] += params.epsilon * a_over_dr
-    di[1:] += params.epsilon * a_over_dr
-    lo[1:] = -params.epsilon * a_over_dr
-    up[:-1] = -params.epsilon * a_over_dr
-    # Dirichlet v(R) = ln b
-    lo[-1] = 0.0
+    # --- w = e^v: implicit diffusion and sink at the new u, w(R) = b --------
+    a = params.epsilon * g
+    di = V / dt + V * u_new
+    di[:-1] += a
+    di[1:] += a
     di[-1] = 1.0
-    rhs_v[-1] = math.log(params.b)
-    v_new = _solve_tridiag(lo, di, up, rhs_v)
+    lo = -a
+    lo[-1] = 0.0
+    rhs = V / dt * np.exp(state.v.values)
+    rhs[-1] = params.b
+    v_new = np.log(_solve_tridiag(lo, di, -a, rhs))
     v_new[-1] = math.log(params.b)
 
     return EvolutionState(
@@ -256,56 +203,54 @@ def _sample_on_grid(profile: RadialProfile, grid: RadialGrid) -> np.ndarray:
     return np.interp(grid.nodes, profile.grid.nodes, profile.values)
 
 
-def _stationary_density(v: np.ndarray, cells: _Cells, params: Params):
-    """Face ratios x = p dv / 2 and the mass-m density whose total flux
-    vanishes on every face: u_(i+1) (1 - x_i) = u_i (1 + x_i)."""
-    x = 0.5 * params.p * np.diff(v)
-    if np.any(np.abs(x) >= 1.0):
-        raise PositivityError("no positive stationary density: |p dv / 2| >= 1 on a face")
-    # a running product keeps each face's ratio to an ulp, as step() sees it
-    G = np.cumprod(np.concatenate(([1.0], (1.0 + x) / (1.0 - x))))
-    return x, G * (params.m / cells.mass(G))
-
-
 def relax_to_discrete_steady(
     steady: SteadyState, grid: RadialGrid, params: Params
 ) -> DiscreteSteady:
     """The fixed point of step() on grid, by Newton from the elliptic pair.
 
-    There u = u(v) carries zero flux on every face, and v solves
-    eps K v + V (eps v_r^2 - u(v)) = 0 off the Dirichlet row, K being the
-    flux-difference operator of step(); no dt enters.  The dense analytic
-    Jacobian converges in 2-3 steps.  Raises PositivityError when an iterate
-    admits no positive u, NoConvergenceError after _RELAX_MAX_ITERS steps.
+    There every face flux vanishes, so U = C W^p, and W solves
+    eps K W = V C W^(1+p) off the Dirichlet row, K being the flux-difference
+    operator of step() and C = m / (omega_n sum(V W^p)); no dt enters.  The
+    Jacobian is tridiagonal plus the rank one of C's dependence on W, so each
+    Newton step is one tridiagonal solve with two right-hand sides
+    (Sherman-Morrison).  Raises PositivityError when an iterate leaves W > 0,
+    NoConvergenceError after _RELAX_MAX_ITERS steps.
     """
     cells = _Cells(grid)
-    N = grid.count
-    eps = params.epsilon
-    a = eps * cells.areas / cells.dr
-    K = np.diag(a, 1) + np.diag(a, -1)
-    K[np.diag_indices(N)] = -K.sum(axis=1)
-    D = _node_gradient(np.eye(N), grid.nodes).T
-    mass_row = unit_sphere_area(grid.n) / params.m * cells.volumes
+    V = cells.volumes
+    p = params.p
+    om = unit_sphere_area(grid.n)
+    a = params.epsilon * cells.areas / cells.dr
+    off = a[:-1]  # couplings among the unknowns W_0..W_(N-2)
 
-    v = np.log(_sample_on_grid(steady.W, grid))
-    v[-1] = math.log(params.b)
+    W = _sample_on_grid(steady.W, grid)
+    W[-1] = params.b
     for _ in range(_RELAX_MAX_ITERS):
-        x, u = _stationary_density(v, cells, params)
-        g = _node_gradient(v, grid.nodes)
-        # face fluxes rather than K @ v: no BLAS summation order enters the root
-        flux = np.concatenate(([0.0], a * np.diff(v), [0.0]))
-        res = np.diff(flux) + cells.volumes * (eps * g**2 - u)
-        # row i of L is d(log u_i)/dv before the mass normalisation: the sum
-        # over faces k < i of p / (1 - x_k^2) (e_(k+1) - e_k)
-        c = params.p / (1.0 - x**2)
-        L = np.cumsum(np.diag(np.r_[0.0, c]) - np.diag(c, -1), axis=0)
-        du = u[:, None] * L - np.outer(u, (mass_row * u) @ L)
-        J = K + cells.volumes[:, None] * (2.0 * eps * g[:, None] * D - du)
-        delta = np.linalg.solve(J[:-1, :-1], -res[:-1])
-        v[:-1] += delta
-        if np.max(np.abs(delta)) <= 1e-12 * (np.max(np.abs(v)) + 1.0):
-            u = _stationary_density(v, cells, params)[1]
-            return DiscreteSteady(U=RadialProfile(grid, u), V=RadialProfile(grid, v))
+        Wp = W**p
+        S = cells.mass(Wp)
+        C = params.m / S
+        # face fluxes rather than K @ W: no summation order enters the root
+        flux = np.concatenate(([0.0], a * np.diff(W), [0.0]))
+        res = np.diff(flux) - C * V * Wp * W
+        di = -(1.0 + p) * C * V * Wp
+        di[:-1] -= a
+        di[1:] -= a
+        # J = T + col row^T, from res's term -C(W) V W^(1+p): col = V W^(1+p)
+        # and row = -dC/dW = C omega_n p V W^(p-1) / S
+        col = V * Wp * W
+        row = (p * C * om / S) * V * Wp / W
+        y, z = _solve_tridiag(
+            off, di[:-1], off, np.column_stack((-res[:-1], col[:-1]))
+        ).T
+        delta = y - z * (row[:-1] @ y) / (1.0 + row[:-1] @ z)
+        W[:-1] += delta
+        if np.any(W <= 0.0):
+            raise PositivityError("discrete steady Newton left W > 0")
+        if np.max(np.abs(delta) / W[:-1]) <= 1e-12:
+            v = np.log(W)
+            W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
+            U = W**p * (params.m / cells.mass(W**p))
+            return DiscreteSteady(U=RadialProfile(grid, U), V=RadialProfile(grid, v))
     raise NoConvergenceError(
         f"discrete steady Newton not converged in {_RELAX_MAX_ITERS} steps"
     )
@@ -363,12 +308,11 @@ def evolve(
     cfg: SchemeConfig,
     reference: DiscreteSteady | None = None,
 ) -> EvolutionSeries:
-    """Run the IMEX scheme and record stability diagnostics.
+    """Run the scheme at the fixed step cfg.dt and record stability diagnostics.
 
     u0 is renormalised to mass m when needed (the factor is reported).
     w0 must be positive with w0(R) = b.  Terminates at t_end or when the
-    combined L-infinity distance drops below 1e-10.  A CFL violation halves
-    dt (deterministically) rather than failing the run.
+    combined L-infinity distance drops below 1e-10.
     """
     grid = u0.grid
     if np.any(u0.values <= 0) or np.any(w0.values <= 0):
@@ -393,7 +337,6 @@ def evolve(
     W_ref = np.exp(reference.V.values)
     om = unit_sphere_area(grid.n)
 
-    step_cfg = cfg
     rows = []
 
     def record(st: EvolutionState):
@@ -414,15 +357,7 @@ def evolve(
     record(state)
     k = 0
     while state.t < cfg.t_end - 1e-12 * cfg.t_end:
-        for _ in range(40):
-            try:
-                new = step(state, params, step_cfg)
-                break
-            except TimeStepError:
-                step_cfg = replace(step_cfg, dt=0.5 * step_cfg.dt)
-        else:
-            raise TimeStepError("dt collapsed below any admissible value")
-        state = new
+        state = step(state, params, cfg)
         k += 1
         if k % cfg.output_every == 0 or state.t >= cfg.t_end:
             record(state)
@@ -439,7 +374,6 @@ def evolve(
         l2_w=data[:, 5],
         energy=data[:, 6],
         reference=reference,
-        dt_used=step_cfg.dt,
         renormalized_mass_factor=factor,
     )
 

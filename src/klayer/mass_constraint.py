@@ -35,7 +35,7 @@ from .core import (
     make_graded_grid,
 )
 from .errors import BracketFailureError, NoConvergenceError
-from .radial_steady import LocalSolveConfig, layer_width, solve_local_radial
+from .radial_steady import layer_width, solve_local_radial
 
 __all__ = [
     "NonlocalResult",
@@ -83,7 +83,6 @@ class RadialBallDomain:
         R: float,
         n: int,
         count: int = 2500,
-        cfg: LocalSolveConfig = LocalSolveConfig(),
         fixed_grid: RadialGrid | None = None,
     ):
         if R <= 0:
@@ -91,7 +90,6 @@ class RadialBallDomain:
         self.R = float(R)
         self.n = int(n)
         self.count = int(count)
-        self.cfg = cfg
         self.fixed_grid = fixed_grid
 
     def volume(self) -> float:
@@ -107,7 +105,7 @@ class RadialBallDomain:
     def solve_local(self, sigma: float, params: Params):
         """Solve at the given sigma; returns (W profile, integral of W^p)."""
         grid = self.grid_for(sigma, params)
-        W = solve_local_radial(sigma, params, grid, self.cfg)
+        W = solve_local_radial(sigma, params, grid)
         wp = RadialProfile(grid=grid, values=W.values**params.p)
         return W, integrate_radial(wp)
 

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from .core import Params
 from .errors import NoConvergenceError
 from .mass_constraint import NonlocalResult, solve_nonlocal
-from .radial_steady import LocalSolveConfig, layer_profile_constant
+from .radial_steady import DAMPING, MAX_ITERS, NEWTON_TOL, layer_profile_constant
 
 __all__ = [
     "Disk",
@@ -444,7 +444,6 @@ def solve_local_2d(
     sigma: float,
     params: Params,
     grid: MaskedGrid,
-    cfg: LocalSolveConfig = LocalSolveConfig(),
     initial="lower",
 ) -> PlanarField:
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
@@ -484,7 +483,7 @@ def solve_local_2d(
 
     diag_scale = float(np.max(np.abs(L.diagonal())))
     res_floor = 8.0 * np.finfo(float).eps * sigma * diag_scale * b
-    tol_eff = max(cfg.newton_tol, res_floor)
+    tol_eff = max(NEWTON_TOL, res_floor)
 
     def residual(wv):
         return sigma * (L @ wv + bvec * b) - wv ** (1.0 + p)
@@ -493,7 +492,7 @@ def solve_local_2d(
     res_prev = math.inf
     limited = False
     F = residual(w)
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         res = float(np.max(np.abs(F)))
         if res < tol_eff:
             break
@@ -510,7 +509,7 @@ def solve_local_2d(
             )
         res_prev = res
         delta = lu.solve(-F)
-        alpha = cfg.damping
+        alpha = DAMPING
         neg = delta < 0
         limited = False
         if np.any(neg):
@@ -541,9 +540,8 @@ class Planar2DDomain:
     visits nearby sigmas, so Newton then needs only a couple of iterations).
     """
 
-    def __init__(self, grid: MaskedGrid, cfg: LocalSolveConfig = LocalSolveConfig()):
+    def __init__(self, grid: MaskedGrid):
         self.grid = grid
-        self.cfg = cfg
         self._last = None
 
     def volume(self) -> float:
@@ -552,9 +550,9 @@ class Planar2DDomain:
     def solve_local(self, sigma: float, params: Params):
         initial = "lower" if self._last is None else self._last.values
         try:
-            W = solve_local_2d(sigma, params, self.grid, self.cfg, initial=initial)
+            W = solve_local_2d(sigma, params, self.grid, initial=initial)
         except NoConvergenceError:
-            W = solve_local_2d(sigma, params, self.grid, self.cfg, initial="lower")
+            W = solve_local_2d(sigma, params, self.grid, initial="lower")
         self._last = W
         integral = self.grid.integrate(W.values**params.p, params.b**params.p)
         return W, integral
@@ -564,10 +562,9 @@ def solve_nonlocal_2d(
     params: Params,
     grid: MaskedGrid,
     tol_rel: float = 1e-6,
-    cfg: LocalSolveConfig = LocalSolveConfig(),
 ) -> NonlocalResult:
     """Nonlocal solve on a masked 2D grid (same root-finder as the radial path)."""
-    return solve_nonlocal(params, Planar2DDomain(grid, cfg), tol_rel=tol_rel)
+    return solve_nonlocal(params, Planar2DDomain(grid), tol_rel=tol_rel)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ independent checks on converged solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -19,7 +18,6 @@ from .core import Params, RadialGrid, RadialProfile
 from .errors import AxisSingularityError, NoConvergenceError
 
 __all__ = [
-    "LocalSolveConfig",
     "layer_profile_constant",
     "layer_width",
     "barrier_lower",
@@ -30,21 +28,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalSolveConfig:
-    """Newton controls: residual max-norm target, iteration cap, step damping."""
-
-    newton_tol: float = 1e-10
-    max_iters: int = 60
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
+# Newton controls of the local solves (radial here, 2D in planar2d): residual
+# max-norm target, iteration cap, step damping
+NEWTON_TOL = 1e-10
+MAX_ITERS = 60
+DAMPING = 1.0
 
 
 def layer_profile_constant(p: float) -> float:
@@ -187,7 +175,6 @@ def solve_local_radial(
     sigma: float,
     params: Params,
     grid: RadialGrid,
-    cfg: LocalSolveConfig = LocalSolveConfig(),
     initial: np.ndarray | None = None,
 ) -> RadialProfile:
     """Solve sigma (W'' + (n-1)/r W') = W^(1+p), W'(0) = 0, W(R) = b.
@@ -221,7 +208,7 @@ def solve_local_radial(
     # terms are O(sigma/h^2) individually, so the residual cannot drop below
     # their rounding error no matter how exact the iterate is
     res_floor = 8.0 * np.finfo(float).eps * sigma * np.max(np.abs(di)) * b
-    tol_eff = max(cfg.newton_tol, res_floor)
+    tol_eff = max(NEWTON_TOL, res_floor)
 
     def attempt(damping: float) -> np.ndarray | None:
         if initial is not None:
@@ -231,7 +218,7 @@ def solve_local_radial(
         else:
             W = np.asarray(barrier_lower(r, sigma, params, R), dtype=float)
         W = np.maximum(W, floor)
-        for _ in range(cfg.max_iters):
+        for _ in range(MAX_ITERS):
             F = residual(W)
             if np.max(np.abs(F)) < tol_eff:
                 return W
@@ -246,12 +233,12 @@ def solve_local_radial(
                 return None
         return None
 
-    W = attempt(cfg.damping)
+    W = attempt(DAMPING)
     if W is None:
-        W = attempt(cfg.damping / 2.0)
+        W = attempt(DAMPING / 2.0)
     if W is None:
         raise NoConvergenceError(
-            f"Newton failed at sigma={sigma} after {cfg.max_iters} iterations "
+            f"Newton failed at sigma={sigma} after {MAX_ITERS} iterations "
             "(twice, second time with halved damping)"
         )
     W[-1] = b

@@ -3,8 +3,8 @@ import pytest
 
 from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
+import klayer.radial_steady
 from klayer.radial_steady import (
-    LocalSolveConfig,
     barrier_lower,
     barrier_upper,
     boundary_slope,
@@ -66,11 +66,11 @@ class TestSolveLocalRadial:
         W_lin = _solve_tridiag(jl.copy(), jd, ju, rhs)
         assert np.max(np.abs(W.values - W_lin)) <= 1e-9
 
-    def test_no_convergence_with_single_iteration(self):
+    def test_no_convergence_with_single_iteration(self, monkeypatch):
         grid = make_graded_grid(1.0, 2, 0.02, 200)
-        cfg = LocalSolveConfig(newton_tol=1e-12, max_iters=1, damping=1.0)
+        monkeypatch.setattr(klayer.radial_steady, "MAX_ITERS", 1)
         with pytest.raises(NoConvergenceError):
-            solve_local_radial(1e-4, P2, grid, cfg)
+            solve_local_radial(1e-4, P2, grid)
 
     def test_grid_convergence_order(self):
         g0 = make_graded_grid(40.0, 1, 0.154, 1000)
