@@ -24,8 +24,9 @@ A face carries zero flux exactly when u_(i+1) / u_i = e^d, so the scheme's
 stationary density is U = C W^p and its steady pair solves
 eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).  Stability
 diagnostics are measured against that pair, which relax_to_discrete_steady()
-solves by Newton (no dt).  It keeps the name from when it time-stepped to the
-pair, because the benchmark tracer times it under that name.
+solves by Newton from W = b in 4-18 steps (no dt, no elliptic solve).  It
+keeps the name from when it time-stepped to the pair, because the benchmark
+tracer times it under that name.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import exprel
 
-from .core import Params, RadialGrid, RadialProfile, SteadyState, unit_sphere_area
+from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
 from .errors import NoConvergenceError, PositivityError
 
 __all__ = [
@@ -52,7 +53,7 @@ __all__ = [
     "fit_decay_rate",
 ]
 
-# Newton steps allowed for the discrete steady pair; it takes 2-4
+# Newton steps allowed for the discrete steady pair; from W = b it takes 4-18
 _RELAX_MAX_ITERS = 30
 
 
@@ -113,7 +114,6 @@ class EvolutionSeries:
     linf_w: np.ndarray
     l2_w: np.ndarray
     energy: np.ndarray
-    reference: DiscreteSteady
     renormalized_mass_factor: float
 
     def distance(self) -> np.ndarray:
@@ -195,26 +195,19 @@ def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionS
 # discrete steady reference
 
 
-def _sample_on_grid(profile: RadialProfile, grid: RadialGrid) -> np.ndarray:
-    if profile.grid.nodes.shape == grid.nodes.shape and np.array_equal(
-        profile.grid.nodes, grid.nodes
-    ):
-        return profile.values.copy()
-    return np.interp(grid.nodes, profile.grid.nodes, profile.values)
-
-
-def relax_to_discrete_steady(
-    steady: SteadyState, grid: RadialGrid, params: Params
-) -> DiscreteSteady:
-    """The fixed point of step() on grid, by Newton from the elliptic pair.
+def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady:
+    """The fixed point of step() on grid, by Newton from the constant W = b.
 
     There every face flux vanishes, so U = C W^p, and W solves
     eps K W = V C W^(1+p) off the Dirichlet row, K being the flux-difference
     operator of step() and C = m / (omega_n sum(V W^p)); no dt enters.  The
     Jacobian is tridiagonal plus the rank one of C's dependence on W, so each
     Newton step is one tridiagonal solve with two right-hand sides
-    (Sherman-Morrison).  Raises PositivityError when an iterate leaves W > 0,
-    NoConvergenceError after _RELAX_MAX_ITERS steps.
+    (Sherman-Morrison).  The step is applied to q = W^(-p/2): from W = b the
+    plain W update falls into a two-cycle at large p (n = 1, p = 40,
+    eps <= 0.005), the q update converges in 4-18 steps.  Raises
+    PositivityError when an iterate leaves q > 0, NoConvergenceError after
+    _RELAX_MAX_ITERS steps.
     """
     cells = _Cells(grid)
     V = cells.volumes
@@ -223,8 +216,7 @@ def relax_to_discrete_steady(
     a = params.epsilon * cells.areas / cells.dr
     off = a[:-1]  # couplings among the unknowns W_0..W_(N-2)
 
-    W = _sample_on_grid(steady.W, grid)
-    W[-1] = params.b
+    W = np.full(grid.count, float(params.b))
     for _ in range(_RELAX_MAX_ITERS):
         Wp = W**p
         S = cells.mass(Wp)
@@ -243,9 +235,12 @@ def relax_to_discrete_steady(
             off, di[:-1], off, np.column_stack((-res[:-1], col[:-1]))
         ).T
         delta = y - z * (row[:-1] @ y) / (1.0 + row[:-1] @ z)
-        W[:-1] += delta
-        if np.any(W <= 0.0):
-            raise PositivityError("discrete steady Newton left W > 0")
+        # the same Newton step taken in q = W^(-p/2), the variable in which
+        # the layer b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W
+        f = 1.0 - 0.5 * p * delta / W[:-1]
+        if np.any(f <= 0.0):
+            raise PositivityError("discrete steady Newton left W^(-p/2) > 0")
+        W[:-1] *= f ** (-2.0 / p)
         if np.max(np.abs(delta) / W[:-1]) <= 1e-12:
             v = np.log(W)
             W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
@@ -260,15 +255,8 @@ def relax_to_discrete_steady(
 # diagnostics
 
 
-def _reference_pair(steady: SteadyState | DiscreteSteady) -> tuple[np.ndarray, np.ndarray, RadialGrid]:
-    if isinstance(steady, DiscreteSteady):
-        return steady.U.values, steady.V.values, steady.U.grid
-    U = steady.U
-    return U.values, np.log(steady.W.values), U.grid
-
-
 def lyapunov_energy(
-    state: EvolutionState, steady: SteadyState | DiscreteSteady, params: Params
+    state: EvolutionState, steady: DiscreteSteady, params: Params
 ) -> float:
     """Weighted energy omega_n * int(r^(n-1) phi^2 / U + p r^(n-1) psi^2) dr,
 
@@ -276,7 +264,7 @@ def lyapunov_energy(
     mass distribution, vanishing at both ends when masses match) and
     psi = v - V.  Non-negative; zero only when both fields match.
     """
-    U_ref, V_ref, grid = _reference_pair(steady)
+    U_ref, V_ref, grid = steady.U.values, steady.V.values, steady.U.grid
     if np.any(U_ref <= 0):
         raise ValueError("steady U must be positive for the energy weight")
     r = grid.nodes
@@ -292,11 +280,11 @@ def lyapunov_energy(
     return unit_sphere_area(n) * float(np.trapezoid(integrand, r))
 
 
-def mass_anti_derivative_endpoint(state: EvolutionState, steady) -> float:
+def mass_anti_derivative_endpoint(state: EvolutionState, steady: DiscreteSteady) -> float:
     """Value of int_0^R (u - U) s^(n-1) ds; zero (to quadrature) at equal mass."""
-    U_ref, _, grid = _reference_pair(steady)
+    grid = steady.U.grid
     r = grid.nodes
-    diff = (state.u.values - U_ref) * r ** (grid.n - 1)
+    diff = (state.u.values - steady.U.values) * r ** (grid.n - 1)
     return float(np.trapezoid(diff, r))
 
 
@@ -304,13 +292,13 @@ def evolve(
     u0: RadialProfile,
     w0: RadialProfile,
     params: Params,
-    steady: SteadyState,
+    reference: DiscreteSteady,
     cfg: SchemeConfig,
-    reference: DiscreteSteady | None = None,
 ) -> EvolutionSeries:
     """Run the scheme at the fixed step cfg.dt and record stability diagnostics.
 
-    u0 is renormalised to mass m when needed (the factor is reported).
+    Distances and energy are measured against reference, the scheme's steady
+    pair on u0's grid (see relax_to_discrete_steady).  u0 is renormalised to mass m when needed (the factor is reported).
     w0 must be positive with w0(R) = b.  Terminates at t_end or when the
     combined L-infinity distance drops below 1e-10.
     """
@@ -329,9 +317,7 @@ def evolve(
         u=RadialProfile(grid=grid, values=u_init),
         v=RadialProfile(grid=grid, values=v_init),
     )
-    if reference is None:
-        reference = relax_to_discrete_steady(steady, grid, params)
-    elif not np.array_equal(reference.U.grid.nodes, grid.nodes):
+    if not np.array_equal(reference.U.grid.nodes, grid.nodes):
         raise ValueError("steady reference lives on an incompatible grid")
     U_ref = reference.U.values
     W_ref = np.exp(reference.V.values)
@@ -373,7 +359,6 @@ def evolve(
         linf_w=data[:, 4],
         l2_w=data[:, 5],
         energy=data[:, 6],
-        reference=reference,
         renormalized_mass_factor=factor,
     )
 
@@ -386,12 +371,9 @@ def fit_decay_rate(series) -> float:
     are cut, and the window is taken over the pre-floor portion.
     """
     arr = np.asarray(series, dtype=float)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        t, d = arr[:, 0], arr[:, 1]
-    elif arr.ndim == 2 and arr.shape[0] == 2:
-        t, d = arr[0], arr[1]
-    else:
+    if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("series must be a list of (t, distance) pairs")
+    t, d = arr[:, 0], arr[:, 1]
     pos = d > 0
     if np.count_nonzero(pos) < 10:
         raise ValueError("need at least 10 samples with positive distances")

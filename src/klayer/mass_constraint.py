@@ -72,32 +72,22 @@ class NonlocalResult:
 class RadialBallDomain:
     """Ball B_R(0) solved with the graded-mesh radial Newton solver.
 
-    A fresh grid adapted to each requested sigma is built unless a fixed grid
-    is supplied: the boundary spacing tracks 1/160 of the layer width so the
-    profile (and its p-th power) stay resolved across the whole root
-    bracket.
+    A fresh grid adapted to each requested sigma is built: the boundary
+    spacing tracks 1/160 of the layer width so the profile (and its p-th
+    power) stay resolved across the whole root bracket.
     """
 
-    def __init__(
-        self,
-        R: float,
-        n: int,
-        count: int = 2500,
-        fixed_grid: RadialGrid | None = None,
-    ):
+    def __init__(self, R: float, n: int, count: int = 2500):
         if R <= 0:
             raise ValueError(f"R must be positive, got {R}")
         self.R = float(R)
         self.n = int(n)
         self.count = int(count)
-        self.fixed_grid = fixed_grid
 
     def volume(self) -> float:
         return ball_volume(self.R, self.n)
 
     def grid_for(self, sigma: float, params: Params) -> RadialGrid:
-        if self.fixed_grid is not None:
-            return self.fixed_grid
         ell = layer_width(sigma, params)
         h_b = min(ell / _BOUNDARY_REFINE, self.R / (self.count - 1))
         return make_graded_grid(self.R, self.n, 10.0 * h_b, self.count)

@@ -45,6 +45,9 @@ __all__ = [
 OUTSIDE, INSIDE, CUT = 0, 1, 2
 
 _THETA_MIN = 1e-6  # shortest admitted stencil arm fraction
+PROJECTION_ITERS = 32  # Newton steps allowed for the boundary projection
+PAD_CELLS = 4  # cells between the extent and the box edge; perfbench/workloads.py mirrors it
+MARCH_STEP = 0.5  # thickness-probe march step, in grid spacings
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,9 @@ class Star:
     def radius_d1(self, t):
         return -self.r0 * self.amplitude * self.k * np.sin(self.k * t)
 
+    def radius_d2(self, t):
+        return -self.r0 * self.amplitude * self.k**2 * np.cos(self.k * t)
+
     def extent(self) -> float:
         return self.r0 * (1.0 + abs(self.amplitude))
 
@@ -159,12 +165,12 @@ class Star:
         rd = self.radius_d1(t)
         return rd * np.cos(t) - r * np.sin(t), rd * np.sin(t) + r * np.cos(t)
 
-    def curve_d2(self, t, dt: float = 1e-5):
-        # second derivative by central differences of the first (adequate for
-        # the damped projection it feeds)
-        x1m, y1m = self.curve_d1(t - dt)
-        x1p, y1p = self.curve_d1(t + dt)
-        return (x1p - x1m) / (2 * dt), (y1p - y1m) / (2 * dt)
+    def curve_d2(self, t):
+        r = self.radius(t)
+        rd = self.radius_d1(t)
+        rdd = self.radius_d2(t)
+        c, s = np.cos(t), np.sin(t)
+        return rdd * c - 2 * rd * s - r * c, rdd * s + 2 * rd * c - r * s
 
     def inside(self, x, y):
         return np.hypot(x, y) < self.radius(np.arctan2(y, x))
@@ -172,11 +178,10 @@ class Star:
     def signed_distance(self, x, y):
         return _projected_distance(self, x, y)
 
-    def curvature(self, t, dt: float = 1e-5):
-        # central finite differences of the polar radius
+    def curvature(self, t):
         r = self.radius(t)
-        rp = (self.radius(t + dt) - self.radius(t - dt)) / (2 * dt)
-        rpp = (self.radius(t + dt) - 2 * r + self.radius(t - dt)) / dt**2
+        rp = self.radius_d1(t)
+        rpp = self.radius_d2(t)
         return (r**2 + 2 * rp**2 - r * rpp) / (r**2 + rp**2) ** 1.5
 
     def inward_normal(self, t):
@@ -186,7 +191,7 @@ class Star:
         return -ty / norm, tx / norm
 
 
-def _projected_distance(shape, x, y, iters: int = 32):
+def _projected_distance(shape, x, y):
     """Signed distance via damped Newton projection onto the boundary curve.
 
     Seeded by the nearest of a dense polyline of boundary points, then refined
@@ -207,7 +212,7 @@ def _projected_distance(shape, x, y, iters: int = 32):
     t = t_seed[nearest]
 
     step_max = math.inf
-    for _ in range(iters):
+    for _ in range(PROJECTION_ITERS):
         cx, cy = shape.curve(t)
         dx = cx - px
         dy = cy - py
@@ -223,7 +228,7 @@ def _projected_distance(shape, x, y, iters: int = 32):
             break
     if step_max > 1e-10:
         raise NoConvergenceError(
-            f"boundary projection not converged after {iters} iterations "
+            f"boundary projection not converged after {PROJECTION_ITERS} iterations "
             f"(last parameter step {step_max})"
         )
 
@@ -364,7 +369,7 @@ def _assemble_cut_laplacian(grid: MaskedGrid):
     return L, bvec, index
 
 
-def build_domain(shape, h: float, n_samples: int = 64, pad_cells: int = 4):
+def build_domain(shape, h: float, n_samples: int = 64):
     """Masked grid plus boundary samples (uniformly spaced in arclength)."""
     if h <= 0:
         raise ValueError("h must be positive")
@@ -373,7 +378,7 @@ def build_domain(shape, h: float, n_samples: int = 64, pad_cells: int = 4):
             f"h={h} too coarse: narrowest feature {shape.min_feature()} spans "
             "fewer than 8 cells"
         )
-    ext = shape.extent() + pad_cells * h
+    ext = shape.extent() + PAD_CELLS * h
     n_side = int(math.ceil(2 * ext / h))
     coords = (np.arange(n_side + 1) - n_side / 2.0) * h
     X, Y = np.meshgrid(coords, coords, indexing="ij")
@@ -576,7 +581,6 @@ def curvature_thickness_report(
     samples,
     c: float,
     params: Params,
-    step_fraction: float = 0.5,
 ) -> np.ndarray:
     """March inward along each boundary normal until W crosses the level c.
 
@@ -591,7 +595,7 @@ def curvature_thickness_report(
     interp_phi = RegularGridInterpolator(
         (grid.x, grid.y), grid.phi, method="linear", bounds_error=False, fill_value=1.0
     )
-    ds = step_fraction * grid.h
+    ds = MARCH_STEP * grid.h
     xmin, xmax, ymin, ymax = grid.bbox
     max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h
 

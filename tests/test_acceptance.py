@@ -151,14 +151,12 @@ def disk_sweep():
 
 @pytest.fixture(scope="module")
 def stability_run():
-    """Nonlinear stability configuration: steady solve, discrete reference,
-    1% multiplicative perturbation run."""
+    """Nonlinear stability configuration: the scheme's discrete steady pair and
+    a 1% multiplicative perturbation run."""
     t0 = time.perf_counter()
     par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
     grid = make_graded_grid(1.0, 2, 10.0 / 319, 320)
-    dom = RadialBallDomain(R=1.0, n=2, fixed_grid=grid)
-    steady = solve_nonlocal(par, dom, tol_rel=1e-10).steady
-    ref = relax_to_discrete_steady(steady, grid, par)
+    ref = relax_to_discrete_steady(grid, par)
     r = grid.nodes
     u0 = RadialProfile(grid, ref.U.values * (1.0 + 0.01 * np.cos(np.pi * r)))
     w0 = RadialProfile(
@@ -166,16 +164,13 @@ def stability_run():
     )
     dt = 0.01
     # pilot to estimate the rate, then a horizon of 10 decay times
-    pilot = evolve(u0, w0, par, steady,
-                   SchemeConfig(dt=dt, t_end=6.0, output_every=25), reference=ref)
+    pilot = evolve(u0, w0, par, ref, SchemeConfig(dt=dt, t_end=6.0, output_every=25))
     mu_pilot = fit_decay_rate(np.column_stack([pilot.t, pilot.distance()]))
     t_end = max(10.0 / max(mu_pilot, 0.05), 6.0)
-    series = evolve(u0, w0, par, steady,
-                    SchemeConfig(dt=dt, t_end=t_end, output_every=25), reference=ref)
+    series = evolve(u0, w0, par, ref, SchemeConfig(dt=dt, t_end=t_end, output_every=25))
     return {
         "par": par,
         "grid": grid,
-        "steady": steady,
         "ref": ref,
         "series": series,
         "runs": [pilot, series],
@@ -471,7 +466,6 @@ def test_attractor_independence(stability_run):
     par = stability_run["par"]
     grid = stability_run["grid"]
     ref = stability_run["ref"]
-    steady = stability_run["steady"]
     r = grid.nodes
     mu = fit_decay_rate(
         np.column_stack([stability_run["series"].t, stability_run["series"].distance()])
@@ -481,9 +475,8 @@ def test_attractor_independence(stability_run):
     for shape in (np.cos(2 * np.pi * r), np.cos(3 * np.pi * r)):
         u0 = RadialProfile(grid, ref.U.values * (1.0 + 0.01 * shape))
         w0 = RadialProfile(grid, np.exp(ref.V.values))
-        series = evolve(u0, w0, par, steady,
-                        SchemeConfig(dt=0.01, t_end=t_end, output_every=50),
-                        reference=ref)
+        series = evolve(u0, w0, par, ref,
+                        SchemeConfig(dt=0.01, t_end=t_end, output_every=50))
         finals.append(series.distance()[-1])
     # both ended on the shared attractor, so their mutual gap is bounded by
     # the sum of the remaining distances

@@ -185,6 +185,16 @@ class TestRunEvolve:
         assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-9
         assert "mu_hat" in (out / "evolve_summary.csv").read_text()
 
+    def test_deterministic_bytes(self, cfg_file, tmp_path):
+        outs = (tmp_path / "e1", tmp_path / "e2")
+        for out in outs:
+            argv = ["evolve", "--config", str(cfg_file), "--out", str(out),
+                    "--eps", "0.05", "--grid-count", "128", "--t-end", "0.5",
+                    "--seed", "5"]
+            assert main(argv) == 0
+        for name in ("evolve_diagnostics.csv", "evolve_summary.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
 
 class TestRunSteady2D:
     def test_field_csv_and_plots(self, cfg_file, tmp_path, capsys):

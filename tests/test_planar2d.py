@@ -81,20 +81,29 @@ class TestGeometry:
         assert np.array_equal(sg.cells, dg.cells)
 
     def test_star_curvature_finite_difference(self):
-        star = Star(1.0, 0.15, 5)
-        # k=0 bump crest at t=0: curvature of r = r0(1+A cos k t) there is
-        # (r^2 + 2 r'^2 - r r'')/(r^2+r'^2)^(3/2) with r'=0, r''=-r0 A k^2
+        # polar curve r = r0 (1 + A cos kt): r' = -r0 A k sin kt,
+        # r'' = -r0 A k^2 cos kt, curvature (r^2 + 2 r'^2 - r r'')/(r^2 + r'^2)^(3/2)
         r0, A, k = 1.0, 0.15, 5
-        r = r0 * (1 + A)
-        expected = (r**2 + r * r0 * A * k**2) / r**3
-        assert star.curvature(0.0) == pytest.approx(expected, rel=1e-5)
+        star = Star(r0, A, k)
+        t = np.linspace(0.0, 2.0 * np.pi, 2001)
+        r = r0 * (1 + A * np.cos(k * t))
+        rp = -r0 * A * k * np.sin(k * t)
+        rpp = -r0 * A * k**2 * np.cos(k * t)
+        kappa = (r**2 + 2 * rp**2 - r * rpp) / (r**2 + rp**2) ** 1.5
+        np.testing.assert_allclose(star.curvature(t), kappa, rtol=1e-12, atol=0)
+        x2, y2 = star.curve_d2(t)
+        x2_exact = rpp * np.cos(t) - 2 * rp * np.sin(t) - r * np.cos(t)
+        y2_exact = rpp * np.sin(t) + 2 * rp * np.cos(t) - r * np.sin(t)
+        np.testing.assert_allclose(x2, x2_exact, rtol=0, atol=1e-12 * np.max(np.abs(x2_exact)))
+        np.testing.assert_allclose(y2, y2_exact, rtol=0, atol=1e-12 * np.max(np.abs(y2_exact)))
 
-    def test_projection_checks_convergence(self):
+    def test_projection_checks_convergence(self, monkeypatch):
         shape = Ellipse(1.4142, 0.7071)
         X, Y = np.meshgrid(np.linspace(-1.5, 1.5, 31), np.linspace(-0.8, 0.8, 17))
-        with pytest.raises(NoConvergenceError):
-            _projected_distance(shape, X, Y, iters=1)
         assert np.all(np.isfinite(_projected_distance(shape, X, Y)))
+        monkeypatch.setattr(planar2d, "PROJECTION_ITERS", 1)
+        with pytest.raises(NoConvergenceError):
+            _projected_distance(shape, X, Y)
 
     def test_too_coarse_h_rejected(self):
         with pytest.raises(ValueError):
@@ -197,7 +206,7 @@ class TestNonlocal2D:
         assert rel_change < 10 * 0.04  # O(h) cut-cell boundary
 
 
-def scalar_ray_march(W, samples, c, params, step_fraction=0.5):
+def scalar_ray_march(W, samples, c, params):
     """One ray at a time, one step at a time: the reference for the
     vectorised probe.  Also returns each ray's outcome."""
     grid = W.grid
@@ -205,7 +214,7 @@ def scalar_ray_march(W, samples, c, params, step_fraction=0.5):
     interp_phi = RegularGridInterpolator(
         (grid.x, grid.y), grid.phi, method="linear", bounds_error=False, fill_value=1.0
     )
-    ds = step_fraction * grid.h
+    ds = planar2d.MARCH_STEP * grid.h
     xmin, xmax, ymin, ymax = grid.bbox
     max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h
     rows, outcomes = [], []
