@@ -190,11 +190,14 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One line per index of the equal-length columns, each value as _fmt
+    writes it (%-formatting with .17g gives the same digits)."""
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    line = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(line % row for row in zip(*cols))
 
 
 def _write_summary(path: Path, items: dict) -> None:
@@ -302,8 +305,8 @@ def _run_steady_radial(cfg: RunConfig) -> int:
     dom = RadialBallDomain(R=cfg.R, n=cfg.params.n, count=cfg.grid_count)
     res = solve_nonlocal(cfg.params, dom, tol_rel=cfg.tol)
     st = res.steady
-    rows = zip(st.W.grid.nodes, st.W.values, st.U.values)
-    _write_csv(cfg.out / "steady_profile.csv", "r,W,U", rows)
+    columns = (st.W.grid.nodes, st.W.values, st.U.values)
+    _write_csv(cfg.out / "steady_profile.csv", "r,W,U", columns)
     summary = {
         "lambda_eps": st.lambda_eps,
         "amplitude": st.amplitude,
@@ -326,10 +329,10 @@ def _run_steady_2d(cfg: RunConfig) -> int:
     st = res.steady
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     mask = grid.inside
-    rows = zip(X[mask], Y[mask], st.W.values[mask], st.U.values[mask])
-    _write_csv(cfg.out / "steady_field.csv", "x,y,W,U", rows)
+    columns = (X[mask], Y[mask], st.W.values[mask], st.U.values[mask])
+    _write_csv(cfg.out / "steady_field.csv", "x,y,W,U", columns)
     table = planar2d.curvature_thickness_report(st.W, samples, cfg.level(), cfg.params)
-    _write_csv(cfg.out / "curvature_thickness.csv", "arclength,curvature,thickness", table)
+    _write_csv(cfg.out / "curvature_thickness.csv", "arclength,curvature,thickness", table.T)
     _write_summary(
         cfg.out / "steady_summary.csv",
         {
@@ -376,10 +379,10 @@ def _run_evolve(cfg: RunConfig) -> int:
         dt=dt, t_end=cfg.t_end, output_every=cfg.output_every
     )
     series = evolve_radial.evolve(u0, w0, cfg.params, reference, scheme)
-    rows = zip(series.t, series.mass, series.linf_u, series.l2_u,
+    columns = (series.t, series.mass, series.linf_u, series.l2_u,
                series.linf_w, series.l2_w, series.energy)
     _write_csv(cfg.out / "evolve_diagnostics.csv",
-               "t,mass,linf_u,l2_u,linf_w,l2_w,energy", rows)
+               "t,mass,linf_u,l2_u,linf_w,l2_w,energy", columns)
     d = series.distance()
     mu_hat = evolve_radial.fit_decay_rate(np.column_stack([series.t, d]))
     _write_summary(
@@ -453,7 +456,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     _write_csv(
         cfg.out / "sweep.csv",
         "eps,p,lambda_eps,amplitude,sigma,slope_W,slope_U,thickness",
-        rows,
+        zip(*rows),
     )
     return 0
 

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from .core import Params
 from .errors import NoConvergenceError
 from .mass_constraint import NonlocalResult, solve_nonlocal
-from .radial_steady import DAMPING, MAX_ITERS, NEWTON_TOL, layer_profile_constant
+from .radial_steady import DAMPING, MAX_ITERS, layer_profile_constant
 
 __all__ = [
     "Disk",
@@ -36,6 +36,7 @@ __all__ = [
     "MaskedGrid",
     "PlanarField",
     "build_domain",
+    "JacobianFactor",
     "solve_local_2d",
     "Planar2DDomain",
     "solve_nonlocal_2d",
@@ -445,21 +446,47 @@ class PlanarField:
         )
 
 
+class JacobianFactor:
+    """Holder for the SuperLU factor of the 2D Jacobian, handed from one
+    local solve on a grid to the next (lu is None when nothing is carried)."""
+
+    __slots__ = ("lu",)
+
+    def __init__(self):
+        self.lu = None
+
+
+# stop when the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of
+# the Newton step, is below this fraction of b
+STEP_TOL = 1e-13
+
+
 def solve_local_2d(
     sigma: float,
     params: Params,
     grid: MaskedGrid,
     initial="lower",
+    factor: JacobianFactor | None = None,
 ) -> PlanarField:
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
 
-    Damped Newton; the sparse LU factorisation of the Jacobian is reused
-    across iterations while the residual keeps contracting (the reaction
-    diagonal moves slowly), and refreshed otherwise.  The Jacobian is
-    structurally symmetric and -J is a strictly row-dominant M-matrix, so it
-    is factorised without pivoting under a minimum-degree ordering of
-    A + A^T.  initial is "lower" (distance-based layer profile, the default),
-    "super" (constant b), or an array of shape (N_inside,) / full grid shape.
+    Chord (Shamanskii) Newton: the sparse LU factorisation of the Jacobian
+    is reused while full steps keep the scaled residual contracting by at
+    least 0.3 (the reaction diagonal moves slowly), and refactorised
+    otherwise.  Given a factor holder, the solve starts from the
+    factorisation it carries, which may belong to another sigma on the same
+    grid, and leaves its own final factorisation there; the holder is empty
+    while the solve runs, so at most one factorisation is alive.  The
+    Jacobian is structurally symmetric and -J is a strictly row-dominant
+    M-matrix, so it is factorised without pivoting under a minimum-degree
+    ordering of A + A^T.
+
+    Newton stops when max |F_i| / (sigma |L_ii| + (1+p) w_i^p), the residual
+    scaled by the Jacobian diagonal, is below STEP_TOL * b.  Unlike an
+    absolute residual bound, this does not grow with the 1/theta arms of cut
+    nodes close to the boundary.  initial is "lower" (distance-based layer
+    profile, the default), "super" (constant b), or an array of shape
+    (N_inside,) / full grid shape.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -486,24 +513,26 @@ def solve_local_2d(
             raise ValueError("initial iterate has wrong shape")
         w = np.maximum(w, floor)
 
-    diag_scale = float(np.max(np.abs(L.diagonal())))
-    res_floor = 8.0 * np.finfo(float).eps * sigma * diag_scale * b
-    tol_eff = max(NEWTON_TOL, res_floor)
+    diffusion_diag = sigma * np.abs(L.diagonal())
 
-    def residual(wv):
-        return sigma * (L @ wv + bvec * b) - wv ** (1.0 + p)
+    def scaled_residual(wv):
+        wp = wv**p
+        F = sigma * (L @ wv + bvec * b) - wv * wp
+        return F, float(np.max(np.abs(F) / (diffusion_diag + (1.0 + p) * wp)))
 
     lu = None
+    if factor is not None:
+        lu, factor.lu = factor.lu, None
     res_prev = math.inf
     limited = False
-    F = residual(w)
+    F, res = scaled_residual(w)
     for _ in range(MAX_ITERS):
-        res = float(np.max(np.abs(F)))
-        if res < tol_eff:
+        if res < STEP_TOL * b:
             break
         # reuse the factorisation only while full steps keep contracting;
         # a stale reaction diagonal far from the solution causes overshoot
         if lu is None or limited or res > 0.3 * res_prev:
+            lu = None  # release the stale factors before computing new ones
             J = sparse.csc_matrix(sigma * L)
             J.setdiag(J.diagonal() - (1.0 + p) * w**p)
             lu = splu(
@@ -523,15 +552,17 @@ def solve_local_2d(
                 alpha = 0.9 / ratio
                 limited = True
         w = np.maximum(w + alpha * delta, floor)
-        F = residual(w)
+        F, res = scaled_residual(w)
     else:
         raise NoConvergenceError(
-            f"2D Newton failed at sigma={sigma}: residual {np.max(np.abs(F))}"
+            f"2D Newton failed at sigma={sigma}: scaled residual {res}"
         )
 
     overshoot = float(np.max(w)) - b
     if overshoot > 1e-9 * b:
         raise NoConvergenceError(f"converged 2D iterate exceeds b by {overshoot}")
+    if factor is not None:
+        factor.lu = lu
     w = np.minimum(w, b)
     full = np.full(grid.phi.shape, np.nan)
     full[inside] = w
@@ -541,13 +572,17 @@ def solve_local_2d(
 class Planar2DDomain:
     """Adapter exposing the masked grid to the nonlocal root-finder.
 
-    Keeps the last converged field as the next warm start (the root-finder
-    visits nearby sigmas, so Newton then needs only a couple of iterations).
+    Keeps the last converged field as the next warm start and the last
+    Jacobian factorisation as the next solve's first chord (the root-finder
+    visits nearby sigmas, so Newton then needs only a couple of back-solves
+    and often no new factorisation).  After a NoConvergenceError the solve is
+    retried cold: from the "lower" profile, with no carried factorisation.
     """
 
     def __init__(self, grid: MaskedGrid):
         self.grid = grid
         self._last = None
+        self._factor = JacobianFactor()
 
     def volume(self) -> float:
         return self.grid.area()
@@ -555,9 +590,10 @@ class Planar2DDomain:
     def solve_local(self, sigma: float, params: Params):
         initial = "lower" if self._last is None else self._last.values
         try:
-            W = solve_local_2d(sigma, params, self.grid, initial=initial)
+            W = solve_local_2d(sigma, params, self.grid, initial=initial, factor=self._factor)
         except NoConvergenceError:
-            W = solve_local_2d(sigma, params, self.grid, initial="lower")
+            self._factor.lu = None
+            W = solve_local_2d(sigma, params, self.grid, initial="lower", factor=self._factor)
         self._last = W
         integral = self.grid.integrate(W.values**params.p, params.b**params.p)
         return W, integral

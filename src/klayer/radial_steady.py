@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-# Newton controls of the local solves (radial here, 2D in planar2d): residual
-# max-norm target, iteration cap, step damping
+# Newton controls of the local solves: the radial residual max-norm target,
+# and the iteration cap and step damping that the 2D solve in planar2d shares
 NEWTON_TOL = 1e-10
 MAX_ITERS = 60
 DAMPING = 1.0

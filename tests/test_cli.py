@@ -3,7 +3,7 @@ import importlib.util
 import numpy as np
 import pytest
 
-from klayer.cli import ConfigError, main, parse_config
+from klayer.cli import ConfigError, _write_csv, main, parse_config
 
 
 BASE_CFG = """\
@@ -63,6 +63,30 @@ class TestParseConfig:
         path.write_text(BASE_CFG.replace("steady-radial", "transmogrify"))
         with pytest.raises(ConfigError, match="transmogrify"):
             parse_config(str(path), {})
+
+
+def _write_csv_per_value(path, header, rows):
+    """The per-value writer that _write_csv replaced: the byte reference."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_rows", [9, 0])
+    def test_bytes_match_per_value_writer(self, tmp_path, n_rows):
+        rng = np.random.default_rng(7)
+        columns = [
+            np.array([-0.0, 5e-324, 1e300, -1e-300, 2.0**53, np.nan, np.inf, -np.inf, 0.1]),
+            [0, -3, 7, 2**60, 1, 10**17, -(10**16), 12345678901234567, 2],
+            np.linspace(-1.4142, 1.4142, 9),
+            rng.uniform(0.0, 1.0, 9) ** 3,  # field-like values in (0, 1)
+        ]
+        columns = [col[:n_rows] for col in columns]
+        _write_csv(tmp_path / "new.csv", "a,b,c,d", columns)
+        _write_csv_per_value(tmp_path / "old.csv", "a,b,c,d", zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestRunSteadyRadial:

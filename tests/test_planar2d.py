@@ -6,7 +6,7 @@ from scipy.sparse.linalg import splu
 from klayer import planar2d
 from klayer.core import Params
 from klayer.errors import NoConvergenceError
-from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
+from klayer.mass_constraint import RadialBallDomain, constraint_value, solve_nonlocal
 from klayer.planar2d import (
     Disk,
     Ellipse,
@@ -164,6 +164,47 @@ class TestLocal2D:
         ref = solve_local_2d(0.05, PAR, grid)
         assert np.nanmax(np.abs(fast.values - ref.values)) <= 1e-12
 
+    def test_carried_factor_matches_fresh_solves(self, monkeypatch):
+        # oracle: one cold solve per sigma, with no carried factorisation
+        grid, _ = build_domain(Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), 0.02, n_samples=8)
+        sigmas = (0.05, 0.1, 0.2, 0.1, 0.05, 0.025, 0.03, 0.029, 0.0291, 0.058)
+        calls = []
+        real = planar2d.solve_local_2d
+
+        def recording(*args, factor=None, **kwargs):
+            calls.append(factor is not None and factor.lu is not None)
+            return real(*args, factor=factor, **kwargs)
+
+        dom = Planar2DDomain(grid)
+        monkeypatch.setattr(planar2d, "solve_local_2d", recording)
+        carried = [dom.solve_local(sigma, PAR)[1] for sigma in sigmas]
+        monkeypatch.undo()
+        assert calls == [False] + [True] * (len(sigmas) - 1)
+        for sigma, integral in zip(sigmas, carried):
+            W = solve_local_2d(sigma, PAR, grid)
+            fresh = grid.integrate(W.values**PAR.p, PAR.b**PAR.p)
+            assert integral == pytest.approx(fresh, rel=1e-10, abs=0)
+
+    def test_cold_retry_gets_no_carried_factor(self, disk_grid, monkeypatch):
+        grid, _ = disk_grid
+        dom = Planar2DDomain(grid)
+        dom.solve_local(0.05, PAR)
+        assert dom._factor.lu is not None
+        calls = []
+        real = planar2d.solve_local_2d
+
+        def failing_once(sigma, params, grid, initial="lower", factor=None):
+            calls.append((initial, factor.lu is not None))
+            if len(calls) == 1:
+                raise NoConvergenceError("forced")
+            return real(sigma, params, grid, initial=initial, factor=factor)
+
+        monkeypatch.setattr(planar2d, "solve_local_2d", failing_once)
+        dom.solve_local(0.06, PAR)
+        assert [carried for _, carried in calls] == [True, False]
+        assert not isinstance(calls[0][0], str) and calls[1][0] == "lower"
+        assert dom._factor.lu is not None  # the retry's factorisation is kept
+
     def test_invalid_sigma(self, disk_grid):
         grid, _ = disk_grid
         with pytest.raises(ValueError):
@@ -182,12 +223,44 @@ class TestNonlocal2D:
         assert abs(lam2 - lam1) / lam1 < 0.01
 
     def test_constraint_monotone_on_2d_path(self, disk_grid):
-        from klayer.mass_constraint import constraint_value
-
         grid, _ = disk_grid
         dom = Planar2DDomain(grid)
         gs = [constraint_value(lam, PAR, dom) for lam in (0.5, 1.0, 2.0)]
         assert gs[0] < gs[1] < gs[2]
+
+    def test_cold_constraint_value_matches_accepted(self):
+        # the warm-started chain and a cold solve at the accepted amplitude
+        # must give the same g(lam) to within the root-finder's tolerance
+        grid, _ = build_domain(Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), 0.02, n_samples=8)
+
+        class Recording(Planar2DDomain):
+            def solve_local(self, sigma, params):
+                self.sigma = sigma
+                return super().solve_local(sigma, params)
+
+        dom = Recording(grid)
+        res = solve_nonlocal(PAR, dom, tol_rel=1e-8)
+        assert res.constraint_residual < 1e-8
+        g_cold = constraint_value(PAR.epsilon / dom.sigma, PAR, Planar2DDomain(grid))
+        assert abs(g_cold - PAR.m) / PAR.m < 1e-8
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), Disk(1.0), Star(1.0, 0.15, 5)],
+        ids=["ellipse", "disk", "star"],
+    )
+    def test_factorisations_per_solve(self, shape, monkeypatch):
+        grid, _ = build_domain(shape, 0.02, n_samples=8)
+        count = []
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(planar2d, "splu", counting)
+        res = solve_nonlocal_2d(PAR, grid, tol_rel=1e-8)
+        assert res.constraint_residual < 1e-8
+        assert len(count) <= 4
 
     def test_mass_halving_raises_lambda_eps(self, disk_grid):
         # lambda_eps carries a 1/m^2 amplitude times the m-normalisation
