@@ -6,9 +6,13 @@ the constraint lam * integral(W^p) = m.  The map
     g(lam) = lam * integral(W_lam^p)
 
 is continuous and strictly increasing, so the constrained amplitude is the
-unique root of g(lam) = m, bracketed below by m / (b^p |Omega|) (where
-W <= b forces g <= m) and above by doubling.  Inside the bracket the root is
-refined by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
+unique root of g(lam) = m.  Its certified floor is m / (b^p |Omega|), where
+W <= b forces g <= m.  The bracket is found by one walk from a start
+amplitude away from the root until g crosses m, never below the floor: from
+the floor by doubling when no start is given, or from a given one (planar2d
+passes the radial amplitude of the disk of equal area) by steps of x1.15.
+Inside the bracket the root is refined by Illinois regula falsi (Dowell &
+Jarratt, BIT 11, 1971) on
 f(x) = log(g(e^x) / m), x = log lam, which is close to linear in the layer
 regime where g grows like a power of lam.  A proposal that does not lie
 strictly inside the bracket is replaced by the bisection midpoint, so every
@@ -44,7 +48,8 @@ __all__ = [
     "solve_nonlocal",
 ]
 
-_MAX_DOUBLINGS = 128
+_MAX_BRACKET_STEPS = 128  # doublings, or steps of _SEED_STEP from a guess
+_SEED_STEP = 1.15
 _MAX_EVALS = 400
 # an adapted grid's boundary spacing is the layer width over this
 _BOUNDARY_REFINE = 160.0
@@ -55,7 +60,7 @@ class NonlocalResult:
     """Converged steady state plus root-finder diagnostics.
 
     bisection_iters counts the constraint evaluations (local solves) of the
-    whole solve, doubling phase included; the name predates the Illinois
+    whole solve, bracketing phase included; the name predates the Illinois
     update.  constraint_residual is the relative defect
     |lam * integral(W^p) - m| / m at the accepted amplitude.
     """
@@ -108,44 +113,66 @@ def constraint_value(lam: float, params: Params, domain) -> float:
     return lam * integral
 
 
-def solve_nonlocal(params: Params, domain, tol_rel: float = 1e-8) -> NonlocalResult:
+def solve_nonlocal(
+    params: Params,
+    domain,
+    tol_rel: float = 1e-8,
+    lam_guess: float | None = None,
+) -> NonlocalResult:
     """Find the amplitude closing the mass constraint and build the steady pair.
 
-    Terminates when |g(lam) - m| / m < tol_rel.  The returned amplitude is
-    recomputed from the converged profile as m / integral(W^p), which makes
-    U = amplitude * W^p integrate to m exactly and keeps
-    amplitude * lambda_eps = 1 to rounding.
+    The bracket walk starts at a positive, finite lam_guess clamped up to the
+    certified floor m / (b^p |Omega|) and steps by x1.15 (_SEED_STEP), or
+    without one at the floor and doubles.  It goes down while g > m,
+    stopping at the floor, or up while g < m.  Both ends of the bracket are
+    evaluated, so g(lam_lo) < m < g(lam_hi) is certified before Illinois
+    refines it.  Every evaluation with |g(lam) - m| / m < tol_rel is accepted
+    at once.  The returned amplitude is recomputed from the converged profile
+    as m / integral(W^p), which makes U = amplitude * W^p integrate to m
+    exactly and keeps amplitude * lambda_eps = 1 to rounding.
     """
     if tol_rel <= 0:
         raise ValueError(f"tol_rel must be positive, got {tol_rel}")
+    if lam_guess is not None and not (math.isfinite(lam_guess) and lam_guess > 0):
+        raise ValueError(f"lam_guess must be positive and finite, got {lam_guess}")
     m = params.m
 
     def evaluate(lam: float):
         W, integral = domain.solve_local(params.epsilon / lam, params)
         return lam * integral, W, integral
 
-    lam_lo = m / (params.b**params.p * domain.volume())
-    iters = 0
-
-    g_lo, W, integral = evaluate(lam_lo)
-    iters += 1
-    lam, g = lam_lo, g_lo
+    lam_floor = m / (params.b**params.p * domain.volume())
+    if lam_guess is None:
+        lam, step = lam_floor, 2.0
+    else:
+        lam, step = max(lam_guess, lam_floor), _SEED_STEP
+    g, W, integral = evaluate(lam)
+    iters = 1
 
     if abs(g - m) / m >= tol_rel:
-        lam_hi = lam_lo
-        g_hi = g_lo
-        for _ in range(_MAX_DOUBLINGS):
-            lam_hi *= 2.0
-            g_hi, W_hi, integral_hi = evaluate(lam_hi)
+        # step away from the start until g crosses m; from the floor only
+        # upward steps are possible: g <= m holds there
+        down = g > m and lam > lam_floor
+        for _ in range(_MAX_BRACKET_STEPS):
+            if down:
+                lam_hi, g_hi = lam, g
+                lam = max(lam / step, lam_floor)
+            else:
+                lam_lo, g_lo = lam, g
+                lam *= step
+            g, W, integral = evaluate(lam)
             iters += 1
-            if g_hi > m:
+            if abs(g - m) / m < tol_rel or (g > m) != down or lam == lam_floor:
                 break
-            lam_lo, g_lo = lam_hi, g_hi
         else:
             raise BracketFailureError(
-                f"constraint value still below m after {_MAX_DOUBLINGS} doublings"
+                f"constraint value did not cross m within {_MAX_BRACKET_STEPS} "
+                f"steps of x{step}"
             )
-        lam, g, W, integral = lam_hi, g_hi, W_hi, integral_hi
+        if down:
+            lam_lo, g_lo = lam, g
+        else:
+            lam_hi, g_hi = lam, g
         # Illinois regula falsi on f = log(g / m) over x = log lam; `side`
         # records which end the last iterate replaced, and the end kept twice
         # in a row has its f halved

@@ -185,7 +185,93 @@ class TestIllinois:
         # exact one
         assert res.steady.amplitude == pytest.approx(lam_ref, rel=4e-8)
         assert res.constraint_residual < 1e-8
-        assert res.bisection_iters <= 12
+        # pins the unseeded path (floor, doubling, Illinois) that every
+        # radial caller takes
+        assert res.bisection_iters == 8
+
+
+def power40(lam):
+    return (lam / 5.3) ** 40
+
+
+class TestSeededBracket:
+    """solve_nonlocal(..., lam_guess=...) on stub maps.  PAR and the stub's
+    unit volume put the certified floor at lam = 1."""
+
+    @staticmethod
+    def check_path(dom, g, floor=1.0):
+        """The bracket is walked by x1.15 steps from the first evaluation
+        until g crosses m (or the floor is hit), both ends straddle m, and
+        every later iterate lies strictly inside the shrinking bracket."""
+        lams = dom.visited
+        gs = [g(lam) for lam in lams]
+        down = gs[0] > PAR.m and lams[0] > floor
+        k = 1
+        while (gs[k] > PAR.m) == down and lams[k] > floor:
+            k += 1
+        for a, b in zip(lams[:k], lams[1 : k + 1]):
+            step = max(a / 1.15, floor) if down else a * 1.15
+            assert b == pytest.approx(step, rel=1e-15)
+        lo, hi = sorted(lams[k - 1 : k + 1])
+        assert g(lo) < PAR.m < g(hi)
+        for lam, val in zip(lams[k + 1 :], gs[k + 1 :]):
+            assert lo < lam < hi
+            if val > PAR.m:
+                hi = lam
+            else:
+                lo = lam
+        return k
+
+    @pytest.mark.parametrize(
+        "g, guess",
+        [(power40, 8.0), (lambda lam: (lam / 1.05) ** 40, 1.1)],
+        ids=["steps", "stops-at-floor"],
+    )
+    def test_guess_above_root_steps_down(self, g, guess):
+        dom = SteepConstraint(g)
+        res = solve_nonlocal(PAR, dom, tol_rel=1e-10, lam_guess=guess)
+        assert res.constraint_residual < 1e-10
+        assert res.bisection_iters == len(dom.visited)
+        assert dom.visited[0] == guess
+        k = self.check_path(dom, g)
+        assert all(g(lam) > PAR.m for lam in dom.visited[:k])
+
+    def test_guess_below_root_steps_up(self):
+        dom = SteepConstraint(power40)
+        res = solve_nonlocal(PAR, dom, tol_rel=1e-10, lam_guess=3.0)
+        assert res.constraint_residual < 1e-10
+        assert dom.visited[0] == 3.0
+        k = self.check_path(dom, power40)
+        assert all(power40(lam) < PAR.m for lam in dom.visited[:k])
+
+    def test_guess_below_floor_is_clamped(self):
+        dom = SteepConstraint(power40)
+        res = solve_nonlocal(PAR, dom, tol_rel=1e-10, lam_guess=0.25)
+        assert res.constraint_residual < 1e-10
+        assert dom.visited[0] == 1.0
+        self.check_path(dom, power40)
+
+    @pytest.mark.parametrize("steps", [0, 1], ids=["at-guess", "first-step"])
+    def test_evaluation_within_tolerance_is_accepted(self, steps):
+        # g(5.3 (1 + 1e-11)) = m (1 + 4e-10): accepted even before g crosses m
+        guess = 5.3 * (1 + 1e-11) * 1.15**steps
+        dom = SteepConstraint(power40)
+        res = solve_nonlocal(PAR, dom, tol_rel=1e-8, lam_guess=guess)
+        assert res.bisection_iters == len(dom.visited) == steps + 1
+        assert res.constraint_residual < 1e-8
+
+    @pytest.mark.parametrize("guess", [0.0, -2.0, float("nan"), float("inf")])
+    def test_invalid_guess(self, guess):
+        dom = SteepConstraint(power40)
+        with pytest.raises(ValueError):
+            solve_nonlocal(PAR, dom, tol_rel=1e-8, lam_guess=guess)
+        assert dom.visited == []
+
+    def test_map_never_crossing_m(self):
+        dom = SteepConstraint(lambda lam: 1e-60 * lam)
+        with pytest.raises(BracketFailureError):
+            solve_nonlocal(PAR, dom, tol_rel=1e-8, lam_guess=2.0)
+        assert len(dom.visited) == 129
 
 
 class TestBracketFailure:

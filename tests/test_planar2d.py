@@ -260,7 +260,46 @@ class TestNonlocal2D:
         monkeypatch.setattr(planar2d, "splu", counting)
         res = solve_nonlocal_2d(PAR, grid, tol_rel=1e-8)
         assert res.constraint_residual < 1e-8
-        assert len(count) <= 4
+        assert len(count) <= 2
+
+    @pytest.mark.parametrize(
+        "shape",
+        [Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), Disk(1.0), Star(1.0, 0.15, 5)],
+        ids=["ellipse", "disk", "star"],
+    )
+    def test_seeded_matches_unseeded(self, shape, monkeypatch):
+        # the disk-of-equal-area seed only shortens the bracket search: the
+        # root still comes from 2D evaluations that straddle m
+        grid, _ = build_domain(shape, 0.02, n_samples=8)
+        evaluated = []
+
+        class Recording(Planar2DDomain):
+            def solve_local(self, sigma, params):
+                W, integral = super().solve_local(sigma, params)
+                lam = params.epsilon / sigma
+                evaluated.append((lam, lam * integral))
+                return W, integral
+
+        monkeypatch.setattr(planar2d, "Planar2DDomain", Recording)
+        seeded = solve_nonlocal_2d(PAR, grid, tol_rel=1e-8)
+        assert seeded.bisection_iters == len(evaluated)
+        below = [lam for lam, g in evaluated if g < PAR.m]
+        above = [lam for lam, g in evaluated if g > PAR.m]
+        assert below and above
+        # the last evaluation is one end of the final, certified bracket
+        assert max(below) < min(above)
+        assert evaluated[-1][0] in (max(below), min(above))
+
+        cold = solve_nonlocal(PAR, Planar2DDomain(grid), tol_rel=1e-8)
+        lam_s, lam_c = seeded.steady.lambda_eps, cold.steady.lambda_eps
+        assert abs(lam_s - lam_c) / lam_c < 2e-8
+
+    def test_ignores_dimension_parameter(self, disk_grid, disk_nonlocal):
+        # the 2D solver and its disk seed are planar whatever params.n says
+        grid, _ = disk_grid
+        par3 = Params(epsilon=0.05, p=2, b=1, m=1, n=3)
+        res = solve_nonlocal_2d(par3, grid, tol_rel=1e-6)
+        assert res.steady.lambda_eps == disk_nonlocal.steady.lambda_eps
 
     def test_mass_halving_raises_lambda_eps(self, disk_grid):
         # lambda_eps carries a 1/m^2 amplitude times the m-normalisation
