@@ -36,6 +36,7 @@ from .radial_steady import (
     layer_profile_constant,
     layer_width,
     solve_local_radial,
+    solve_nonlocal_radial,
     upper_barrier_sigma_max,
 )
 

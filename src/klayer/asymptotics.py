@@ -27,7 +27,7 @@ from .core import (
     interpolate_monotone,
     unit_sphere_area,
 )
-from .mass_constraint import RadialBallDomain, solve_nonlocal
+from .mass_constraint import RadialBallDomain, lambda_leading, solve_nonlocal
 from .radial_steady import boundary_slope, layer_profile_constant
 
 __all__ = [
@@ -51,6 +51,7 @@ QUANTITIES = ("slope_W", "slope_U", "lambda_eps", "thickness")
 _EPS_POWER = {"slope_W": 1, "slope_U": 2, "lambda_eps": -1, "thickness": -1}
 
 cp = layer_profile_constant
+# lambda_leading lives in mass_constraint, whose ball solve starts from it
 
 
 @dataclass(frozen=True)
@@ -106,18 +107,6 @@ def thickness_leading(c: float, params: Params, R: float) -> float:
     return ((b / c) ** (p / 2.0) - 1.0) * 2.0 * n * (p + 2.0) / (m * p**2) * volume / R
 
 
-def lambda_leading(params: Params, R: float) -> float:
-    """Coefficient of eps in lambda_eps: omega_n^2 b^p c_p^2 R^(2n-2) / m^2."""
-    om = unit_sphere_area(params.n)
-    return (
-        om**2
-        * params.b**params.p
-        * cp(params.p) ** 2
-        * R ** (2 * params.n - 2)
-        / params.m**2
-    )
-
-
 def measure_thickness(W: RadialProfile, c: float) -> float:
     """Depth R - W^(-1)(c) of the level set W = c below the boundary."""
     R = W.grid.R
@@ -136,7 +125,6 @@ def verify_expansion(
     eps_list,
     level_c: float | None = None,
     domain: RadialBallDomain | None = None,
-    tol_rel: float = 1e-8,
 ) -> dict[str, ExpansionReport]:
     """Sweep eps once, measure every quantity, extrapolate eps -> 0, compare.
 
@@ -161,7 +149,7 @@ def verify_expansion(
     computed = {q: np.empty(eps.size) for q in QUANTITIES}
     for i, e in enumerate(eps):
         par = Params(epsilon=float(e), p=params.p, b=params.b, m=params.m, n=params.n)
-        steady = solve_nonlocal(par, domain, tol_rel=tol_rel).steady
+        steady = solve_nonlocal(par, domain).steady
         for q in QUANTITIES:
             computed[q][i] = table[q][0](steady)
 
@@ -224,7 +212,7 @@ def verify_p_limit(
         par = Params(
             epsilon=eps_fixed, p=p, b=params_base.b, m=params_base.m, n=params_base.n
         )
-        steady = solve_nonlocal(par, domain, tol_rel=1e-8).steady
+        steady = solve_nonlocal(par, domain).steady
         sup_gap = float(np.max(np.abs(steady.W.values - par.b)))
         frac = boundary_mass_fraction(steady, depth_fraction * R)
         rows.append((p, sup_gap, frac))

@@ -35,11 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import exprel
 
 from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
 from .errors import NoConvergenceError, PositivityError
+from .radial_steady import _solve_tridiag, _solve_tridiag_rank_one
 
 __all__ = [
     "EvolutionState",
@@ -145,15 +145,6 @@ class _Cells:
         return unit_sphere_area(self.grid.n) * float(np.dot(self.volumes, u))
 
 
-def _solve_tridiag(lo, di, up, rhs):
-    """Solve the tridiagonal system with sub-, main and super-diagonal lo, di, up."""
-    ab = np.zeros((3, di.size))
-    ab[0, 1:] = up
-    ab[1, :] = di
-    ab[2, :-1] = lo
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
-
-
 def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionState:
     """One update of (u, w = e^v) by cfg.dt; positive for every dt."""
     grid = state.u.grid
@@ -231,10 +222,7 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
         # and row = -dC/dW = C omega_n p V W^(p-1) / S
         col = V * Wp * W
         row = (p * C * om / S) * V * Wp / W
-        y, z = _solve_tridiag(
-            off, di[:-1], off, np.column_stack((-res[:-1], col[:-1]))
-        ).T
-        delta = y - z * (row[:-1] @ y) / (1.0 + row[:-1] @ z)
+        delta = _solve_tridiag_rank_one(off, di[:-1], off, -res[:-1], col[:-1], row[:-1])
         # the same Newton step taken in q = W^(-p/2), the variable in which
         # the layer b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W
         f = 1.0 - 0.5 * p * delta / W[:-1]

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from .core import Params
 from .errors import NoConvergenceError
 from .mass_constraint import NonlocalResult, RadialBallDomain, solve_nonlocal
-from .radial_steady import DAMPING, MAX_ITERS, layer_profile_constant
+from .radial_steady import DAMPING, MAX_ITERS, STEP_TOL, layer_profile_constant
 
 __all__ = [
     "Disk",
@@ -456,11 +456,6 @@ class JacobianFactor:
         self.lu = None
 
 
-# stop when the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of
-# the Newton step, is below this fraction of b
-STEP_TOL = 1e-13
-
-
 def solve_local_2d(
     sigma: float,
     params: Params,
@@ -604,17 +599,18 @@ def solve_nonlocal_2d(
     grid: MaskedGrid,
     tol_rel: float = 1e-6,
 ) -> NonlocalResult:
-    """Nonlocal solve on a masked 2D grid (same root-finder as the radial path).
+    """Nonlocal solve on a masked 2D grid by the bracketed root-finder.
 
-    The root-finder starts from the amplitude of the radial solve on the disk
-    of equal area (n = 2 whatever params.n says; the 2D solver ignores it).
+    The root-finder starts from the amplitude of the radial solve (the direct
+    Newton of a RadialBallDomain) on the disk of equal area (n = 2 whatever
+    params.n says; the 2D solver ignores it).
     Curvature moves the amplitude only at the next order, so the 2D root lies
     within a few x1.15 steps of it (one on the disk, the README ellipse and
     the star; up to three on Ellipse(2, 0.5)).  The answer still comes from
     the 2D constraint alone: both bracket ends are 2D evaluations.
     """
     disk = RadialBallDomain(R=math.sqrt(grid.area() / math.pi), n=2)
-    seed = solve_nonlocal(replace(params, n=2), disk, tol_rel=tol_rel)
+    seed = solve_nonlocal(replace(params, n=2), disk)
     return solve_nonlocal(
         params, Planar2DDomain(grid), tol_rel=tol_rel, lam_guess=seed.steady.amplitude
     )

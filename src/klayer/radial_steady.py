@@ -1,10 +1,13 @@
-"""Local radial boundary-value solver and closed-form layer barriers.
+"""Radial boundary-value solvers and closed-form layer barriers.
 
 Solves sigma * (W'' + (n-1)/r W') = W^(1+p) on (0, R) with W'(0) = 0 and
-W(R) = b by damped Newton on a second-order finite-difference discretisation.
-The closed-form sub/super-solutions bracketing the solution are exposed as
-barrier_lower / barrier_upper; they double as Newton initial iterates and as
-independent checks on converged solutions.
+W(R) = b by damped Newton on a second-order finite-difference discretisation:
+at a given sigma (the local problem, solve_local_radial), or with
+sigma = eps * int W^p / m taken from the iterate itself (the nonlocal
+problem, solve_nonlocal_radial).  The closed-form sub/super-solutions
+bracketing the solution are exposed as barrier_lower / barrier_upper; they
+double as Newton initial iterates and as independent checks on converged
+solutions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .core import Params, RadialGrid, RadialProfile
+from .core import Params, RadialGrid, RadialProfile, _trapezoid_weights, unit_sphere_area
 from .errors import AxisSingularityError, NoConvergenceError
 
 __all__ = [
@@ -24,15 +27,23 @@ __all__ = [
     "barrier_upper",
     "upper_barrier_sigma_max",
     "solve_local_radial",
+    "solve_nonlocal_radial",
     "boundary_slope",
 ]
 
 
-# Newton controls of the local solves: the radial residual max-norm target,
-# and the iteration cap and step damping that the 2D solve in planar2d shares
-NEWTON_TOL = 1e-10
+# Newton controls of the radial solves: the iteration cap, the step damping
+# and STEP_TOL, shared with the 2D solve in planar2d.  The radial Newtons stop
+# once the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of the
+# Newton step, is below STEP_TOL * b and every |F_i| is below NEWTON_TOL
+# times min(1, b^(1+p)), the size of W^(1+p) at the boundary, or below its
+# own rounding floor.  The scaled test alone stops short where diffusion
+# dominates (the smallest eigenvalue of sigma L lies far below its diagonal),
+# the absolute one alone where W^(1+p) is far below NEWTON_TOL.
 MAX_ITERS = 60
 DAMPING = 1.0
+STEP_TOL = 1e-13
+NEWTON_TOL = 1e-10
 
 
 def layer_profile_constant(p: float) -> float:
@@ -164,11 +175,107 @@ def _operator_bands(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _solve_tridiag(lo, di, up, rhs):
+    """Solve the tridiagonal system with sub-, main and super-diagonal lo, di, up.
+
+    lo and up have one entry fewer than di; rhs may hold several columns.
+    """
     ab = np.zeros((3, di.size))
-    ab[0, 1:] = up[:-1]
+    ab[0, 1:] = up
     ab[1, :] = di
-    ab[2, :-1] = lo[1:]
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=False)
+    ab[2, :-1] = lo
+    return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+
+
+def _solve_tridiag_rank_one(lo, di, up, rhs, col, row):
+    """Solve (T + col row^T) x = rhs, T tridiagonal as in _solve_tridiag.
+
+    One banded solve with the two right-hand sides rhs and col, combined by
+    Sherman-Morrison.
+    """
+    y, z = _solve_tridiag(lo, di, up, np.column_stack((rhs, col))).T
+    return y - z * (row @ y) / (1.0 + row @ z)
+
+
+def _newton(W, sigma, params, grid, damping):
+    """Damped Newton from W on sigma L W = W^(1+p) off the last row, W(R) = b.
+
+    With sigma None, sigma = eps * int W^p / m follows the iterate (trapezoid
+    rule, as integrate_radial), and the Jacobian gains the rank one
+    (eps/m) L W (x) grad int W^p, so each step is one tridiagonal solve with
+    two right-hand sides combined by Sherman-Morrison.  Stops on the
+    Jacobi-scaled and the absolute residual (STEP_TOL, NEWTON_TOL); returns
+    (W, steps), or None when MAX_ITERS steps do not get there or an iterate
+    turns non-finite.
+    """
+    p, b = params.p, params.b
+    lo, di, up = _operator_bands(grid)
+    lo, up = lo[1:], up[:-1]
+    floor = 1e-30 * b
+    if sigma is None:
+        r = grid.nodes
+        weights = unit_sphere_area(grid.n) * _trapezoid_weights(r) * r ** (grid.n - 1)
+        coef = params.epsilon / params.m
+    # float64 cancellation floor of each residual, over sigma: the sigma L W
+    # terms are O(sigma / h_i^2) individually, so F_i cannot drop below their
+    # rounding error however exact the iterate
+    rounding = 8.0 * np.finfo(float).eps * np.abs(di) * b
+    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p))
+    W = np.maximum(W, floor)
+    for steps in range(MAX_ITERS + 1):
+        Wp = W**p
+        LW = di * W
+        LW[1:] += lo * W[:-1]
+        LW[:-1] += up * W[1:]
+        s = coef * float(weights @ Wp) if sigma is None else sigma
+        F = s * LW - Wp * W
+        F[-1] = W[-1] - b
+        jd = s * di - (1.0 + p) * Wp
+        jd[-1] = 1.0
+        if np.max(np.abs(F) / np.abs(jd)) < STEP_TOL * b and np.all(
+            np.abs(F) < np.maximum(res_tol, rounding * s)
+        ):
+            return W, steps
+        if steps == MAX_ITERS:
+            return None
+        jl = s * lo
+        jl[-1] = 0.0
+        ju = s * up
+        if sigma is None:
+            col = coef * LW  # d F / d sigma, zero on the Dirichlet row
+            col[-1] = 0.0
+            row = p * weights * Wp / W  # grad int W^p
+            delta = _solve_tridiag_rank_one(jl, jd, ju, -F, col, row)
+        else:
+            delta = _solve_tridiag(jl, jd, ju, -F)
+        W = np.maximum(W + damping * delta, floor)
+        if not np.all(np.isfinite(W)):
+            return None
+
+
+def _solve(W, sigma, params, grid):
+    """_newton with one retry at halved damping, then the checks on W <= b."""
+    if grid.n != params.n:
+        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
+    W = np.array(W, dtype=float)
+    if W.shape != grid.nodes.shape:
+        raise ValueError("initial iterate shape does not match grid")
+    out = _newton(W, sigma, params, grid, DAMPING)
+    if out is None:
+        out = _newton(W, sigma, params, grid, DAMPING / 2.0)
+    if out is None:
+        at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
+        raise NoConvergenceError(
+            f"Newton failed on {at} after {MAX_ITERS} iterations "
+            "(twice, second time with halved damping)"
+        )
+    W, steps = out
+    b = params.b
+    W[-1] = b
+    overshoot = np.max(W) - b
+    if overshoot > 1e-9 * b:
+        raise NoConvergenceError(f"converged iterate exceeds b by {overshoot}")
+    np.minimum(W, b, out=W)
+    return RadialProfile(grid=grid, values=W), steps
 
 
 def solve_local_radial(
@@ -181,72 +288,28 @@ def solve_local_radial(
 
     Newton starts from the lower barrier (a sub-solution, which keeps the
     iterates in the monotone basin) unless an explicit initial iterate is
-    given.  One automatic retry with halved damping precedes
+    given, and stops on the scaled and the absolute residual (see STEP_TOL
+    and NEWTON_TOL).  One automatic retry with halved damping precedes
     NoConvergenceError.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if grid.n != params.n:
-        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
-    p, b = params.p, params.b
-    R = grid.R
-    r = grid.nodes
-    N = r.size
-    lo, di, up = _operator_bands(grid)
-    floor = 1e-30 * b
+    if initial is None:
+        initial = barrier_lower(grid.nodes, sigma, params, grid.R)
+    return _solve(initial, sigma, params, grid)[0]
 
-    def residual(W):
-        res = sigma * (
-            lo * np.concatenate(([0.0], W[:-1]))
-            + di * W
-            + up * np.concatenate((W[1:], [0.0]))
-        ) - W ** (1.0 + p)
-        res[-1] = W[-1] - b
-        return res
 
-    # float64 cancellation floor of the residual evaluation: the sigma * L * W
-    # terms are O(sigma/h^2) individually, so the residual cannot drop below
-    # their rounding error no matter how exact the iterate is
-    res_floor = 8.0 * np.finfo(float).eps * sigma * np.max(np.abs(di)) * b
-    tol_eff = max(NEWTON_TOL, res_floor)
+def solve_nonlocal_radial(
+    params: Params, grid: RadialGrid, initial: np.ndarray
+) -> tuple[RadialProfile, int]:
+    """Solve sigma(W) (W'' + (n-1)/r W') = W^(1+p), W'(0) = 0, W(R) = b on grid.
 
-    def attempt(damping: float) -> np.ndarray | None:
-        if initial is not None:
-            W = np.array(initial, dtype=float)
-            if W.shape != r.shape:
-                raise ValueError("initial iterate shape does not match grid")
-        else:
-            W = np.asarray(barrier_lower(r, sigma, params, R), dtype=float)
-        W = np.maximum(W, floor)
-        for _ in range(MAX_ITERS):
-            F = residual(W)
-            if np.max(np.abs(F)) < tol_eff:
-                return W
-            jd = sigma * di - (1.0 + p) * W**p
-            jl = sigma * lo
-            ju = sigma * up
-            jl[-1] = 0.0
-            jd[-1] = 1.0
-            delta = _solve_tridiag(jl, jd, ju, -F)
-            W = np.maximum(W + damping * delta, floor)
-            if not np.all(np.isfinite(W)):
-                return None
-        return None
-
-    W = attempt(DAMPING)
-    if W is None:
-        W = attempt(DAMPING / 2.0)
-    if W is None:
-        raise NoConvergenceError(
-            f"Newton failed at sigma={sigma} after {MAX_ITERS} iterations "
-            "(twice, second time with halved damping)"
-        )
-    W[-1] = b
-    overshoot = np.max(W) - b
-    if overshoot > 1e-9 * b:
-        raise NoConvergenceError(f"converged iterate exceeds b by {overshoot}")
-    np.minimum(W, b, out=W)
-    return RadialProfile(grid=grid, values=W)
+    sigma(W) = eps * int W^p / m closes the mass constraint, so the
+    amplitude m / int W^p is no unknown of its own.  Newton from initial,
+    with the same stop, retry and checks as solve_local_radial; returns the
+    profile and the number of Newton steps of the accepted attempt.
+    """
+    return _solve(initial, None, params, grid)
 
 
 def boundary_slope(W: RadialProfile) -> float:

@@ -64,6 +64,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="transmogrify"):
             parse_config(str(path), {})
 
+    @pytest.mark.parametrize("command", ["steady-radial", "verify", "sweep", "evolve"])
+    def test_tol_only_for_steady_2d(self, cfg_file, command):
+        # only the 2D root-finder has a tolerance to set
+        with pytest.raises(ConfigError, match="'tol' applies only to steady-2d"):
+            parse_config(str(cfg_file), {"command": command, "tol": 1e-6})
+        cfg = parse_config(str(cfg_file), {"command": "steady-2d", "tol": 1e-6})
+        assert cfg.tol == 1e-6
+        with pytest.raises(SystemExit):
+            main([command, "--config", str(cfg_file), "--tol", "1e-6"])
+
 
 def _write_csv_per_value(path, header, rows):
     """The per-value writer that _write_csv replaced: the byte reference."""

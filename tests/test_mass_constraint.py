@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from klayer.core import Params, integrate_radial
-from klayer.errors import BracketFailureError
+import klayer.mass_constraint
+import klayer.radial_steady
+from klayer.core import Params, RadialProfile, integrate_radial
+from klayer.errors import BracketFailureError, NoConvergenceError
 from klayer.mass_constraint import (
     RadialBallDomain,
     constraint_value,
     solve_nonlocal,
 )
+from klayer.radial_steady import STEP_TOL, _operator_bands, boundary_slope
 
 PAR = Params(epsilon=2e-3, p=2, b=1, m=1, n=2)
 
@@ -185,9 +188,9 @@ class TestIllinois:
         # exact one
         assert res.steady.amplitude == pytest.approx(lam_ref, rel=4e-8)
         assert res.constraint_residual < 1e-8
-        # pins the unseeded path (floor, doubling, Illinois) that every
-        # radial caller takes
-        assert res.bisection_iters == 8
+        # pins the direct path that every ball takes: on a ball
+        # bisection_iters counts Newton steps over all grid passes
+        assert res.bisection_iters == 4
 
 
 def power40(lam):
@@ -287,3 +290,111 @@ class TestBracketFailure:
 
         with pytest.raises(BracketFailureError):
             solve_nonlocal(PAR, TinyConstraint(), tol_rel=1e-8)
+
+
+class LocalSolves:
+    """Delegates to a ball's local solves, so solve_nonlocal takes the bracket
+    walk and Illinois on it: the reference for the ball's direct Newton."""
+
+    def __init__(self, ball):
+        self.ball = ball
+
+    def volume(self):
+        return self.ball.volume()
+
+    def solve_local(self, sigma, params):
+        return self.ball.solve_local(sigma, params)
+
+
+# (n, p, b, eps) over n 1-3, p 1-120, b 0.5-2 and eps 5e-4-2, m = 1
+DIRECT_CASES = [
+    (1, 1, 1.0, 5e-4),
+    (1, 120, 1.0, 2e-3),
+    (1, 2, 0.5, 2.0),
+    (1, 40, 2.0, 0.1),
+    (2, 2, 1.0, 1e-2),
+    (2, 5, 2.0, 5e-4),
+    (2, 120, 1.0, 0.1),
+    (2, 120, 1.0, 2.0),
+    (2, 120, 0.5, 2.0),
+    (2, 1, 0.5, 2.0),
+    (3, 3, 0.5, 2e-3),
+    (3, 20, 1.0, 0.5),
+    (3, 120, 2.0, 1e-2),
+    (3, 1, 1.0, 2.0),
+]
+
+
+class TestDirectRadial:
+    """The ball's direct Newton against Illinois over its own local solves."""
+
+    @pytest.mark.parametrize("n, p, b, eps", DIRECT_CASES)
+    def test_matches_illinois_over_local_solves(self, n, p, b, eps):
+        par = Params(epsilon=eps, p=p, b=b, m=1, n=n)
+        ball = RadialBallDomain(R=1.0, n=n)
+        res = solve_nonlocal(par, ball)
+        ref = solve_nonlocal(par, LocalSolves(ball), tol_rel=1e-11)
+        st, st_ref = res.steady, ref.steady
+        W = st.W.values
+        W_ref = np.interp(st.W.grid.nodes, st_ref.W.grid.nodes, st_ref.W.values)
+        # measured worst over these cases: lambda_eps 2.8e-10, W 5.9e-10 b
+        # and the slope 4.1e-8
+        assert st.lambda_eps == pytest.approx(st_ref.lambda_eps, rel=1e-9)
+        assert np.max(np.abs(W - W_ref)) <= 3e-9 * b
+        if not (n == 1 and p == 120 and eps <= 2e-3):
+            # there a 1-ulp move of a node near R is 3e-9 of a 3.5e-8
+            # spacing, and the one-sided slope moves by up to 1.5e-5
+            assert boundary_slope(st.W) == pytest.approx(
+                boundary_slope(st_ref.W), rel=2e-7
+            )
+        # W lives on the grid adapted to its own sigma (measured 1.7e-11)
+        nodes = ball.grid_for(st.sigma, par).nodes
+        assert np.max(np.abs(st.W.grid.nodes - nodes)) <= 1e-10
+        # W solves sigma L W = W^(1+p) with sigma = eps int W^p / m taken
+        # from W itself, to the Newton stop
+        sigma = eps * integrate_radial(RadialProfile(st.W.grid, W**p)) / par.m
+        assert sigma == pytest.approx(st.sigma, rel=1e-14)
+        lo, di, up = _operator_bands(st.W.grid)
+        F = sigma * (di * W + np.r_[0.0, lo[1:] * W[:-1]] + np.r_[up[:-1] * W[1:], 0.0])
+        F = (F - W ** (1.0 + p))[:-1]
+        jd = (sigma * di - (1.0 + p) * W**p)[:-1]
+        assert np.max(np.abs(F / jd)) <= STEP_TOL * b
+        assert W[-1] == b and np.all(W > 0) and np.all(W <= b)
+        again = solve_nonlocal(par, ball).steady
+        assert again.W.values.tobytes() == W.tobytes()
+        assert again.lambda_eps == st.lambda_eps
+
+    def test_newton_steps_per_solve(self, monkeypatch):
+        # the README sweep (eps 0.004, 0.002, 0.001 x p 2, 4 on the unit
+        # disk): one tridiagonal solve per Newton step, 6-7 steps over all
+        # grid passes, against about 40 under Illinois over local solves
+        solve = klayer.radial_steady.solve_banded
+        calls = []
+        monkeypatch.setattr(
+            klayer.radial_steady,
+            "solve_banded",
+            lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs),
+        )
+        for eps in (0.004, 0.002, 0.001):
+            for p in (2, 4):
+                calls.clear()
+                par = Params(epsilon=eps, p=p, b=1, m=1, n=2)
+                res = solve_nonlocal(par, RadialBallDomain(R=1.0, n=2))
+                assert res.bisection_iters == len(calls) <= 7
+
+    def test_pass_cap(self, monkeypatch):
+        # the first pass always moves sigma off its asymptotic start
+        monkeypatch.setattr(klayer.mass_constraint, "_MAX_PASSES", 1)
+        with pytest.raises(NoConvergenceError):
+            solve_nonlocal(PAR, RadialBallDomain(R=1.0, n=2))
+
+    def test_scaled_stop_regression(self):
+        # W^(1+p) <= 0.5^41 = 4.5e-13 here, below the absolute residual
+        # bound of 1e-10 that the local solve used to stop on: Illinois over
+        # those local solves returned 1.5104e-13, 13.6 % low
+        par = Params(epsilon=0.1, p=40, b=0.5, m=1, n=2)
+        ball = RadialBallDomain(R=1.0, n=2)
+        ref = solve_nonlocal(par, LocalSolves(ball), tol_rel=1e-10)
+        assert ref.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
+        direct = solve_nonlocal(par, ball)
+        assert direct.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)

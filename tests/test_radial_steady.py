@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
+from klayer.mass_constraint import RadialBallDomain
 import klayer.radial_steady
 from klayer.radial_steady import (
     barrier_lower,
@@ -63,7 +65,7 @@ class TestSolveLocalRadial:
         jl[-1], jd[-1], ju[-1] = 0.0, 1.0, 0.0
         rhs = np.zeros(grid.count)
         rhs[-1] = 1.0
-        W_lin = _solve_tridiag(jl.copy(), jd, ju, rhs)
+        W_lin = _solve_tridiag(jl[1:], jd, ju[:-1], rhs)
         assert np.max(np.abs(W.values - W_lin)) <= 1e-9
 
     def test_no_convergence_with_single_iteration(self, monkeypatch):
@@ -88,6 +90,49 @@ class TestSolveLocalRadial:
         W1 = solve_local_radial(2e-3, P2, grid).values
         W2 = solve_local_radial(4e-3, P2, grid).values
         assert np.min(W2 - W1) >= -1e-9
+
+
+class TestNewtonStop:
+    """The local Newton stops on max |F_i| / |J_ii| < STEP_TOL * b together
+    with |F_i| < NEWTON_TOL min(1, b^(1+p)) or its rounding floor.  The
+    absolute bound alone, max |F_i| < 1e-10, accepted unconverged profiles
+    wherever W^(1+p) is that small: lambda_eps came out 13.6 % low at p = 40,
+    7.0 % low at p = 120 and 8.2e-5 high at eps 5e-4, p = 1.  The scaled test
+    alone stops short where diffusion dominates: at eps 2, p 120 it left W
+    7.5e-8 b from convergence, at b = 1 and at b = 0.5.  A rounding floor
+    taken at max |L_ii| in place of each row's left it 7.6e-9 b away at
+    eps 0.5, p 120, n 1."""
+
+    @pytest.mark.parametrize(
+        "eps, p, b, n, lam",
+        [
+            (0.1, 40, 0.5, 2, 1.748312e-13),
+            (0.1, 120, 0.5, 2, 4.917847e-38),
+            (5e-4, 1, 0.5, 1, 5.935810e-3),
+            (2.0, 120, 0.5, 2, 7.009068e-37),
+            (2.0, 120, 1.0, 2, 9.316649e-1),
+            (0.5, 120, 1.0, 1, 3.382497e-2),
+        ],
+    )
+    def test_next_newton_step_negligible(self, eps, p, b, n, lam):
+        # at the converged sigma = eps * lambda_eps on its adapted grid, one
+        # more full Newton step, assembled here with scipy's banded solver,
+        # moves W by at most 1e-10 b (measured 5e-14 to 1.9e-12 b)
+        par = Params(epsilon=eps, p=p, b=b, m=1, n=n)
+        sigma = eps * lam
+        grid = RadialBallDomain(R=1.0, n=n).grid_for(sigma, par)
+        W = solve_local_radial(sigma, par, grid).values
+        lo, di, up = _operator_bands(grid)
+        F = sigma * (di * W + np.r_[0.0, lo[1:] * W[:-1]] + np.r_[up[:-1] * W[1:], 0.0])
+        F -= W ** (1.0 + p)
+        F[-1] = W[-1] - b
+        ab = np.zeros((3, W.size))
+        ab[0, 1:] = sigma * up[:-1]
+        ab[1] = sigma * di - (1.0 + p) * W**p
+        ab[1, -1] = 1.0
+        ab[2, :-2] = sigma * lo[1:-1]
+        step = solve_banded((1, 1), ab, -F)
+        assert np.max(np.abs(step)) <= 1e-10 * b
 
 
 class TestBarriers:
