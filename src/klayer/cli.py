@@ -35,8 +35,6 @@ from .radial_steady import boundary_slope, layer_width
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
-COMMANDS = ("steady-radial", "steady-2d", "evolve", "verify", "sweep")
-
 # verification gates per quantity (relative gap of the extrapolated
 # coefficient; the slope of U and the thickness carry the larger remainders)
 VERIFY_TOL = {"slope_W": 0.05, "slope_U": 0.08, "lambda_eps": 0.05, "thickness": 0.08}
@@ -71,31 +69,42 @@ class RunConfig:
         return self.level_c if self.level_c > 0 else self.params.b / 2.0
 
 
-_SCHEMA = {
-    "command": str,
-    "epsilon": float,
-    "p": float,
-    "b": float,
-    "m": float,
-    "n": int,
-    "R": float,
-    "shape": str,
-    "h": float,
-    "grid_count": int,
-    "tol": float,
-    "out": str,
-    "seed": int,
-    "eps_list": str,
-    "p_list": str,
-    "t_end": float,
-    "dt": float,
-    "perturb": float,
-    "level_c": float,
-    "samples": int,
-    "output_every": int,
+# config key -> (type, flag, commands that take it; empty: every command).
+# The same rule admits a key from a config file and its flag on a sub-command.
+# 'command' has no flag: the sub-command sets it.
+_OPTIONS = {
+    "command": (str, None, ()),
+    "out": (Path, "--out", ()),
+    "epsilon": (float, "--eps", ()),
+    "p": (float, "--p", ()),
+    "b": (float, "--b", ()),
+    "m": (float, "--m", ()),
+    "n": (int, "--n", ()),
+    "R": (float, "--R", ()),
+    "grid_count": (int, "--grid-count", ()),
+    "shape": (str, "--shape", ()),
+    "h": (float, "--h", ()),
+    "seed": (int, "--seed", ()),
+    "samples": (int, "--samples", ()),
+    "level_c": (float, "--level-c", ()),
+    # the ball commands close the mass constraint to rounding, and evolve
+    # takes its reference from the scheme's own steady pair
+    "tol": (float, "--tol", ("steady-2d",)),
+    "t_end": (float, "--t-end", ("evolve",)),
+    "dt": (float, "--dt", ("evolve",)),
+    "perturb": (float, "--perturb", ("evolve",)),
+    "output_every": (int, "--output-every", ("evolve",)),
+    "eps_list": (str, "--eps-list", ("verify", "sweep")),
+    "p_list": (str, "--p-list", ("sweep",)),
 }
 
-_REQUIRED = ("epsilon", "p", "b", "m", "n", "R")
+_PARAMS = ("epsilon", "p", "b", "m", "n")
+_REQUIRED = _PARAMS + ("R",)
+
+
+def _takes(command: str, key: str) -> bool:
+    commands = _OPTIONS[key][2]
+    return not commands or command in commands
 
 
 def _parse_file(path: str) -> dict:
@@ -108,9 +117,9 @@ def _parse_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SCHEMA:
+            if key not in _OPTIONS:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            caster = _SCHEMA[key]
+            caster = _OPTIONS[key][0]
             try:
                 entries[key] = caster(value)
             except ValueError:
@@ -121,8 +130,6 @@ def _parse_file(path: str) -> dict:
 
 
 def _float_list(text: str) -> tuple:
-    if not text:
-        return ()
     try:
         return tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError:
@@ -137,22 +144,26 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _SCHEMA:
+        if key not in _OPTIONS:
             raise ConfigError(f"unknown override '{key}'")
-        entries[key] = _SCHEMA[key](value)
+        entries[key] = _OPTIONS[key][0](value)
 
-    command = entries.get("command")
+    command = entries.pop("command", None)
     if command is None:
         raise ConfigError("missing required key 'command'")
     if command not in COMMANDS:
-        raise ConfigError(f"unknown command '{command}' (choose from {COMMANDS})")
-    if "tol" in entries and command != "steady-2d":
-        # the ball commands close the mass constraint to rounding, and evolve
-        # takes its reference from the scheme's own steady pair
-        raise ConfigError(f"'tol' applies only to steady-2d, not to {command}")
+        raise ConfigError(f"unknown command '{command}' (choose from {', '.join(COMMANDS)})")
+    for key in entries:
+        if not _takes(command, key):
+            raise ConfigError(
+                f"'{key}' applies only to {' and '.join(_OPTIONS[key][2])}, not to {command}"
+            )
 
-    if command == "sweep" and "eps_list" in entries:
-        entries.setdefault("epsilon", _float_list(entries["eps_list"])[0])
+    for key in ("eps_list", "p_list"):
+        if key in entries:
+            entries[key] = _float_list(entries[key])
+    if command == "sweep" and entries.get("eps_list"):
+        entries.setdefault("epsilon", entries["eps_list"][0])
     missing = [key for key in _REQUIRED if key not in entries]
     if missing:
         raise ConfigError(
@@ -161,28 +172,20 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         )
 
     try:
-        params = Params(
-            epsilon=entries["epsilon"],
-            p=entries["p"],
-            b=entries["b"],
-            m=entries["m"],
-            n=entries["n"],
-        )
+        params = Params(**{key: entries.pop(key) for key in _PARAMS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    cfg = RunConfig(command=command, params=params, plots=plots, **entries)
 
-    cfg = RunConfig(command=command, params=params, R=float(entries["R"]))
-    for key in ("shape", "h", "grid_count", "tol", "seed", "t_end", "dt",
-                "perturb", "level_c", "samples", "output_every"):
-        if key in entries:
-            setattr(cfg, key, entries[key])
-    if "out" in entries:
-        cfg.out = Path(entries["out"])
-    if "eps_list" in entries:
-        cfg.eps_list = _float_list(entries["eps_list"])
-    if "p_list" in entries:
-        cfg.p_list = _float_list(entries["p_list"])
-    cfg.plots = plots
+    # 0 means the default for dt and level_c; any other value out of range
+    # is rejected here, before a solve or a written file
+    if not cfg.tol > 0:
+        raise ConfigError(f"'tol' must be positive, got {cfg.tol}")
+    if not cfg.dt >= 0:
+        raise ConfigError(f"'dt' must be >= 0 (0: t_end / 1000), got {cfg.dt}")
+    if not 0 <= cfg.level_c < params.b:
+        raise ConfigError(f"'level_c' must lie in [0, b) = [0, {params.b}) (0: b/2), "
+                          f"got {cfg.level_c}")
     return cfg
 
 
@@ -305,19 +308,34 @@ def _maybe_plot_fields(cfg: RunConfig, fields: dict) -> None:
 # command implementations
 
 
+def _ball(cfg: RunConfig) -> RadialBallDomain:
+    return RadialBallDomain(R=cfg.R, n=cfg.params.n, count=cfg.grid_count)
+
+
+def _radial_report(steady, c: float) -> dict:
+    """The quantities reported for a radial steady state at level c; the
+    thickness is nan where W stays above c."""
+    try:
+        thickness = asymptotics.measure_thickness(steady.W, c)
+    except NoCrossingError:
+        thickness = math.nan
+    return {
+        "lambda_eps": steady.lambda_eps,
+        "amplitude": steady.amplitude,
+        "sigma": steady.sigma,
+        "slope_W": boundary_slope(steady.W),
+        "slope_U": boundary_slope(steady.U),
+        "thickness": thickness,
+    }
+
+
 def _run_steady_radial(cfg: RunConfig) -> int:
-    dom = RadialBallDomain(R=cfg.R, n=cfg.params.n, count=cfg.grid_count)
-    res = solve_nonlocal(cfg.params, dom)
+    res = solve_nonlocal(cfg.params, _ball(cfg))
     st = res.steady
     columns = (st.W.grid.nodes, st.W.values, st.U.values)
     _write_csv(cfg.out / "steady_profile.csv", "r,W,U", columns)
     summary = {
-        "lambda_eps": st.lambda_eps,
-        "amplitude": st.amplitude,
-        "sigma": st.sigma,
-        "slope_W": boundary_slope(st.W),
-        "slope_U": boundary_slope(st.U),
-        "thickness": asymptotics.measure_thickness(st.W, cfg.level()),
+        **_radial_report(st, cfg.level()),
         "bisection_iters": res.bisection_iters,
         "constraint_residual": res.constraint_residual,
     }
@@ -407,7 +425,7 @@ def _run_evolve(cfg: RunConfig) -> int:
 
 def _run_verify(cfg: RunConfig) -> int:
     eps_list = cfg.eps_list or (4e-3, 2e-3, 1e-3)
-    dom = RadialBallDomain(R=cfg.R, n=cfg.params.n, count=cfg.grid_count)
+    dom = _ball(cfg)
     reports = asymptotics.verify_expansion(
         cfg.params, cfg.R, eps_list, level_c=cfg.level(), domain=dom
     )
@@ -432,37 +450,25 @@ def _run_verify(cfg: RunConfig) -> int:
     return 2 if worst_fail else 0
 
 
-def _sweep_row(cfg: RunConfig, eps: float, p: float) -> tuple:
-    params = Params(epsilon=eps, p=p, b=cfg.params.b, m=cfg.params.m, n=cfg.params.n)
-    dom = RadialBallDomain(R=cfg.R, n=params.n, count=cfg.grid_count)
-    st = solve_nonlocal(params, dom).steady
-    try:
-        thickness = asymptotics.measure_thickness(st.W, cfg.level())
-    except NoCrossingError:
-        thickness = math.nan  # level not attained (profile everywhere above c)
-    return (
-        eps,
-        p,
-        st.lambda_eps,
-        st.amplitude,
-        st.sigma,
-        boundary_slope(st.W),
-        boundary_slope(st.U),
-        thickness,
-    )
-
-
 def _run_sweep(cfg: RunConfig) -> int:
     eps_list = cfg.eps_list or (cfg.params.epsilon,)
     p_list = cfg.p_list or (cfg.params.p,)
-    jobs = sorted((eps, p) for eps in eps_list for p in p_list)
-    rows = [_sweep_row(cfg, eps, p) for eps, p in jobs]
-    _write_csv(
-        cfg.out / "sweep.csv",
-        "eps,p,lambda_eps,amplitude,sigma,slope_W,slope_U,thickness",
-        zip(*rows),
-    )
+    rows = []
+    for eps, p in sorted((eps, p) for eps in eps_list for p in p_list):
+        params = Params(epsilon=eps, p=p, b=cfg.params.b, m=cfg.params.m, n=cfg.params.n)
+        st = solve_nonlocal(params, _ball(cfg)).steady
+        rows.append({"eps": eps, "p": p, **_radial_report(st, cfg.level())})
+    _write_csv(cfg.out / "sweep.csv", ",".join(rows[0]), zip(*(row.values() for row in rows)))
     return 0
+
+
+COMMANDS = {
+    "steady-radial": _run_steady_radial,
+    "steady-2d": _run_steady_2d,
+    "evolve": _run_evolve,
+    "verify": _run_verify,
+    "sweep": _run_sweep,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +484,7 @@ def run(config: RunConfig) -> int:
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory {config.out} is not writable: {exc}") from exc
-    dispatch = {
-        "steady-radial": _run_steady_radial,
-        "steady-2d": _run_steady_2d,
-        "evolve": _run_evolve,
-        "verify": _run_verify,
-        "sweep": _run_sweep,
-    }
-    return dispatch[config.command](config)
+    return COMMANDS[config.command](config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -498,44 +497,17 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None)
-        cmd.add_argument("--out", default=None)
-        cmd.add_argument("--eps", dest="epsilon", type=float, default=None)
-        cmd.add_argument("--p", type=float, default=None)
-        cmd.add_argument("--b", type=float, default=None)
-        cmd.add_argument("--m", type=float, default=None)
-        cmd.add_argument("--n", type=int, default=None)
-        cmd.add_argument("--R", type=float, default=None)
-        cmd.add_argument("--grid-count", dest="grid_count", type=int, default=None)
-        cmd.add_argument("--shape", default=None)
-        cmd.add_argument("--h", type=float, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--samples", type=int, default=None)
-        cmd.add_argument("--level-c", dest="level_c", type=float, default=None)
+        for key, (caster, flag, _) in _OPTIONS.items():
+            if flag and _takes(name, key):
+                cmd.add_argument(flag, dest=key, type=caster, default=None)
         cmd.add_argument("--plots", action="store_true")
-        if name == "steady-2d":
-            cmd.add_argument("--tol", type=float, default=None)
-        if name == "evolve":
-            cmd.add_argument("--t-end", dest="t_end", type=float, default=None)
-            cmd.add_argument("--dt", type=float, default=None)
-            cmd.add_argument("--perturb", type=float, default=None)
-            cmd.add_argument("--output-every", dest="output_every", type=int, default=None)
-        if name in ("verify", "sweep"):
-            cmd.add_argument("--eps-list", dest="eps_list", default=None)
-        if name == "sweep":
-            cmd.add_argument("--p-list", dest="p_list", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key in _SCHEMA and key != "command"
-    }
-    overrides["command"] = args.command
-    if getattr(args, "plots", False):
-        overrides["plots"] = True
+    overrides = {key: value for key, value in vars(args).items() if key in _OPTIONS}
+    overrides["plots"] = args.plots
     try:
         config = parse_config(args.config, overrides)
         return run(config)

@@ -260,12 +260,11 @@ class MaskedGrid:
     (nx, ny) arrays.  Arrays are frozen after construction.
     """
 
-    def __init__(self, h: float, x: np.ndarray, y: np.ndarray, phi: np.ndarray, shape):
+    def __init__(self, h: float, x: np.ndarray, y: np.ndarray, phi: np.ndarray):
         self.h = float(h)
         self.x = np.ascontiguousarray(x, dtype=float)
         self.y = np.ascontiguousarray(y, dtype=float)
         self.phi = np.ascontiguousarray(phi, dtype=float)
-        self.shape_obj = shape
         inside = self.phi < 0.0
         if not inside.any():
             raise ValueError("grid contains no inside node")
@@ -384,7 +383,7 @@ def build_domain(shape, h: float, n_samples: int = 64):
     coords = (np.arange(n_side + 1) - n_side / 2.0) * h
     X, Y = np.meshgrid(coords, coords, indexing="ij")
     phi = shape.signed_distance(X, Y)
-    grid = MaskedGrid(h=h, x=coords, y=coords, phi=phi, shape=shape)
+    grid = MaskedGrid(h=h, x=coords, y=coords, phi=phi)
 
     t_fine = np.linspace(0.0, 2.0 * math.pi, 8192)
     dx, dy = shape.curve_d1(t_fine)

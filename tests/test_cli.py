@@ -1,9 +1,19 @@
 import importlib.util
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from klayer.cli import ConfigError, _write_csv, main, parse_config
+from klayer.cli import (
+    _OPTIONS,
+    COMMANDS,
+    ConfigError,
+    _build_parser,
+    _write_csv,
+    main,
+    parse_config,
+)
 
 
 BASE_CFG = """\
@@ -64,15 +74,59 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="transmogrify"):
             parse_config(str(path), {})
 
-    @pytest.mark.parametrize("command", ["steady-radial", "verify", "sweep", "evolve"])
-    def test_tol_only_for_steady_2d(self, cfg_file, command):
-        # only the 2D root-finder has a tolerance to set
-        with pytest.raises(ConfigError, match="'tol' applies only to steady-2d"):
-            parse_config(str(cfg_file), {"command": command, "tol": 1e-6})
-        cfg = parse_config(str(cfg_file), {"command": "steady-2d", "tol": 1e-6})
-        assert cfg.tol == 1e-6
-        with pytest.raises(SystemExit):
-            main([command, "--config", str(cfg_file), "--tol", "1e-6"])
+    # every command-restricted option: key -> (flag, value, parsed value, commands)
+    RESTRICTED = {
+        "tol": ("--tol", "1e-6", 1e-6, ("steady-2d",)),
+        "t_end": ("--t-end", "0.5", 0.5, ("evolve",)),
+        "dt": ("--dt", "0.01", 0.01, ("evolve",)),
+        "perturb": ("--perturb", "0.005", 0.005, ("evolve",)),
+        "output_every": ("--output-every", "5", 5, ("evolve",)),
+        "eps_list": ("--eps-list", "0.02 0.01", (0.02, 0.01), ("verify", "sweep")),
+        "p_list": ("--p-list", "2 3", (2.0, 3.0), ("sweep",)),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_tol_only_for_steady_2d(self, cfg_file, tmp_path, command):
+        # widened from tol alone to every restricted option: a config-file
+        # key follows the same rule as its flag
+        assert {key for key, row in _OPTIONS.items() if row[2]} == set(self.RESTRICTED)
+        parser = _build_parser()
+        for key, (flag, text, value, commands) in self.RESTRICTED.items():
+            path = tmp_path / f"{key}.cfg"
+            path.write_text(BASE_CFG + f"{key} = {text}\n")
+            argv = [command, "--config", str(cfg_file), flag, text]
+            if command in commands:
+                assert vars(parser.parse_args(argv))[key] is not None
+                assert getattr(parse_config(str(path), {"command": command}), key) == value
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+                with pytest.raises(ConfigError, match=f"'{key}' applies only to"):
+                    parse_config(str(path), {"command": command})
+
+    @pytest.mark.parametrize(
+        "command, flag, value, key",
+        [
+            ("steady-2d", "--tol", "0", "tol"),
+            ("steady-2d", "--tol", "-3", "tol"),
+            ("evolve", "--dt", "-0.5", "dt"),
+            ("steady-radial", "--level-c", "-1", "level_c"),
+            ("steady-radial", "--level-c", "1", "level_c"),
+            ("steady-radial", "--level-c", "2", "level_c"),
+            ("steady-2d", "--level-c", "2", "level_c"),
+        ],
+    )
+    def test_out_of_range_rejected_before_any_output(
+        self, cfg_file, tmp_path, capsys, command, flag, value, key
+    ):
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(cfg_file), "--eps", "0.05",
+                   "--h", "0.05", flag, value, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"'{key}'" in err
+        assert not out.exists()
 
 
 def _write_csv_per_value(path, header, rows):
@@ -140,6 +194,19 @@ class TestRunSteadyRadial:
         path.write_text("epsilon=0.01\n")
         rc = main(["steady-radial", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 1
+
+    def test_level_not_reached_gives_nan_thickness(self, tmp_path):
+        # W >= 0.992 on the unit disk, so the default level b/2 is never met
+        argv = ["--eps", "2", "--p", "1", "--b", "1", "--m", "0.2", "--n", "2", "--R", "1"]
+        assert main(["steady-radial", *argv, "--out", str(tmp_path / "r")]) == 0
+        assert main(["sweep", *argv, "--out", str(tmp_path / "s")]) == 0
+        lines = (tmp_path / "r" / "steady_summary.csv").read_text().splitlines()
+        summary = dict(line.split(",") for line in lines[1:])
+        header, row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+        swept = dict(zip(header.split(","), row.split(",")))
+        assert summary["thickness"] == swept["thickness"] == "nan"
+        for key in ("lambda_eps", "amplitude", "sigma", "slope_W", "slope_U"):
+            assert summary[key] == swept[key]
 
 
 class TestRunSweep:
@@ -332,3 +399,22 @@ class TestRunVerify:
         assert len(lines) == 5
         quantities = [ln.split(",")[0] for ln in lines[1:]]
         assert quantities == ["slope_W", "slope_U", "lambda_eps", "thickness"]
+
+
+def test_readme_lists_every_option():
+    """The README's CLI section has one table row per config key, giving its
+    flag and the commands that take it, as _OPTIONS declares them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) >= 3:
+            rows[cells[0].strip("`")] = cells[1:3]
+    for key, (_, flag, commands) in _OPTIONS.items():
+        assert key in rows, f"README has no row for '{key}'"
+        flag_cell, commands_cell = rows[key]
+        if flag:
+            assert f"`{flag}`" in flag_cell, key
+        listed = re.findall(r"`([a-z0-9-]+)`", commands_cell)
+        assert tuple(listed) == commands and (commands or commands_cell == "every"), key
