@@ -51,7 +51,8 @@ QUANTITIES = ("slope_W", "slope_U", "lambda_eps", "thickness")
 _EPS_POWER = {"slope_W": 1, "slope_U": 2, "lambda_eps": -1, "thickness": -1}
 
 cp = layer_profile_constant
-# lambda_leading lives in mass_constraint, whose ball solve starts from it
+# lambda_leading lives in mass_constraint: the ball's solve there and
+# evolve_radial's steady pair start from sigma0 = eps^2 lambda_leading
 
 
 @dataclass(frozen=True)

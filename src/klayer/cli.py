@@ -81,12 +81,13 @@ _OPTIONS = {
     "m": (float, "--m", ()),
     "n": (int, "--n", ()),
     "R": (float, "--R", ()),
-    "grid_count": (int, "--grid-count", ()),
-    "shape": (str, "--shape", ()),
-    "h": (float, "--h", ()),
-    "seed": (int, "--seed", ()),
-    "samples": (int, "--samples", ()),
-    "level_c": (float, "--level-c", ()),
+    # steady-2d builds no radial grid, and evolve reports no thickness
+    "grid_count": (int, "--grid-count", ("steady-radial", "evolve", "verify", "sweep")),
+    "level_c": (float, "--level-c", ("steady-radial", "steady-2d", "verify", "sweep")),
+    "shape": (str, "--shape", ("steady-2d",)),
+    "h": (float, "--h", ("steady-2d",)),
+    "samples": (int, "--samples", ("steady-2d",)),
+    "seed": (int, "--seed", ("evolve",)),
     # the ball commands close the mass constraint to rounding, and evolve
     # takes its reference from the scheme's own steady pair
     "tol": (float, "--tol", ("steady-2d",)),
@@ -186,6 +187,10 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
     if not 0 <= cfg.level_c < params.b:
         raise ConfigError(f"'level_c' must lie in [0, b) = [0, {params.b}) (0: b/2), "
                           f"got {cfg.level_c}")
+    eps = cfg.eps_list
+    if command == "verify" and eps and (len(eps) < 3 or not np.all(np.diff(eps) < 0)):
+        raise ConfigError(f"'eps_list' of verify must be decreasing with >= 3 entries, "
+                          f"got {' '.join(map(str, eps))}")
     return cfg
 
 
@@ -495,7 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        cmd = sub.add_parser(name)
+        # no prefix matching: '--h' on a command without --h would be --help
+        cmd = sub.add_parser(name, allow_abbrev=False)
         cmd.add_argument("--config", default=None)
         for key, (caster, flag, _) in _OPTIONS.items():
             if flag and _takes(name, key):

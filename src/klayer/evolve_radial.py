@@ -24,9 +24,9 @@ A face carries zero flux exactly when u_(i+1) / u_i = e^d, so the scheme's
 stationary density is U = C W^p and its steady pair solves
 eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).  Stability
 diagnostics are measured against that pair, which relax_to_discrete_steady()
-solves by Newton from W = b in 4-18 steps (no dt, no elliptic solve).  It
-keeps the name from when it time-stepped to the pair, because the benchmark
-tracer times it under that name.
+solves with radial_steady's nonlocal Newton on K in 4-6 tridiagonal solves
+(no dt, no elliptic solve).  It keeps the name from when it time-stepped to
+the pair, because the benchmark tracer times it under that name.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ import numpy as np
 from scipy.special import exprel
 
 from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
-from .errors import NoConvergenceError, PositivityError
-from .radial_steady import _solve_tridiag, _solve_tridiag_rank_one
+from .errors import PositivityError
+from .mass_constraint import lambda_leading
+from .radial_steady import _solve, _solve_tridiag, barrier_lower
 
 __all__ = [
     "EvolutionState",
@@ -52,10 +53,6 @@ __all__ = [
     "lyapunov_energy",
     "fit_decay_rate",
 ]
-
-# Newton steps allowed for the discrete steady pair; from W = b it takes 4-18
-_RELAX_MAX_ITERS = 30
-
 
 @dataclass(frozen=True)
 class EvolutionState:
@@ -187,56 +184,31 @@ def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionS
 
 
 def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady:
-    """The fixed point of step() on grid, by Newton from the constant W = b.
+    """The fixed point of step() on grid, by radial_steady's nonlocal Newton.
 
     There every face flux vanishes, so U = C W^p, and W solves
     eps K W = V C W^(1+p) off the Dirichlet row, K being the flux-difference
-    operator of step() and C = m / (omega_n sum(V W^p)); no dt enters.  The
-    Jacobian is tridiagonal plus the rank one of C's dependence on W, so each
-    Newton step is one tridiagonal solve with two right-hand sides
-    (Sherman-Morrison).  The step is applied to q = W^(-p/2): from W = b the
-    plain W update falls into a two-cycle at large p (n = 1, p = 40,
-    eps <= 0.005), the q update converges in 4-18 steps.  Raises
-    PositivityError when an iterate leaves q > 0, NoConvergenceError after
-    _RELAX_MAX_ITERS steps.
+    operator of step() and C = m / (omega_n sum(V W^p)); no dt enters.  That
+    is sigma K W = V W^(1+p) with sigma = eps omega_n sum(V W^p) / m, the
+    ball's nonlocal equation on the finite-volume operator: row weight V,
+    quadrature weights omega_n V.  Newton starts from the lower barrier at
+    sigma0 = eps^2 lambda_leading, as the ball's solve does, and takes its
+    last step in q = W^(-p/2), which leaves the pair fixed under step() to a
+    few ulps.  Raises NoConvergenceError as radial_steady's solves do.
     """
     cells = _Cells(grid)
-    V = cells.volumes
-    p = params.p
+    g = cells.areas / cells.dr
+    lo = np.concatenate(([0.0], g))
+    up = np.concatenate((g, [0.0]))
     om = unit_sphere_area(grid.n)
-    a = params.epsilon * cells.areas / cells.dr
-    off = a[:-1]  # couplings among the unknowns W_0..W_(N-2)
-
-    W = np.full(grid.count, float(params.b))
-    for _ in range(_RELAX_MAX_ITERS):
-        Wp = W**p
-        S = cells.mass(Wp)
-        C = params.m / S
-        # face fluxes rather than K @ W: no summation order enters the root
-        flux = np.concatenate(([0.0], a * np.diff(W), [0.0]))
-        res = np.diff(flux) - C * V * Wp * W
-        di = -(1.0 + p) * C * V * Wp
-        di[:-1] -= a
-        di[1:] -= a
-        # J = T + col row^T, from res's term -C(W) V W^(1+p): col = V W^(1+p)
-        # and row = -dC/dW = C omega_n p V W^(p-1) / S
-        col = V * Wp * W
-        row = (p * C * om / S) * V * Wp / W
-        delta = _solve_tridiag_rank_one(off, di[:-1], off, -res[:-1], col[:-1], row[:-1])
-        # the same Newton step taken in q = W^(-p/2), the variable in which
-        # the layer b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W
-        f = 1.0 - 0.5 * p * delta / W[:-1]
-        if np.any(f <= 0.0):
-            raise PositivityError("discrete steady Newton left W^(-p/2) > 0")
-        W[:-1] *= f ** (-2.0 / p)
-        if np.max(np.abs(delta) / W[:-1]) <= 1e-12:
-            v = np.log(W)
-            W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
-            U = W**p * (params.m / cells.mass(W**p))
-            return DiscreteSteady(U=RadialProfile(grid, U), V=RadialProfile(grid, v))
-    raise NoConvergenceError(
-        f"discrete steady Newton not converged in {_RELAX_MAX_ITERS} steps"
-    )
+    op = (lo, -(lo + up), up, cells.volumes, om * cells.volumes)
+    sigma = params.epsilon**2 * lambda_leading(params, grid.R)
+    start = barrier_lower(grid.nodes, sigma, params, grid.R)
+    W = _solve(start, None, params, grid, op, polish=True)[0].values
+    v = np.log(W)
+    W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
+    U = W**params.p * (params.m / cells.mass(W**params.p))
+    return DiscreteSteady(U=RadialProfile(grid, U), V=RadialProfile(grid, v))
 
 
 # ---------------------------------------------------------------------------

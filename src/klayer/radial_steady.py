@@ -4,10 +4,12 @@ Solves sigma * (W'' + (n-1)/r W') = W^(1+p) on (0, R) with W'(0) = 0 and
 W(R) = b by damped Newton on a second-order finite-difference discretisation:
 at a given sigma (the local problem, solve_local_radial), or with
 sigma = eps * int W^p / m taken from the iterate itself (the nonlocal
-problem, solve_nonlocal_radial).  The closed-form sub/super-solutions
-bracketing the solution are exposed as barrier_lower / barrier_upper; they
-double as Newton initial iterates and as independent checks on converged
-solutions.
+problem, solve_nonlocal_radial).  The Newton takes its operator as an
+argument, so evolve_radial solves the time-stepping scheme's steady pair,
+the same nonlocal equation on finite volumes, with it.  The closed-form
+sub/super-solutions bracketing the solution are exposed as barrier_lower /
+barrier_upper; they double as Newton initial iterates and as independent
+checks on converged solutions.
 """
 
 from __future__ import annotations
@@ -196,72 +198,86 @@ def _solve_tridiag_rank_one(lo, di, up, rhs, col, row):
     return y - z * (row @ y) / (1.0 + row @ z)
 
 
-def _newton(W, sigma, params, grid, damping):
-    """Damped Newton from W on sigma L W = W^(1+p) off the last row, W(R) = b.
+def _ball_operator(grid: RadialGrid):
+    """The operator of _newton on the ball: the finite-difference bands, unit
+    row weight and the trapezoid weights of integrate_radial."""
+    r = grid.nodes
+    weights = unit_sphere_area(grid.n) * _trapezoid_weights(r) * r ** (grid.n - 1)
+    return (*_operator_bands(grid), 1.0, weights)
 
-    With sigma None, sigma = eps * int W^p / m follows the iterate (trapezoid
-    rule, as integrate_radial), and the Jacobian gains the rank one
-    (eps/m) L W (x) grad int W^p, so each step is one tridiagonal solve with
-    two right-hand sides combined by Sherman-Morrison.  Stops on the
-    Jacobi-scaled and the absolute residual (STEP_TOL, NEWTON_TOL); returns
-    (W, steps), or None when MAX_ITERS steps do not get there or an iterate
-    turns non-finite.
+
+def _newton(W, sigma, params, op, damping, polish):
+    """Damped Newton from W on sigma K W = M W^(1+p) off the last row, W(R) = b.
+
+    op = (lo, di, up, M, weights): the bands of K (zero row sums; the last
+    row is the Dirichlet one), the row weight M and the quadrature weights
+    of int W^p.  K W is formed from neighbour differences,
+    up_i (W_(i+1) - W_i) - lo_i (W_i - W_(i-1)).  With sigma None,
+    sigma = eps * int W^p / m follows the iterate, and the Jacobian gains the
+    rank one (eps/m) K W (x) grad int W^p, so each step is one tridiagonal
+    solve with two right-hand sides combined by Sherman-Morrison.  Stops on
+    the Jacobi-scaled and the absolute residual per unit of M (STEP_TOL,
+    NEWTON_TOL); with polish, one more step follows, taken in q = W^(-p/2).
+    Returns (W, tridiagonal solves), or None when MAX_ITERS steps do not get
+    there or an iterate turns non-finite.
     """
     p, b = params.p, params.b
-    lo, di, up = _operator_bands(grid)
-    lo, up = lo[1:], up[:-1]
+    lo, di, up, M, weights = op
     floor = 1e-30 * b
-    if sigma is None:
-        r = grid.nodes
-        weights = unit_sphere_area(grid.n) * _trapezoid_weights(r) * r ** (grid.n - 1)
-        coef = params.epsilon / params.m
-    # float64 cancellation floor of each residual, over sigma: the sigma L W
-    # terms are O(sigma / h_i^2) individually, so F_i cannot drop below their
+    coef = params.epsilon / params.m
+    # float64 cancellation floor of each residual, over sigma: the sigma K W
+    # terms are O(sigma |K_ii|) individually, so F_i cannot drop below their
     # rounding error however exact the iterate
     rounding = 8.0 * np.finfo(float).eps * np.abs(di) * b
-    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p))
+    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p)) * M
     W = np.maximum(W, floor)
     for steps in range(MAX_ITERS + 1):
         Wp = W**p
-        LW = di * W
-        LW[1:] += lo * W[:-1]
-        LW[:-1] += up * W[1:]
+        dW = W[1:] - W[:-1]
+        KW = np.zeros_like(W)
+        KW[:-1] = up[:-1] * dW
+        KW[1:] -= lo[1:] * dW
         s = coef * float(weights @ Wp) if sigma is None else sigma
-        F = s * LW - Wp * W
+        F = s * KW - M * Wp * W
         F[-1] = W[-1] - b
-        jd = s * di - (1.0 + p) * Wp
+        jd = s * di - (1.0 + p) * M * Wp
         jd[-1] = 1.0
-        if np.max(np.abs(F) / np.abs(jd)) < STEP_TOL * b and np.all(
+        done = np.max(np.abs(F) / np.abs(jd)) < STEP_TOL * b and np.all(
             np.abs(F) < np.maximum(res_tol, rounding * s)
-        ):
+        )
+        if done and not polish:
             return W, steps
         if steps == MAX_ITERS:
             return None
-        jl = s * lo
+        jl = s * lo[1:]
         jl[-1] = 0.0
-        ju = s * up
+        ju = s * up[:-1]
         if sigma is None:
-            col = coef * LW  # d F / d sigma, zero on the Dirichlet row
+            col = coef * KW  # d F / d sigma, zero on the Dirichlet row
             col[-1] = 0.0
             row = p * weights * Wp / W  # grad int W^p
             delta = _solve_tridiag_rank_one(jl, jd, ju, -F, col, row)
         else:
             delta = _solve_tridiag(jl, jd, ju, -F)
+        if done:
+            # the step in q = W^(-p/2), the variable in which the layer
+            # b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W
+            return W * (1.0 - 0.5 * p * delta / W) ** (-2.0 / p), steps + 1
         W = np.maximum(W + damping * delta, floor)
         if not np.all(np.isfinite(W)):
             return None
 
 
-def _solve(W, sigma, params, grid):
+def _solve(W, sigma, params, grid, op, polish=False):
     """_newton with one retry at halved damping, then the checks on W <= b."""
     if grid.n != params.n:
         raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
     W = np.array(W, dtype=float)
     if W.shape != grid.nodes.shape:
         raise ValueError("initial iterate shape does not match grid")
-    out = _newton(W, sigma, params, grid, DAMPING)
+    out = _newton(W, sigma, params, op, DAMPING, polish)
     if out is None:
-        out = _newton(W, sigma, params, grid, DAMPING / 2.0)
+        out = _newton(W, sigma, params, op, DAMPING / 2.0, polish)
     if out is None:
         at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
         raise NoConvergenceError(
@@ -296,7 +312,7 @@ def solve_local_radial(
         raise ValueError(f"sigma must be positive, got {sigma}")
     if initial is None:
         initial = barrier_lower(grid.nodes, sigma, params, grid.R)
-    return _solve(initial, sigma, params, grid)[0]
+    return _solve(initial, sigma, params, grid, _ball_operator(grid))[0]
 
 
 def solve_nonlocal_radial(
@@ -309,7 +325,7 @@ def solve_nonlocal_radial(
     with the same stop, retry and checks as solve_local_radial; returns the
     profile and the number of Newton steps of the accepted attempt.
     """
-    return _solve(initial, None, params, grid)
+    return _solve(initial, None, params, grid, _ball_operator(grid))
 
 
 def boundary_slope(W: RadialProfile) -> float:

@@ -25,7 +25,6 @@ m = 1
 n = 2
 R = 1
 command = steady-radial
-grid_count = 1200
 """
 
 
@@ -81,8 +80,14 @@ class TestParseConfig:
         "dt": ("--dt", "0.01", 0.01, ("evolve",)),
         "perturb": ("--perturb", "0.005", 0.005, ("evolve",)),
         "output_every": ("--output-every", "5", 5, ("evolve",)),
-        "eps_list": ("--eps-list", "0.02 0.01", (0.02, 0.01), ("verify", "sweep")),
+        "eps_list": ("--eps-list", "0.02 0.014 0.01", (0.02, 0.014, 0.01), ("verify", "sweep")),
         "p_list": ("--p-list", "2 3", (2.0, 3.0), ("sweep",)),
+        "grid_count": ("--grid-count", "900", 900, ("steady-radial", "evolve", "verify", "sweep")),
+        "level_c": ("--level-c", "0.4", 0.4, ("steady-radial", "steady-2d", "verify", "sweep")),
+        "shape": ("--shape", "star", "star", ("steady-2d",)),
+        "h": ("--h", "0.05", 0.05, ("steady-2d",)),
+        "samples": ("--samples", "16", 16, ("steady-2d",)),
+        "seed": ("--seed", "3", 3, ("evolve",)),
     }
 
     @pytest.mark.parametrize("command", list(COMMANDS))
@@ -99,7 +104,8 @@ class TestParseConfig:
                 assert vars(parser.parse_args(argv))[key] is not None
                 assert getattr(parse_config(str(path), {"command": command}), key) == value
             else:
-                with pytest.raises(SystemExit):
+                # exit code 2, an argparse error; '--h' once matched '--help'
+                with pytest.raises(SystemExit, match="^2$"):
                     parser.parse_args(argv)
                 with pytest.raises(ConfigError, match=f"'{key}' applies only to"):
                     parse_config(str(path), {"command": command})
@@ -114,6 +120,8 @@ class TestParseConfig:
             ("steady-radial", "--level-c", "1", "level_c"),
             ("steady-radial", "--level-c", "2", "level_c"),
             ("steady-2d", "--level-c", "2", "level_c"),
+            ("verify", "--eps-list", "0.001 0.002 0.004", "eps_list"),
+            ("verify", "--eps-list", "0.002 0.001", "eps_list"),
         ],
     )
     def test_out_of_range_rejected_before_any_output(
@@ -121,7 +129,7 @@ class TestParseConfig:
     ):
         out = tmp_path / "out"
         rc = main([command, "--config", str(cfg_file), "--eps", "0.05",
-                   "--h", "0.05", flag, value, "--out", str(out)])
+                   flag, value, "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -156,7 +164,8 @@ class TestWriteCsv:
 class TestRunSteadyRadial:
     def test_exit_zero_and_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "out"
-        rc = main(["steady-radial", "--config", str(cfg_file), "--out", str(out)])
+        rc = main(["steady-radial", "--config", str(cfg_file), "--grid-count", "1200",
+                   "--out", str(out)])
         assert rc == 0
         prof = (out / "steady_profile.csv").read_text().splitlines()
         assert prof[0] == "r,W,U"
@@ -166,8 +175,9 @@ class TestRunSteadyRadial:
 
     def test_deterministic_bytes(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["steady-radial", "--config", str(cfg_file), "--out", str(out1)]) == 0
-        assert main(["steady-radial", "--config", str(cfg_file), "--out", str(out2)]) == 0
+        for out in (out1, out2):
+            argv = ["--config", str(cfg_file), "--grid-count", "1200", "--out", str(out)]
+            assert main(["steady-radial", *argv]) == 0
         assert (out1 / "steady_profile.csv").read_bytes() == (
             out2 / "steady_profile.csv"
         ).read_bytes()
@@ -180,7 +190,8 @@ class TestRunSteadyRadial:
 
     def test_plots(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "plots"
-        rc = main(["steady-radial", "--config", str(cfg_file), "--out", str(out), "--plots"])
+        rc = main(["steady-radial", "--config", str(cfg_file), "--grid-count", "1200",
+                   "--out", str(out), "--plots"])
         assert rc == 0
         if importlib.util.find_spec("matplotlib") is not None:
             assert (out / "steady_profile.png").exists()

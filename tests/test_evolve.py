@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import klayer.evolve_radial
+import klayer.radial_steady
 from klayer.core import (
     Params,
     RadialProfile,
@@ -66,13 +66,13 @@ class FixedGridBall:
 
 
 def count_newton_steps(monkeypatch, grid, par):
-    # one tridiagonal solve per Newton step
+    # one banded solve per Newton step, the final step in W^(-p/2) included
     calls = []
-    solve = klayer.evolve_radial._solve_tridiag
+    solve = klayer.radial_steady.solve_banded
     monkeypatch.setattr(
-        klayer.evolve_radial,
-        "_solve_tridiag",
-        lambda *args: calls.append(1) or solve(*args),
+        klayer.radial_steady,
+        "solve_banded",
+        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs),
     )
     return relax_to_discrete_steady(grid, par), len(calls)
 
@@ -335,25 +335,31 @@ class TestRelaxation:
         ],
     )
     def test_cold_start(self, monkeypatch, count, n, p, eps, width):
-        # from W = b alone: 4-18 Newton steps on the 360 CLI grids measured.
-        # The one-step check needs a well-conditioned step: on resolved layers
-        # at small eps, rounding in step alone moves u by up to 5e2 ulps at
-        # p = 2 and 4e4 at p = 40
+        # from the lower barrier at sigma0 = eps^2 lambda_leading: 4-6 Newton
+        # steps on the 360 CLI grids measured.  The one-step check needs a
+        # well-conditioned step: on resolved layers at small eps, rounding in
+        # step alone moves u by up to 5e2 ulps at p = 2 and 4e4 at p = 40
         par = Params(epsilon=eps, p=p, b=1, m=1, n=n)
         grid = make_graded_grid(1.0, n, width, count)
         ref, steps = count_newton_steps(monkeypatch, grid, par)
-        assert steps <= 18
+        assert 1 <= steps <= 6
         assert density_spread(par, ref) <= 4 * ULP
         assert _Cells(grid).mass(ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
         assert step_move(grid, par, ref) <= 4 * ULP
 
     def test_cold_start_where_plain_update_cycles(self, monkeypatch):
-        # adding the Newton step to W alternates between W(0) = 0.55 and 0.91
-        # here (the pair has 0.70); the step taken in W^(-p/2) converges
-        par = Params(epsilon=0.005, p=40, b=1, m=1, n=1)
-        grid = make_graded_grid(1.0, 1, 1e-3, 64)
-        ref, steps = count_newton_steps(monkeypatch, grid, par)
-        assert steps <= 18
-        assert ref.W.values[0] == pytest.approx(0.70098, abs=1e-5)
-        assert density_spread(par, ref) <= 4 * ULP
-        assert _Cells(grid).mass(ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
+        # from the constant W = b, Newton steps added to W fall into a
+        # two-cycle on the CLI grids with n = 1, p = 40, eps <= 0.005: on the
+        # 64-node grid W(0) alternates between 0.55 and 0.91 (the pair has
+        # 0.70).  From the lower barrier they converge, the 512-node grid
+        # being cli._evolve_grid's at eps 0.002.  One step moves these pairs
+        # by 1e4 ulps and more (rounding in step, see test_cold_start), so
+        # that is not checked here
+        for count, eps, w0 in ((64, 0.005, 0.70098), (512, 0.002, 0.67062)):
+            par = Params(epsilon=eps, p=40, b=1, m=1, n=1)
+            grid = make_graded_grid(1.0, 1, 1e-3, count)
+            ref, steps = count_newton_steps(monkeypatch, grid, par)
+            assert 1 <= steps <= 6
+            assert ref.W.values[0] == pytest.approx(w0, abs=1e-5)
+            assert density_spread(par, ref) <= 4 * ULP
+            assert _Cells(grid).mass(ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
