@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoCrossingError
 
@@ -160,9 +159,12 @@ def _geometric_ratio(total: float, h0: float, k: int) -> float:
         return 1.0
 
     def gap(q):
-        # stable evaluation of the geometric sum for q near 1
-        with np.errstate(over="ignore"):
-            return np.expm1(k * np.log1p(q - 1.0)) / (q - 1.0) - target
+        # stable evaluation of the geometric sum for q near 1; a sum too large
+        # for a float counts as +inf
+        try:
+            return math.expm1(k * math.log1p(q - 1.0)) / (q - 1.0) - target
+        except OverflowError:
+            return math.inf
 
     if target > k:  # spacing grows away from the boundary
         lo = 1.0 + 1e-14
@@ -174,7 +176,16 @@ def _geometric_ratio(total: float, h0: float, k: int) -> float:
     else:
         hi = 1.0 - 1e-14
         lo = 1e-8
-    return brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    # gap increases with q: bisect down to adjacent floats, then keep the
+    # end nearer the root
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return min((lo, hi), key=lambda q: abs(gap(q)))
+        if gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def make_graded_grid(R: float, n: int, layer_width: float, count: int) -> RadialGrid:

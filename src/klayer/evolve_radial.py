@@ -240,14 +240,6 @@ def lyapunov_energy(
     return unit_sphere_area(n) * float(np.trapezoid(integrand, r))
 
 
-def mass_anti_derivative_endpoint(state: EvolutionState, steady: DiscreteSteady) -> float:
-    """Value of int_0^R (u - U) s^(n-1) ds; zero (to quadrature) at equal mass."""
-    grid = steady.U.grid
-    r = grid.nodes
-    diff = (state.u.values - steady.U.values) * r ** (grid.n - 1)
-    return float(np.trapezoid(diff, r))
-
-
 def evolve(
     u0: RadialProfile,
     w0: RadialProfile,

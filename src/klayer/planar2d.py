@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
@@ -436,13 +435,37 @@ class PlanarField:
         return PlanarField(grid=self.grid, values=vals)
 
     def interpolator(self, fill_value: float):
-        return RegularGridInterpolator(
-            (self.grid.x, self.grid.y),
-            self.filled(fill_value),
-            method="linear",
-            bounds_error=False,
-            fill_value=fill_value,
+        return _bilinear(self.grid.x, self.grid.y, self.filled(fill_value), fill_value)
+
+
+def _bilinear(x: np.ndarray, y: np.ndarray, values: np.ndarray, fill_value: float):
+    """Bilinear interpolant of values[i, j] at (x[i], y[j]), fill_value
+    outside the closed box.
+
+    The returned function takes an (N, 2) array or a single point and returns
+    N values (one for a point).  Cell search and weights are those of scipy's
+    linear RegularGridInterpolator, which it matches bit for bit on writeable
+    float values (scipy's compiled 2-D path).
+    """
+    values = np.asarray(values, dtype=float)
+
+    def evaluate(points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        px, py = pts[:, 0], pts[:, 1]
+        i = np.clip(np.searchsorted(x, px, side="right") - 1, 0, x.size - 2)
+        j = np.clip(np.searchsorted(y, py, side="right") - 1, 0, y.size - 2)
+        tx = (px - x[i]) / (x[i + 1] - x[i])
+        ty = (py - y[j]) / (y[j + 1] - y[j])
+        out = (
+            values[i, j] * (1 - tx) * (1 - ty)
+            + values[i, j + 1] * (1 - tx) * ty
+            + values[i + 1, j] * tx * (1 - ty)
+            + values[i + 1, j + 1] * tx * ty
         )
+        out[(px < x[0]) | (px > x[-1]) | (py < y[0]) | (py > y[-1])] = fill_value
+        return out
+
+    return evaluate
 
 
 class JacobianFactor:
@@ -635,9 +658,7 @@ def curvature_thickness_report(
         raise ValueError(f"level c must lie in (0, b={params.b})")
     grid = W.grid
     interp_w = W.interpolator(params.b)
-    interp_phi = RegularGridInterpolator(
-        (grid.x, grid.y), grid.phi, method="linear", bounds_error=False, fill_value=1.0
-    )
+    interp_phi = _bilinear(grid.x, grid.y, grid.phi, 1.0)
     ds = MARCH_STEP * grid.h
     xmin, xmax, ymin, ymax = grid.bbox
     max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h

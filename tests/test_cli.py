@@ -1,5 +1,9 @@
+import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -429,3 +433,46 @@ def test_readme_lists_every_option():
             assert f"`{flag}`" in flag_cell, key
         listed = re.findall(r"`([a-z0-9-]+)`", commands_cell)
         assert tuple(listed) == commands and (commands or commands_cell == "every"), key
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_import_footprint():
+    """A fresh `import klayer.cli` loads every solver module but none of the
+    scipy subpackages klayer does not use, which would cost start-up time and
+    memory on every CLI call."""
+    eager = {"klayer.planar2d", "klayer.evolve_radial"}
+    forbidden = {"scipy.optimize", "scipy.interpolate", "scipy.fft"}
+    code = (
+        "import sys, klayer.cli; "
+        f"print(*(m for m in {sorted(eager | forbidden)!r} if m in sys.modules))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert eager <= loaded
+    assert not loaded & forbidden
+
+
+def test_tracer_targets_resolve():
+    """Every (module, attribute) the benchmark tracer wraps exists after
+    `import klayer.cli`; a missing one makes its per-layer metrics absent."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no bytecode next to the benchmark
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    importlib.import_module("klayer.cli")
+    for module_name, attr, span_name, _ in tracer.TARGETS:
+        owner = sys.modules.get(module_name)
+        assert owner is not None, f"{module_name} not loaded by klayer.cli ({span_name})"
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module_name}.{attr} missing ({span_name})"

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from klayer import core
+from klayer.cli import RunConfig, _evolve_grid, main
 from klayer.core import (
     Params,
     RadialGrid,
@@ -13,6 +18,7 @@ from klayer.core import (
     interpolate_monotone,
     make_graded_grid,
     refine_grid,
+    _geometric_ratio,
     unit_sphere_area,
 )
 from klayer.errors import NoCrossingError
@@ -105,6 +111,109 @@ class TestGradedGrid:
         g2 = refine_grid(g)
         assert g2.count == 2 * g.count - 1
         assert np.array_equal(g2.nodes[::2], g.nodes)
+
+
+def brentq_ratio(total, h0, k):
+    """The graded-grid ratio by scipy's brentq on the same bracket: the oracle
+    for the bisection in _geometric_ratio."""
+    target = total / h0
+
+    def gap(q):
+        with np.errstate(over="ignore"):
+            return np.expm1(k * np.log1p(q - 1.0)) / (q - 1.0) - target
+
+    if target > k:
+        lo, hi = 1.0 + 1e-14, 2.0
+        while gap(hi) < 0:
+            hi *= 2.0
+    else:
+        lo, hi = 1e-8, 1.0 - 1e-14
+    return brentq(gap, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+
+
+def geometric_gap(q, total, h0, k):
+    """(q^k - 1) / (q - 1) - total / h0, evaluated near the root."""
+    return math.expm1(k * math.log1p(q - 1.0)) / (q - 1.0) - total / h0
+
+
+def assert_root_between_neighbours(q, total, h0, k):
+    # the bisection leaves q next to the sign change of the gap
+    g = geometric_gap(q, total, h0, k)
+    g_down = geometric_gap(np.nextafter(q, -np.inf), total, h0, k)
+    g_up = geometric_gap(np.nextafter(q, np.inf), total, h0, k)
+    assert g == 0 or g_down * g < 0 or g * g_up < 0
+
+
+# ratios below 1: boundary spacings wider than the uniform one
+BELOW_K = [(1.0, 1.0 / k * f, k) for k in (15, 99, 399, 2499) for f in (1.001, 1.05, 1.5, 1.9)]
+
+
+@pytest.fixture(scope="module")
+def cli_ratio_inputs(tmp_path_factory):
+    """Every (total, h0, k) the ratio receives in the benchmark's README-sized
+    sweep (eps 0.004, 0.002, 0.001 by p 1-8) and in evolve's grids."""
+    calls = []
+    real = core._geometric_ratio
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_geometric_ratio", spy)
+        out = tmp_path_factory.mktemp("sweep")
+        rc = main(
+            ["sweep", "--eps", "0.004", "--p", "2", "--b", "1", "--m", "1", "--n", "2",
+             "--R", "1", "--eps-list", "0.004 0.002 0.001", "--p-list", "1 1.5 2 3 4 5 6 8",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        for eps in (0.2, 0.05, 0.01, 0.001):
+            for count in (64, 128, 512):
+                params = Params(epsilon=eps, p=2, b=1, m=1, n=2)
+                _evolve_grid(RunConfig(command="evolve", params=params, grid_count=count))
+    return calls
+
+
+class TestGeometricRatio:
+    def test_matches_brentq_on_cli_grids(self, cli_ratio_inputs):
+        graded = [c for c in cli_ratio_inputs if _geometric_ratio(*c) != 1.0]
+        assert len(graded) >= 40
+        for total, h0, k in graded:
+            q = _geometric_ratio(total, h0, k)
+            assert abs(q - brentq_ratio(total, h0, k)) <= 4 * np.spacing(q)
+            assert_root_between_neighbours(q, total, h0, k)
+
+    @pytest.mark.parametrize("total,h0,k", BELOW_K)
+    def test_matches_brentq_below_uniform(self, total, h0, k):
+        q = _geometric_ratio(total, h0, k)
+        assert q < 1.0
+        assert abs(q - brentq_ratio(total, h0, k)) <= 4 * np.spacing(q)
+        assert_root_between_neighbours(q, total, h0, k)
+
+    def test_uniform_shortcut(self):
+        for k in (15, 99, 2499):
+            assert _geometric_ratio(1.0, 1.0 / k, k) == 1.0
+
+    def test_root_below_bracket_end(self):
+        # a boundary spacing 2e-12 below uniform puts the root under the
+        # bracket's end 1 + 1e-14, where brentq raised ValueError: the ratio
+        # stays at that end and the grid still closes
+        k = 2499
+        h0 = 1.0 / (k * (1.0 + 2e-12))
+        assert geometric_gap(1.0 + 1e-14, 1.0, h0, k) > 0
+        assert _geometric_ratio(1.0, h0, k) == 1.0 + 1e-14
+        grid = make_graded_grid(1.0, 2, 10.0 * h0, k + 1)
+        assert np.all(np.diff(grid.nodes) > 0)
+
+    def test_overflowing_sum_gives_finite_ratio(self):
+        # q = 2 overflows the geometric sum at this k; the bracket treats it as +inf
+        k = 100_000
+        with pytest.raises(OverflowError):
+            geometric_gap(2.0, 1.0, 0.5 / k, k)
+        q = _geometric_ratio(1.0, 0.5 / k, k)
+        assert math.isfinite(q) and q > 1.0
+        assert_root_between_neighbours(q, 1.0, 0.5 / k, k)
 
 
 class TestRadialGridValidation:

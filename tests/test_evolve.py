@@ -19,7 +19,6 @@ from klayer.evolve_radial import (
     evolve,
     fit_decay_rate,
     lyapunov_energy,
-    mass_anti_derivative_endpoint,
     relax_to_discrete_steady,
     step,
     _Cells,
@@ -100,6 +99,12 @@ def perturbed_state(grid, reference, amp=0.01):
         u=RadialProfile(grid, u0),
         v=RadialProfile(grid, v0),
     )
+
+
+def mass_anti_derivative_endpoint(state, steady):
+    """Value of int_0^R (u - U) s^(n-1) ds; zero (to quadrature) at equal mass."""
+    r = steady.U.grid.nodes
+    return float(np.trapezoid((state.u.values - steady.U.values) * r ** (steady.U.grid.n - 1), r))
 
 
 class TestStep:

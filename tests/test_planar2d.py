@@ -12,6 +12,7 @@ from klayer.planar2d import (
     Ellipse,
     Planar2DDomain,
     Star,
+    _bilinear,
     _projected_distance,
     build_domain,
     curvature_thickness_report,
@@ -322,7 +323,10 @@ def scalar_ray_march(W, samples, c, params):
     """One ray at a time, one step at a time: the reference for the
     vectorised probe.  Also returns each ray's outcome."""
     grid = W.grid
-    interp_w = W.interpolator(params.b)
+    interp_w = RegularGridInterpolator(
+        (grid.x, grid.y), W.filled(params.b), method="linear", bounds_error=False,
+        fill_value=params.b,
+    )
     interp_phi = RegularGridInterpolator(
         (grid.x, grid.y), grid.phi, method="linear", bounds_error=False, fill_value=1.0
     )
@@ -352,6 +356,79 @@ def scalar_ray_march(W, samples, c, params):
             prev_val, prev_s = val, s
         outcomes.append(outcome)
     return np.array(rows, dtype=float).reshape(-1, 3), outcomes
+
+
+class TestBilinear:
+    """_bilinear against scipy's linear RegularGridInterpolator."""
+
+    @pytest.fixture(scope="class")
+    def points(self, disk_grid):
+        grid, _ = disk_grid
+        xmin, xmax, ymin, ymax = grid.bbox
+        rng = np.random.default_rng(7)
+        inside = rng.uniform([xmin, ymin], [xmax, ymax], size=(4000, 2))
+        around = rng.uniform([xmin - 0.2, ymin - 0.2], [xmax + 0.2, ymax + 0.2], size=(4000, 2))
+        edges = [
+            (grid.x[-1], grid.y[-1]), (grid.x[0], grid.y[0]), (grid.x[-1], 0.3),
+            (-0.4, grid.y[-1]), (grid.x[5], grid.y[9]), (np.nextafter(grid.x[-1], 2.0), 0.0),
+        ]
+        return np.vstack([inside, around, edges])
+
+    @staticmethod
+    def scipy_interp(grid, values, fill_value):
+        return RegularGridInterpolator(
+            (grid.x, grid.y), values, method="linear", bounds_error=False,
+            fill_value=fill_value,
+        )
+
+    @pytest.mark.parametrize("filled", [True, False], ids=["filled", "nan_outside"])
+    def test_matches_scipy_bit_for_bit(self, disk_grid, disk_nonlocal, points, filled):
+        # measured: 0 ulps, as the cell search and the weights are scipy's
+        grid, _ = disk_grid
+        W = disk_nonlocal.steady.W
+        values, fill = (W.filled(PAR.b), PAR.b) if filled else (W.values.copy(), np.nan)
+        ours = _bilinear(grid.x, grid.y, values, fill)(points)
+        ref = self.scipy_interp(grid, values, fill)(points)
+        assert np.array_equal(ours, ref, equal_nan=True)
+        if not filled:
+            assert np.isnan(ours).any() and np.isfinite(ours).any()
+
+    def test_fills_outside_closed_box_only(self, disk_grid, disk_nonlocal, points):
+        grid, _ = disk_grid
+        xmin, xmax, ymin, ymax = grid.bbox
+        filled = disk_nonlocal.steady.W.filled(PAR.b)
+        vals = _bilinear(grid.x, grid.y, filled, -1.0)(points)
+        in_box = (
+            (xmin <= points[:, 0]) & (points[:, 0] <= xmax)
+            & (ymin <= points[:, 1]) & (points[:, 1] <= ymax)
+        )
+        assert np.all(vals[~in_box] == -1.0)
+        assert np.all(vals[in_box] > 0.0)
+        assert vals[-6] == filled[-1, -1]
+
+    def test_read_only_phi(self, disk_grid, points):
+        # scipy takes its generic path for read-only values, which groups the
+        # weight products differently: measured at most 3 ulps of the largest
+        # corner value
+        grid, _ = disk_grid
+        assert not grid.phi.flags.writeable
+        ours = _bilinear(grid.x, grid.y, grid.phi, 1.0)(points)
+        ref = self.scipy_interp(grid, grid.phi, 1.0)(points)
+        i = np.clip(np.searchsorted(grid.x, points[:, 0], side="right") - 1, 0, grid.x.size - 2)
+        j = np.clip(np.searchsorted(grid.y, points[:, 1], side="right") - 1, 0, grid.y.size - 2)
+        corners = np.stack(
+            [grid.phi[i, j], grid.phi[i + 1, j], grid.phi[i, j + 1], grid.phi[i + 1, j + 1]]
+        )
+        assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.max(np.abs(corners), axis=0)))
+
+    def test_single_point(self, disk_grid, disk_nonlocal):
+        grid, _ = disk_grid
+        interp = disk_nonlocal.steady.W.interpolator(PAR.b)
+        ref = self.scipy_interp(grid, disk_nonlocal.steady.W.filled(PAR.b), PAR.b)
+        for point in (np.array([0.31, -0.47]), np.array([grid.x[-1], grid.y[-1]])):
+            value = interp(point)
+            assert value.shape == (1,)
+            assert np.array_equal(value, ref(point))
 
 
 class TestThicknessReport:
