@@ -63,7 +63,6 @@ class RunConfig:
     level_c: float = 0.0  # 0: b/2
     samples: int = 48
     output_every: int = 20
-    plots: bool = False
 
     def level(self) -> float:
         return self.level_c if self.level_c > 0 else self.params.b / 2.0
@@ -140,8 +139,6 @@ def _float_list(text: str) -> tuple:
 def parse_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge a key=value file with flag overrides into a validated RunConfig."""
     entries = _parse_file(path) if path else {}
-    overrides = dict(overrides)
-    plots = bool(overrides.pop("plots", False))
     for key, value in overrides.items():
         if value is None:
             continue
@@ -176,7 +173,7 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         params = Params(**{key: entries.pop(key) for key in _PARAMS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    cfg = RunConfig(command=command, params=params, plots=plots, **entries)
+    cfg = RunConfig(command=command, params=params, **entries)
 
     # 0 means the default for dt and level_c; any other value out of range
     # is rejected here, before a solve or a written file
@@ -256,59 +253,6 @@ def _parse_shape(cfg: RunConfig):
         raise ConfigError(f"shape '{cfg.shape}': {exc}") from None
 
 
-def _pyplot(cfg: RunConfig):
-    """matplotlib.pyplot when --plots is set and matplotlib imports, else None."""
-    if not cfg.plots:
-        return None
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plots requested but matplotlib is unavailable; skipping", file=sys.stderr)
-        return None
-    return plt
-
-
-def _maybe_plot_profile(cfg: RunConfig, steady) -> None:
-    plt = _pyplot(cfg)
-    if plt is None:
-        return
-    fig, ax = plt.subplots(1, 2, figsize=(9, 3.4))
-    r = steady.W.grid.nodes
-    ax[0].plot(r, steady.W.values)
-    ax[0].set_xlabel("r")
-    ax[0].set_ylabel("W")
-    ax[1].plot(r, steady.U.values)
-    ax[1].set_xlabel("r")
-    ax[1].set_ylabel("U")
-    fig.tight_layout()
-    fig.savefig(cfg.out / "steady_profile.png", dpi=160)
-    plt.close(fig)
-
-
-def _maybe_plot_fields(cfg: RunConfig, fields: dict) -> None:
-    plt = _pyplot(cfg)
-    if plt is None:
-        return
-    for name, field in fields.items():
-        fig, ax = plt.subplots(figsize=(5, 4.2))
-        im = ax.imshow(
-            field.values.T,
-            origin="lower",
-            extent=field.grid.bbox,
-            cmap="gray",
-            interpolation="nearest",
-        )
-        fig.colorbar(im, ax=ax)
-        ax.set_xlabel("x")
-        ax.set_ylabel("y")
-        fig.tight_layout()
-        fig.savefig(cfg.out / f"{name}.png", dpi=160)
-        plt.close(fig)
-
-
 # ---------------------------------------------------------------------------
 # command implementations
 
@@ -345,7 +289,6 @@ def _run_steady_radial(cfg: RunConfig) -> int:
         "constraint_residual": res.constraint_residual,
     }
     _write_summary(cfg.out / "steady_summary.csv", summary)
-    _maybe_plot_profile(cfg, st)
     return 0
 
 
@@ -371,7 +314,6 @@ def _run_steady_2d(cfg: RunConfig) -> int:
             "constraint_residual": res.constraint_residual,
         },
     )
-    _maybe_plot_fields(cfg, {"steady_W": st.W, "steady_U": st.U})
     return 0
 
 
@@ -506,14 +448,12 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, (caster, flag, _) in _OPTIONS.items():
             if flag and _takes(name, key):
                 cmd.add_argument(flag, dest=key, type=caster, default=None)
-        cmd.add_argument("--plots", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items() if key in _OPTIONS}
-    overrides["plots"] = args.plots
     try:
         config = parse_config(args.config, overrides)
         return run(config)

@@ -40,7 +40,7 @@ from scipy.special import exprel
 from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
 from .errors import PositivityError
 from .mass_constraint import lambda_leading
-from .radial_steady import _solve, _solve_tridiag, barrier_lower
+from .radial_steady import _Cells, _solve, _solve_tridiag, barrier_lower
 
 __all__ = [
     "EvolutionState",
@@ -118,37 +118,13 @@ class EvolutionSeries:
         return np.maximum(self.linf_u, self.linf_w)
 
 
-# ---------------------------------------------------------------------------
-# geometry helpers
-
-
-class _Cells:
-    """Face/volume metadata of the finite-volume mesh over a radial grid."""
-
-    def __init__(self, grid: RadialGrid):
-        r = grid.nodes
-        n = grid.n
-        faces = np.empty(r.size + 1)
-        faces[0] = 0.0
-        faces[-1] = grid.R
-        faces[1:-1] = 0.5 * (r[:-1] + r[1:])
-        self.grid = grid
-        self.faces = faces
-        self.volumes = (faces[1:] ** n - faces[:-1] ** n) / n
-        self.areas = faces[1:-1] ** (n - 1)  # interior faces only
-        self.dr = np.diff(r)
-
-    def mass(self, u: np.ndarray) -> float:
-        return unit_sphere_area(self.grid.n) * float(np.dot(self.volumes, u))
-
-
 def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionState:
     """One update of (u, w = e^v) by cfg.dt; positive for every dt."""
     grid = state.u.grid
     cells = _Cells(grid)
     dt = cfg.dt
     V = cells.volumes
-    g = cells.areas / cells.dr  # interior faces 1..N-1
+    g = cells.g  # interior faces 1..N-1
 
     # --- u: implicit Scharfetter-Gummel flux at the old v --------------------
     d = params.p * np.diff(state.v.values)
@@ -197,11 +173,7 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
     few ulps.  Raises NoConvergenceError as radial_steady's solves do.
     """
     cells = _Cells(grid)
-    g = cells.areas / cells.dr
-    lo = np.concatenate(([0.0], g))
-    up = np.concatenate((g, [0.0]))
-    om = unit_sphere_area(grid.n)
-    op = (lo, -(lo + up), up, cells.volumes, om * cells.volumes)
+    op = (*cells.operator(), unit_sphere_area(grid.n) * cells.volumes)
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
     W = _solve(start, None, params, grid, op, polish=True)[0].values

@@ -1,15 +1,17 @@
 """Radial boundary-value solvers and closed-form layer barriers.
 
 Solves sigma * (W'' + (n-1)/r W') = W^(1+p) on (0, R) with W'(0) = 0 and
-W(R) = b by damped Newton on a second-order finite-difference discretisation:
-at a given sigma (the local problem, solve_local_radial), or with
+W(R) = b by damped Newton on the node-centred finite volumes of _Cells,
+sigma K W = V W^(1+p) with K the flux-difference operator and V the cell
+volumes: at a given sigma (the local problem, solve_local_radial), or with
 sigma = eps * int W^p / m taken from the iterate itself (the nonlocal
-problem, solve_nonlocal_radial).  The Newton takes its operator as an
-argument, so evolve_radial solves the time-stepping scheme's steady pair,
-the same nonlocal equation on finite volumes, with it.  The closed-form
-sub/super-solutions bracketing the solution are exposed as barrier_lower /
-barrier_upper; they double as Newton initial iterates and as independent
-checks on converged solutions.
+problem, solve_nonlocal_radial).  evolve_radial time-steps on the same cells
+and solves its scheme's steady pair with the same Newton and K; the two
+nonlocal solves differ only in the quadrature of int W^p (trapezoid on the
+ball, cell volumes for the pair).  The closed-form sub/super-solutions
+bracketing the solution are exposed as barrier_lower / barrier_upper; they
+double as Newton initial iterates and as independent checks on converged
+solutions.
 """
 
 from __future__ import annotations
@@ -37,11 +39,11 @@ __all__ = [
 # Newton controls of the radial solves: the iteration cap, the step damping
 # and STEP_TOL, shared with the 2D solve in planar2d.  The radial Newtons stop
 # once the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of the
-# Newton step, is below STEP_TOL * b and every |F_i| is below NEWTON_TOL
-# times min(1, b^(1+p)), the size of W^(1+p) at the boundary, or below its
-# own rounding floor.  The scaled test alone stops short where diffusion
-# dominates (the smallest eigenvalue of sigma L lies far below its diagonal),
-# the absolute one alone where W^(1+p) is far below NEWTON_TOL.
+# Newton step, is below STEP_TOL * b and every |F_i| / V_i is below
+# NEWTON_TOL times min(1, b^(1+p)), the size of W^(1+p) at the boundary, or
+# |F_i| is below its own rounding floor.  The scaled test alone stops short
+# where diffusion dominates (the smallest eigenvalue of sigma K lies far below
+# its diagonal), the absolute one alone where W^(1+p) is far below NEWTON_TOL.
 MAX_ITERS = 60
 DAMPING = 1.0
 STEP_TOL = 1e-13
@@ -141,39 +143,39 @@ def barrier_upper(r, sigma: float, params: Params, R: float):
     return out if out.ndim else float(out)
 
 
-def _operator_bands(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal bands of W'' + (n-1)/r W' on the non-uniform grid.
+class _Cells:
+    """The node-centred finite-volume cells over a radial grid.
 
-    Row 0 carries the regularised axis operator n * W''(0) (the r -> 0 limit
-    under the even symmetry W'(0) = 0); the last row is left empty for the
-    Dirichlet condition.
+    Cell i runs between the midpoints around node i, from 0 at the axis to R
+    at the boundary; volumes and face areas omit the factor omega_n.
     """
-    r = grid.nodes
-    n = grid.n
-    N = r.size
-    h = np.diff(r)
-    lo = np.zeros(N)  # coupling to node i-1
-    di = np.zeros(N)
-    up = np.zeros(N)  # coupling to node i+1
 
-    hm = h[:-1]
-    hp = h[1:]
-    # second derivative, three-point on non-uniform spacing
-    d2l = 2.0 / (hm * (hm + hp))
-    d2c = -2.0 / (hm * hp)
-    d2r = 2.0 / (hp * (hm + hp))
-    # first derivative, three-point central
-    d1l = -hp / (hm * (hm + hp))
-    d1c = (hp - hm) / (hm * hp)
-    d1r = hm / (hp * (hm + hp))
-    fac = (n - 1) / r[1:-1]
-    lo[1:-1] = d2l + fac * d1l
-    di[1:-1] = d2c + fac * d1c
-    up[1:-1] = d2r + fac * d1r
+    def __init__(self, grid: RadialGrid):
+        r = grid.nodes
+        n = grid.n
+        faces = np.empty(r.size + 1)
+        faces[0] = 0.0
+        faces[-1] = grid.R
+        faces[1:-1] = 0.5 * (r[:-1] + r[1:])
+        self.grid = grid
+        self.volumes = (faces[1:] ** n - faces[:-1] ** n) / n
+        # conductance area / dr of the interior faces 1..N-1
+        self.g = faces[1:-1] ** (n - 1) / np.diff(r)
 
-    di[0] = -2.0 * n / h[0] ** 2
-    up[0] = 2.0 * n / h[0] ** 2
-    return lo, di, up
+    def mass(self, u: np.ndarray) -> float:
+        return unit_sphere_area(self.grid.n) * float(np.dot(self.volumes, u))
+
+    def operator(self):
+        """(lo, di, up, V): the bands of the flux-difference operator K and
+        the row weight V, so that K W / V approximates W'' + (n-1)/r W'.
+
+        Row i of K W is g_i (W_(i+1) - W_i) - g_(i-1) (W_i - W_(i-1)), the net
+        flux into cell i; no flux crosses r = 0, and _newton replaces the last
+        row by the Dirichlet one.  Row sums are zero.
+        """
+        lo = np.concatenate(([0.0], self.g))
+        up = np.concatenate((self.g, [0.0]))
+        return lo, -(lo + up), up, self.volumes
 
 
 def _solve_tridiag(lo, di, up, rhs):
@@ -199,11 +201,11 @@ def _solve_tridiag_rank_one(lo, di, up, rhs, col, row):
 
 
 def _ball_operator(grid: RadialGrid):
-    """The operator of _newton on the ball: the finite-difference bands, unit
-    row weight and the trapezoid weights of integrate_radial."""
+    """The operator of _newton on the ball: the finite-volume K and V of
+    _Cells with the trapezoid weights of integrate_radial."""
     r = grid.nodes
     weights = unit_sphere_area(grid.n) * _trapezoid_weights(r) * r ** (grid.n - 1)
-    return (*_operator_bands(grid), 1.0, weights)
+    return (*_Cells(grid).operator(), weights)
 
 
 def _newton(W, sigma, params, op, damping, polish):

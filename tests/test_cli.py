@@ -192,17 +192,16 @@ class TestRunSteadyRadial:
         )
         assert rc == 1
 
-    def test_plots(self, cfg_file, tmp_path, capsys):
-        out = tmp_path / "plots"
+    def test_writes_only_csv(self, cfg_file, tmp_path):
+        out = tmp_path / "radial"
         rc = main(["steady-radial", "--config", str(cfg_file), "--grid-count", "1200",
-                   "--out", str(out), "--plots"])
+                   "--out", str(out)])
         assert rc == 0
-        if importlib.util.find_spec("matplotlib") is not None:
-            assert (out / "steady_profile.png").exists()
-        else:
-            err = capsys.readouterr().err
-            assert "plots requested but matplotlib is unavailable; skipping" in err
-            assert not list(out.glob("*.png"))
+        assert sorted(f.name for f in out.iterdir()) == [
+            "steady_profile.csv", "steady_summary.csv"]
+        # there is no --plots option
+        with pytest.raises(SystemExit):
+            main(["steady-radial", "--config", str(cfg_file), "--out", str(out), "--plots"])
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -313,7 +312,7 @@ class TestRunEvolve:
 
 
 class TestRunSteady2D:
-    def test_field_csv_and_plots(self, cfg_file, tmp_path, capsys):
+    def test_field_csv(self, cfg_file, tmp_path):
         out = tmp_path / "s2d"
         rc = main(
             [
@@ -330,7 +329,6 @@ class TestRunSteady2D:
                 "16",
                 "--out",
                 str(out),
-                "--plots",
             ]
         )
         assert rc == 0
@@ -339,16 +337,6 @@ class TestRunSteady2D:
         assert len(lines) > 100
         table = (out / "curvature_thickness.csv").read_text().splitlines()
         assert table[0] == "arclength,curvature,thickness"
-        # --plots needs the optional matplotlib extra; without it the run
-        # warns on stderr, writes no image and still succeeds
-        if importlib.util.find_spec("matplotlib") is not None:
-            assert (out / "steady_W.png").exists()
-            assert (out / "steady_U.png").exists()
-        else:
-            err = capsys.readouterr().err
-            assert "plots requested but matplotlib is unavailable; skipping" in err
-            assert not list(out.glob("*.png"))
-
 
     @pytest.mark.parametrize(
         "shape, named",

@@ -10,7 +10,7 @@ from klayer.mass_constraint import (
     constraint_value,
     solve_nonlocal,
 )
-from klayer.radial_steady import STEP_TOL, _operator_bands, boundary_slope
+from klayer.radial_steady import STEP_TOL, _Cells, boundary_slope
 
 PAR = Params(epsilon=2e-3, p=2, b=1, m=1, n=2)
 
@@ -350,14 +350,15 @@ class TestDirectRadial:
         # W lives on the grid adapted to its own sigma (measured 1.7e-11)
         nodes = ball.grid_for(st.sigma, par).nodes
         assert np.max(np.abs(st.W.grid.nodes - nodes)) <= 1e-10
-        # W solves sigma L W = W^(1+p) with sigma = eps int W^p / m taken
-        # from W itself, to the Newton stop
+        # W solves sigma K W = V W^(1+p) on the finite volumes with
+        # sigma = eps int W^p / m taken from W itself, to the Newton stop
         sigma = eps * integrate_radial(RadialProfile(st.W.grid, W**p)) / par.m
         assert sigma == pytest.approx(st.sigma, rel=1e-14)
-        lo, di, up = _operator_bands(st.W.grid)
-        F = sigma * (di * W + np.r_[0.0, lo[1:] * W[:-1]] + np.r_[up[:-1] * W[1:], 0.0])
-        F = (F - W ** (1.0 + p))[:-1]
-        jd = (sigma * di - (1.0 + p) * W**p)[:-1]
+        lo, di, up, V = _Cells(st.W.grid).operator()
+        dW = np.diff(W)
+        F = sigma * (np.r_[up[:-1] * dW, 0.0] - np.r_[0.0, lo[1:] * dW])
+        F = (F - V * W ** (1.0 + p))[:-1]
+        jd = (sigma * di - (1.0 + p) * V * W**p)[:-1]
         assert np.max(np.abs(F / jd)) <= STEP_TOL * b
         assert W[-1] == b and np.all(W > 0) and np.all(W <= b)
         again = solve_nonlocal(par, ball).steady

@@ -13,7 +13,7 @@ from klayer.radial_steady import (
     layer_profile_constant,
     solve_local_radial,
     upper_barrier_sigma_max,
-    _operator_bands,
+    _Cells,
     _solve_tridiag,
 )
 
@@ -53,16 +53,16 @@ class TestSolveLocalRadial:
 
     def test_large_sigma_linear_oracle(self):
         # reaction is negligible at sigma = 1e6: start from W == b and
-        # compare against the linearized problem sigma * L W = b^p W solved
-        # directly
+        # compare against the linearized problem sigma K W = b^p V W on the
+        # solver's finite volumes, solved directly
         grid = make_graded_grid(1.0, 2, 10.0 / 399, 400)
         W = solve_local_radial(1e6, P2, grid, initial=np.ones(grid.count))
         assert np.max(np.abs(W.values - 1.0)) <= 1e-3
 
-        lo, di, up = _operator_bands(grid)
+        lo, di, up, V = _Cells(grid).operator()
         sigma = 1e6
-        jl, jd, ju = sigma * lo, sigma * di - 1.0, sigma * up.copy()
-        jl[-1], jd[-1], ju[-1] = 0.0, 1.0, 0.0
+        jl, jd, ju = sigma * lo, sigma * di - V, sigma * up
+        jl[-1], jd[-1] = 0.0, 1.0
         rhs = np.zeros(grid.count)
         rhs[-1] = 1.0
         W_lin = _solve_tridiag(jl[1:], jd, ju[:-1], rhs)
@@ -90,6 +90,27 @@ class TestSolveLocalRadial:
         W1 = solve_local_radial(2e-3, P2, grid).values
         W2 = solve_local_radial(4e-3, P2, grid).values
         assert np.min(W2 - W1) >= -1e-9
+
+
+class TestFiniteVolumeOperator:
+    """_Cells.operator, the one radial operator of the ball's solves and of
+    evolve_radial."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_on_r_squared(self, n):
+        # grad r^2 = 2r has the flux 2 f^n through the face at f, the midpoint
+        # of its nodes, exactly, so the divergence theorem on each cell gives
+        # K r^2 = 2n V on every row but the Dirichlet one, to rounding
+        # (measured 1.5 eps |K_ii| r^2)
+        ulp = np.finfo(float).eps
+        for graded in (make_graded_grid(1.0, n, 0.02, 300), make_graded_grid(1.0, n, 1e-3, 512)):
+            for grid in (graded, refine_grid(graded)):
+                lo, di, up, V = _Cells(grid).operator()
+                W = grid.nodes**2
+                dW = np.diff(W)
+                KW = np.r_[up[:-1] * dW, 0.0] - np.r_[0.0, lo[1:] * dW]
+                gap = np.abs(KW - 2 * n * V)[:-1]
+                assert np.all(gap <= 4 * ulp * (np.abs(di) * W + 2 * n * V)[:-1])
 
 
 class TestNewtonStop:
@@ -122,13 +143,14 @@ class TestNewtonStop:
         sigma = eps * lam
         grid = RadialBallDomain(R=1.0, n=n).grid_for(sigma, par)
         W = solve_local_radial(sigma, par, grid).values
-        lo, di, up = _operator_bands(grid)
-        F = sigma * (di * W + np.r_[0.0, lo[1:] * W[:-1]] + np.r_[up[:-1] * W[1:], 0.0])
-        F -= W ** (1.0 + p)
+        lo, di, up, V = _Cells(grid).operator()
+        dW = np.diff(W)
+        F = sigma * (np.r_[up[:-1] * dW, 0.0] - np.r_[0.0, lo[1:] * dW])
+        F -= V * W ** (1.0 + p)
         F[-1] = W[-1] - b
         ab = np.zeros((3, W.size))
         ab[0, 1:] = sigma * up[:-1]
-        ab[1] = sigma * di - (1.0 + p) * W**p
+        ab[1] = sigma * di - (1.0 + p) * V * W**p
         ab[1, -1] = 1.0
         ab[2, :-2] = sigma * lo[1:-1]
         step = solve_banded((1, 1), ab, -F)
