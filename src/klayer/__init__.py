@@ -17,7 +17,6 @@ from .core import (
 )
 from .errors import (
     AxisSingularityError,
-    BracketFailureError,
     NoConvergenceError,
     NoCrossingError,
     PositivityError,
@@ -26,7 +25,6 @@ from .errors import (
 from .mass_constraint import (
     NonlocalResult,
     RadialBallDomain,
-    constraint_value,
     solve_nonlocal,
 )
 from .radial_steady import (

@@ -125,19 +125,19 @@ def verify_expansion(
     R: float,
     eps_list,
     level_c: float | None = None,
-    domain: RadialBallDomain | None = None,
+    count: int = 3000,
 ) -> dict[str, ExpansionReport]:
     """Sweep eps once, measure every quantity, extrapolate eps -> 0, compare.
 
-    Returns one report per quantity, keyed in QUANTITIES order.  eps_list
-    must be decreasing with at least 3 entries.  level_c (default b/2) sets
-    the level of the thickness quantity.
+    Each eps is solved on the ball B_R with count grid nodes.  Returns one
+    report per quantity, keyed in QUANTITIES order.  eps_list must be
+    decreasing with at least 3 entries.  level_c (default b/2) sets the level
+    of the thickness quantity.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 3 or not np.all(np.diff(eps) < 0):
         raise ValueError("eps_list must be decreasing with >= 3 entries")
-    if domain is None:
-        domain = RadialBallDomain(R=R, n=params.n, count=3000)
+    domain = RadialBallDomain(R=R, n=params.n, count=count)
     c = params.b / 2.0 if level_c is None else level_c
 
     # quantity -> (measurement on a steady state, leading coefficient)
@@ -194,20 +194,20 @@ def verify_p_limit(
     R: float,
     p_list,
     eps_fixed: float,
-    domain: RadialBallDomain | None = None,
+    count: int = 2500,
     depth_fraction: float = 0.1,
 ) -> list[tuple[float, float, float]]:
     """Strong-chemotaxis limit: rows of (p, sup|W - b|, boundary mass fraction).
 
-    Along an increasing p_list the sup norm of b - W decreases toward 0 while
-    the U-mass concentrates near the boundary (fraction within depth
+    Each p is solved on the ball B_R with count grid nodes.  Along an
+    increasing p_list the sup norm of b - W decreases toward 0 while the
+    U-mass concentrates near the boundary (fraction within depth
     depth_fraction * R increasing toward 1).
     """
     ps = [float(p) for p in p_list]
     if any(q <= 0 for q in ps) or any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be positive and increasing")
-    if domain is None:
-        domain = RadialBallDomain(R=R, n=params_base.n, count=2500)
+    domain = RadialBallDomain(R=R, n=params_base.n, count=count)
     rows = []
     for p in ps:
         par = Params(

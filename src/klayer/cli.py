@@ -52,7 +52,6 @@ class RunConfig:
     shape: str = "disk"
     h: float = 0.01
     grid_count: int = 2500
-    tol: float = 1e-8
     out: Path = Path(".")
     seed: int = 0
     eps_list: tuple = ()
@@ -87,9 +86,6 @@ _OPTIONS = {
     "h": (float, "--h", ("steady-2d",)),
     "samples": (int, "--samples", ("steady-2d",)),
     "seed": (int, "--seed", ("evolve",)),
-    # the ball commands close the mass constraint to rounding, and evolve
-    # takes its reference from the scheme's own steady pair
-    "tol": (float, "--tol", ("steady-2d",)),
     "t_end": (float, "--t-end", ("evolve",)),
     "dt": (float, "--dt", ("evolve",)),
     "perturb": (float, "--perturb", ("evolve",)),
@@ -177,8 +173,6 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
 
     # 0 means the default for dt and level_c; any other value out of range
     # is rejected here, before a solve or a written file
-    if not cfg.tol > 0:
-        raise ConfigError(f"'tol' must be positive, got {cfg.tol}")
     if not cfg.dt >= 0:
         raise ConfigError(f"'dt' must be >= 0 (0: t_end / 1000), got {cfg.dt}")
     if not 0 <= cfg.level_c < params.b:
@@ -295,7 +289,7 @@ def _run_steady_radial(cfg: RunConfig) -> int:
 def _run_steady_2d(cfg: RunConfig) -> int:
     shape = _parse_shape(cfg)
     grid, samples = planar2d.build_domain(shape, cfg.h, n_samples=cfg.samples)
-    res = planar2d.solve_nonlocal_2d(cfg.params, grid, tol_rel=max(cfg.tol, 1e-10))
+    res = planar2d.solve_nonlocal_2d(cfg.params, grid)
     st = res.steady
     X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
     mask = grid.inside
@@ -372,9 +366,8 @@ def _run_evolve(cfg: RunConfig) -> int:
 
 def _run_verify(cfg: RunConfig) -> int:
     eps_list = cfg.eps_list or (4e-3, 2e-3, 1e-3)
-    dom = _ball(cfg)
     reports = asymptotics.verify_expansion(
-        cfg.params, cfg.R, eps_list, level_c=cfg.level(), domain=dom
+        cfg.params, cfg.R, eps_list, level_c=cfg.level(), count=cfg.grid_count
     )
     rows = []
     worst_fail = False

@@ -127,6 +127,9 @@ class RadialProfile:
         """Piecewise-linear evaluation at radii r."""
         return np.interp(r, self.grid.nodes, self.values)
 
+    def scaled_power(self, amplitude: float, p: float) -> "RadialProfile":
+        return RadialProfile(grid=self.grid, values=amplitude * self.values**p)
+
 
 @dataclass(frozen=True)
 class SteadyState:

@@ -9,10 +9,6 @@ class NoConvergenceError(SolverError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class BracketFailureError(SolverError):
-    """A root bracket could not be established."""
-
-
 class PositivityError(SolverError):
     """A field that must stay positive became non-positive."""
 

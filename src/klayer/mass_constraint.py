@@ -1,42 +1,21 @@
 """Resolution of the nonlocal mass constraint.
 
 The steady problem couples eps * Lap W = lam * W^(1+p) (Dirichlet data b) to
-the constraint lam * integral(W^p) = m.
+the constraint lam * integral(W^p) = m.  Every domain solves the two as one
+equation, eps Lap W = (m / integral(W^p)) W^(1+p), by a Newton whose
+Jacobian is the local one plus rank one, solved by Sherman-Morrison.
 
-On a ball (RadialBallDomain) the two are solved as one equation,
-eps Lap W = (m / integral(W^p)) W^(1+p), by the radial Newton of
-radial_steady.solve_nonlocal_radial, whose Jacobian is tridiagonal plus rank
-one.  The ball drives it over grids adapted to the layer: each pass rebuilds
-the grid at the sigma = eps * integral(W^p) / m the last one converged to,
-until sigma settles.
-
-Every other domain goes through the local problem at fixed amplitude.  The
-map
-
-    g(lam) = lam * integral(W_lam^p)
-
-is continuous and strictly increasing, so the constrained amplitude is the
-unique root of g(lam) = m.  Its certified floor is m / (b^p |Omega|), where
-W <= b forces g <= m.  The bracket is found by one walk from a start
-amplitude away from the root until g crosses m, never below the floor: from
-the floor by doubling when no start is given, or from a given one (planar2d
-passes the radial amplitude of the disk of equal area) by steps of x1.15.
-Inside the bracket the root is refined by Illinois regula falsi (Dowell &
-Jarratt, BIT 11, 1971) on
-f(x) = log(g(e^x) / m), x = log lam, which is close to linear in the layer
-regime where g grows like a power of lam.  A proposal that does not lie
-strictly inside the bracket is replaced by the bisection midpoint, so every
-iterate stays in the certified bracket: monotonicity of the discrete g is all
-that is relied on, and the bracket still shrinks onto the unique root.
-
-The root-finder is generic over the local solver: any domain object exposing
-volume() and solve_local(sigma, params) works (masked 2D grids in planar2d,
-or a wrapper around a ball's local solves).
+A domain exposes solve_constrained(params) -> (W, integral of W^p, Newton
+steps).  On a ball (RadialBallDomain) that is the radial Newton of
+radial_steady.solve_nonlocal_radial, whose local Jacobian is tridiagonal.
+The ball drives it over grids adapted to the layer: each pass rebuilds the
+grid at the sigma = eps * integral(W^p) / m the last one converged to, until
+sigma settles.  planar2d.Planar2DDomain runs the same Newton on one masked
+2D grid, with a sparse LU in place of the tridiagonal solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +30,7 @@ from .core import (
     make_graded_grid,
     unit_sphere_area,
 )
-from .errors import BracketFailureError, NoConvergenceError
+from .errors import NoConvergenceError
 from .radial_steady import (
     barrier_lower,
     layer_profile_constant,
@@ -63,14 +42,10 @@ from .radial_steady import (
 __all__ = [
     "NonlocalResult",
     "RadialBallDomain",
-    "constraint_value",
     "lambda_leading",
     "solve_nonlocal",
 ]
 
-_MAX_BRACKET_STEPS = 128  # doublings, or steps of _SEED_STEP from a guess
-_SEED_STEP = 1.15
-_MAX_EVALS = 400
 # an adapted grid's boundary spacing is the layer width over this
 _BOUNDARY_REFINE = 160.0
 # the ball's grid passes stop when sigma moves by less than this, relative
@@ -94,13 +69,11 @@ def lambda_leading(params: Params, R: float) -> float:
 class NonlocalResult:
     """Converged steady state plus solver diagnostics.
 
-    bisection_iters counts the work of the whole solve.  On a ball it is the
-    number of Newton steps over all grid passes.  On any other domain it is
-    the number of constraint evaluations (local solves), bracketing phase
-    included; the name predates both the Illinois update and the direct
-    radial Newton.  constraint_residual is the relative defect
-    |lam * integral(W^p) - m| / m at the accepted amplitude; on a ball the
-    amplitude is m / integral(W^p) of the converged W, so it is 0 by
+    bisection_iters counts the Newton steps of the solve, over all grid
+    passes on a ball; the name predates the direct Newton, which replaced a
+    root-finder over local solves.  constraint_residual is the relative
+    defect |amplitude * integral(W^p) - m| / m; the amplitude is
+    m / integral(W^p) of the converged W, so it is 0 up to rounding by
     construction and says nothing of the solve's accuracy.
     """
 
@@ -119,8 +92,8 @@ class RadialBallDomain:
     A fresh grid adapted to each sigma is built: the boundary spacing tracks
     1/160 of the layer width so the profile (and its p-th power) stay
     resolved at every sigma a solve visits.  solve_nonlocal calls
-    solve_constrained; solve_local serves constraint_value and root-finders
-    over wrapped balls.
+    solve_constrained; solve_local solves the local problem at a given
+    sigma on the grid adapted to it.
     """
 
     def __init__(self, R: float, n: int, count: int = 2500):
@@ -179,135 +152,26 @@ class RadialBallDomain:
         )
 
 
-def constraint_value(lam: float, params: Params, domain) -> float:
-    """g(lam) = lam * integral(W_lam^p), strictly increasing in lam."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    _, integral = domain.solve_local(params.epsilon / lam, params)
-    return lam * integral
+def solve_nonlocal(params: Params, domain) -> NonlocalResult:
+    """Solve the nonlocal problem on the domain and build the steady pair.
 
-
-def solve_nonlocal(
-    params: Params,
-    domain,
-    tol_rel: float = 1e-8,
-    lam_guess: float | None = None,
-) -> NonlocalResult:
-    """Find the amplitude closing the mass constraint and build the steady pair.
-
-    A RadialBallDomain solves the nonlocal problem directly
-    (RadialBallDomain.solve_constrained), which closes the constraint to
-    rounding: tol_rel and lam_guess are not used there.  Any other domain
-    goes through the bracketed root-finder.  Its bracket walk starts at a
-    positive, finite lam_guess clamped up to the certified floor
-    m / (b^p |Omega|) and steps by x1.15 (_SEED_STEP), or without one at the
-    floor and doubles.  It goes down while g > m, stopping at the floor, or
-    up while g < m.  Both ends of the bracket are evaluated, so
-    g(lam_lo) < m < g(lam_hi) is certified before Illinois refines it.
-    Every evaluation with |g(lam) - m| / m < tol_rel is accepted at once.
-    The returned amplitude is recomputed from the converged profile as
-    m / integral(W^p), which makes U = amplitude * W^p integrate to m
-    exactly and keeps amplitude * lambda_eps = 1 to rounding.
+    domain.solve_constrained(params) returns the converged W, integral(W^p)
+    and the Newton steps.  The amplitude m / integral(W^p) makes
+    U = amplitude * W^p integrate to m exactly and keeps
+    amplitude * lambda_eps = 1 to rounding.
     """
-    if tol_rel <= 0:
-        raise ValueError(f"tol_rel must be positive, got {tol_rel}")
-    if lam_guess is not None and not (math.isfinite(lam_guess) and lam_guess > 0):
-        raise ValueError(f"lam_guess must be positive and finite, got {lam_guess}")
     m = params.m
-    if isinstance(domain, RadialBallDomain):
-        W, integral, iters = domain.solve_constrained(params)
-        lam = m / integral
-    else:
-        lam, W, integral, iters = _solve_bracketed(params, domain, tol_rel, lam_guess)
-
+    W, integral, steps = domain.solve_constrained(params)
     amplitude = m / integral
-    U = _scaled_power(W, amplitude, params.p)
     steady = SteadyState(
         W=W,
-        U=U,
+        U=W.scaled_power(amplitude, params.p),
         amplitude=amplitude,
         lambda_eps=integral / m,
         sigma=params.epsilon * integral / m,
     )
     return NonlocalResult(
         steady=steady,
-        bisection_iters=iters,
-        constraint_residual=abs(lam * integral - m) / m,
+        bisection_iters=steps,
+        constraint_residual=abs(amplitude * integral - m) / m,
     )
-
-
-def _solve_bracketed(params: Params, domain, tol_rel: float, lam_guess):
-    """Bracket walk and Illinois on g(lam) = m (see solve_nonlocal); returns
-    (lam, W, integral of W^p, constraint evaluations)."""
-    m = params.m
-
-    def evaluate(lam: float):
-        W, integral = domain.solve_local(params.epsilon / lam, params)
-        return lam * integral, W, integral
-
-    lam_floor = m / (params.b**params.p * domain.volume())
-    if lam_guess is None:
-        lam, step = lam_floor, 2.0
-    else:
-        lam, step = max(lam_guess, lam_floor), _SEED_STEP
-    g, W, integral = evaluate(lam)
-    iters = 1
-
-    if abs(g - m) / m >= tol_rel:
-        # step away from the start until g crosses m; from the floor only
-        # upward steps are possible: g <= m holds there
-        down = g > m and lam > lam_floor
-        for _ in range(_MAX_BRACKET_STEPS):
-            if down:
-                lam_hi, g_hi = lam, g
-                lam = max(lam / step, lam_floor)
-            else:
-                lam_lo, g_lo = lam, g
-                lam *= step
-            g, W, integral = evaluate(lam)
-            iters += 1
-            if abs(g - m) / m < tol_rel or (g > m) != down or lam == lam_floor:
-                break
-        else:
-            raise BracketFailureError(
-                f"constraint value did not cross m within {_MAX_BRACKET_STEPS} "
-                f"steps of x{step}"
-            )
-        if down:
-            lam_lo, g_lo = lam, g
-        else:
-            lam_hi, g_hi = lam, g
-        # Illinois regula falsi on f = log(g / m) over x = log lam; `side`
-        # records which end the last iterate replaced, and the end kept twice
-        # in a row has its f halved
-        f_lo, f_hi = math.log(g_lo / m), math.log(g_hi / m)
-        side = 0
-        while abs(g - m) / m >= tol_rel:
-            if iters >= _MAX_EVALS or (lam_hi - lam_lo) <= 4 * math.ulp(lam_hi):
-                raise NoConvergenceError(
-                    f"root-finder stagnated at relative defect {abs(g - m) / m}"
-                )
-            x_lo, x_hi = math.log(lam_lo), math.log(lam_hi)
-            lam = math.exp(x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo))
-            if not lam_lo < lam < lam_hi:
-                lam = 0.5 * (lam_lo + lam_hi)
-            g, W, integral = evaluate(lam)
-            iters += 1
-            if g > m:
-                lam_hi, f_hi = lam, math.log(g / m)
-                if side == -1:
-                    f_lo *= 0.5
-                side = -1
-            else:
-                lam_lo, f_lo = lam, math.log(g / m)
-                if side == 1:
-                    f_hi *= 0.5
-                side = 1
-
-    return lam, W, integral, iters
-
-
-def _scaled_power(W, amplitude: float, p: float):
-    if isinstance(W, RadialProfile):
-        return RadialProfile(grid=W.grid, values=amplitude * W.values**p)
-    return W.scaled_power(amplitude, p)

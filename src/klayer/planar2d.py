@@ -8,6 +8,11 @@ linear interpolation of the signed distance along the arm), a first-order
 cut treatment that keeps the operator an M-matrix.  Quadrature uses inside
 nodes at full weight h^2 and boundary cells at their inside-area fraction.
 
+One chord Newton (_newton_2d) solves both the local problem at a given sigma
+(solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
+follows the iterate (solve_nonlocal_2d, through mass_constraint's
+solve_nonlocal).
+
 Layer thickness versus boundary curvature is probed by marching inward along
 boundary normals until the bilinear interpolant of W crosses a level c.
 """
@@ -35,14 +40,11 @@ __all__ = [
     "MaskedGrid",
     "PlanarField",
     "build_domain",
-    "JacobianFactor",
     "solve_local_2d",
     "Planar2DDomain",
     "solve_nonlocal_2d",
     "curvature_thickness_report",
 ]
-
-OUTSIDE, INSIDE, CUT = 0, 1, 2
 
 _THETA_MIN = 1e-6  # shortest admitted stencil arm fraction
 PROJECTION_ITERS = 32  # Newton steps allowed for the boundary projection
@@ -253,10 +255,10 @@ class BoundarySample:
 
 
 class MaskedGrid:
-    """Uniform Cartesian grid with inside/cut/outside classification.
+    """Uniform Cartesian grid with an inside mask.
 
-    x, y are node coordinate vectors; phi, cells and quadrature weights are
-    (nx, ny) arrays.  Arrays are frozen after construction.
+    x, y are node coordinate vectors; phi, inside and the quadrature weights
+    are (nx, ny) arrays.  Arrays are frozen after construction.
     """
 
     def __init__(self, h: float, x: np.ndarray, y: np.ndarray, phi: np.ndarray):
@@ -267,13 +269,6 @@ class MaskedGrid:
         inside = self.phi < 0.0
         if not inside.any():
             raise ValueError("grid contains no inside node")
-        # a cut node is an inside node with an outside 4-neighbour
-        nbr_out = np.zeros_like(inside)
-        nbr_out[1:, :] |= ~inside[:-1, :]
-        nbr_out[:-1, :] |= ~inside[1:, :]
-        nbr_out[:, 1:] |= ~inside[:, :-1]
-        nbr_out[:, :-1] |= ~inside[:, 1:]
-        cells = np.where(inside, np.where(nbr_out, CUT, INSIDE), OUTSIDE).astype(np.int8)
         # inside-area fraction of the h x h cell centred at each node,
         # planar-interface approximation from the signed distance
         weights = np.clip(0.5 - self.phi / self.h, 0.0, 1.0)
@@ -281,8 +276,6 @@ class MaskedGrid:
             arr.flags.writeable = False
         self.inside = inside
         self.inside.flags.writeable = False
-        self.cells = cells
-        self.cells.flags.writeable = False
         self.weights = weights
         self.weights.flags.writeable = False
         self._operator = None
@@ -468,90 +461,90 @@ def _bilinear(x: np.ndarray, y: np.ndarray, values: np.ndarray, fill_value: floa
     return evaluate
 
 
-class JacobianFactor:
-    """Holder for the SuperLU factor of the 2D Jacobian, handed from one
-    local solve on a grid to the next (lu is None when nothing is carried)."""
-
-    __slots__ = ("lu",)
-
-    def __init__(self):
-        self.lu = None
-
-
 def solve_local_2d(
     sigma: float,
     params: Params,
     grid: MaskedGrid,
-    initial="lower",
-    factor: JacobianFactor | None = None,
+    initial: np.ndarray | None = None,
 ) -> PlanarField:
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
 
-    Chord (Shamanskii) Newton: the sparse LU factorisation of the Jacobian
-    is reused while full steps keep the scaled residual contracting by at
-    least 0.3 (the reaction diagonal moves slowly), and refactorised
-    otherwise.  Given a factor holder, the solve starts from the
-    factorisation it carries, which may belong to another sigma on the same
-    grid, and leaves its own final factorisation there; the holder is empty
-    while the solve runs, so at most one factorisation is alive.  The
-    Jacobian is structurally symmetric and -J is a strictly row-dominant
-    M-matrix, so it is factorised without pivoting under a minimum-degree
-    ordering of A + A^T.
-
-    Newton stops when max |F_i| / (sigma |L_ii| + (1+p) w_i^p), the residual
-    scaled by the Jacobian diagonal, is below STEP_TOL * b.  Unlike an
-    absolute residual bound, this does not grow with the 1/theta arms of cut
-    nodes close to the boundary.  initial is "lower" (distance-based layer
-    profile, the default), "super" (constant b), or an array of shape
-    (N_inside,) / full grid shape.
+    Newton (see _newton_2d) starts from the distance-based layer profile
+    b (1 + d b^(p/2) / (c_p sqrt(sigma)))^(-2/p), d the depth below the
+    boundary, unless an initial iterate of shape (N_inside,) or the full grid
+    shape is given.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     p, b = params.p, params.b
-    L, bvec, index = grid.operator()
-    N = L.shape[0]
     inside = grid.inside
-    floor = 1e-30 * b
-
-    if isinstance(initial, str):
-        if initial == "super":
-            w = np.full(N, b)
-        elif initial == "lower":
-            cp = layer_profile_constant(p)
-            d = -grid.phi[inside]
-            z = d * b ** (p / 2.0) / (cp * math.sqrt(sigma))
-            w = b * (1.0 + z) ** (-2.0 / p)
-        else:
-            raise ValueError(f"unknown initial iterate {initial!r}")
+    if initial is None:
+        z = -grid.phi[inside] * b ** (p / 2.0) / (layer_profile_constant(p) * math.sqrt(sigma))
+        w = b * (1.0 + z) ** (-2.0 / p)
     else:
         arr = np.asarray(initial, dtype=float)
         w = arr[inside] if arr.shape == inside.shape else arr.copy()
-        if w.shape != (N,):
+        if w.shape != (int(inside.sum()),):
             raise ValueError("initial iterate has wrong shape")
-        w = np.maximum(w, floor)
+    return _newton_2d(w, sigma, params, grid)[0]
 
-    diffusion_diag = sigma * np.abs(L.diagonal())
 
-    def scaled_residual(wv):
-        wp = wv**p
-        F = sigma * (L @ wv + bvec * b) - wv * wp
-        return F, float(np.max(np.abs(F) / (diffusion_diag + (1.0 + p) * wp)))
+def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
+    """Chord Newton from w (inside nodes) on sigma (L w + b bvec) = w^(1+p).
+
+    The 2D counterpart of radial_steady._solve.  With sigma None,
+    sigma = eps * integral(W^p) / m follows the iterate, and the Jacobian
+    sigma L - (1+p) diag(w^p) gains the rank one col (x) row, col the
+    derivative (eps/m) (L w + b bvec) of F in sigma and row the gradient
+    p h^2 weights w^(p-1) of integral(W^p); each step is solved by
+    Sherman-Morrison.  The sparse LU of the local part is reused while full
+    steps keep the scaled residual contracting by at least 0.3 (the reaction
+    diagonal and sigma move slowly), and refactorised otherwise.  -J is a
+    strictly row-dominant M-matrix with a structurally symmetric pattern, so
+    it is factorised without pivoting under a minimum-degree ordering of
+    A + A^T.  Inner products are elementwise sums, and each solve has one
+    right-hand side: BLAS dot products and multi-column solves start threads
+    that cost more than they save at this size.
+
+    Newton stops when max |F_i| / (sigma |L_ii| + (1+p) w_i^p), the residual
+    scaled by the Jacobian diagonal, is below STEP_TOL * b.  Unlike an
+    absolute residual bound, this does not grow with the 1/theta arms of cut
+    nodes close to the boundary.  Returns (W, Newton steps); NoConvergenceError
+    after MAX_ITERS steps or when the converged W exceeds b.
+    """
+    p, b = params.p, params.b
+    L, bvec, _ = grid.operator()
+    floor = 1e-30 * b
+    w = np.maximum(w, floor)
+    abs_diag = np.abs(L.diagonal())
+    if sigma is None:
+        coef = params.epsilon / params.m
+        h2 = grid.h**2
+        quad = h2 * grid.weights[grid.inside]
+        # cells of outside nodes cut by the boundary hold W = b
+        outside = h2 * float(np.sum(grid.weights[~grid.inside])) * b**p
 
     lu = None
-    if factor is not None:
-        lu, factor.lu = factor.lu, None
     res_prev = math.inf
     limited = False
-    F, res = scaled_residual(w)
-    for _ in range(MAX_ITERS):
+    for steps in range(MAX_ITERS + 1):
+        wp = w**p
+        lap = L @ w + bvec * b
+        s = sigma if sigma is not None else coef * (float(np.sum(quad * wp)) + outside)
+        F = s * lap - w * wp
+        res = float(np.max(np.abs(F) / (s * abs_diag + (1.0 + p) * wp)))
         if res < STEP_TOL * b:
             break
+        if steps == MAX_ITERS:
+            raise NoConvergenceError(
+                f"2D Newton failed at sigma={s}: scaled residual {res}"
+            )
         # reuse the factorisation only while full steps keep contracting;
         # a stale reaction diagonal far from the solution causes overshoot
         if lu is None or limited or res > 0.3 * res_prev:
             lu = None  # release the stale factors before computing new ones
-            J = sparse.csc_matrix(sigma * L)
-            J.setdiag(J.diagonal() - (1.0 + p) * w**p)
+            J = sparse.csc_matrix(s * L)
+            J.setdiag(J.diagonal() - (1.0 + p) * wp)
             lu = splu(
                 J,
                 permc_spec="MMD_AT_PLUS_A",
@@ -560,6 +553,10 @@ def solve_local_2d(
             )
         res_prev = res
         delta = lu.solve(-F)
+        if sigma is None:
+            z = lu.solve(coef * lap)
+            row = p * quad * wp / w
+            delta -= z * (float(np.sum(row * delta)) / (1.0 + float(np.sum(row * z))))
         alpha = DAMPING
         neg = delta < 0
         limited = False
@@ -569,73 +566,44 @@ def solve_local_2d(
                 alpha = 0.9 / ratio
                 limited = True
         w = np.maximum(w + alpha * delta, floor)
-        F, res = scaled_residual(w)
-    else:
-        raise NoConvergenceError(
-            f"2D Newton failed at sigma={sigma}: scaled residual {res}"
-        )
 
     overshoot = float(np.max(w)) - b
     if overshoot > 1e-9 * b:
         raise NoConvergenceError(f"converged 2D iterate exceeds b by {overshoot}")
-    if factor is not None:
-        factor.lu = lu
-    w = np.minimum(w, b)
     full = np.full(grid.phi.shape, np.nan)
-    full[inside] = w
-    return PlanarField(grid=grid, values=full)
+    full[grid.inside] = np.minimum(w, b)
+    return PlanarField(grid=grid, values=full), steps
 
 
 class Planar2DDomain:
-    """Adapter exposing the masked grid to the nonlocal root-finder.
+    """A masked grid and the iterate (over its inside nodes) that its
+    nonlocal Newton starts from, for solve_nonlocal."""
 
-    Keeps the last converged field as the next warm start and the last
-    Jacobian factorisation as the next solve's first chord (the root-finder
-    visits nearby sigmas, so Newton then needs only a couple of back-solves
-    and often no new factorisation).  After a NoConvergenceError the solve is
-    retried cold: from the "lower" profile, with no carried factorisation.
-    """
-
-    def __init__(self, grid: MaskedGrid):
+    def __init__(self, grid: MaskedGrid, initial: np.ndarray):
         self.grid = grid
-        self._last = None
-        self._factor = JacobianFactor()
+        self.initial = initial
 
-    def volume(self) -> float:
-        return self.grid.area()
-
-    def solve_local(self, sigma: float, params: Params):
-        initial = "lower" if self._last is None else self._last.values
-        try:
-            W = solve_local_2d(sigma, params, self.grid, initial=initial, factor=self._factor)
-        except NoConvergenceError:
-            self._factor.lu = None
-            W = solve_local_2d(sigma, params, self.grid, initial="lower", factor=self._factor)
-        self._last = W
-        integral = self.grid.integrate(W.values**params.p, params.b**params.p)
-        return W, integral
+    def solve_constrained(self, params: Params):
+        """Solve the nonlocal problem directly; returns (W, integral of W^p,
+        Newton steps)."""
+        W, steps = _newton_2d(self.initial, None, params, self.grid)
+        return W, self.grid.integrate(W.values**params.p, params.b**params.p), steps
 
 
-def solve_nonlocal_2d(
-    params: Params,
-    grid: MaskedGrid,
-    tol_rel: float = 1e-6,
-) -> NonlocalResult:
-    """Nonlocal solve on a masked 2D grid by the bracketed root-finder.
+def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
+    """Nonlocal solve on a masked 2D grid by the direct Newton of _newton_2d.
 
-    The root-finder starts from the amplitude of the radial solve (the direct
-    Newton of a RadialBallDomain) on the disk of equal area (n = 2 whatever
-    params.n says; the 2D solver ignores it).
-    Curvature moves the amplitude only at the next order, so the 2D root lies
-    within a few x1.15 steps of it (one on the disk, the README ellipse and
-    the star; up to three on Ellipse(2, 0.5)).  The answer still comes from
-    the 2D constraint alone: both bracket ends are 2D evaluations.
+    Newton starts from the radial solve on the disk of equal area (n = 2
+    whatever params.n says; the 2D solver ignores it), sampled at the radius
+    R_eq + phi, phi the signed distance to the boundary.  Curvature moves
+    the amplitude only at the next order, so this start lies close to the 2D
+    solution, and one factorisation serves the whole solve on the disk, the
+    README ellipse and the star.
     """
-    disk = RadialBallDomain(R=math.sqrt(grid.area() / math.pi), n=2)
-    seed = solve_nonlocal(replace(params, n=2), disk)
-    return solve_nonlocal(
-        params, Planar2DDomain(grid), tol_rel=tol_rel, lam_guess=seed.steady.amplitude
-    )
+    R_eq = math.sqrt(grid.area() / math.pi)
+    disk = solve_nonlocal(replace(params, n=2), RadialBallDomain(R=R_eq, n=2)).steady.W
+    initial = np.interp(R_eq + grid.phi[grid.inside], disk.grid.nodes, disk.values)
+    return solve_nonlocal(params, Planar2DDomain(grid, initial))
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def disk_sweep():
     solves = []
     for eps in EPS_SWEEP:
         par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-        solves.append((par, solve_nonlocal(par, dom, tol_rel=1e-8).steady))
+        solves.append((par, solve_nonlocal(par, dom).steady))
     return solves, time.perf_counter() - t0
 
 
@@ -362,9 +362,9 @@ def test_gate_08_planar_vs_radial_oracle():
     t0 = time.perf_counter()
     par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
     grid, _ = build_domain(Disk(1.0), 0.005, n_samples=8)
-    res2 = solve_nonlocal_2d(par, grid, tol_rel=1e-6)
+    res2 = solve_nonlocal_2d(par, grid)
     dom = RadialBallDomain(R=1.0, n=2, count=3000)
-    res1 = solve_nonlocal(par, dom, tol_rel=1e-8)
+    res1 = solve_nonlocal(par, dom)
     lam_gap = abs(res2.steady.lambda_eps - res1.steady.lambda_eps) / res1.steady.lambda_eps
 
     iy0 = int(np.argmin(np.abs(grid.y)))
@@ -388,12 +388,12 @@ def test_gate_09_curvature_thickness_monotonicity():
     par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
     a, b_ax = np.sqrt(2.0), 1.0 / np.sqrt(2.0)  # area pi, aspect ratio 2
     egrid, esamp = build_domain(Ellipse(a, b_ax), 0.01, n_samples=128)
-    eres = solve_nonlocal_2d(par, egrid, tol_rel=1e-6)
+    eres = solve_nonlocal_2d(par, egrid)
     etab = curvature_thickness_report(eres.steady.W, esamp, 0.5, par)
     rho = float(spearmanr(etab[:, 1], etab[:, 2]).statistic)
 
     dgrid, dsamp = build_domain(Disk(1.0), 0.01, n_samples=48)
-    dres = solve_nonlocal_2d(par, dgrid, tol_rel=1e-6)
+    dres = solve_nonlocal_2d(par, dgrid)
     dtab = curvature_thickness_report(dres.steady.W, dsamp, 0.5, par)
     cv = float(np.std(dtab[:, 2]) / np.mean(dtab[:, 2]))
 
@@ -445,9 +445,10 @@ def test_gate_11_nonlinear_stability(stability_run):
 def test_gate_12_uniqueness_probe():
     par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
     grid, _ = build_domain(Disk(1.0), 0.02, n_samples=8)
-    res = solve_nonlocal_2d(par, grid, tol_rel=1e-6)
+    res = solve_nonlocal_2d(par, grid)
     sigma = res.steady.sigma
-    W_super = solve_local_2d(sigma, par, grid, initial="super")
+    b_start = np.full(int(grid.inside.sum()), par.b)  # the constant supersolution
+    W_super = solve_local_2d(sigma, par, grid, initial=b_start)
     near_zero = np.full(int(grid.inside.sum()), 1e-3 * par.b)
     W_zero = solve_local_2d(sigma, par, grid, initial=near_zero)
     diff = float(np.nanmax(np.abs(W_super.values - W_zero.values)))

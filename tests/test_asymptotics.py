@@ -164,23 +164,18 @@ class TestExpansionReport:
 
 
 @pytest.fixture(scope="module")
-def domain():
-    return RadialBallDomain(R=1.0, n=2, count=1500)
-
-
-@pytest.fixture(scope="module")
 def sweep():
     dom = RadialBallDomain(R=1.0, n=2, count=2000)
     out = []
     for eps in (4e-3, 2e-3):
         par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-        out.append((par, solve_nonlocal(par, dom, tol_rel=1e-8).steady))
+        out.append((par, solve_nonlocal(par, dom).steady))
     return out
 
 
 @pytest.fixture(scope="module")
-def coarse(domain):
-    return verify_expansion(DISK, 1.0, [2e-2, 1.4e-2, 1e-2], domain=domain)
+def coarse():
+    return verify_expansion(DISK, 1.0, [2e-2, 1.4e-2, 1e-2], count=1500)
 
 
 class TestVerifyExpansionCoarse:
@@ -194,7 +189,7 @@ class TestVerifyExpansionCoarse:
         report = coarse["lambda_eps"]
         assert report.relative_gap < 0.2
 
-    def test_one_solve_per_eps(self, domain, monkeypatch):
+    def test_one_solve_per_eps(self, monkeypatch):
         calls = []
 
         def counting(params, *args, **kwargs):
@@ -202,16 +197,26 @@ class TestVerifyExpansionCoarse:
             return solve_nonlocal(params, *args, **kwargs)
 
         monkeypatch.setattr(asymptotics, "solve_nonlocal", counting)
-        reports = verify_expansion(DISK, 1.0, [2e-2, 1.4e-2, 1e-2], domain=domain)
+        reports = verify_expansion(DISK, 1.0, [2e-2, 1.4e-2, 1e-2], count=1500)
         assert calls == [2e-2, 1.4e-2, 1e-2]
         assert tuple(reports) == QUANTITIES
         assert all(reports[q].quantity == q for q in QUANTITIES)
 
 
+    def test_radius_from_one_input(self):
+        # the ball is built from R and count alone: at R = 2 the lambda_eps
+        # row is the solve on RadialBallDomain(R=2)
+        eps = [2e-2, 1.4e-2, 1e-2]
+        reports = verify_expansion(DISK, 2.0, eps, count=1500)
+        ball = RadialBallDomain(R=2.0, n=2, count=1500)
+        for e, lam in zip(eps, reports["lambda_eps"].computed):
+            par = Params(epsilon=e, p=2, b=1, m=1, n=2)
+            assert lam == solve_nonlocal(par, ball).steady.lambda_eps
+
+
 class TestPLimit:
     def test_single_entry(self):
-        rows = verify_p_limit(DISK, 1.0, [5.0], 0.1,
-                              domain=RadialBallDomain(R=1.0, n=2, count=1200))
+        rows = verify_p_limit(DISK, 1.0, [5.0], 0.1, count=1200)
         assert len(rows) == 1
         p, sup, frac = rows[0]
         assert 0 < sup < 1 and 0 < frac < 1

@@ -79,7 +79,6 @@ class TestParseConfig:
 
     # every command-restricted option: key -> (flag, value, parsed value, commands)
     RESTRICTED = {
-        "tol": ("--tol", "1e-6", 1e-6, ("steady-2d",)),
         "t_end": ("--t-end", "0.5", 0.5, ("evolve",)),
         "dt": ("--dt", "0.01", 0.01, ("evolve",)),
         "perturb": ("--perturb", "0.005", 0.005, ("evolve",)),
@@ -97,7 +96,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_tol_only_for_steady_2d(self, cfg_file, tmp_path, command):
         # widened from tol alone to every restricted option: a config-file
-        # key follows the same rule as its flag
+        # key follows the same rule as its flag.  The name predates the
+        # removal of tol (see test_tol_removed)
         assert {key for key, row in _OPTIONS.items() if row[2]} == set(self.RESTRICTED)
         parser = _build_parser()
         for key, (flag, text, value, commands) in self.RESTRICTED.items():
@@ -114,11 +114,20 @@ class TestParseConfig:
                 with pytest.raises(ConfigError, match=f"'{key}' applies only to"):
                     parse_config(str(path), {"command": command})
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_tol_removed(self, cfg_file, tmp_path, command):
+        # every nonlocal solve is a direct Newton: no command takes a
+        # constraint tolerance, as a flag (argparse error, exit 2) or a key
+        with pytest.raises(SystemExit, match="^2$"):
+            _build_parser().parse_args([command, "--config", str(cfg_file), "--tol", "1e-6"])
+        path = tmp_path / "tol.cfg"
+        path.write_text(BASE_CFG + "tol = 1e-6\n")
+        with pytest.raises(ConfigError, match="unknown key 'tol'"):
+            parse_config(str(path), {"command": command})
+
     @pytest.mark.parametrize(
         "command, flag, value, key",
         [
-            ("steady-2d", "--tol", "0", "tol"),
-            ("steady-2d", "--tol", "-3", "tol"),
             ("evolve", "--dt", "-0.5", "dt"),
             ("steady-radial", "--level-c", "-1", "level_c"),
             ("steady-radial", "--level-c", "1", "level_c"),

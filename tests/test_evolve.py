@@ -24,8 +24,9 @@ from klayer.evolve_radial import (
     relax_to_discrete_steady,
     step,
 )
-from klayer.mass_constraint import solve_nonlocal
 from klayer.radial_steady import _Cells, solve_local_radial
+
+from constraint_oracle import illinois
 
 PAR = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
 ULP = np.finfo(float).eps
@@ -52,7 +53,7 @@ def strong():
 
 
 class FixedGridBall:
-    """Ball domain whose local solves all use one grid (for solve_nonlocal)."""
+    """Ball domain whose local solves all use one grid (for illinois)."""
 
     def __init__(self, grid):
         self.grid = grid
@@ -315,7 +316,7 @@ class TestRelaxation:
             gaps = []
             for _ in range(4 if n > 1 else 1):
                 ref = relax_to_discrete_steady(grid, par)
-                steady = solve_nonlocal(par, FixedGridBall(grid), tol_rel=1e-10).steady
+                steady = illinois(par, FixedGridBall(grid), tol_rel=1e-10).steady
                 gaps.append((np.max(np.abs(ref.U.values - steady.U.values)),
                              np.max(np.abs(ref.W.values - steady.W.values))))
                 grid = refine_grid(grid)

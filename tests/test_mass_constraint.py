@@ -4,13 +4,11 @@ import pytest
 import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.core import Params, RadialProfile, integrate_radial
-from klayer.errors import BracketFailureError, NoConvergenceError
-from klayer.mass_constraint import (
-    RadialBallDomain,
-    constraint_value,
-    solve_nonlocal,
-)
+from klayer.errors import NoConvergenceError
+from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 from klayer.radial_steady import STEP_TOL, _Cells, boundary_slope
+
+from constraint_oracle import constraint_value, illinois
 
 PAR = Params(epsilon=2e-3, p=2, b=1, m=1, n=2)
 
@@ -22,7 +20,7 @@ def domain():
 
 @pytest.fixture(scope="module")
 def result(domain):
-    return solve_nonlocal(PAR, domain, tol_rel=1e-8)
+    return solve_nonlocal(PAR, domain)
 
 
 class TestConstraintValue:
@@ -74,7 +72,7 @@ class TestSolveNonlocal:
             def solve_local(self, sigma, params):
                 return domain.solve_local(sigma, params)
 
-        alt = solve_nonlocal(PAR, WideBracket(), tol_rel=1e-8)
+        alt = illinois(PAR, WideBracket(), tol_rel=1e-8)
         assert alt.steady.amplitude == pytest.approx(
             result.steady.amplitude, rel=5e-8
         )
@@ -89,14 +87,14 @@ class TestSolveNonlocal:
         ratios = []
         for eps in (4e-3, 2e-3, 1e-3):
             par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-            st = solve_nonlocal(par, domain, tol_rel=1e-8).steady
+            st = solve_nonlocal(par, domain).steady
             ratios.append(st.lambda_eps / eps)
         assert max(ratios) / min(ratios) < 1.3
         assert all(30 < r < 200 for r in ratios)
 
     def test_invalid_tolerance(self, domain):
         with pytest.raises(ValueError):
-            solve_nonlocal(PAR, domain, tol_rel=0.0)
+            illinois(PAR, domain, tol_rel=0.0)
 
 
 class _Stub:
@@ -158,7 +156,7 @@ class TestIllinois:
     )
     def test_iterates_stay_in_bracket(self, g, smooth):
         dom = SteepConstraint(g)
-        res = solve_nonlocal(PAR, dom, tol_rel=1e-10)
+        res = illinois(PAR, dom, tol_rel=1e-10)
         assert res.constraint_residual < 1e-10
         assert res.bisection_iters == len(dom.visited)
         gs = [g(lam) for lam in dom.visited]
@@ -179,7 +177,7 @@ class TestIllinois:
     def test_matches_plain_bisection_on_disk(self):
         par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
         dom = RadialBallDomain(R=1.0, n=2, count=2500)
-        res = solve_nonlocal(par, dom, tol_rel=1e-8)
+        res = solve_nonlocal(par, dom)
         lam_lo = par.m / (par.b**par.p * dom.volume())
         lam_ref, _ = plain_bisection(
             lambda lam: constraint_value(lam, par, dom), lam_lo, par.m, 1e-8
@@ -193,90 +191,6 @@ class TestIllinois:
         assert res.bisection_iters == 4
 
 
-def power40(lam):
-    return (lam / 5.3) ** 40
-
-
-class TestSeededBracket:
-    """solve_nonlocal(..., lam_guess=...) on stub maps.  PAR and the stub's
-    unit volume put the certified floor at lam = 1."""
-
-    @staticmethod
-    def check_path(dom, g, floor=1.0):
-        """The bracket is walked by x1.15 steps from the first evaluation
-        until g crosses m (or the floor is hit), both ends straddle m, and
-        every later iterate lies strictly inside the shrinking bracket."""
-        lams = dom.visited
-        gs = [g(lam) for lam in lams]
-        down = gs[0] > PAR.m and lams[0] > floor
-        k = 1
-        while (gs[k] > PAR.m) == down and lams[k] > floor:
-            k += 1
-        for a, b in zip(lams[:k], lams[1 : k + 1]):
-            step = max(a / 1.15, floor) if down else a * 1.15
-            assert b == pytest.approx(step, rel=1e-15)
-        lo, hi = sorted(lams[k - 1 : k + 1])
-        assert g(lo) < PAR.m < g(hi)
-        for lam, val in zip(lams[k + 1 :], gs[k + 1 :]):
-            assert lo < lam < hi
-            if val > PAR.m:
-                hi = lam
-            else:
-                lo = lam
-        return k
-
-    @pytest.mark.parametrize(
-        "g, guess",
-        [(power40, 8.0), (lambda lam: (lam / 1.05) ** 40, 1.1)],
-        ids=["steps", "stops-at-floor"],
-    )
-    def test_guess_above_root_steps_down(self, g, guess):
-        dom = SteepConstraint(g)
-        res = solve_nonlocal(PAR, dom, tol_rel=1e-10, lam_guess=guess)
-        assert res.constraint_residual < 1e-10
-        assert res.bisection_iters == len(dom.visited)
-        assert dom.visited[0] == guess
-        k = self.check_path(dom, g)
-        assert all(g(lam) > PAR.m for lam in dom.visited[:k])
-
-    def test_guess_below_root_steps_up(self):
-        dom = SteepConstraint(power40)
-        res = solve_nonlocal(PAR, dom, tol_rel=1e-10, lam_guess=3.0)
-        assert res.constraint_residual < 1e-10
-        assert dom.visited[0] == 3.0
-        k = self.check_path(dom, power40)
-        assert all(power40(lam) < PAR.m for lam in dom.visited[:k])
-
-    def test_guess_below_floor_is_clamped(self):
-        dom = SteepConstraint(power40)
-        res = solve_nonlocal(PAR, dom, tol_rel=1e-10, lam_guess=0.25)
-        assert res.constraint_residual < 1e-10
-        assert dom.visited[0] == 1.0
-        self.check_path(dom, power40)
-
-    @pytest.mark.parametrize("steps", [0, 1], ids=["at-guess", "first-step"])
-    def test_evaluation_within_tolerance_is_accepted(self, steps):
-        # g(5.3 (1 + 1e-11)) = m (1 + 4e-10): accepted even before g crosses m
-        guess = 5.3 * (1 + 1e-11) * 1.15**steps
-        dom = SteepConstraint(power40)
-        res = solve_nonlocal(PAR, dom, tol_rel=1e-8, lam_guess=guess)
-        assert res.bisection_iters == len(dom.visited) == steps + 1
-        assert res.constraint_residual < 1e-8
-
-    @pytest.mark.parametrize("guess", [0.0, -2.0, float("nan"), float("inf")])
-    def test_invalid_guess(self, guess):
-        dom = SteepConstraint(power40)
-        with pytest.raises(ValueError):
-            solve_nonlocal(PAR, dom, tol_rel=1e-8, lam_guess=guess)
-        assert dom.visited == []
-
-    def test_map_never_crossing_m(self):
-        dom = SteepConstraint(lambda lam: 1e-60 * lam)
-        with pytest.raises(BracketFailureError):
-            solve_nonlocal(PAR, dom, tol_rel=1e-8, lam_guess=2.0)
-        assert len(dom.visited) == 129
-
-
 class TestBracketFailure:
     def test_reported_after_doubling_cap(self):
         class TinyConstraint:
@@ -288,22 +202,8 @@ class TestBracketFailure:
             def solve_local(self, sigma, params):
                 return None, 1e-60
 
-        with pytest.raises(BracketFailureError):
-            solve_nonlocal(PAR, TinyConstraint(), tol_rel=1e-8)
-
-
-class LocalSolves:
-    """Delegates to a ball's local solves, so solve_nonlocal takes the bracket
-    walk and Illinois on it: the reference for the ball's direct Newton."""
-
-    def __init__(self, ball):
-        self.ball = ball
-
-    def volume(self):
-        return self.ball.volume()
-
-    def solve_local(self, sigma, params):
-        return self.ball.solve_local(sigma, params)
+        with pytest.raises(NoConvergenceError):
+            illinois(PAR, TinyConstraint(), tol_rel=1e-8)
 
 
 # (n, p, b, eps) over n 1-3, p 1-120, b 0.5-2 and eps 5e-4-2, m = 1
@@ -333,7 +233,7 @@ class TestDirectRadial:
         par = Params(epsilon=eps, p=p, b=b, m=1, n=n)
         ball = RadialBallDomain(R=1.0, n=n)
         res = solve_nonlocal(par, ball)
-        ref = solve_nonlocal(par, LocalSolves(ball), tol_rel=1e-11)
+        ref = illinois(par, ball, tol_rel=1e-11)
         st, st_ref = res.steady, ref.steady
         W = st.W.values
         W_ref = np.interp(st.W.grid.nodes, st_ref.W.grid.nodes, st_ref.W.values)
@@ -395,7 +295,7 @@ class TestDirectRadial:
         # those local solves returned 1.5104e-13, 13.6 % low
         par = Params(epsilon=0.1, p=40, b=0.5, m=1, n=2)
         ball = RadialBallDomain(R=1.0, n=2)
-        ref = solve_nonlocal(par, LocalSolves(ball), tol_rel=1e-10)
+        ref = illinois(par, ball, tol_rel=1e-10)
         assert ref.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
         direct = solve_nonlocal(par, ball)
         assert direct.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
