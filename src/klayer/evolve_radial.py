@@ -40,7 +40,7 @@ from scipy.special import exprel
 from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
 from .errors import PositivityError
 from .mass_constraint import lambda_leading
-from .radial_steady import _Cells, _solve, _solve_tridiag, barrier_lower
+from .radial_steady import _Cells, _newton, _solve_tridiag, barrier_lower
 
 __all__ = [
     "EvolutionState",
@@ -176,7 +176,7 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
     op = (*cells.operator(), unit_sphere_area(grid.n) * cells.volumes)
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
-    W = _solve(start, None, params, grid, op, polish=True)[0].values
+    W = _newton(start, None, params, grid, op, polish=True)[0].values
     v = np.log(W)
     W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
     U = W**params.p * (params.m / cells.mass(W**params.p))

@@ -30,7 +30,7 @@ from scipy.spatial import cKDTree
 from .core import Params
 from .errors import NoConvergenceError
 from .mass_constraint import NonlocalResult, RadialBallDomain, solve_nonlocal
-from .radial_steady import DAMPING, MAX_ITERS, STEP_TOL, layer_profile_constant
+from .radial_steady import MAX_ITERS, STEP_TOL, layer_profile
 
 __all__ = [
     "Disk",
@@ -56,7 +56,25 @@ MARCH_STEP = 0.5  # thickness-probe march step, in grid spacings
 # shapes
 
 
-class Disk:
+class _Curve:
+    """A closed curve t -> curve(t), t in [0, 2 pi), run counter-clockwise,
+    with the geometry that its derivatives curve_d1 and curve_d2 determine."""
+
+    def curvature(self, t):
+        x1, y1 = self.curve_d1(t)
+        x2, y2 = self.curve_d2(t)
+        return (x1 * y2 - y1 * x2) / np.hypot(x1, y1) ** 3
+
+    def inward_normal(self, t):
+        x1, y1 = self.curve_d1(t)
+        speed = np.hypot(x1, y1)
+        return -y1 / speed, x1 / speed
+
+    def signed_distance(self, x, y):
+        return _projected_distance(self, x, y)
+
+
+class Disk(_Curve):
     def __init__(self, R: float):
         if R <= 0:
             raise ValueError("disk radius must be positive")
@@ -77,20 +95,11 @@ class Disk:
     def curve_d2(self, t):
         return -self.R * np.cos(t), -self.R * np.sin(t)
 
-    def inside(self, x, y):
-        return np.hypot(x, y) < self.R
-
     def signed_distance(self, x, y):
         return np.hypot(x, y) - self.R
 
-    def curvature(self, t):
-        return np.full_like(np.asarray(t, dtype=float), 1.0 / self.R)
 
-    def inward_normal(self, t):
-        return -np.cos(t), -np.sin(t)
-
-
-class Ellipse:
+class Ellipse(_Curve):
     def __init__(self, a: float, b: float):
         if a <= 0 or b <= 0:
             raise ValueError("ellipse semi-axes must be positive")
@@ -115,21 +124,8 @@ class Ellipse:
     def inside(self, x, y):
         return (x / self.a) ** 2 + (y / self.b) ** 2 < 1.0
 
-    def signed_distance(self, x, y):
-        return _projected_distance(self, x, y)
 
-    def curvature(self, t):
-        a, b = self.a, self.b
-        return a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
-
-    def inward_normal(self, t):
-        nx = np.cos(t) / self.a
-        ny = np.sin(t) / self.b
-        norm = np.hypot(nx, ny)
-        return -nx / norm, -ny / norm
-
-
-class Star:
+class Star(_Curve):
     """Polar curve r(theta) = r0 (1 + amplitude cos(k theta))."""
 
     def __init__(self, r0: float, amplitude: float, k: int):
@@ -176,21 +172,6 @@ class Star:
 
     def inside(self, x, y):
         return np.hypot(x, y) < self.radius(np.arctan2(y, x))
-
-    def signed_distance(self, x, y):
-        return _projected_distance(self, x, y)
-
-    def curvature(self, t):
-        r = self.radius(t)
-        rp = self.radius_d1(t)
-        rpp = self.radius_d2(t)
-        return (r**2 + 2 * rp**2 - r * rpp) / (r**2 + rp**2) ** 1.5
-
-    def inward_normal(self, t):
-        tx, ty = self.curve_d1(t)
-        norm = np.hypot(tx, ty)
-        # counter-clockwise parameterisation: outward normal is (ty, -tx)
-        return -ty / norm, tx / norm
 
 
 def _projected_distance(shape, x, y):
@@ -365,6 +346,8 @@ def build_domain(shape, h: float, n_samples: int = 64):
     """Masked grid plus boundary samples (uniformly spaced in arclength)."""
     if h <= 0:
         raise ValueError("h must be positive")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if shape.min_feature() < 8 * h:
         raise ValueError(
             f"h={h} too coarse: narrowest feature {shape.min_feature()} spans "
@@ -389,7 +372,7 @@ def build_domain(shape, h: float, n_samples: int = 64):
     for t_k, s_k in zip(t_samples, s_targets):
         px, py = shape.curve(t_k)
         nx, ny = shape.inward_normal(t_k)
-        kappa = float(np.asarray(shape.curvature(t_k)))
+        kappa = float(shape.curvature(t_k))
         samples.append(
             BoundarySample(
                 point=np.array([float(px), float(py)]),
@@ -470,20 +453,16 @@ def solve_local_2d(
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
 
     Newton (see _newton_2d) starts from the distance-based layer profile
-    b (1 + d b^(p/2) / (c_p sqrt(sigma)))^(-2/p), d the depth below the
-    boundary, unless an initial iterate of shape (N_inside,) or the full grid
-    shape is given.
+    radial_steady.layer_profile at the depth -phi below the boundary, unless
+    an initial iterate over the inside nodes, of shape (N_inside,), is given.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    p, b = params.p, params.b
     inside = grid.inside
     if initial is None:
-        z = -grid.phi[inside] * b ** (p / 2.0) / (layer_profile_constant(p) * math.sqrt(sigma))
-        w = b * (1.0 + z) ** (-2.0 / p)
+        w = layer_profile(-grid.phi[inside], sigma, params)
     else:
-        arr = np.asarray(initial, dtype=float)
-        w = arr[inside] if arr.shape == inside.shape else arr.copy()
+        w = np.asarray(initial, dtype=float)
         if w.shape != (int(inside.sum()),):
             raise ValueError("initial iterate has wrong shape")
     return _newton_2d(w, sigma, params, grid)[0]
@@ -492,7 +471,7 @@ def solve_local_2d(
 def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
     """Chord Newton from w (inside nodes) on sigma (L w + b bvec) = w^(1+p).
 
-    The 2D counterpart of radial_steady._solve.  With sigma None,
+    The 2D counterpart of radial_steady._newton.  With sigma None,
     sigma = eps * integral(W^p) / m follows the iterate, and the Jacobian
     sigma L - (1+p) diag(w^p) gains the rank one col (x) row, col the
     derivative (eps/m) (L w + b bvec) of F in sigma and row the gradient
@@ -557,12 +536,12 @@ def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
             z = lu.solve(coef * lap)
             row = p * quad * wp / w
             delta -= z * (float(np.sum(row * delta)) / (1.0 + float(np.sum(row * z))))
-        alpha = DAMPING
+        alpha = 1.0
         neg = delta < 0
         limited = False
         if np.any(neg):
             ratio = float(np.max(-delta[neg] / w[neg]))
-            if alpha * ratio > 0.9:  # keep the iterate strictly positive
+            if ratio > 0.9:  # keep the iterate strictly positive
                 alpha = 0.9 / ratio
                 limited = True
         w = np.maximum(w + alpha * delta, floor)

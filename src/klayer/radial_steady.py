@@ -1,7 +1,7 @@
 """Radial boundary-value solvers and closed-form layer barriers.
 
 Solves sigma * (W'' + (n-1)/r W') = W^(1+p) on (0, R) with W'(0) = 0 and
-W(R) = b by damped Newton on the node-centred finite volumes of _Cells,
+W(R) = b by Newton (_newton) on the node-centred finite volumes of _Cells,
 sigma K W = V W^(1+p) with K the flux-difference operator and V the cell
 volumes: at a given sigma (the local problem, solve_local_radial), or with
 sigma = eps * int W^p / m taken from the iterate itself (the nonlocal
@@ -26,6 +26,7 @@ from .errors import AxisSingularityError, NoConvergenceError
 
 __all__ = [
     "layer_profile_constant",
+    "layer_profile",
     "layer_width",
     "barrier_lower",
     "barrier_upper",
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 
-# Newton controls of the radial solves: the iteration cap, the step damping
-# and STEP_TOL, shared with the 2D solve in planar2d.  The radial Newtons stop
+# Newton controls of the radial solves: the iteration cap and STEP_TOL,
+# shared with the 2D solve in planar2d.  The radial Newton stops
 # once the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of the
 # Newton step, is below STEP_TOL * b and every |F_i| / V_i is below
 # NEWTON_TOL times min(1, b^(1+p)), the size of W^(1+p) at the boundary, or
@@ -45,7 +46,6 @@ __all__ = [
 # where diffusion dominates (the smallest eigenvalue of sigma K lies far below
 # its diagonal), the absolute one alone where W^(1+p) is far below NEWTON_TOL.
 MAX_ITERS = 60
-DAMPING = 1.0
 STEP_TOL = 1e-13
 NEWTON_TOL = 1e-10
 
@@ -63,8 +63,17 @@ def layer_width(sigma: float, params: Params) -> float:
     return cp * math.sqrt(sigma) / params.b ** (params.p / 2.0)
 
 
+def layer_profile(depth, sigma: float, params: Params):
+    """The algebraic layer b (1 + d b^(p/2) / (c_p sqrt(sigma)))^(-2/p) at
+    depth d below the boundary."""
+    p, b = params.p, params.b
+    z = depth * b ** (p / 2.0) / (layer_profile_constant(p) * math.sqrt(sigma))
+    return b * (1.0 + z) ** (-2.0 / p)
+
+
 def barrier_lower(r, sigma: float, params: Params, R: float):
-    """Sub-solution b * (1 + b^(p/2) (R - r) / (c_p sqrt(sigma)))^(-2/p).
+    """Sub-solution b * (1 + b^(p/2) (R - r) / (c_p sqrt(sigma)))^(-2/p), the
+    layer_profile at depth R - r.
 
     Valid for every sigma > 0 and dimension; equals b at r = R and decreases
     toward the interior.
@@ -74,10 +83,7 @@ def barrier_lower(r, sigma: float, params: Params, R: float):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(r > R):
         raise ValueError("radius outside [0, R]")
-    p, b = params.p, params.b
-    cp = layer_profile_constant(p)
-    z = (R - r) * b ** (p / 2.0) / (cp * math.sqrt(sigma))
-    out = b * (1.0 + z) ** (-2.0 / p)
+    out = layer_profile(R - r, sigma, params)
     return out if out.ndim else float(out)
 
 
@@ -208,8 +214,8 @@ def _ball_operator(grid: RadialGrid):
     return (*_Cells(grid).operator(), weights)
 
 
-def _newton(W, sigma, params, op, damping, polish):
-    """Damped Newton from W on sigma K W = M W^(1+p) off the last row, W(R) = b.
+def _newton(W, sigma, params, grid, op, polish=False):
+    """Newton from W on sigma K W = M W^(1+p) off the last row, W(R) = b.
 
     op = (lo, di, up, M, weights): the bands of K (zero row sums; the last
     row is the Dirichlet one), the row weight M and the quadrature weights
@@ -220,11 +226,18 @@ def _newton(W, sigma, params, op, damping, polish):
     solve with two right-hand sides combined by Sherman-Morrison.  Stops on
     the Jacobi-scaled and the absolute residual per unit of M (STEP_TOL,
     NEWTON_TOL); with polish, one more step follows, taken in q = W^(-p/2).
-    Returns (W, tridiagonal solves), or None when MAX_ITERS steps do not get
-    there or an iterate turns non-finite.
+    Returns (the RadialProfile on grid, tridiagonal solves); raises
+    NoConvergenceError after MAX_ITERS steps, when an iterate turns
+    non-finite, or when the converged W exceeds b.
     """
+    if grid.n != params.n:
+        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
+    W = np.asarray(W, dtype=float)
+    if W.shape != grid.nodes.shape:
+        raise ValueError("initial iterate shape does not match grid")
     p, b = params.p, params.b
     lo, di, up, M, weights = op
+    at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
     floor = 1e-30 * b
     coef = params.epsilon / params.m
     # float64 cancellation floor of each residual, over sigma: the sigma K W
@@ -248,9 +261,9 @@ def _newton(W, sigma, params, op, damping, polish):
             np.abs(F) < np.maximum(res_tol, rounding * s)
         )
         if done and not polish:
-            return W, steps
+            break
         if steps == MAX_ITERS:
-            return None
+            raise NoConvergenceError(f"Newton failed on {at} after {MAX_ITERS} iterations")
         jl = s * lo[1:]
         jl[-1] = 0.0
         ju = s * up[:-1]
@@ -264,30 +277,12 @@ def _newton(W, sigma, params, op, damping, polish):
         if done:
             # the step in q = W^(-p/2), the variable in which the layer
             # b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W
-            return W * (1.0 - 0.5 * p * delta / W) ** (-2.0 / p), steps + 1
-        W = np.maximum(W + damping * delta, floor)
+            W = W * (1.0 - 0.5 * p * delta / W) ** (-2.0 / p)
+            steps += 1
+            break
+        W = np.maximum(W + delta, floor)
         if not np.all(np.isfinite(W)):
-            return None
-
-
-def _solve(W, sigma, params, grid, op, polish=False):
-    """_newton with one retry at halved damping, then the checks on W <= b."""
-    if grid.n != params.n:
-        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
-    W = np.array(W, dtype=float)
-    if W.shape != grid.nodes.shape:
-        raise ValueError("initial iterate shape does not match grid")
-    out = _newton(W, sigma, params, op, DAMPING, polish)
-    if out is None:
-        out = _newton(W, sigma, params, op, DAMPING / 2.0, polish)
-    if out is None:
-        at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
-        raise NoConvergenceError(
-            f"Newton failed on {at} after {MAX_ITERS} iterations "
-            "(twice, second time with halved damping)"
-        )
-    W, steps = out
-    b = params.b
+            raise NoConvergenceError(f"Newton iterate on {at} turned non-finite")
     W[-1] = b
     overshoot = np.max(W) - b
     if overshoot > 1e-9 * b:
@@ -307,14 +302,14 @@ def solve_local_radial(
     Newton starts from the lower barrier (a sub-solution, which keeps the
     iterates in the monotone basin) unless an explicit initial iterate is
     given, and stops on the scaled and the absolute residual (see STEP_TOL
-    and NEWTON_TOL).  One automatic retry with halved damping precedes
-    NoConvergenceError.
+    and NEWTON_TOL); NoConvergenceError when it does not get there in
+    MAX_ITERS steps.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if initial is None:
         initial = barrier_lower(grid.nodes, sigma, params, grid.R)
-    return _solve(initial, sigma, params, grid, _ball_operator(grid))[0]
+    return _newton(initial, sigma, params, grid, _ball_operator(grid))[0]
 
 
 def solve_nonlocal_radial(
@@ -324,10 +319,10 @@ def solve_nonlocal_radial(
 
     sigma(W) = eps * int W^p / m closes the mass constraint, so the
     amplitude m / int W^p is no unknown of its own.  Newton from initial,
-    with the same stop, retry and checks as solve_local_radial; returns the
-    profile and the number of Newton steps of the accepted attempt.
+    with the same stop and checks as solve_local_radial; returns the
+    profile and the number of Newton steps.
     """
-    return _solve(initial, None, params, grid, _ball_operator(grid))
+    return _newton(initial, None, params, grid, _ball_operator(grid))
 
 
 def boundary_slope(W: RadialProfile) -> float:

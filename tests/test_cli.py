@@ -367,6 +367,15 @@ class TestRunSteady2D:
         assert named in err
         assert not (out / "steady_field.csv").exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_rejected(self, cfg_file, tmp_path, capsys, samples):
+        out = tmp_path / "no_samples"
+        rc = main(["steady-2d", "--config", str(cfg_file), "--eps", "0.05",
+                   "--shape", "disk", "--h", "0.05", "--samples", samples, "--out", str(out)])
+        assert rc == 1
+        assert "n_samples" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestRunVerify:
     def test_acceptance_configuration_passes(self, cfg_file, tmp_path):

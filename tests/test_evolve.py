@@ -333,9 +333,9 @@ class TestRelaxation:
         ops = []
 
         def capture(module):
-            solve = module._solve
+            newton = module._newton
             monkeypatch.setattr(
-                module, "_solve", lambda *args, **kw: ops.append(args[4]) or solve(*args, **kw)
+                module, "_newton", lambda *args, **kw: ops.append(args[4]) or newton(*args, **kw)
             )
 
         capture(klayer.radial_steady)

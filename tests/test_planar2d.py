@@ -77,6 +77,21 @@ class TestGeometry:
         assert ks.min() == pytest.approx(b / a**2, rel=1e-3)
         assert ks.max() == pytest.approx(a / b**2, rel=1e-3)
 
+    def test_curvature_and_normal_from_the_curve(self):
+        t = np.linspace(0.0, 2.0 * np.pi, 1001)
+        a, b = np.sqrt(2.0), 1.0 / np.sqrt(2.0)
+        np.testing.assert_allclose(Disk(1.7).curvature(t), 1.0 / 1.7, rtol=1e-14, atol=0)
+        exact = a * b / (a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2) ** 1.5
+        np.testing.assert_allclose(Ellipse(a, b).curvature(t), exact, rtol=1e-14, atol=0)
+        for shape in SHAPES:
+            nx, ny = shape.inward_normal(t)
+            tx, ty = shape.curve_d1(t)
+            np.testing.assert_allclose(np.hypot(nx, ny), 1.0, rtol=0, atol=1e-15)
+            assert np.max(np.abs(nx * tx + ny * ty) / np.hypot(tx, ty)) <= 1e-15
+            # inward: a short step along the normal enters the domain
+            x, y = shape.curve(t)
+            assert np.all(shape.signed_distance(x + 1e-3 * nx, y + 1e-3 * ny) < 0)
+
     def test_ellipse_projection_on_axis(self):
         shape = Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0))
         got = shape.signed_distance(np.array([np.sqrt(2.0) - 0.1]), np.array([0.0]))
@@ -118,6 +133,11 @@ class TestGeometry:
     def test_too_coarse_h_rejected(self):
         with pytest.raises(ValueError):
             build_domain(Disk(0.05), 0.02)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            build_domain(Disk(1.0), 0.05, n_samples=n_samples)
 
     def test_arclengths_increasing(self, disk_grid):
         _, samples = disk_grid

@@ -74,6 +74,14 @@ class TestSolveLocalRadial:
         with pytest.raises(NoConvergenceError):
             solve_local_radial(1e-4, P2, grid)
 
+    def test_no_convergence_on_non_finite_iterate(self, monkeypatch):
+        grid = make_graded_grid(1.0, 2, 0.02, 200)
+        monkeypatch.setattr(
+            klayer.radial_steady, "_solve_tridiag", lambda lo, di, up, rhs: np.full_like(rhs, np.nan)
+        )
+        with pytest.raises(NoConvergenceError, match="non-finite"):
+            solve_local_radial(1e-4, P2, grid)
+
     def test_grid_convergence_order(self):
         g0 = make_graded_grid(40.0, 1, 0.154, 1000)
         g1 = refine_grid(g0)
