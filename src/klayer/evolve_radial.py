@@ -40,7 +40,8 @@ from scipy.special import exprel
 from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
 from .errors import PositivityError
 from .mass_constraint import lambda_leading
-from .radial_steady import _Cells, _newton, _solve_tridiag, barrier_lower
+from . import radial_steady
+from .radial_steady import _Cells, _newton, barrier_lower
 
 __all__ = [
     "EvolutionState",
@@ -133,7 +134,7 @@ def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionS
     di = V / dt
     di[:-1] += leave
     di[1:] += enter
-    u_new = _solve_tridiag(-leave, di, -enter, V / dt * state.u.values)
+    u_new = radial_steady.solve_banded(-leave, di, -enter, V / dt * state.u.values)
 
     # --- w = e^v: implicit diffusion and sink at the new u, w(R) = b --------
     a = params.epsilon * g
@@ -145,7 +146,7 @@ def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionS
     lo[-1] = 0.0
     rhs = V / dt * np.exp(state.v.values)
     rhs[-1] = params.b
-    v_new = np.log(_solve_tridiag(lo, di, -a, rhs))
+    v_new = np.log(radial_steady.solve_banded(lo, di, -a, rhs))
     v_new[-1] = math.log(params.b)
 
     return EvolutionState(

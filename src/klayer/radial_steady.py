@@ -8,10 +8,11 @@ sigma = eps * int W^p / m taken from the iterate itself (the nonlocal
 problem, solve_nonlocal_radial).  evolve_radial time-steps on the same cells
 and solves its scheme's steady pair with the same Newton and K; the two
 nonlocal solves differ only in the quadrature of int W^p (trapezoid on the
-ball, cell volumes for the pair).  The closed-form sub/super-solutions
-bracketing the solution are exposed as barrier_lower / barrier_upper; they
-double as Newton initial iterates and as independent checks on converged
-solutions.
+ball, cell volumes for the pair).  Every tridiagonal solve of both modules
+is one call of solve_banded, the one tridiagonal kernel (LAPACK gtsv).  The
+closed-form sub/super-solutions bracketing the solution are exposed as
+barrier_lower / barrier_upper; they double as Newton initial iterates and as
+independent checks on converged solutions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .core import Params, RadialGrid, RadialProfile, _trapezoid_weights, unit_sphere_area
 from .errors import AxisSingularityError, NoConvergenceError
@@ -184,25 +185,31 @@ class _Cells:
         return lo, -(lo + up), up, self.volumes
 
 
-def _solve_tridiag(lo, di, up, rhs):
+def solve_banded(lo, di, up, rhs):
     """Solve the tridiagonal system with sub-, main and super-diagonal lo, di, up.
 
     lo and up have one entry fewer than di; rhs may hold several columns.
+    One call of LAPACK gtsv, the routine scipy.linalg.solve_banded((1, 1), ...)
+    runs, with its guards but not its per-call overhead: ValueError on a
+    non-finite entry, LinAlgError on a singular matrix, no input overwritten.
+    Every caller looks it up as a module attribute, so a wrapper set here
+    sees every tridiagonal solve.
     """
-    ab = np.zeros((3, di.size))
-    ab[0, 1:] = up
-    ab[1, :] = di
-    ab[2, :-1] = lo
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+    if not all(np.isfinite(a).all() for a in (lo, di, up, rhs)):
+        raise ValueError("tridiagonal system has a non-finite entry")
+    *_, x, info = dgtsv(lo, di, up, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def _solve_tridiag_rank_one(lo, di, up, rhs, col, row):
-    """Solve (T + col row^T) x = rhs, T tridiagonal as in _solve_tridiag.
+    """Solve (T + col row^T) x = rhs, T tridiagonal as in solve_banded.
 
     One banded solve with the two right-hand sides rhs and col, combined by
     Sherman-Morrison.
     """
-    y, z = _solve_tridiag(lo, di, up, np.column_stack((rhs, col))).T
+    y, z = solve_banded(lo, di, up, np.column_stack((rhs, col))).T
     return y - z * (row @ y) / (1.0 + row @ z)
 
 
@@ -273,7 +280,7 @@ def _newton(W, sigma, params, grid, op, polish=False):
             row = p * weights * Wp / W  # grad int W^p
             delta = _solve_tridiag_rank_one(jl, jd, ju, -F, col, row)
         else:
-            delta = _solve_tridiag(jl, jd, ju, -F)
+            delta = solve_banded(jl, jd, ju, -F)
         if done:
             # the step in q = W^(-p/2), the variable in which the layer
             # b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W

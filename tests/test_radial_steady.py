@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from klayer.cli import RunConfig, _evolve_grid
 from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
-from klayer.mass_constraint import RadialBallDomain
+from klayer.evolve_radial import EvolutionState, SchemeConfig, relax_to_discrete_steady, step
+from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 import klayer.radial_steady
 from klayer.radial_steady import (
     barrier_lower,
@@ -14,7 +16,6 @@ from klayer.radial_steady import (
     solve_local_radial,
     upper_barrier_sigma_max,
     _Cells,
-    _solve_tridiag,
 )
 
 P1 = Params(epsilon=1.0, p=2, b=1, m=1, n=1)
@@ -65,7 +66,7 @@ class TestSolveLocalRadial:
         jl[-1], jd[-1] = 0.0, 1.0
         rhs = np.zeros(grid.count)
         rhs[-1] = 1.0
-        W_lin = _solve_tridiag(jl[1:], jd, ju[:-1], rhs)
+        W_lin = klayer.radial_steady.solve_banded(jl[1:], jd, ju[:-1], rhs)
         assert np.max(np.abs(W.values - W_lin)) <= 1e-9
 
     def test_no_convergence_with_single_iteration(self, monkeypatch):
@@ -77,7 +78,7 @@ class TestSolveLocalRadial:
     def test_no_convergence_on_non_finite_iterate(self, monkeypatch):
         grid = make_graded_grid(1.0, 2, 0.02, 200)
         monkeypatch.setattr(
-            klayer.radial_steady, "_solve_tridiag", lambda lo, di, up, rhs: np.full_like(rhs, np.nan)
+            klayer.radial_steady, "solve_banded", lambda lo, di, up, rhs: np.full_like(rhs, np.nan)
         )
         with pytest.raises(NoConvergenceError, match="non-finite"):
             solve_local_radial(1e-4, P2, grid)
@@ -266,3 +267,99 @@ class TestBoundarySlope:
         assert boundary_slope(halfline_solve) == pytest.approx(
             1.0 / np.sqrt(2.0), abs=1e-3
         )
+
+
+def scipy_tridiag(lo, di, up, rhs):
+    """Reference for radial_steady.solve_banded: scipy's banded solver on the
+    packed bands, which runs the same LAPACK gtsv."""
+    ab = np.zeros((3, di.size))
+    ab[0, 1:] = up
+    ab[1] = di
+    ab[2, :-1] = lo
+    return solve_banded((1, 1), ab, rhs)
+
+
+def dominant_system(N, cols, order):
+    """A random strictly diagonally dominant tridiagonal system; cols None
+    gives a one-dimensional right-hand side."""
+    rng = np.random.default_rng(0)
+    lo, up = rng.uniform(-1.0, 1.0, (2, N - 1))
+    off = np.abs(np.r_[0.0, lo]) + np.abs(np.r_[up, 0.0])
+    di = rng.choice((-1.0, 1.0), N) * (off + rng.uniform(0.1, 1.0, N))
+    rhs = rng.uniform(-1.0, 1.0, N if cols is None else (N, cols))
+    return lo, di, up, np.array(rhs, order=order)
+
+
+class TestSolveBanded:
+    """radial_steady.solve_banded, the one tridiagonal kernel, against scipy's
+    solve_banded on the packed bands."""
+
+    @pytest.mark.parametrize("N", [2, 3, 128, 1593])
+    @pytest.mark.parametrize("cols", [None, 1, 2])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_scipy(self, N, cols, order):
+        system = dominant_system(N, cols, order)
+        before = [a.copy() for a in system]
+        x = klayer.radial_steady.solve_banded(*system)
+        for a, b in zip(system, before):
+            assert np.array_equal(a, b)
+        assert np.array_equal(x, scipy_tridiag(*system))
+
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, which, bad):
+        system = list(dominant_system(128, 2, "C"))
+        system[which][5] = bad
+        with pytest.raises(ValueError):
+            klayer.radial_steady.solve_banded(*system)
+
+    @pytest.mark.parametrize("row", [0, 64, 127])
+    def test_singular_rejected(self, row):
+        lo, di, up, rhs = dominant_system(128, None, "C")
+        di[row] = 0.0
+        lo[row - 1 : row] = 0.0
+        up[row : row + 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            klayer.radial_steady.solve_banded(lo, di, up, rhs)
+
+
+class TestSolveBandedPaths:
+    """The Newton and evolve paths give bit-identical results with the
+    helper swapped for scipy's banded solver; since step finds the helper as
+    a module attribute, the swap reaches both of its solves."""
+
+    @staticmethod
+    def evolve_decay_run():
+        par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
+        grid = _evolve_grid(RunConfig(command="evolve", params=par, grid_count=128))
+        ref = relax_to_discrete_steady(grid, par)
+        u0 = ref.U.values * (1.0 + 0.01 * np.cos(np.pi * grid.nodes))
+        state = EvolutionState(t=0.0, u=RadialProfile(grid, u0), v=ref.V)
+        cfg = SchemeConfig(dt=5e-3, t_end=5.0)
+        out = [ref.U.values.tobytes(), ref.V.values.tobytes()]
+        for _ in range(200):
+            state = step(state, par, cfg)
+            out += [state.u.values.tobytes(), state.v.values.tobytes()]
+        return out
+
+    @staticmethod
+    def ball_run():
+        res = solve_nonlocal(Params(epsilon=0.004, p=2, b=1, m=1, n=2), RadialBallDomain(R=1.0, n=2))
+        return res.steady.W.values.tobytes(), res.steady.lambda_eps
+
+    @pytest.mark.parametrize(
+        "run, solves",
+        # the pair's 1-6 Newton steps, then two solves per step; the ball's
+        # 6-7 Newton steps (test_newton_steps_per_solve)
+        [("evolve_decay_run", range(401, 407)), ("ball_run", range(1, 8))],
+    )
+    def test_bit_identical_to_scipy(self, monkeypatch, run, solves):
+        fast = getattr(self, run)()
+        calls = []
+        monkeypatch.setattr(
+            klayer.radial_steady,
+            "solve_banded",
+            lambda *args: calls.append(1) or scipy_tridiag(*args),
+        )
+        assert getattr(self, run)() == fast
+        assert len(calls) in solves
