@@ -9,7 +9,7 @@ symmetric interval [-R, R]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,11 +74,20 @@ class Params:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes from 0 to R with the dimension of the measure."""
+    """Strictly increasing nodes from 0 to R with the dimension of the measure.
+
+    Node i is the centre of the finite-volume cell between the midpoints
+    around it, from 0 at the axis to R at the boundary.  volumes holds the
+    cell volumes and conductances the area / dr of the N - 1 interior faces,
+    both without the factor omega_n; they follow from nodes and n, so they
+    take no part in construction, equality or repr.
+    """
 
     R: float
     nodes: np.ndarray
     n: int
+    volumes: np.ndarray = field(init=False, compare=False, repr=False)
+    conductances: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -92,9 +101,17 @@ class RadialGrid:
             raise ValueError("nodes must be strictly increasing")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be an integer >= 1, got {self.n}")
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "n", int(self.n))
+        n = int(self.n)
+        faces = np.empty(nodes.size + 1)
+        faces[0] = 0.0
+        faces[-1] = self.R
+        faces[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
+        volumes = (faces[1:] ** n - faces[:-1] ** n) / n
+        conductances = faces[1:-1] ** (n - 1) / np.diff(nodes)
+        for name, value in (("nodes", nodes), ("volumes", volumes), ("conductances", conductances)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", n)
 
     @property
     def count(self) -> int:

@@ -41,7 +41,7 @@ from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
 from .errors import PositivityError
 from .mass_constraint import lambda_leading
 from . import radial_steady
-from .radial_steady import _Cells, _newton, barrier_lower
+from .radial_steady import _newton, barrier_lower
 
 __all__ = [
     "EvolutionState",
@@ -55,6 +55,16 @@ __all__ = [
     "fit_decay_rate",
 ]
 
+
+def _same_grid(a: RadialGrid, b: RadialGrid) -> bool:
+    return a is b or (a.n == b.n and np.array_equal(a.nodes, b.nodes))
+
+
+def _mass(grid: RadialGrid, u: np.ndarray) -> float:
+    """The finite-volume mass omega_n sum(V_i u_i) that step() conserves."""
+    return unit_sphere_area(grid.n) * float(np.dot(grid.volumes, u))
+
+
 @dataclass(frozen=True)
 class EvolutionState:
     """Time-stamped fields: positive density u and log-chemical v, v(R) = ln b."""
@@ -64,9 +74,7 @@ class EvolutionState:
     v: RadialProfile
 
     def __post_init__(self):
-        if self.u.grid is not self.v.grid and not np.array_equal(
-            self.u.grid.nodes, self.v.grid.nodes
-        ):
+        if not _same_grid(self.u.grid, self.v.grid):
             raise ValueError("u and v must share a grid")
         if np.any(self.u.values <= 0):
             raise PositivityError("u must be positive at every node")
@@ -122,10 +130,9 @@ class EvolutionSeries:
 def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionState:
     """One update of (u, w = e^v) by cfg.dt; positive for every dt."""
     grid = state.u.grid
-    cells = _Cells(grid)
     dt = cfg.dt
-    V = cells.volumes
-    g = cells.g  # interior faces 1..N-1
+    V = grid.volumes
+    g = grid.conductances  # interior faces 1..N-1
 
     # --- u: implicit Scharfetter-Gummel flux at the old v --------------------
     d = params.p * np.diff(state.v.values)
@@ -167,20 +174,20 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
     eps K W = V C W^(1+p) off the Dirichlet row, K being the flux-difference
     operator of step() and C = m / (omega_n sum(V W^p)); no dt enters.  That
     is sigma K W = V W^(1+p) with sigma = eps omega_n sum(V W^p) / m, the
-    ball's nonlocal equation on the finite-volume operator: row weight V,
-    quadrature weights omega_n V.  Newton starts from the lower barrier at
-    sigma0 = eps^2 lambda_leading, as the ball's solve does, and takes its
-    last step in q = W^(-p/2), which leaves the pair fixed under step() to a
-    few ulps.  Raises NoConvergenceError as radial_steady's solves do.
+    ball's nonlocal equation on the grid's cells, with the quadrature
+    weights omega_n V in place of the ball's trapezoid ones.  Newton starts
+    from the lower barrier at sigma0 = eps^2 lambda_leading, as the ball's
+    solve does, and takes its last step in q = W^(-p/2), which leaves the
+    pair fixed under step() to a few ulps.  Raises NoConvergenceError as
+    radial_steady's solves do.
     """
-    cells = _Cells(grid)
-    op = (*cells.operator(), unit_sphere_area(grid.n) * cells.volumes)
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
-    W = _newton(start, None, params, grid, op, polish=True)[0].values
+    weights = unit_sphere_area(grid.n) * grid.volumes
+    W = _newton(start, None, params, grid, weights, polish=True)[0].values
     v = np.log(W)
     W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
-    U = W**params.p * (params.m / cells.mass(W**params.p))
+    U = W**params.p * (params.m / _mass(grid, W**params.p))
     return DiscreteSteady(U=RadialProfile(grid, U), V=RadialProfile(grid, v))
 
 
@@ -223,17 +230,25 @@ def evolve(
     """Run the scheme at the fixed step cfg.dt and record stability diagnostics.
 
     Distances and energy are measured against reference, the scheme's steady
-    pair on u0's grid (see relax_to_discrete_steady).  u0 is renormalised to mass m when needed (the factor is reported).
-    w0 must be positive with w0(R) = b.  Terminates at t_end or when the
+    pair on u0's grid (see relax_to_discrete_steady); masses and L2 norms are
+    finite-volume sums over the grid's cells.  w0 and both fields of
+    reference must live on u0's grid, whose dimension must be params.n.
+    u0 is renormalised to mass m when needed (the factor is reported).  w0
+    must be positive with w0(R) = b.  Terminates at t_end or when the
     combined L-infinity distance drops below 1e-10.
     """
     grid = u0.grid
+    if grid.n != params.n:
+        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
+    if not _same_grid(w0.grid, grid):
+        raise ValueError("w0 lives on an incompatible grid")
+    if not (_same_grid(reference.U.grid, grid) and _same_grid(reference.V.grid, grid)):
+        raise ValueError("steady reference lives on an incompatible grid")
     if np.any(u0.values <= 0) or np.any(w0.values <= 0):
         raise ValueError("u0 and w0 must be positive")
     if abs(w0.values[-1] - params.b) > 1e-10 * params.b:
         raise ValueError(f"w0(R) = {w0.values[-1]} must equal b = {params.b}")
-    cells = _Cells(grid)
-    factor = params.m / cells.mass(u0.values)
+    factor = params.m / _mass(grid, u0.values)
     u_init = u0.values * factor
     v_init = np.log(w0.values)
     v_init[-1] = math.log(params.b)
@@ -242,11 +257,8 @@ def evolve(
         u=RadialProfile(grid=grid, values=u_init),
         v=RadialProfile(grid=grid, values=v_init),
     )
-    if not np.array_equal(reference.U.grid.nodes, grid.nodes):
-        raise ValueError("steady reference lives on an incompatible grid")
     U_ref = reference.U.values
     W_ref = np.exp(reference.V.values)
-    om = unit_sphere_area(grid.n)
 
     rows = []
 
@@ -256,11 +268,11 @@ def evolve(
         rows.append(
             (
                 st.t,
-                cells.mass(st.u.values),
+                _mass(grid, st.u.values),
                 float(np.max(np.abs(du))),
-                math.sqrt(om * float(np.dot(cells.volumes, du**2))),
+                math.sqrt(_mass(grid, du**2)),
                 float(np.max(np.abs(dw))),
-                math.sqrt(om * float(np.dot(cells.volumes, dw**2))),
+                math.sqrt(_mass(grid, dw**2)),
                 lyapunov_energy(st, reference, params),
             )
         )

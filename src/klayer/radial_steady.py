@@ -1,18 +1,19 @@
 """Radial boundary-value solvers and closed-form layer barriers.
 
 Solves sigma * (W'' + (n-1)/r W') = W^(1+p) on (0, R) with W'(0) = 0 and
-W(R) = b by Newton (_newton) on the node-centred finite volumes of _Cells,
-sigma K W = V W^(1+p) with K the flux-difference operator and V the cell
-volumes: at a given sigma (the local problem, solve_local_radial), or with
-sigma = eps * int W^p / m taken from the iterate itself (the nonlocal
-problem, solve_nonlocal_radial).  evolve_radial time-steps on the same cells
-and solves its scheme's steady pair with the same Newton and K; the two
-nonlocal solves differ only in the quadrature of int W^p (trapezoid on the
-ball, cell volumes for the pair).  Every tridiagonal solve of both modules
-is one call of solve_banded, the one tridiagonal kernel (LAPACK gtsv).  The
-closed-form sub/super-solutions bracketing the solution are exposed as
-barrier_lower / barrier_upper; they double as Newton initial iterates and as
-independent checks on converged solutions.
+W(R) = b by Newton (_newton) on the node-centred finite volumes of the
+radial grid, sigma K W = V W^(1+p) with K the flux-difference operator over
+the grid's face conductances and V its cell volumes: at a given sigma (the
+local problem, solve_local_radial), or with sigma = eps * int W^p / m taken
+from the iterate itself (the nonlocal problem, solve_nonlocal_radial).
+evolve_radial time-steps on the same cells and solves its scheme's steady
+pair with the same Newton and K; the two nonlocal solves differ only in the
+quadrature of int W^p (trapezoid on the ball, cell volumes for the pair).
+Every tridiagonal solve of both modules is one call of solve_banded, the one
+tridiagonal kernel (LAPACK gtsv).  The closed-form sub/super-solutions
+bracketing the solution are exposed as barrier_lower / barrier_upper; they
+double as Newton initial iterates and as independent checks on converged
+solutions.
 """
 
 from __future__ import annotations
@@ -150,41 +151,6 @@ def barrier_upper(r, sigma: float, params: Params, R: float):
     return out if out.ndim else float(out)
 
 
-class _Cells:
-    """The node-centred finite-volume cells over a radial grid.
-
-    Cell i runs between the midpoints around node i, from 0 at the axis to R
-    at the boundary; volumes and face areas omit the factor omega_n.
-    """
-
-    def __init__(self, grid: RadialGrid):
-        r = grid.nodes
-        n = grid.n
-        faces = np.empty(r.size + 1)
-        faces[0] = 0.0
-        faces[-1] = grid.R
-        faces[1:-1] = 0.5 * (r[:-1] + r[1:])
-        self.grid = grid
-        self.volumes = (faces[1:] ** n - faces[:-1] ** n) / n
-        # conductance area / dr of the interior faces 1..N-1
-        self.g = faces[1:-1] ** (n - 1) / np.diff(r)
-
-    def mass(self, u: np.ndarray) -> float:
-        return unit_sphere_area(self.grid.n) * float(np.dot(self.volumes, u))
-
-    def operator(self):
-        """(lo, di, up, V): the bands of the flux-difference operator K and
-        the row weight V, so that K W / V approximates W'' + (n-1)/r W'.
-
-        Row i of K W is g_i (W_(i+1) - W_i) - g_(i-1) (W_i - W_(i-1)), the net
-        flux into cell i; no flux crosses r = 0, and _newton replaces the last
-        row by the Dirichlet one.  Row sums are zero.
-        """
-        lo = np.concatenate(([0.0], self.g))
-        up = np.concatenate((self.g, [0.0]))
-        return lo, -(lo + up), up, self.volumes
-
-
 def solve_banded(lo, di, up, rhs):
     """Solve the tridiagonal system with sub-, main and super-diagonal lo, di, up.
 
@@ -213,28 +179,22 @@ def _solve_tridiag_rank_one(lo, di, up, rhs, col, row):
     return y - z * (row @ y) / (1.0 + row @ z)
 
 
-def _ball_operator(grid: RadialGrid):
-    """The operator of _newton on the ball: the finite-volume K and V of
-    _Cells with the trapezoid weights of integrate_radial."""
-    r = grid.nodes
-    weights = unit_sphere_area(grid.n) * _trapezoid_weights(r) * r ** (grid.n - 1)
-    return (*_Cells(grid).operator(), weights)
+def _newton(W, sigma, params, grid, weights=None, polish=False):
+    """Newton from W on sigma K W = V W^(1+p) off the last row, W(R) = b.
 
-
-def _newton(W, sigma, params, grid, op, polish=False):
-    """Newton from W on sigma K W = M W^(1+p) off the last row, W(R) = b.
-
-    op = (lo, di, up, M, weights): the bands of K (zero row sums; the last
-    row is the Dirichlet one), the row weight M and the quadrature weights
-    of int W^p.  K W is formed from neighbour differences,
-    up_i (W_(i+1) - W_i) - lo_i (W_i - W_(i-1)).  With sigma None,
-    sigma = eps * int W^p / m follows the iterate, and the Jacobian gains the
-    rank one (eps/m) K W (x) grad int W^p, so each step is one tridiagonal
-    solve with two right-hand sides combined by Sherman-Morrison.  Stops on
-    the Jacobi-scaled and the absolute residual per unit of M (STEP_TOL,
-    NEWTON_TOL); with polish, one more step follows, taken in q = W^(-p/2).
-    Returns (the RadialProfile on grid, tridiagonal solves); raises
-    NoConvergenceError after MAX_ITERS steps, when an iterate turns
+    K is the flux-difference operator over the cells of grid, row i of K W
+    being g_i (W_(i+1) - W_i) - g_(i-1) (W_i - W_(i-1)), the net flux into
+    cell i (g the conductances, zero row sums, no flux across r = 0; the
+    last row is the Dirichlet one), so that K W / V, V the cell volumes,
+    approximates W'' + (n-1)/r W'.  With sigma None,
+    sigma = eps * int W^p / m follows the iterate, int W^p being
+    weights @ W^p, and the Jacobian gains the rank one
+    (eps/m) K W (x) grad int W^p, so each step is one tridiagonal solve with
+    two right-hand sides combined by Sherman-Morrison.
+    Stops on the Jacobi-scaled and the absolute residual per unit of V
+    (STEP_TOL, NEWTON_TOL); with polish, one more step follows, taken in
+    q = W^(-p/2).  Returns (the RadialProfile on grid, tridiagonal solves);
+    raises NoConvergenceError after MAX_ITERS steps, when an iterate turns
     non-finite, or when the converged W exceeds b.
     """
     if grid.n != params.n:
@@ -243,7 +203,10 @@ def _newton(W, sigma, params, grid, op, polish=False):
     if W.shape != grid.nodes.shape:
         raise ValueError("initial iterate shape does not match grid")
     p, b = params.p, params.b
-    lo, di, up, M, weights = op
+    g, V = grid.conductances, grid.volumes
+    lo = np.concatenate(([0.0], g))
+    up = np.concatenate((g, [0.0]))
+    di = -(lo + up)
     at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
     floor = 1e-30 * b
     coef = params.epsilon / params.m
@@ -251,7 +214,7 @@ def _newton(W, sigma, params, grid, op, polish=False):
     # terms are O(sigma |K_ii|) individually, so F_i cannot drop below their
     # rounding error however exact the iterate
     rounding = 8.0 * np.finfo(float).eps * np.abs(di) * b
-    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p)) * M
+    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p)) * V
     W = np.maximum(W, floor)
     for steps in range(MAX_ITERS + 1):
         Wp = W**p
@@ -260,9 +223,9 @@ def _newton(W, sigma, params, grid, op, polish=False):
         KW[:-1] = up[:-1] * dW
         KW[1:] -= lo[1:] * dW
         s = coef * float(weights @ Wp) if sigma is None else sigma
-        F = s * KW - M * Wp * W
+        F = s * KW - V * Wp * W
         F[-1] = W[-1] - b
-        jd = s * di - (1.0 + p) * M * Wp
+        jd = s * di - (1.0 + p) * V * Wp
         jd[-1] = 1.0
         done = np.max(np.abs(F) / np.abs(jd)) < STEP_TOL * b and np.all(
             np.abs(F) < np.maximum(res_tol, rounding * s)
@@ -316,7 +279,7 @@ def solve_local_radial(
         raise ValueError(f"sigma must be positive, got {sigma}")
     if initial is None:
         initial = barrier_lower(grid.nodes, sigma, params, grid.R)
-    return _newton(initial, sigma, params, grid, _ball_operator(grid))[0]
+    return _newton(initial, sigma, params, grid)[0]
 
 
 def solve_nonlocal_radial(
@@ -329,7 +292,9 @@ def solve_nonlocal_radial(
     with the same stop and checks as solve_local_radial; returns the
     profile and the number of Newton steps.
     """
-    return _newton(initial, None, params, grid, _ball_operator(grid))
+    r = grid.nodes
+    weights = unit_sphere_area(grid.n) * _trapezoid_weights(r) * r ** (grid.n - 1)
+    return _newton(initial, None, params, grid, weights)
 
 
 def boundary_slope(W: RadialProfile) -> float:

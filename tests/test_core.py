@@ -235,6 +235,61 @@ class TestRadialGridValidation:
             RadialProfile(grid=g, values=bad)
 
 
+def cell_oracle(grid):
+    """The node-centred cells written out: faces at the midpoints between
+    nodes, 0 and R at the ends; volumes (f_(i+1)^n - f_i^n) / n and the
+    conductances f^(n-1) / dr of the interior faces."""
+    r, n = grid.nodes, grid.n
+    faces = np.concatenate(([0.0], 0.5 * (r[:-1] + r[1:]), [grid.R]))
+    volumes = (faces[1:] ** n - faces[:-1] ** n) / n
+    conductances = faces[1:-1] ** (n - 1) / (r[1:] - r[:-1])
+    return volumes, conductances
+
+
+class TestFiniteVolumeCells:
+    """RadialGrid carries the cells that radial_steady and evolve_radial
+    discretise on."""
+
+    @staticmethod
+    def grids(n):
+        graded = (make_graded_grid(1.0, n, 0.02, 300), make_graded_grid(2.5, n, 1e-3, 512))
+        for grid in (*graded, uniform_grid(1.0, n, 64)):
+            yield grid
+            yield refine_grid(grid)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_match_the_oracle_bitwise(self, n):
+        for grid in self.grids(n):
+            volumes, conductances = cell_oracle(grid)
+            assert grid.volumes.shape == (grid.count,)
+            assert grid.conductances.shape == (grid.count - 1,)
+            assert grid.volumes.tobytes() == volumes.tobytes()
+            assert grid.conductances.tobytes() == conductances.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_volumes_sum_to_the_ball(self, n):
+        # the face terms telescope to R^n / n; measured within 1 ulp
+        for grid in self.grids(n):
+            exact = grid.R**n / n
+            assert abs(grid.volumes.sum() - exact) <= 4 * np.spacing(exact)
+
+    def test_read_only(self):
+        grid = make_graded_grid(1.0, 2, 0.02, 64)
+        for arr in (grid.nodes, grid.volumes, grid.conductances):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_constructor_equality_and_repr_unchanged(self):
+        grid = make_graded_grid(1.0, 2, 0.02, 64)
+        same = RadialGrid(R=grid.R, nodes=grid.nodes, n=grid.n)
+        assert same == grid
+        assert same.volumes is not grid.volumes
+        assert "volumes" not in repr(grid) and "conductances" not in repr(grid)
+        with pytest.raises(TypeError):
+            RadialGrid(R=grid.R, nodes=grid.nodes, n=grid.n, volumes=grid.volumes)
+
+
 class TestIntegrateRadial:
     def test_disk_area(self):
         g = uniform_grid(1.0, 2, 400)

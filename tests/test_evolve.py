@@ -7,6 +7,7 @@ import klayer.evolve_radial
 import klayer.radial_steady
 from klayer.core import (
     Params,
+    RadialGrid,
     RadialProfile,
     ball_volume,
     integrate_radial,
@@ -23,8 +24,9 @@ from klayer.evolve_radial import (
     lyapunov_energy,
     relax_to_discrete_steady,
     step,
+    _mass,
 )
-from klayer.radial_steady import _Cells, solve_local_radial
+from klayer.radial_steady import solve_local_radial, solve_nonlocal_radial
 
 from constraint_oracle import illinois
 
@@ -121,13 +123,12 @@ class TestStep:
 
     def test_mass_conserved_each_step(self, setup):
         grid, ref = setup
-        cells = _Cells(grid)
         state = perturbed_state(grid, ref)
         cfg = SchemeConfig(dt=1e-3, t_end=1.0)
-        mass = cells.mass(state.u.values)
+        mass = _mass(grid, state.u.values)
         for _ in range(50):
             state = step(state, PAR, cfg)
-            new_mass = cells.mass(state.u.values)
+            new_mass = _mass(grid, state.u.values)
             assert abs(new_mass - mass) / mass <= 1e-12
             mass = new_mass
 
@@ -167,9 +168,8 @@ class TestStep:
         assert np.all(np.isfinite(out.v.values))
         assert out.v.values[-1] == np.log(par.b)
         if dt <= 1.0:
-            cells = _Cells(grid)
-            mass = cells.mass(state.u.values)
-            assert abs(cells.mass(out.u.values) - mass) <= 1e-10 * mass
+            mass = _mass(grid, state.u.values)
+            assert abs(_mass(grid, out.u.values) - mass) <= 1e-10 * mass
 
     def test_positivity_guard(self, setup):
         grid, ref = setup
@@ -178,6 +178,15 @@ class TestStep:
                 t=0.0,
                 u=RadialProfile(grid, np.zeros(grid.count)),
                 v=ref.V,
+            )
+
+    def test_state_grids_share_dimension(self, setup):
+        grid, ref = setup
+        with pytest.raises(ValueError, match="share a grid"):
+            EvolutionState(
+                t=0.0,
+                u=ref.U,
+                v=RadialProfile(RadialGrid(R=grid.R, nodes=grid.nodes, n=3), ref.V.values),
             )
 
 
@@ -235,6 +244,46 @@ class TestEvolve:
         with pytest.raises(ValueError, match="incompatible grid"):
             evolve(ref.U, ref.W, PAR, shifted, cfg)
 
+    @pytest.mark.parametrize("moved", ["nodes", "dimension"])
+    def test_w0_grid_checked(self, small, moved):
+        # w0 on another grid of the same size would be stepped on u0's cells
+        grid, ref = small
+        if moved == "nodes":
+            other = make_graded_grid(1.0, 2, 5.0 / 63, 64)
+        else:
+            other = RadialGrid(R=grid.R, nodes=grid.nodes, n=3)
+        w0 = RadialProfile(other, ref.W.values)
+        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
+        with pytest.raises(ValueError, match="w0 lives on an incompatible grid"):
+            evolve(ref.U, w0, PAR, ref, cfg)
+
+    def test_params_dimension_checked(self, small):
+        # n = 3 cells under params.n = 2 would step with the wrong volumes
+        # and renormalise the mass by 0.649
+        grid, ref = small
+        grid3 = RadialGrid(R=grid.R, nodes=grid.nodes, n=3)
+        u0 = RadialProfile(grid3, ref.U.values)
+        w0 = RadialProfile(grid3, ref.W.values)
+        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
+        with pytest.raises(ValueError, match="grid dimension 3 != params dimension 2"):
+            evolve(u0, w0, PAR, ref, cfg)
+
+    @pytest.mark.parametrize("moved", ["V nodes", "dimension"])
+    def test_reference_fields_checked(self, small, moved):
+        # both fields of the reference are compared, in nodes and in n
+        grid, ref = small
+        if moved == "V nodes":
+            other = make_graded_grid(1.0, 2, 5.0 / 63, 64)
+            wrong = DiscreteSteady(U=ref.U, V=RadialProfile(other, ref.V.values))
+        else:
+            grid3 = RadialGrid(R=grid.R, nodes=grid.nodes, n=3)
+            wrong = DiscreteSteady(
+                U=RadialProfile(grid3, ref.U.values), V=RadialProfile(grid3, ref.V.values)
+            )
+        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
+        with pytest.raises(ValueError, match="steady reference lives on an incompatible grid"):
+            evolve(ref.U, ref.W, PAR, wrong, cfg)
+
     def test_w_only_perturbation_returns_to_steady(self, setup):
         # mass unchanged, so the attractor is the same pair
         grid, ref = setup
@@ -258,9 +307,8 @@ class TestLyapunov:
 
     def test_mass_matched_antiderivative_endpoint(self, setup):
         grid, ref = setup
-        cells = _Cells(grid)
         state = perturbed_state(grid, ref)
-        u_fixed = state.u.values * (PAR.m / cells.mass(state.u.values))
+        u_fixed = state.u.values * (PAR.m / _mass(grid, state.u.values))
         state = EvolutionState(t=0.0, u=RadialProfile(grid, u_fixed), v=state.v)
         # endpoint vanishes up to the difference between the FV mass used for
         # normalisation and the trapezoid rule used for the anti-derivative
@@ -299,8 +347,7 @@ class TestFitDecayRate:
 class TestRelaxation:
     def test_reference_mass_matches(self, setup):
         grid, ref = setup
-        cells = _Cells(grid)
-        assert cells.mass(ref.U.values) == pytest.approx(PAR.m, rel=1e-12)
+        assert _mass(grid, ref.U.values) == pytest.approx(PAR.m, rel=1e-12)
 
     def test_reference_close_to_elliptic_pair(self):
         # the elliptic pair on the same grid, by Illinois over local solves:
@@ -328,25 +375,25 @@ class TestRelaxation:
                 assert np.all(gaps[:-1] / gaps[1:] >= 3.9)
 
     def test_shares_the_ball_operator(self, monkeypatch):
-        # one builder for the radial bands: the pair's Newton gets the ball's
-        # K and V, and only its quadrature weights omega_n V differ
-        ops = []
+        # one Newton, whose bands come from the grid's cells: the pair's and
+        # the ball's nonlocal solves on one grid differ only in their
+        # quadrature weights, omega_n V for the pair
+        calls = []
 
         def capture(module):
             newton = module._newton
             monkeypatch.setattr(
-                module, "_newton", lambda *args, **kw: ops.append(args[4]) or newton(*args, **kw)
+                module, "_newton", lambda *args, **kw: calls.append(args) or newton(*args, **kw)
             )
 
         capture(klayer.radial_steady)
         capture(klayer.evolve_radial)
         grid = make_graded_grid(1.0, 2, 10.0 / 63, 64)
-        relax_to_discrete_steady(grid, PAR)
-        solve_local_radial(1e-3, PAR, grid)
-        pair, ball = ops
-        for a, b in zip(pair[:4], ball[:4]):
-            assert np.array_equal(a, b)
-        assert np.array_equal(pair[4], 2 * np.pi * _Cells(grid).volumes)
+        ref = relax_to_discrete_steady(grid, PAR)
+        solve_nonlocal_radial(PAR, grid, ref.W.values)
+        pair, ball = calls
+        assert pair[3] is grid and ball[3] is grid
+        assert np.array_equal(pair[4], 2 * np.pi * grid.volumes)
         assert not np.array_equal(pair[4], ball[4])
 
     def test_fixed_point_to_rounding(self, small):
@@ -357,7 +404,7 @@ class TestRelaxation:
         # zero Scharfetter-Gummel flux on every face means U = C W^p exactly
         grid, ref = small
         assert density_spread(PAR, ref) <= 4 * ULP
-        assert _Cells(grid).mass(ref.U.values) == pytest.approx(PAR.m, rel=4 * ULP)
+        assert _mass(grid, ref.U.values) == pytest.approx(PAR.m, rel=4 * ULP)
 
     def test_positive_pair_under_strong_drift(self, strong):
         # |p dV / 2| > 1 on a face: a central chemotactic flux has no positive
@@ -366,7 +413,7 @@ class TestRelaxation:
         assert np.max(np.abs(0.5 * par.p * np.diff(ref.V.values))) >= 1.0
         assert np.all(ref.U.values > 0)
         assert np.all(ref.W.values > 0)
-        assert _Cells(grid).mass(ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
+        assert _mass(grid, ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
 
     @pytest.mark.parametrize(
         "count, n, p, eps, width",
@@ -390,7 +437,7 @@ class TestRelaxation:
         ref, steps = count_newton_steps(monkeypatch, grid, par)
         assert 1 <= steps <= 6
         assert density_spread(par, ref) <= 4 * ULP
-        assert _Cells(grid).mass(ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
+        assert _mass(grid, ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
         assert step_move(grid, par, ref) <= 4 * ULP
 
     def test_cold_start_where_plain_update_cycles(self, monkeypatch):
@@ -408,4 +455,4 @@ class TestRelaxation:
             assert 1 <= steps <= 6
             assert ref.W.values[0] == pytest.approx(w0, abs=1e-5)
             assert density_spread(par, ref) <= 4 * ULP
-            assert _Cells(grid).mass(ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
+            assert _mass(grid, ref.U.values) == pytest.approx(par.m, rel=4 * ULP)

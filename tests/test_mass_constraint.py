@@ -6,7 +6,7 @@ import klayer.radial_steady
 from klayer.core import Params, RadialProfile, integrate_radial
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
-from klayer.radial_steady import STEP_TOL, _Cells, boundary_slope
+from klayer.radial_steady import STEP_TOL, boundary_slope
 
 from constraint_oracle import constraint_value, illinois
 
@@ -254,9 +254,10 @@ class TestDirectRadial:
         # sigma = eps int W^p / m taken from W itself, to the Newton stop
         sigma = eps * integrate_radial(RadialProfile(st.W.grid, W**p)) / par.m
         assert sigma == pytest.approx(st.sigma, rel=1e-14)
-        lo, di, up, V = _Cells(st.W.grid).operator()
-        dW = np.diff(W)
-        F = sigma * (np.r_[up[:-1] * dW, 0.0] - np.r_[0.0, lo[1:] * dW])
+        g, V = st.W.grid.conductances, st.W.grid.volumes
+        di = -(np.r_[0.0, g] + np.r_[g, 0.0])
+        flux = g * np.diff(W)
+        F = sigma * (np.r_[flux, 0.0] - np.r_[0.0, flux])
         F = (F - V * W ** (1.0 + p))[:-1]
         jd = (sigma * di - (1.0 + p) * V * W**p)[:-1]
         assert np.max(np.abs(F / jd)) <= STEP_TOL * b

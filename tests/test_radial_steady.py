@@ -15,8 +15,18 @@ from klayer.radial_steady import (
     layer_profile_constant,
     solve_local_radial,
     upper_barrier_sigma_max,
-    _Cells,
 )
+
+
+def fv_operator(grid):
+    """(lo, di, up, V): the bands of the flux-difference operator K over the
+    grid's cells and the cell volumes, so that K W / V approximates
+    W'' + (n-1)/r W'; zero row sums and no flux across r = 0."""
+    g = grid.conductances
+    lo = np.concatenate(([0.0], g))
+    up = np.concatenate((g, [0.0]))
+    return lo, -(lo + up), up, grid.volumes
+
 
 P1 = Params(epsilon=1.0, p=2, b=1, m=1, n=1)
 P2 = Params(epsilon=1.0, p=2, b=1, m=1, n=2)
@@ -60,7 +70,7 @@ class TestSolveLocalRadial:
         W = solve_local_radial(1e6, P2, grid, initial=np.ones(grid.count))
         assert np.max(np.abs(W.values - 1.0)) <= 1e-3
 
-        lo, di, up, V = _Cells(grid).operator()
+        lo, di, up, V = fv_operator(grid)
         sigma = 1e6
         jl, jd, ju = sigma * lo, sigma * di - V, sigma * up
         jl[-1], jd[-1] = 0.0, 1.0
@@ -102,8 +112,8 @@ class TestSolveLocalRadial:
 
 
 class TestFiniteVolumeOperator:
-    """_Cells.operator, the one radial operator of the ball's solves and of
-    evolve_radial."""
+    """K over the grid's cells, the one radial operator of the ball's solves
+    and of evolve_radial."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_on_r_squared(self, n):
@@ -114,7 +124,7 @@ class TestFiniteVolumeOperator:
         ulp = np.finfo(float).eps
         for graded in (make_graded_grid(1.0, n, 0.02, 300), make_graded_grid(1.0, n, 1e-3, 512)):
             for grid in (graded, refine_grid(graded)):
-                lo, di, up, V = _Cells(grid).operator()
+                lo, di, up, V = fv_operator(grid)
                 W = grid.nodes**2
                 dW = np.diff(W)
                 KW = np.r_[up[:-1] * dW, 0.0] - np.r_[0.0, lo[1:] * dW]
@@ -152,7 +162,7 @@ class TestNewtonStop:
         sigma = eps * lam
         grid = RadialBallDomain(R=1.0, n=n).grid_for(sigma, par)
         W = solve_local_radial(sigma, par, grid).values
-        lo, di, up, V = _Cells(grid).operator()
+        lo, di, up, V = fv_operator(grid)
         dW = np.diff(W)
         F = sigma * (np.r_[up[:-1] * dW, 0.0] - np.r_[0.0, lo[1:] * dW])
         F -= V * W ** (1.0 + p)
