@@ -173,8 +173,14 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
 
     # 0 means the default for dt and level_c; any other value out of range
     # is rejected here, before a solve or a written file
-    if not cfg.dt >= 0:
-        raise ConfigError(f"'dt' must be >= 0 (0: t_end / 1000), got {cfg.dt}")
+    if not (cfg.dt >= 0 and math.isfinite(cfg.dt)):
+        raise ConfigError(f"'dt' must be finite and >= 0 (0: t_end / 1000), got {cfg.dt}")
+    if not (cfg.t_end > 0 and math.isfinite(cfg.t_end)):
+        raise ConfigError(f"'t_end' must be finite and positive, got {cfg.t_end}")
+    if cfg.output_every < 1:
+        raise ConfigError(f"'output_every' must be >= 1, got {cfg.output_every}")
+    if command == "steady-2d" and params.n != 2:
+        raise ConfigError(f"'n' must be 2 for steady-2d, a planar domain, got {params.n}")
     if not 0 <= cfg.level_c < params.b:
         raise ConfigError(f"'level_c' must lie in [0, b) = [0, {params.b}) (0: b/2), "
                           f"got {cfg.level_c}")
@@ -338,10 +344,9 @@ def _run_evolve(cfg: RunConfig) -> int:
         values=np.exp(reference.V.values * (1.0 + cfg.perturb * math.cos(phase) * v_shape)),
     )
     dt = cfg.dt if cfg.dt > 0 else cfg.t_end / 1000
-    scheme = evolve_radial.SchemeConfig(
-        dt=dt, t_end=cfg.t_end, output_every=cfg.output_every
+    series = evolve_radial.evolve(
+        u0, w0, cfg.params, reference, dt, cfg.t_end, cfg.output_every
     )
-    series = evolve_radial.evolve(u0, w0, cfg.params, reference, scheme)
     columns = (series.t, series.mass, series.linf_u, series.l2_u,
                series.linf_w, series.l2_w, series.energy)
     _write_csv(cfg.out / "evolve_diagnostics.csv",

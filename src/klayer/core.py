@@ -80,7 +80,8 @@ class RadialGrid:
     around it, from 0 at the axis to R at the boundary.  volumes holds the
     cell volumes and conductances the area / dr of the N - 1 interior faces,
     both without the factor omega_n; they follow from nodes and n, so they
-    take no part in construction, equality or repr.
+    take no part in construction or repr.  Two grids are equal when their R,
+    n and node values are.
     """
 
     R: float
@@ -112,6 +113,15 @@ class RadialGrid:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if not isinstance(other, RadialGrid):
+            return NotImplemented
+        return (
+            self.R == other.R
+            and self.n == other.n
+            and np.array_equal(self.nodes, other.nodes)
+        )
 
     @property
     def count(self) -> int:

@@ -8,10 +8,11 @@ substitution that removes the singular logarithmic drift) of
 
 with total flux u_r - p u v_r = 0 at both r = 0 and r = R, and w(R) = b.
 
-Scheme: finite volumes on the node-centred cells of the radial grid, one
-step being two implicit tridiagonal M-matrix solves, so it stays positive for
-every dt.  u moves first, by the exponentially fitted face flux of
-Scharfetter & Gummel (IEEE Trans. Electron Devices 16, 1969)
+Scheme: step(grid, u, v, params, dt) advances the two node arrays by finite
+volumes on the grid's node-centred cells, one step being two implicit
+tridiagonal M-matrix solves, so it stays positive for every dt.  u moves
+first, by the exponentially fitted face flux of Scharfetter & Gummel (IEEE
+Trans. Electron Devices 16, 1969)
 
     g (B(-d) u_i - B(d) u_(i+1)),  g = area / dr,  d = p (v_(i+1) - v_i),
 
@@ -44,8 +45,6 @@ from . import radial_steady
 from .radial_steady import _newton, barrier_lower
 
 __all__ = [
-    "EvolutionState",
-    "SchemeConfig",
     "DiscreteSteady",
     "EvolutionSeries",
     "step",
@@ -56,45 +55,9 @@ __all__ = [
 ]
 
 
-def _same_grid(a: RadialGrid, b: RadialGrid) -> bool:
-    return a is b or (a.n == b.n and np.array_equal(a.nodes, b.nodes))
-
-
 def _mass(grid: RadialGrid, u: np.ndarray) -> float:
     """The finite-volume mass omega_n sum(V_i u_i) that step() conserves."""
     return unit_sphere_area(grid.n) * float(np.dot(grid.volumes, u))
-
-
-@dataclass(frozen=True)
-class EvolutionState:
-    """Time-stamped fields: positive density u and log-chemical v, v(R) = ln b."""
-
-    t: float
-    u: RadialProfile
-    v: RadialProfile
-
-    def __post_init__(self):
-        if not _same_grid(self.u.grid, self.v.grid):
-            raise ValueError("u and v must share a grid")
-        if np.any(self.u.values <= 0):
-            raise PositivityError("u must be positive at every node")
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Time-stepping controls."""
-
-    dt: float
-    t_end: float
-    output_every: int = 10
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,21 +90,28 @@ class EvolutionSeries:
         return np.maximum(self.linf_u, self.linf_w)
 
 
-def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionState:
-    """One update of (u, w = e^v) by cfg.dt; positive for every dt."""
-    grid = state.u.grid
-    dt = cfg.dt
+def step(
+    grid: RadialGrid, u: np.ndarray, v: np.ndarray, params: Params, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One update of (u, v = ln w) on grid's cells by dt; positive for every dt.
+
+    Returns the new (u, v).  Raises ValueError when dt is not a finite
+    positive number or a new field is not finite, and PositivityError when a
+    new u is not positive.
+    """
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be a finite positive number, got {dt}")
     V = grid.volumes
     g = grid.conductances  # interior faces 1..N-1
 
     # --- u: implicit Scharfetter-Gummel flux at the old v --------------------
-    d = params.p * np.diff(state.v.values)
+    d = params.p * np.diff(v)
     leave = g / exprel(-d)  # g B(-d): out of node i across its right face
     enter = g / exprel(d)  # g B(d): out of node i+1 across its left face
     di = V / dt
     di[:-1] += leave
     di[1:] += enter
-    u_new = radial_steady.solve_banded(-leave, di, -enter, V / dt * state.u.values)
+    u_new = radial_steady.solve_banded(-leave, di, -enter, V / dt * u)
 
     # --- w = e^v: implicit diffusion and sink at the new u, w(R) = b --------
     a = params.epsilon * g
@@ -151,16 +121,16 @@ def step(state: EvolutionState, params: Params, cfg: SchemeConfig) -> EvolutionS
     di[-1] = 1.0
     lo = -a
     lo[-1] = 0.0
-    rhs = V / dt * np.exp(state.v.values)
+    rhs = V / dt * np.exp(v)
     rhs[-1] = params.b
     v_new = np.log(radial_steady.solve_banded(lo, di, -a, rhs))
     v_new[-1] = math.log(params.b)
 
-    return EvolutionState(
-        t=state.t + dt,
-        u=RadialProfile(grid=grid, values=u_new),
-        v=RadialProfile(grid=grid, values=v_new),
-    )
+    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+        raise ValueError("step gave a non-finite u or v")
+    if np.any(u_new <= 0):
+        raise PositivityError("u must be positive at every node")
+    return u_new, v_new
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +166,27 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
 
 
 def lyapunov_energy(
-    state: EvolutionState, steady: DiscreteSteady, params: Params
+    u: np.ndarray, v: np.ndarray, steady: DiscreteSteady, params: Params
 ) -> float:
-    """Weighted energy omega_n * int(r^(n-1) phi^2 / U + p r^(n-1) psi^2) dr,
+    """Weighted energy omega_n * int(r^(n-1) phi^2 / U + p r^(n-1) psi^2) dr
 
-    with phi the radius-weighted anti-derivative of u - U (the relative radial
-    mass distribution, vanishing at both ends when masses match) and
-    psi = v - V.  Non-negative; zero only when both fields match.
+    of the fields (u, v) on the grid of steady, with phi the radius-weighted
+    anti-derivative of u - U (the relative radial mass distribution,
+    vanishing at both ends when masses match) and psi = v - V.
+    Non-negative; zero only when both fields match.
     """
     U_ref, V_ref, grid = steady.U.values, steady.V.values, steady.U.grid
     if np.any(U_ref <= 0):
         raise ValueError("steady U must be positive for the energy weight")
     r = grid.nodes
     n = grid.n
-    diff = (state.u.values - U_ref) * r ** (n - 1)
+    diff = (u - U_ref) * r ** (n - 1)
     h = np.diff(r)
     anti = np.zeros_like(diff)
     anti[1:] = np.cumsum(0.5 * h * (diff[:-1] + diff[1:]))
     phi = np.zeros_like(anti)
     phi[1:] = anti[1:] / r[1:] ** (n - 1)
-    psi = state.v.values - V_ref
+    psi = v - V_ref
     integrand = r ** (n - 1) * (phi**2 / U_ref + params.p * psi**2)
     return unit_sphere_area(n) * float(np.trapezoid(integrand, r))
 
@@ -225,65 +196,71 @@ def evolve(
     w0: RadialProfile,
     params: Params,
     reference: DiscreteSteady,
-    cfg: SchemeConfig,
+    dt: float,
+    t_end: float,
+    output_every: int = 10,
 ) -> EvolutionSeries:
-    """Run the scheme at the fixed step cfg.dt and record stability diagnostics.
+    """Run step() at the fixed dt up to t_end and record stability diagnostics
+    every output_every steps and at the end.
 
     Distances and energy are measured against reference, the scheme's steady
     pair on u0's grid (see relax_to_discrete_steady); masses and L2 norms are
     finite-volume sums over the grid's cells.  w0 and both fields of
     reference must live on u0's grid, whose dimension must be params.n.
     u0 is renormalised to mass m when needed (the factor is reported).  w0
-    must be positive with w0(R) = b.  Terminates at t_end or when the
+    must be positive with w0(R) = b.  dt and t_end must be finite and
+    positive, output_every at least 1.  Terminates at t_end or when the
     combined L-infinity distance drops below 1e-10.
     """
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
+    if output_every < 1:
+        raise ValueError(f"output_every must be >= 1, got {output_every}")
     grid = u0.grid
     if grid.n != params.n:
         raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
-    if not _same_grid(w0.grid, grid):
+    if w0.grid != grid:
         raise ValueError("w0 lives on an incompatible grid")
-    if not (_same_grid(reference.U.grid, grid) and _same_grid(reference.V.grid, grid)):
+    if reference.U.grid != grid or reference.V.grid != grid:
         raise ValueError("steady reference lives on an incompatible grid")
     if np.any(u0.values <= 0) or np.any(w0.values <= 0):
         raise ValueError("u0 and w0 must be positive")
     if abs(w0.values[-1] - params.b) > 1e-10 * params.b:
         raise ValueError(f"w0(R) = {w0.values[-1]} must equal b = {params.b}")
     factor = params.m / _mass(grid, u0.values)
-    u_init = u0.values * factor
-    v_init = np.log(w0.values)
-    v_init[-1] = math.log(params.b)
-    state = EvolutionState(
-        t=0.0,
-        u=RadialProfile(grid=grid, values=u_init),
-        v=RadialProfile(grid=grid, values=v_init),
-    )
+    u = u0.values * factor
+    v = np.log(w0.values)
+    v[-1] = math.log(params.b)
     U_ref = reference.U.values
     W_ref = np.exp(reference.V.values)
 
     rows = []
 
-    def record(st: EvolutionState):
-        du = st.u.values - U_ref
-        dw = np.exp(st.v.values) - W_ref
+    def record(t: float, u: np.ndarray, v: np.ndarray):
+        du = u - U_ref
+        dw = np.exp(v) - W_ref
         rows.append(
             (
-                st.t,
-                _mass(grid, st.u.values),
+                t,
+                _mass(grid, u),
                 float(np.max(np.abs(du))),
                 math.sqrt(_mass(grid, du**2)),
                 float(np.max(np.abs(dw))),
                 math.sqrt(_mass(grid, dw**2)),
-                lyapunov_energy(st, reference, params),
+                lyapunov_energy(u, v, reference, params),
             )
         )
 
-    record(state)
+    t = 0.0
+    record(t, u, v)
     k = 0
-    while state.t < cfg.t_end - 1e-12 * cfg.t_end:
-        state = step(state, params, cfg)
+    while t < t_end - 1e-12 * t_end:
+        u, v = step(grid, u, v, params, dt)
+        t = t + dt
         k += 1
-        if k % cfg.output_every == 0 or state.t >= cfg.t_end:
-            record(state)
+        if k % output_every == 0 or t >= t_end:
+            record(t, u, v)
             if max(rows[-1][2], rows[-1][4]) < 1e-10:
                 break
 

@@ -46,7 +46,6 @@ from klayer.asymptotics import (
 )
 from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
 from klayer.evolve_radial import (
-    SchemeConfig,
     evolve,
     fit_decay_rate,
     relax_to_discrete_steady,
@@ -164,10 +163,10 @@ def stability_run():
     )
     dt = 0.01
     # pilot to estimate the rate, then a horizon of 10 decay times
-    pilot = evolve(u0, w0, par, ref, SchemeConfig(dt=dt, t_end=6.0, output_every=25))
+    pilot = evolve(u0, w0, par, ref, dt=dt, t_end=6.0, output_every=25)
     mu_pilot = fit_decay_rate(np.column_stack([pilot.t, pilot.distance()]))
     t_end = max(10.0 / max(mu_pilot, 0.05), 6.0)
-    series = evolve(u0, w0, par, ref, SchemeConfig(dt=dt, t_end=t_end, output_every=25))
+    series = evolve(u0, w0, par, ref, dt=dt, t_end=t_end, output_every=25)
     return {
         "par": par,
         "grid": grid,
@@ -476,8 +475,7 @@ def test_attractor_independence(stability_run):
     for shape in (np.cos(2 * np.pi * r), np.cos(3 * np.pi * r)):
         u0 = RadialProfile(grid, ref.U.values * (1.0 + 0.01 * shape))
         w0 = RadialProfile(grid, np.exp(ref.V.values))
-        series = evolve(u0, w0, par, ref,
-                        SchemeConfig(dt=0.01, t_end=t_end, output_every=50))
+        series = evolve(u0, w0, par, ref, dt=0.01, t_end=t_end, output_every=50)
         finals.append(series.distance()[-1])
     # both ended on the shared attractor, so their mutual gap is bounded by
     # the sum of the remaining distances

@@ -129,6 +129,15 @@ class TestParseConfig:
         "command, flag, value, key",
         [
             ("evolve", "--dt", "-0.5", "dt"),
+            ("evolve", "--dt", "nan", "dt"),
+            ("evolve", "--dt", "inf", "dt"),
+            ("evolve", "--t-end", "0", "t_end"),
+            ("evolve", "--t-end", "-1", "t_end"),
+            ("evolve", "--t-end", "nan", "t_end"),
+            ("evolve", "--t-end", "inf", "t_end"),
+            ("evolve", "--output-every", "0", "output_every"),
+            ("steady-2d", "--n", "3", "n"),
+            ("steady-2d", "--n", "1", "n"),
             ("steady-radial", "--level-c", "-1", "level_c"),
             ("steady-radial", "--level-c", "1", "level_c"),
             ("steady-radial", "--level-c", "2", "level_c"),

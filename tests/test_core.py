@@ -234,6 +234,20 @@ class TestRadialGridValidation:
         with pytest.raises(ValueError):
             RadialProfile(grid=g, values=bad)
 
+    def test_equality_by_value(self):
+        # equal node values, not a shared node array, make equal grids;
+        # unequal ones compare False without raising
+        g = make_graded_grid(1.0, 2, 0.1, 64)
+        assert g == RadialGrid(R=1.0, nodes=g.nodes.copy(), n=2)
+        others = (
+            make_graded_grid(1.0, 2, 0.05, 64),  # other nodes
+            make_graded_grid(1.0, 2, 0.1, 65),  # another count
+            RadialGrid(R=1.0, nodes=g.nodes, n=3),  # another dimension
+        )
+        for other in others:
+            assert g != other
+            assert not g == other
+
 
 def cell_oracle(grid):
     """The node-centred cells written out: faces at the midpoints between

@@ -17,8 +17,6 @@ from klayer.core import (
 from klayer.errors import PositivityError
 from klayer.evolve_radial import (
     DiscreteSteady,
-    EvolutionState,
-    SchemeConfig,
     evolve,
     fit_decay_rate,
     lyapunov_energy,
@@ -88,9 +86,9 @@ def density_spread(par, ref):
 
 def step_move(grid, par, ref):
     """Largest relative change of (u, v) over one step from the pair."""
-    new = step(EvolutionState(t=0.0, u=ref.U, v=ref.V), par, SchemeConfig(dt=1e-3, t_end=1.0))
-    du = np.max(np.abs(new.u.values - ref.U.values)) / np.max(ref.U.values)
-    dv = np.max(np.abs(new.v.values - ref.V.values)) / (np.max(np.abs(ref.V.values)) + 1.0)
+    u, v = step(grid, ref.U.values, ref.V.values, par, 1e-3)
+    du = np.max(np.abs(u - ref.U.values)) / np.max(ref.U.values)
+    dv = np.max(np.abs(v - ref.V.values)) / (np.max(np.abs(ref.V.values)) + 1.0)
     return max(du, dv)
 
 
@@ -98,46 +96,38 @@ def perturbed_state(grid, reference, amp=0.01):
     r = grid.nodes
     u0 = reference.U.values * (1.0 + amp * np.cos(np.pi * r))
     v0 = reference.V.values * (1.0 + amp * np.cos(np.pi * r / 2.0))
-    return EvolutionState(
-        t=0.0,
-        u=RadialProfile(grid, u0),
-        v=RadialProfile(grid, v0),
-    )
+    return u0, v0
 
 
-def mass_anti_derivative_endpoint(state, steady):
+def mass_anti_derivative_endpoint(u, steady):
     """Value of int_0^R (u - U) s^(n-1) ds; zero (to quadrature) at equal mass."""
     r = steady.U.grid.nodes
-    return float(np.trapezoid((state.u.values - steady.U.values) * r ** (steady.U.grid.n - 1), r))
+    return float(np.trapezoid((u - steady.U.values) * r ** (steady.U.grid.n - 1), r))
 
 
 class TestStep:
     def test_steady_state_is_fixed_point(self, setup):
         grid, ref = setup
-        state = EvolutionState(t=0.0, u=ref.U, v=ref.V)
-        cfg = SchemeConfig(dt=1e-3, t_end=1.0)
+        u, v = ref.U.values, ref.V.values
         for _ in range(100):
-            state = step(state, PAR, cfg)
-        assert np.max(np.abs(state.u.values - ref.U.values)) <= 1e-8
-        assert np.max(np.abs(state.v.values - ref.V.values)) <= 1e-8
+            u, v = step(grid, u, v, PAR, 1e-3)
+        assert np.max(np.abs(u - ref.U.values)) <= 1e-8
+        assert np.max(np.abs(v - ref.V.values)) <= 1e-8
 
     def test_mass_conserved_each_step(self, setup):
         grid, ref = setup
-        state = perturbed_state(grid, ref)
-        cfg = SchemeConfig(dt=1e-3, t_end=1.0)
-        mass = _mass(grid, state.u.values)
+        u, v = perturbed_state(grid, ref)
+        mass = _mass(grid, u)
         for _ in range(50):
-            state = step(state, PAR, cfg)
-            new_mass = _mass(grid, state.u.values)
+            u, v = step(grid, u, v, PAR, 1e-3)
+            new_mass = _mass(grid, u)
             assert abs(new_mass - mass) / mass <= 1e-12
             mass = new_mass
 
     def test_dirichlet_on_v(self, setup):
         grid, ref = setup
-        state = perturbed_state(grid, ref)
-        cfg = SchemeConfig(dt=1e-3, t_end=1.0)
-        out = step(state, PAR, cfg)
-        assert out.v.values[-1] == np.log(PAR.b)
+        u, v = step(grid, *perturbed_state(grid, ref), PAR, 1e-3)
+        assert v[-1] == np.log(PAR.b)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -158,36 +148,52 @@ class TestStep:
             par, (grid, ref) = PAR, setup
         r = grid.nodes
         dt = 10.0**log_dt
-        state = EvolutionState(
-            t=0.0,
-            u=RadialProfile(grid, ref.U.values * (1.0 + amp_u * np.cos(mode * np.pi * r))),
-            v=RadialProfile(grid, ref.V.values * (1.0 + amp_v * np.cos(np.pi * r / 2.0))),
-        )
-        out = step(state, par, SchemeConfig(dt=dt, t_end=1e4))
-        assert np.all(out.u.values > 0)
-        assert np.all(np.isfinite(out.v.values))
-        assert out.v.values[-1] == np.log(par.b)
+        u = ref.U.values * (1.0 + amp_u * np.cos(mode * np.pi * r))
+        v = ref.V.values * (1.0 + amp_v * np.cos(np.pi * r / 2.0))
+        u_new, v_new = step(grid, u, v, par, dt)
+        assert np.all(u_new > 0)
+        assert np.all(np.isfinite(v_new))
+        assert v_new[-1] == np.log(par.b)
         if dt <= 1.0:
-            mass = _mass(grid, state.u.values)
-            assert abs(_mass(grid, out.u.values) - mass) <= 1e-10 * mass
+            mass = _mass(grid, u)
+            assert abs(_mass(grid, u_new) - mass) <= 1e-10 * mass
+
+    @staticmethod
+    def spoil(monkeypatch, solve, node, value):
+        # the solve-th tridiagonal solve of a step (0: u, 1: w) returns value
+        # at node
+        calls = []
+        banded = klayer.radial_steady.solve_banded
+
+        def spoiled(*args):
+            x = banded(*args)
+            if len(calls) == solve:
+                x[node] = value
+            calls.append(1)
+            return x
+
+        monkeypatch.setattr(klayer.radial_steady, "solve_banded", spoiled)
 
     def test_positivity_guard(self, setup):
         grid, ref = setup
-        with pytest.raises(PositivityError):
-            EvolutionState(
-                t=0.0,
-                u=RadialProfile(grid, np.zeros(grid.count)),
-                v=ref.V,
-            )
+        for value in (0.0, -1e-3):
+            with pytest.MonkeyPatch.context() as mp:
+                self.spoil(mp, 0, 7, value)
+                with pytest.raises(PositivityError):
+                    step(grid, ref.U.values, ref.V.values, PAR, 1e-3)
 
-    def test_state_grids_share_dimension(self, setup):
+    @pytest.mark.parametrize("solve", [0, 1])
+    def test_non_finite_rejected(self, setup, monkeypatch, solve):
         grid, ref = setup
-        with pytest.raises(ValueError, match="share a grid"):
-            EvolutionState(
-                t=0.0,
-                u=ref.U,
-                v=RadialProfile(RadialGrid(R=grid.R, nodes=grid.nodes, n=3), ref.V.values),
-            )
+        self.spoil(monkeypatch, solve, 7, np.nan)
+        with pytest.raises(ValueError):
+            step(grid, ref.U.values, ref.V.values, PAR, 1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_dt_checked(self, setup, dt):
+        grid, ref = setup
+        with pytest.raises(ValueError, match="dt must be a finite positive number"):
+            step(grid, ref.U.values, ref.V.values, PAR, dt)
 
 
 class TestEvolve:
@@ -196,8 +202,7 @@ class TestEvolve:
         r = grid.nodes
         u0 = RadialProfile(grid, ref.U.values * (1.0 + 0.01 * np.cos(np.pi * r)))
         w0 = RadialProfile(grid, np.exp(ref.V.values * (1.0 + 0.01 * np.cos(np.pi * r / 2))))
-        cfg = SchemeConfig(dt=1e-3, t_end=8.0, output_every=20)
-        series = evolve(u0, w0, PAR, ref, cfg)
+        series = evolve(u0, w0, PAR, ref, dt=1e-3, t_end=8.0, output_every=20)
         d = series.distance()
         assert d[-1] < 0.2 * d[0]
         # mass conserved over the horizon
@@ -214,17 +219,15 @@ class TestEvolve:
         grid, ref = setup
         u0 = RadialProfile(grid, 1.3 * ref.U.values)
         w0 = RadialProfile(grid, np.exp(ref.V.values))
-        cfg = SchemeConfig(dt=1e-3, t_end=5e-3, output_every=1)
-        series = evolve(u0, w0, PAR, ref, cfg)
+        series = evolve(u0, w0, PAR, ref, dt=1e-3, t_end=5e-3, output_every=1)
         assert series.renormalized_mass_factor == pytest.approx(1 / 1.3, rel=1e-12)
         assert series.mass[0] == pytest.approx(PAR.m, rel=1e-12)
 
     def test_w_boundary_value_checked(self, setup):
         grid, ref = setup
         w_bad = RadialProfile(grid, 1.1 * np.exp(ref.V.values))
-        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
         with pytest.raises(ValueError):
-            evolve(ref.U, w_bad, PAR, ref, cfg)
+            evolve(ref.U, w_bad, PAR, ref, dt=1e-3, t_end=1e-2)
 
     def test_reference_grid_checked(self, setup):
         grid, ref = setup
@@ -233,16 +236,15 @@ class TestEvolve:
             U=RadialProfile(other, np.ones(other.count)),
             V=RadialProfile(other, np.zeros(other.count)),
         )
-        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
         with pytest.raises(ValueError, match="incompatible grid"):
-            evolve(ref.U, ref.W, PAR, wrong, cfg)
+            evolve(ref.U, ref.W, PAR, wrong, dt=1e-3, t_end=1e-2)
         # same node count, different layer width: the nodes themselves differ
         moved = make_graded_grid(1.0, 2, 5.0 / 199, 200)
         shifted = DiscreteSteady(
             U=RadialProfile(moved, ref.U.values), V=RadialProfile(moved, ref.V.values)
         )
         with pytest.raises(ValueError, match="incompatible grid"):
-            evolve(ref.U, ref.W, PAR, shifted, cfg)
+            evolve(ref.U, ref.W, PAR, shifted, dt=1e-3, t_end=1e-2)
 
     @pytest.mark.parametrize("moved", ["nodes", "dimension"])
     def test_w0_grid_checked(self, small, moved):
@@ -253,9 +255,8 @@ class TestEvolve:
         else:
             other = RadialGrid(R=grid.R, nodes=grid.nodes, n=3)
         w0 = RadialProfile(other, ref.W.values)
-        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
         with pytest.raises(ValueError, match="w0 lives on an incompatible grid"):
-            evolve(ref.U, w0, PAR, ref, cfg)
+            evolve(ref.U, w0, PAR, ref, dt=1e-3, t_end=1e-2)
 
     def test_params_dimension_checked(self, small):
         # n = 3 cells under params.n = 2 would step with the wrong volumes
@@ -264,9 +265,26 @@ class TestEvolve:
         grid3 = RadialGrid(R=grid.R, nodes=grid.nodes, n=3)
         u0 = RadialProfile(grid3, ref.U.values)
         w0 = RadialProfile(grid3, ref.W.values)
-        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
         with pytest.raises(ValueError, match="grid dimension 3 != params dimension 2"):
-            evolve(u0, w0, PAR, ref, cfg)
+            evolve(u0, w0, PAR, ref, dt=1e-3, t_end=1e-2)
+
+    @pytest.mark.parametrize(
+        "dt, t_end, output_every, named",
+        [
+            (0.0, 1e-2, 1, "dt"),
+            (np.nan, 1e-2, 1, "dt"),
+            (np.inf, 1e-2, 1, "dt"),
+            (1e-3, -1.0, 1, "t_end"),
+            (1e-3, np.nan, 1, "t_end"),
+            (1e-3, np.inf, 1, "t_end"),
+            (1e-3, 1e-2, 0, "output_every"),
+        ],
+    )
+    def test_controls_checked(self, small, dt, t_end, output_every, named):
+        # a NaN fails every comparison, so it is rejected, not stepped with
+        grid, ref = small
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            evolve(ref.U, ref.W, PAR, ref, dt, t_end, output_every)
 
     @pytest.mark.parametrize("moved", ["V nodes", "dimension"])
     def test_reference_fields_checked(self, small, moved):
@@ -280,39 +298,35 @@ class TestEvolve:
             wrong = DiscreteSteady(
                 U=RadialProfile(grid3, ref.U.values), V=RadialProfile(grid3, ref.V.values)
             )
-        cfg = SchemeConfig(dt=1e-3, t_end=1e-2)
         with pytest.raises(ValueError, match="steady reference lives on an incompatible grid"):
-            evolve(ref.U, ref.W, PAR, wrong, cfg)
+            evolve(ref.U, ref.W, PAR, wrong, dt=1e-3, t_end=1e-2)
 
     def test_w_only_perturbation_returns_to_steady(self, setup):
         # mass unchanged, so the attractor is the same pair
         grid, ref = setup
         r = grid.nodes
         w0 = RadialProfile(grid, np.exp(ref.V.values * (1 + 0.02 * np.cos(np.pi * r / 2))))
-        cfg = SchemeConfig(dt=1e-2, t_end=8.0, output_every=50)
-        series = evolve(ref.U, w0, PAR, ref, cfg)
+        series = evolve(ref.U, w0, PAR, ref, dt=1e-2, t_end=8.0, output_every=50)
         assert series.distance()[-1] < 0.05 * series.distance()[0]
 
 
 class TestLyapunov:
     def test_zero_at_steady(self, setup):
         grid, ref = setup
-        state = EvolutionState(t=0.0, u=ref.U, v=ref.V)
-        assert lyapunov_energy(state, ref, PAR) == pytest.approx(0.0, abs=1e-14)
+        energy = lyapunov_energy(ref.U.values, ref.V.values, ref, PAR)
+        assert energy == pytest.approx(0.0, abs=1e-14)
 
     def test_positive_off_steady(self, setup):
         grid, ref = setup
-        state = perturbed_state(grid, ref)
-        assert lyapunov_energy(state, ref, PAR) > 0
+        assert lyapunov_energy(*perturbed_state(grid, ref), ref, PAR) > 0
 
     def test_mass_matched_antiderivative_endpoint(self, setup):
         grid, ref = setup
-        state = perturbed_state(grid, ref)
-        u_fixed = state.u.values * (PAR.m / _mass(grid, state.u.values))
-        state = EvolutionState(t=0.0, u=RadialProfile(grid, u_fixed), v=state.v)
+        u, _ = perturbed_state(grid, ref)
+        u_fixed = u * (PAR.m / _mass(grid, u))
         # endpoint vanishes up to the difference between the FV mass used for
         # normalisation and the trapezoid rule used for the anti-derivative
-        assert abs(mass_anti_derivative_endpoint(state, ref)) <= 1e-6
+        assert abs(mass_anti_derivative_endpoint(u_fixed, ref)) <= 1e-6
 
 
 class TestFitDecayRate:

@@ -5,7 +5,7 @@ from scipy.linalg import solve_banded
 from klayer.cli import RunConfig, _evolve_grid
 from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
-from klayer.evolve_radial import EvolutionState, SchemeConfig, relax_to_discrete_steady, step
+from klayer.evolve_radial import relax_to_discrete_steady, step
 from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 import klayer.radial_steady
 from klayer.radial_steady import (
@@ -343,13 +343,12 @@ class TestSolveBandedPaths:
         par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
         grid = _evolve_grid(RunConfig(command="evolve", params=par, grid_count=128))
         ref = relax_to_discrete_steady(grid, par)
-        u0 = ref.U.values * (1.0 + 0.01 * np.cos(np.pi * grid.nodes))
-        state = EvolutionState(t=0.0, u=RadialProfile(grid, u0), v=ref.V)
-        cfg = SchemeConfig(dt=5e-3, t_end=5.0)
+        u = ref.U.values * (1.0 + 0.01 * np.cos(np.pi * grid.nodes))
+        v = ref.V.values
         out = [ref.U.values.tobytes(), ref.V.values.tobytes()]
         for _ in range(200):
-            state = step(state, par, cfg)
-            out += [state.u.values.tobytes(), state.v.values.tobytes()]
+            u, v = step(grid, u, v, par, 5e-3)
+            out += [u.tobytes(), v.tobytes()]
         return out
 
     @staticmethod
