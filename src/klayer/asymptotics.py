@@ -55,7 +55,7 @@ cp = layer_profile_constant
 # evolve_radial's steady pair start from sigma0 = eps^2 lambda_leading
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionReport:
     """Measured-versus-predicted record of one expansion quantity."""
 

@@ -132,7 +132,7 @@ class RadialGrid:
         return np.diff(self.nodes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfile:
     """A scalar field sampled at the nodes of a RadialGrid."""
 

@@ -72,7 +72,7 @@ class DiscreteSteady:
         return RadialProfile(grid=self.V.grid, values=np.exp(self.V.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionSeries:
     """Diagnostic time series of an evolution run."""
 

@@ -5,8 +5,10 @@ domain; nodes carry the signed distance to the boundary (negative inside).
 The Dirichlet condition W = b is imposed on the zero level set through
 Shortley-Weller shortened stencil arms (the boundary crossing located by
 linear interpolation of the signed distance along the arm), a first-order
-cut treatment that keeps the operator an M-matrix.  Quadrature uses inside
-nodes at full weight h^2 and boundary cells at their inside-area fraction.
+cut treatment that keeps the operator an M-matrix.  A ring of outside nodes
+keeps every arm on the grid, and a field lives on every node, holding the
+boundary value outside.  Quadrature uses inside nodes at full weight h^2 and
+boundary cells at their inside-area fraction.
 
 One chord Newton (_newton_2d) solves both the local problem at a given sigma
 (solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
@@ -225,7 +227,7 @@ def _projected_distance(shape, x, y):
 # masked grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundarySample:
     """A boundary point with inward unit normal, curvature and arclength."""
 
@@ -239,7 +241,9 @@ class MaskedGrid:
     """Uniform Cartesian grid with an inside mask.
 
     x, y are node coordinate vectors; phi, inside and the quadrature weights
-    are (nx, ny) arrays.  Arrays are frozen after construction.
+    are (nx, ny) arrays.  Arrays are frozen after construction.  The nodes on
+    the grid's outer edge must lie outside, so that every inside node has its
+    four neighbours on the grid.
     """
 
     def __init__(self, h: float, x: np.ndarray, y: np.ndarray, phi: np.ndarray):
@@ -250,6 +254,8 @@ class MaskedGrid:
         inside = self.phi < 0.0
         if not inside.any():
             raise ValueError("grid contains no inside node")
+        if inside[[0, -1], :].any() or inside[:, [0, -1]].any():
+            raise ValueError("an inside node lies on the grid's outer edge")
         # inside-area fraction of the h x h cell centred at each node,
         # planar-interface approximation from the signed distance
         weights = np.clip(0.5 - self.phi / self.h, 0.0, 1.0)
@@ -268,11 +274,9 @@ class MaskedGrid:
     def area(self) -> float:
         return float(self.weights.sum()) * self.h**2
 
-    def integrate(self, values: np.ndarray, fill_value: float) -> float:
-        """h^2-weighted sum with cut-cell fractions; non-finite entries
-        (outside nodes) contribute fill_value."""
-        vals = np.where(np.isfinite(values), values, fill_value)
-        return float(np.sum(self.weights * vals)) * self.h**2
+    def integrate(self, values: np.ndarray) -> float:
+        """h^2-weighted sum with cut-cell fractions."""
+        return float(np.sum(self.weights * values)) * self.h**2
 
     def operator(self):
         """Shortley-Weller Laplacian (csc matrix over inside nodes) and the
@@ -289,57 +293,38 @@ def _assemble_cut_laplacian(grid: MaskedGrid):
     N = int(inside.sum())
     index = -np.ones(inside.shape, dtype=np.int64)
     index[inside] = np.arange(N)
-    ii, jj = np.nonzero(inside)
-    center = index[ii, jj]
-
-    thetas = []
-    neighbor_idx = []
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ni = ii + di
-        nj = jj + dj
-        valid = (0 <= ni) & (ni < inside.shape[0]) & (0 <= nj) & (nj < inside.shape[1])
-        nin = np.zeros(ii.shape, dtype=bool)
-        nin[valid] = inside[ni[valid], nj[valid]]
-        theta = np.ones(ii.shape)
-        crosses = ~nin
-        phi_p = phi[ii, jj]
-        phi_n = np.full(ii.shape, np.inf)
-        phi_n[valid] = phi[ni[valid], nj[valid]]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = phi_p / (phi_p - phi_n)
-        frac[~np.isfinite(frac)] = 1.0
-        theta[crosses] = np.clip(frac[crosses], _THETA_MIN, 1.0)
-        ni_c = np.clip(ni, 0, inside.shape[0] - 1)
-        nj_c = np.clip(nj, 0, inside.shape[1] - 1)
-        nidx = np.where(nin, index[ni_c, nj_c], -1)
-        thetas.append(theta)
-        neighbor_idx.append(nidx)
+    ii, jj = np.nonzero(inside)  # inside node k sits at (ii[k], jj[k])
+    phi_c = phi[inside]
 
     rows, cols, data = [], [], []
     bvec = np.zeros(N)
     diag = np.zeros(N)
-    for axis in range(2):
-        tp = thetas[2 * axis]
-        tm = thetas[2 * axis + 1]
-        np_idx = neighbor_idx[2 * axis]
-        nm_idx = neighbor_idx[2 * axis + 1]
+    for di, dj in ((1, 0), (0, 1)):
+        # the arms towards +axis and -axis; the ring of outside nodes keeps both on the grid
+        arms = [(ii + di, jj + dj), (ii - di, jj - dj)]
+        nidx = [index[ni, nj] for ni, nj in arms]
+        cuts = [idx < 0 for idx in nidx]
+        tp, tm = np.ones(N), np.ones(N)
+        for theta, (ni, nj), cut in zip((tp, tm), arms, cuts):
+            # divide only on cut arms, where phi changes sign
+            frac = phi_c[cut] / (phi_c[cut] - phi[ni[cut], nj[cut]])
+            theta[cut] = np.clip(frac, _THETA_MIN, 1.0)
         cp = 2.0 / (tp * (tp + tm)) / h**2
         cm = 2.0 / (tm * (tp + tm)) / h**2
         diag -= 2.0 / (tp * tm) / h**2
-        for coeff, nidx in ((cp, np_idx), (cm, nm_idx)):
-            interior = nidx >= 0
-            rows.append(center[interior])
-            cols.append(nidx[interior])
-            data.append(coeff[interior])
-            bvec[center[~interior]] += coeff[~interior]
-    rows.append(center)
-    cols.append(center)
+        for coeff, idx, cut in zip((cp, cm), nidx, cuts):
+            rows.append(np.flatnonzero(~cut))
+            cols.append(idx[~cut])
+            data.append(coeff[~cut])
+            bvec[cut] += coeff[cut]
+    rows.append(np.arange(N))
+    cols.append(np.arange(N))
     data.append(diag)
     L = sparse.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
     ).tocsc()
-    return L, bvec, index
+    return L, bvec
 
 
 def build_domain(shape, h: float, n_samples: int = 64):
@@ -388,9 +373,10 @@ def build_domain(shape, h: float, n_samples: int = 64):
 # fields and the local solver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarField:
-    """Scalar field on a masked grid; NaN marks outside nodes."""
+    """Finite scalar field on every node of a masked grid; outside the domain
+    it holds its boundary value."""
 
     grid: MaskedGrid
     values: np.ndarray
@@ -399,19 +385,13 @@ class PlanarField:
         vals = np.ascontiguousarray(self.values, dtype=float)
         if vals.shape != self.grid.phi.shape:
             raise ValueError("field shape does not match grid")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def filled(self, fill_value: float) -> np.ndarray:
-        return np.where(np.isfinite(self.values), self.values, fill_value)
-
     def scaled_power(self, amplitude: float, p: float) -> "PlanarField":
-        with np.errstate(invalid="ignore"):
-            vals = amplitude * self.values**p
-        return PlanarField(grid=self.grid, values=vals)
-
-    def interpolator(self, fill_value: float):
-        return _bilinear(self.grid.x, self.grid.y, self.filled(fill_value), fill_value)
+        return PlanarField(grid=self.grid, values=amplitude * self.values**p)
 
 
 def _bilinear(x: np.ndarray, y: np.ndarray, values: np.ndarray, fill_value: float):
@@ -488,11 +468,12 @@ def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
     Newton stops when max |F_i| / (sigma |L_ii| + (1+p) w_i^p), the residual
     scaled by the Jacobian diagonal, is below STEP_TOL * b.  Unlike an
     absolute residual bound, this does not grow with the 1/theta arms of cut
-    nodes close to the boundary.  Returns (W, Newton steps); NoConvergenceError
-    after MAX_ITERS steps or when the converged W exceeds b.
+    nodes close to the boundary.  Returns (W, Newton steps), W = b at the
+    outside nodes; NoConvergenceError after MAX_ITERS steps or when the
+    converged W exceeds b.
     """
     p, b = params.p, params.b
-    L, bvec, _ = grid.operator()
+    L, bvec = grid.operator()
     floor = 1e-30 * b
     w = np.maximum(w, floor)
     abs_diag = np.abs(L.diagonal())
@@ -549,7 +530,7 @@ def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
     overshoot = float(np.max(w)) - b
     if overshoot > 1e-9 * b:
         raise NoConvergenceError(f"converged 2D iterate exceeds b by {overshoot}")
-    full = np.full(grid.phi.shape, np.nan)
+    full = np.full(grid.phi.shape, float(b))
     full[grid.inside] = np.minimum(w, b)
     return PlanarField(grid=grid, values=full), steps
 
@@ -566,7 +547,7 @@ class Planar2DDomain:
         """Solve the nonlocal problem directly; returns (W, integral of W^p,
         Newton steps)."""
         W, steps = _newton_2d(self.initial, None, params, self.grid)
-        return W, self.grid.integrate(W.values**params.p, params.b**params.p), steps
+        return W, self.grid.integrate(W.values**params.p), steps
 
 
 def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
@@ -604,7 +585,7 @@ def curvature_thickness_report(
     if not 0 < c < params.b:
         raise ValueError(f"level c must lie in (0, b={params.b})")
     grid = W.grid
-    interp_w = W.interpolator(params.b)
+    interp_w = _bilinear(grid.x, grid.y, W.values, params.b)
     interp_phi = _bilinear(grid.x, grid.y, grid.phi, 1.0)
     ds = MARCH_STEP * grid.h
     xmin, xmax, ymin, ymax = grid.bbox

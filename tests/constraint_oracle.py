@@ -105,4 +105,4 @@ class GridLocalSolves:
 
     def solve_local(self, sigma, params):
         W = solve_local_2d(sigma, params, self.grid)
-        return W, self.grid.integrate(W.values**params.p, params.b**params.p)
+        return W, self.grid.integrate(W.values**params.p)

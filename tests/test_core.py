@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from klayer import core
+from klayer.asymptotics import ExpansionReport
 from klayer.cli import RunConfig, _evolve_grid, main
 from klayer.core import (
     Params,
@@ -22,6 +24,8 @@ from klayer.core import (
     unit_sphere_area,
 )
 from klayer.errors import NoCrossingError
+from klayer.evolve_radial import EvolutionSeries
+from klayer.planar2d import Disk, PlanarField, build_domain
 
 
 def uniform_grid(R, n, count):
@@ -247,6 +251,37 @@ class TestRadialGridValidation:
         for other in others:
             assert g != other
             assert not g == other
+
+
+def _planar_field():
+    grid, _ = build_domain(Disk(1.0), 0.2, n_samples=4)
+    return PlanarField(grid=grid, values=np.ones(grid.phi.shape))
+
+
+# the frozen dataclasses with array fields, which compare and hash by identity
+ARRAY_RECORDS = {
+    "RadialProfile": lambda: RadialProfile(uniform_grid(1.0, 2, 16), np.ones(16)),
+    "PlanarField": _planar_field,
+    "BoundarySample": lambda: build_domain(Disk(1.0), 0.2, n_samples=4)[1][0],
+    "EvolutionSeries": lambda: EvolutionSeries(*[np.zeros(3)] * 7, renormalized_mass_factor=1.0),
+    "ExpansionReport": lambda: ExpansionReport(
+        "lambda_eps", np.array([0.004, 0.002, 0.001]), np.ones(3), 1.0, 1.0, 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_by_identity(make):
+    x = make()
+    twin = copy.copy(x)  # the same field values
+    assert x == x
+    assert x != twin
+    assert hash(x) == hash(x)
+    # the records that hold them compare without raising
+    st = SteadyState(W=x, U=x, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
+    assert st == SteadyState(W=x, U=x, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
+    assert st != SteadyState(W=twin, U=twin, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
+    assert hash(st) == hash(st)
 
 
 def cell_oracle(grid):

@@ -10,6 +10,8 @@ from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 from klayer.planar2d import (
     Disk,
     Ellipse,
+    MaskedGrid,
+    PlanarField,
     Star,
     _bilinear,
     _projected_distance,
@@ -145,6 +147,69 @@ class TestGeometry:
         assert all(b > a for a, b in zip(arcs, arcs[1:]))
 
 
+def shortley_weller_rows(grid):
+    """The cut-cell Laplacian and load vector one inside node at a time.
+
+    An arm to an outside neighbour is cut where the signed distance changes
+    sign, at the fraction theta = phi_i / (phi_i - phi_nb) of h, clipped to
+    [1e-6, 1]; the arms of full length have theta = 1.  Along each axis the
+    neighbours get 2 / (theta (theta+ + theta-) h^2) and the node itself
+    -2 / (theta+ theta- h^2); a cut arm's coefficient goes to the load vector
+    that multiplies b.
+    """
+    inside, phi, h = grid.inside, grid.phi, grid.h
+    nodes = list(zip(*np.nonzero(inside)))
+    number = {node: k for k, node in enumerate(nodes)}
+    L = np.zeros((len(nodes), len(nodes)))
+    bvec = np.zeros(len(nodes))
+    for k, (i, j) in enumerate(nodes):
+        for di, dj in ((1, 0), (0, 1)):
+            arms = []
+            for nb in ((i + di, j + dj), (i - di, j - dj)):
+                theta = 1.0
+                if not inside[nb]:
+                    theta = min(max(phi[i, j] / (phi[i, j] - phi[nb]), 1e-6), 1.0)
+                arms.append((theta, nb))
+            (tp, _), (tm, _) = arms
+            L[k, k] -= 2.0 / (tp * tm) / h**2
+            for theta, nb in arms:
+                coeff = 2.0 / (theta * (tp + tm)) / h**2
+                if inside[nb]:
+                    L[k, number[nb]] = coeff
+                else:
+                    bvec[k] += coeff
+    return L, bvec
+
+
+class TestCutLaplacian:
+    @pytest.mark.parametrize("shape", [Disk(1.0), Star(1.0, 0.15, 5)], ids=["disk", "star"])
+    def test_matches_row_by_row_oracle(self, shape):
+        grid, _ = build_domain(shape, 0.05, n_samples=8)
+        L, bvec = grid.operator()
+        L_ref, bvec_ref = shortley_weller_rows(grid)
+        assert np.count_nonzero(bvec) > 0
+        assert np.array_equal(L.toarray(), L_ref)
+        assert np.array_equal(bvec, bvec_ref)
+
+    @pytest.mark.parametrize("node", [(0, 5), (10, 5), (5, 0), (5, 10)])
+    def test_inside_node_on_the_edge_rejected(self, node):
+        coords = np.linspace(-1.0, 1.0, 11)
+        phi = np.ones((11, 11))
+        phi[5, 5] = -0.1
+        MaskedGrid(h=0.2, x=coords, y=coords, phi=phi.copy())  # freezes its phi
+        phi[node] = -0.1
+        with pytest.raises(ValueError, match="outer edge"):
+            MaskedGrid(h=0.2, x=coords, y=coords, phi=phi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_field_values_must_be_finite(self, disk_grid, bad):
+        grid, _ = disk_grid
+        values = np.ones(grid.phi.shape)
+        values[0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PlanarField(grid=grid, values=values)
+
+
 class TestLocal2D:
     def test_matches_radial_at_fixed_sigma(self, disk_grid, radial_reference):
         grid, _ = disk_grid
@@ -153,7 +218,7 @@ class TestLocal2D:
         iy0 = int(np.argmin(np.abs(grid.y)))
         xs = grid.x[(grid.x >= 0) & (grid.x <= 1.0)]
         ix = np.searchsorted(grid.x, xs)
-        prof2 = W.filled(PAR.b)[ix, iy0]
+        prof2 = W.values[ix, iy0]
         prof1 = radial_reference.steady.W(xs)
         assert np.max(np.abs(prof2 - prof1)) <= 1e-3
 
@@ -171,7 +236,7 @@ class TestLocal2D:
         grid, _ = disk_grid
         sigma = 50.0
         W = solve_local_2d(sigma, PAR, grid)
-        L, bvec, _ = grid.operator()
+        L, bvec = grid.operator()
         T = splu((-L).tocsc()).solve(np.ones(L.shape[0]))
         deficit = PAR.b - W.values[grid.inside]
         bound = PAR.b ** (1 + PAR.p) / sigma * T
@@ -184,7 +249,7 @@ class TestLocal2D:
         b_start = np.full(int(grid.inside.sum()), PAR.b)  # the constant supersolution
         W_super = solve_local_2d(sigma, PAR, grid, initial=b_start)
         W_lower = solve_local_2d(sigma, PAR, grid)
-        diff = np.nanmax(np.abs(W_super.values - W_lower.values))
+        diff = np.max(np.abs(W_super.values - W_lower.values))
         assert diff <= 10 * 1e-10
 
     def test_ordering_matches_default_factorisation(self, disk_grid, monkeypatch):
@@ -193,7 +258,7 @@ class TestLocal2D:
         fast = solve_local_2d(0.05, PAR, grid)
         monkeypatch.setattr(planar2d, "splu", lambda J, **kwargs: splu(J))
         ref = solve_local_2d(0.05, PAR, grid)
-        assert np.nanmax(np.abs(fast.values - ref.values)) <= 1e-12
+        assert np.max(np.abs(fast.values - ref.values)) <= 1e-12
 
     def test_invalid_sigma(self, disk_grid):
         grid, _ = disk_grid
@@ -204,7 +269,7 @@ class TestLocal2D:
 class TestNonlocal2D:
     def test_mass_closure(self, disk_nonlocal):
         st = disk_nonlocal.steady
-        total = st.W.grid.integrate(st.U.values, st.amplitude * PAR.b**PAR.p)
+        total = st.W.grid.integrate(st.U.values)
         assert total == pytest.approx(PAR.m, rel=1e-6)
 
     def test_lambda_matches_radial(self, disk_nonlocal, radial_reference):
@@ -229,7 +294,7 @@ class TestNonlocal2D:
                 par = Params(epsilon=0.05, p=p, b=1, m=1, n=2)
                 st = solve_nonlocal_2d(par, grid).steady
                 W, integral = dom.solve_local(st.sigma, par)
-                assert np.nanmax(np.abs(W.values - st.W.values)) <= 5e-10 * par.b
+                assert np.max(np.abs(W.values - st.W.values)) <= 5e-10 * par.b
                 g = par.epsilon / st.sigma * integral
                 assert abs(g - par.m) / par.m <= 5e-10
 
@@ -245,8 +310,9 @@ class TestNonlocal2D:
             ref = illinois(par, GridLocalSolves(grid), tol_rel=1e-11)
             st, st_ref = res.steady, ref.steady
             assert st.lambda_eps == pytest.approx(st_ref.lambda_eps, rel=2e-10)
-            assert np.nanmax(np.abs(st.W.values - st_ref.W.values)) <= 2e-10 * par.b
-            assert np.array_equal(np.isnan(st.W.values), ~grid.inside)
+            assert np.max(np.abs(st.W.values - st_ref.W.values)) <= 2e-10 * par.b
+            assert np.all(st.W.values[~grid.inside] == par.b)
+            assert np.all(st.U.values[~grid.inside] == st.amplitude * par.b**par.p)
             assert res.constraint_residual <= 1e-15
 
     @pytest.mark.parametrize("shape", SHAPES[:3], ids=SHAPE_IDS[:3])
@@ -292,7 +358,7 @@ def scalar_ray_march(W, samples, c, params):
     vectorised probe.  Also returns each ray's outcome."""
     grid = W.grid
     interp_w = RegularGridInterpolator(
-        (grid.x, grid.y), W.filled(params.b), method="linear", bounds_error=False,
+        (grid.x, grid.y), W.values.copy(), method="linear", bounds_error=False,
         fill_value=params.b,
     )
     interp_phi = RegularGridInterpolator(
@@ -354,7 +420,10 @@ class TestBilinear:
         # measured: 0 ulps, as the cell search and the weights are scipy's
         grid, _ = disk_grid
         W = disk_nonlocal.steady.W
-        values, fill = (W.filled(PAR.b), PAR.b) if filled else (W.values.copy(), np.nan)
+        values, fill = (
+            (W.values.copy(), PAR.b) if filled
+            else (np.where(grid.inside, W.values, np.nan), np.nan)
+        )
         ours = _bilinear(grid.x, grid.y, values, fill)(points)
         ref = self.scipy_interp(grid, values, fill)(points)
         assert np.array_equal(ours, ref, equal_nan=True)
@@ -364,7 +433,7 @@ class TestBilinear:
     def test_fills_outside_closed_box_only(self, disk_grid, disk_nonlocal, points):
         grid, _ = disk_grid
         xmin, xmax, ymin, ymax = grid.bbox
-        filled = disk_nonlocal.steady.W.filled(PAR.b)
+        filled = disk_nonlocal.steady.W.values
         vals = _bilinear(grid.x, grid.y, filled, -1.0)(points)
         in_box = (
             (xmin <= points[:, 0]) & (points[:, 0] <= xmax)
@@ -391,8 +460,9 @@ class TestBilinear:
 
     def test_single_point(self, disk_grid, disk_nonlocal):
         grid, _ = disk_grid
-        interp = disk_nonlocal.steady.W.interpolator(PAR.b)
-        ref = self.scipy_interp(grid, disk_nonlocal.steady.W.filled(PAR.b), PAR.b)
+        W = disk_nonlocal.steady.W
+        interp = _bilinear(grid.x, grid.y, W.values, PAR.b)
+        ref = self.scipy_interp(grid, W.values.copy(), PAR.b)
         for point in (np.array([0.31, -0.47]), np.array([grid.x[-1], grid.y[-1]])):
             value = interp(point)
             assert value.shape == (1,)
@@ -424,7 +494,7 @@ class TestThicknessReport:
 
     def test_unreachable_level_skips_all(self, disk_grid, disk_nonlocal):
         grid, samples = disk_grid
-        w_min = float(np.nanmin(disk_nonlocal.steady.W.values))
+        w_min = float(np.min(disk_nonlocal.steady.W.values))
         table = curvature_thickness_report(
             disk_nonlocal.steady.W, samples, 0.5 * w_min, PAR
         )
