@@ -91,7 +91,7 @@ class RadialGrid:
     conductances: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float, order="C")
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
         if nodes[0] != 0.0:
@@ -140,7 +140,7 @@ class RadialProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         if values.shape != self.grid.nodes.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid ({self.grid.nodes.shape})"

@@ -1,7 +1,15 @@
 """Masked Cartesian-grid solver for the nonlocal problem on 2D domains.
 
 A uniform grid covers the bounding box of a disk / ellipse / star-shaped
-domain; nodes carry the signed distance to the boundary (negative inside).
+domain; nodes carry the signed distance phi to the boundary (negative
+inside).  The disk's phi is exact.  For the other curves it is the exact
+projected distance within BAND_CELLS = 3 cells of the boundary, and elsewhere
+the distance to a nearby boundary point that a Euclidean distance transform
+of the rasterised boundary picks: never below the exact value, less than
+1.7 h above it, and of the same sign.  Near the boundary phi sets the
+mask, the cut-cell weights and the Shortley-Weller arms; deeper inside only
+its sign and rough size are read, by the Newton starts (layer_profile(-phi),
+the disk seed at R_eq + phi) and by the probe (its march limit max(-phi)).
 The Dirichlet condition W = b is imposed on the zero level set through
 Shortley-Weller shortened stencil arms (the boundary crossing located by
 linear interpolation of the signed distance along the arm), a first-order
@@ -26,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
+from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import splu
-from scipy.spatial import cKDTree
 
 from .core import Params
 from .errors import NoConvergenceError
@@ -50,6 +58,8 @@ __all__ = [
 
 _THETA_MIN = 1e-6  # shortest admitted stencil arm fraction
 PROJECTION_ITERS = 32  # Newton steps allowed for the boundary projection
+BAND_CELLS = 3  # phi is the exact projected distance where |phi| < BAND_CELLS h
+MIN_SEEDS = 2048  # fewest boundary seeds of the band; fine grids get two per cell of perimeter
 PAD_CELLS = 4  # cells between the extent and the box edge; perfbench/workloads.py mirrors it
 MARCH_STEP = 0.5  # thickness-probe march step, in grid spacings
 
@@ -72,8 +82,37 @@ class _Curve:
         speed = np.hypot(x1, y1)
         return -y1 / speed, x1 / speed
 
-    def signed_distance(self, x, y):
-        return _projected_distance(self, x, y)
+    def signed_distance(self, coords, h):
+        """Signed distance at the nodes of the square grid coords x coords of
+        spacing h: exact where it is below BAND_CELLS h, and elsewhere an
+        upper bound that exceeds it by less than (1/4 + sqrt 2) h.
+
+        Seeds two per cell of perimeter mark the grid nodes nearest to them,
+        and the exact Euclidean distance transform finds every node's nearest
+        marked node.  Its distance to that node is within h of the distance
+        to the curve (a curve point lies within h/4 of a seed along the
+        curve, a seed within h/sqrt(2) of its node), so the nodes it puts
+        within (BAND_CELLS + 1) h hold the band, where the Newton projection
+        starts from the marked node's seed.  Elsewhere phi is the distance to
+        that seed, a point of the curve: the transform's own distance runs
+        about 0.4 h low at the median, the seed's about 0.03 h high.
+        """
+        t = _boundary_seeds(self, h)
+        bx, by = self.curve(t)
+        i = np.rint((bx - coords[0]) / h).astype(np.intp)
+        j = np.rint((by - coords[0]) / h).astype(np.intp)
+        unmarked = np.ones((coords.size, coords.size), dtype=bool)
+        unmarked[i, j] = False
+        seed = np.zeros(unmarked.shape)
+        seed[i, j] = t
+        dist, (ni, nj) = distance_transform_edt(unmarked, sampling=h, return_indices=True)
+        X, Y = np.meshgrid(coords, coords, indexing="ij")
+        cx, cy = self.curve(seed[ni, nj])
+        to_seed = np.hypot(X - cx, Y - cy)
+        phi = np.where(self.inside(X, Y), -to_seed, to_seed)
+        band = dist < (BAND_CELLS + 1) * h
+        phi[band] = _projected_distance(self, X[band], Y[band], seed[ni[band], nj[band]])
+        return phi
 
 
 class Disk(_Curve):
@@ -97,8 +136,12 @@ class Disk(_Curve):
     def curve_d2(self, t):
         return -self.R * np.cos(t), -self.R * np.sin(t)
 
-    def signed_distance(self, x, y):
-        return np.hypot(x, y) - self.R
+    def inside(self, x, y):
+        return np.hypot(x, y) < self.R
+
+    def signed_distance(self, coords, h):
+        X, Y = np.meshgrid(coords, coords, indexing="ij")
+        return np.hypot(X, Y) - self.R
 
 
 class Ellipse(_Curve):
@@ -176,26 +219,35 @@ class Star(_Curve):
         return np.hypot(x, y) < self.radius(np.arctan2(y, x))
 
 
-def _projected_distance(shape, x, y):
-    """Signed distance via damped Newton projection onto the boundary curve.
+def _arclength(shape):
+    """The curve parameter on a fine grid over [0, 2 pi] and the arclength
+    (trapezoid rule) from t = 0 to each of its points."""
+    t = np.linspace(0.0, 2.0 * math.pi, 8192)
+    dx, dy = shape.curve_d1(t)
+    speed = np.hypot(dx, dy)
+    return t, np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (speed[:-1] + speed[1:]))))
 
-    Seeded by the nearest of a dense polyline of boundary points, then refined
-    by Newton on the stationarity of the squared distance.  Raises
-    NoConvergenceError if the last parameter step still exceeds 1e-10 at the
-    iteration cap, far below any admissible grid spacing.
+
+def _boundary_seeds(shape, h):
+    """Curve parameters evenly spaced in arclength, two per cell of perimeter
+    and at least MIN_SEEDS: consecutive seeds lie less than h apart."""
+    t, s = _arclength(shape)
+    count = max(MIN_SEEDS, math.ceil(2.0 * s[-1] / h))
+    return np.interp(np.arange(count) * (s[-1] / count), s, t)
+
+
+def _projected_distance(shape, x, y, t0):
+    """Signed distance of the points (x, y) via damped Newton projection onto
+    the boundary curve, from the curve parameters t0.
+
+    Newton on the stationarity of the squared distance; t0 must lie in the
+    basin of the nearest boundary point.  Raises NoConvergenceError if the
+    last parameter step still exceeds 1e-10 at the iteration cap, far below
+    any admissible grid spacing.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    shp = x.shape
-    px = x.ravel()
-    py = y.ravel()
-
-    t_seed = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
-    bx, by = shape.curve(t_seed)
-    tree = cKDTree(np.column_stack([bx, by]))
-    _, nearest = tree.query(np.column_stack([px, py]))
-    t = t_seed[nearest]
-
+    px = np.asarray(x, dtype=float)
+    py = np.asarray(y, dtype=float)
+    t = np.asarray(t0, dtype=float)
     step_max = math.inf
     for _ in range(PROJECTION_ITERS):
         cx, cy = shape.curve(t)
@@ -219,8 +271,7 @@ def _projected_distance(shape, x, y):
 
     cx, cy = shape.curve(t)
     dist = np.hypot(cx - px, cy - py)
-    sign = np.where(shape.inside(px, py), -1.0, 1.0)
-    return (sign * dist).reshape(shp)
+    return np.where(shape.inside(px, py), -dist, dist)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +292,17 @@ class MaskedGrid:
     """Uniform Cartesian grid with an inside mask.
 
     x, y are node coordinate vectors; phi, inside and the quadrature weights
-    are (nx, ny) arrays.  Arrays are frozen after construction.  The nodes on
-    the grid's outer edge must lie outside, so that every inside node has its
-    four neighbours on the grid.
+    are (nx, ny) arrays.  The grid keeps read-only copies of x, y and phi, so
+    the caller's arrays stay as they were.  The nodes on the grid's outer edge
+    must lie outside, so that every inside node has its four neighbours on the
+    grid.
     """
 
     def __init__(self, h: float, x: np.ndarray, y: np.ndarray, phi: np.ndarray):
         self.h = float(h)
-        self.x = np.ascontiguousarray(x, dtype=float)
-        self.y = np.ascontiguousarray(y, dtype=float)
-        self.phi = np.ascontiguousarray(phi, dtype=float)
+        self.x = np.array(x, dtype=float, order="C")
+        self.y = np.array(y, dtype=float, order="C")
+        self.phi = np.array(phi, dtype=float, order="C")
         inside = self.phi < 0.0
         if not inside.any():
             raise ValueError("grid contains no inside node")
@@ -328,7 +380,16 @@ def _assemble_cut_laplacian(grid: MaskedGrid):
 
 
 def build_domain(shape, h: float, n_samples: int = 64):
-    """Masked grid plus boundary samples (uniformly spaced in arclength)."""
+    """Masked grid plus boundary samples (uniformly spaced in arclength).
+
+    The grid's phi comes from shape.signed_distance: exact on the disk, and
+    for the other curves exact within BAND_CELLS h of the boundary, where the
+    mask, the cut-cell weights and the Shortley-Weller arms read it.  Deeper
+    inside it is the distance to a boundary point near the nearest one, less
+    than 1.7 h above the exact distance and of the same sign; there only the
+    Newton starts of solve_local_2d and solve_nonlocal_2d and the probe's
+    march limit read it.
+    """
     if h <= 0:
         raise ValueError("h must be positive")
     if n_samples < 1:
@@ -341,14 +402,9 @@ def build_domain(shape, h: float, n_samples: int = 64):
     ext = shape.extent() + PAD_CELLS * h
     n_side = int(math.ceil(2 * ext / h))
     coords = (np.arange(n_side + 1) - n_side / 2.0) * h
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    phi = shape.signed_distance(X, Y)
-    grid = MaskedGrid(h=h, x=coords, y=coords, phi=phi)
+    grid = MaskedGrid(h=h, x=coords, y=coords, phi=shape.signed_distance(coords, h))
 
-    t_fine = np.linspace(0.0, 2.0 * math.pi, 8192)
-    dx, dy = shape.curve_d1(t_fine)
-    speed = np.hypot(dx, dy)
-    s = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t_fine) * (speed[:-1] + speed[1:]))))
+    t_fine, s = _arclength(shape)
     total = s[-1]
     s_targets = np.arange(n_samples) * total / n_samples
     t_samples = np.interp(s_targets, s, t_fine)
@@ -382,7 +438,7 @@ class PlanarField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float, order="C")
         if vals.shape != self.grid.phi.shape:
             raise ValueError("field shape does not match grid")
         if not np.all(np.isfinite(vals)):

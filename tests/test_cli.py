@@ -458,7 +458,7 @@ def test_import_footprint():
     scipy subpackages klayer does not use, which would cost start-up time and
     memory on every CLI call."""
     eager = {"klayer.planar2d", "klayer.evolve_radial"}
-    forbidden = {"scipy.optimize", "scipy.interpolate", "scipy.fft"}
+    forbidden = {"scipy.optimize", "scipy.interpolate", "scipy.fft", "scipy.spatial"}
     code = (
         "import sys, klayer.cli; "
         f"print(*(m for m in {sorted(eager | forbidden)!r} if m in sys.modules))"

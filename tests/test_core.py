@@ -25,7 +25,7 @@ from klayer.core import (
 )
 from klayer.errors import NoCrossingError
 from klayer.evolve_radial import EvolutionSeries
-from klayer.planar2d import Disk, PlanarField, build_domain
+from klayer.planar2d import Disk, MaskedGrid, PlanarField, build_domain
 
 
 def uniform_grid(R, n, count):
@@ -282,6 +282,36 @@ def test_array_records_compare_by_identity(make):
     assert st == SteadyState(W=x, U=x, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
     assert st != SteadyState(W=twin, U=twin, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
     assert hash(st) == hash(st)
+
+
+def _stored_arrays():
+    """(the array a caller passed, the array the record stored) for every
+    constructor that keeps an array."""
+    nodes, values = np.linspace(0.0, 1.0, 16), np.ones(16)
+    grid = RadialGrid(R=1.0, nodes=nodes, n=2)
+    profile = RadialProfile(grid, values)
+    x, y = np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 11)
+    phi = np.hypot(*np.meshgrid(x, y, indexing="ij")) - 0.5
+    masked = MaskedGrid(h=0.2, x=x, y=y, phi=phi)
+    field_values = np.ones(phi.shape)
+    field = PlanarField(grid=masked, values=field_values)
+    return {
+        "RadialGrid.nodes": (nodes, grid.nodes),
+        "RadialProfile.values": (values, profile.values),
+        "MaskedGrid.x": (x, masked.x),
+        "MaskedGrid.y": (y, masked.y),
+        "MaskedGrid.phi": (phi, masked.phi),
+        "PlanarField.values": (field_values, field.values),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stored_arrays()))
+def test_constructors_store_read_only_copies(name):
+    given, stored = _stored_arrays()[name]
+    assert given.flags.writeable
+    assert not stored.flags.writeable
+    given.flat[0] += 1.0
+    assert stored.flat[0] == given.flat[0] - 1.0
 
 
 def cell_oracle(grid):

@@ -31,6 +31,24 @@ SHAPES = [
 SHAPE_IDS = ["disk", "ellipse", "star", "ellipse-2-0.5"]
 
 
+def nearest_vertex_parameter(shape, x, y, count=1024):
+    """The curve parameter of the vertex nearest to each point (x, y), by
+    brute force over a polyline of count vertices evenly spaced in t."""
+    t = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    bx, by = shape.curve(t)
+    px, py = np.ravel(x), np.ravel(y)
+    nearest = [
+        np.argmin((px[k : k + 512, None] - bx) ** 2 + (py[k : k + 512, None] - by) ** 2, axis=1)
+        for k in range(0, px.size, 512)
+    ]
+    return t[np.concatenate(nearest)].reshape(np.shape(x))
+
+
+def exact_distance(shape, x, y):
+    """The oracle for phi: the Newton projection from the nearest vertex."""
+    return _projected_distance(shape, x, y, nearest_vertex_parameter(shape, x, y))
+
+
 @pytest.fixture(scope="module")
 def disk_grid():
     grid, samples = build_domain(Disk(1.0), 0.02, n_samples=32)
@@ -92,11 +110,11 @@ class TestGeometry:
             assert np.max(np.abs(nx * tx + ny * ty) / np.hypot(tx, ty)) <= 1e-15
             # inward: a short step along the normal enters the domain
             x, y = shape.curve(t)
-            assert np.all(shape.signed_distance(x + 1e-3 * nx, y + 1e-3 * ny) < 0)
+            assert np.all(_projected_distance(shape, x + 1e-3 * nx, y + 1e-3 * ny, t) < 0)
 
     def test_ellipse_projection_on_axis(self):
         shape = Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-        got = shape.signed_distance(np.array([np.sqrt(2.0) - 0.1]), np.array([0.0]))
+        got = exact_distance(shape, np.array([np.sqrt(2.0) - 0.1]), np.array([0.0]))
         assert got[0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_degenerate_star_equals_disk(self):
@@ -127,10 +145,11 @@ class TestGeometry:
     def test_projection_checks_convergence(self, monkeypatch):
         shape = Ellipse(1.4142, 0.7071)
         X, Y = np.meshgrid(np.linspace(-1.5, 1.5, 31), np.linspace(-0.8, 0.8, 17))
-        assert np.all(np.isfinite(_projected_distance(shape, X, Y)))
+        t0 = nearest_vertex_parameter(shape, X, Y)
+        assert np.all(np.isfinite(_projected_distance(shape, X, Y, t0)))
         monkeypatch.setattr(planar2d, "PROJECTION_ITERS", 1)
         with pytest.raises(NoConvergenceError):
-            _projected_distance(shape, X, Y)
+            _projected_distance(shape, X, Y, t0)
 
     def test_too_coarse_h_rejected(self):
         with pytest.raises(ValueError):
@@ -145,6 +164,44 @@ class TestGeometry:
         _, samples = disk_grid
         arcs = [s.arclength for s in samples]
         assert all(b > a for a, b in zip(arcs, arcs[1:]))
+
+
+class TestBandDistance:
+    """phi off the disk: the exact projection within BAND_CELLS h of the
+    boundary, the distance to a boundary seed elsewhere."""
+
+    @pytest.mark.parametrize("h", [0.02, 0.01])
+    @pytest.mark.parametrize("shape", SHAPES[1:], ids=SHAPE_IDS[1:])
+    def test_matches_the_exact_projection(self, shape, h):
+        grid, _ = build_domain(shape, h, n_samples=8)
+        exact = exact_distance(shape, *np.meshgrid(grid.x, grid.y, indexing="ij"))
+        band = np.abs(exact) < planar2d.BAND_CELLS * h
+        assert np.max(np.abs(grid.phi - exact)[band]) <= 1e-15
+        # shape.inside sets both signs; a node on the curve holds -0.0 or a
+        # negative rounding residue, so compare sign bits
+        assert np.array_equal(np.signbit(grid.phi), np.signbit(exact))
+        # off the band, the distance to a point of the curve: never below the
+        # exact one, and above it by less than (1/4 + sqrt 2) h; measured
+        # 0.88-1.07 h at most and 0.026-0.034 h at the median
+        excess = np.abs(grid.phi[~band]) - np.abs(exact[~band])
+        assert np.min(excess) >= -1e-15
+        assert np.max(excess) <= (0.25 + np.sqrt(2.0)) * h
+        assert np.median(excess) <= 0.05 * h
+
+    def test_fine_grid_raster_has_no_gap(self):
+        # MIN_SEEDS alone would space this ellipse's seeds 4.2e-3 apart, more than h
+        shape, h = Ellipse(2.0, 0.5), 0.004
+        grid, _ = build_domain(shape, h, n_samples=8)
+        bx, by = shape.curve(planar2d._boundary_seeds(shape, h))
+        for coord, axis in ((bx, grid.x), (by, grid.y)):
+            node = np.rint((coord - axis[0]) / h)
+            # consecutive seeds, the last with the first, mark the same or adjacent nodes
+            assert np.max(np.abs(np.diff(node, append=node[0]))) <= 1
+        X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+        near = np.abs(grid.phi) < (planar2d.BAND_CELLS + 2) * h  # holds every |exact| < 3h
+        exact = exact_distance(shape, X[near], Y[near])
+        band = np.abs(exact) < planar2d.BAND_CELLS * h
+        assert np.max(np.abs(grid.phi[near] - exact)[band]) <= 1e-15
 
 
 def shortley_weller_rows(grid):
@@ -196,7 +253,7 @@ class TestCutLaplacian:
         coords = np.linspace(-1.0, 1.0, 11)
         phi = np.ones((11, 11))
         phi[5, 5] = -0.1
-        MaskedGrid(h=0.2, x=coords, y=coords, phi=phi.copy())  # freezes its phi
+        MaskedGrid(h=0.2, x=coords, y=coords, phi=phi)
         phi[node] = -0.1
         with pytest.raises(ValueError, match="outer edge"):
             MaskedGrid(h=0.2, x=coords, y=coords, phi=phi)
