@@ -28,11 +28,10 @@ from .core import (
     unit_sphere_area,
 )
 from .mass_constraint import RadialBallDomain, lambda_leading, solve_nonlocal
-from .radial_steady import boundary_slope, layer_profile_constant
+from .radial_steady import boundary_slope
 
 __all__ = [
     "ExpansionReport",
-    "cp",
     "slope_W_leading",
     "slope_U_leading",
     "thickness_leading",
@@ -50,7 +49,6 @@ QUANTITIES = ("slope_W", "slope_U", "lambda_eps", "thickness")
 # power of eps multiplying the raw measurement so it tends to the coefficient
 _EPS_POWER = {"slope_W": 1, "slope_U": 2, "lambda_eps": -1, "thickness": -1}
 
-cp = layer_profile_constant
 # lambda_leading lives in mass_constraint: the ball's solve there and
 # evolve_radial's steady pair start from sigma0 = eps^2 lambda_leading
 

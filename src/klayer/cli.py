@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, evolve_radial, planar2d
-from .core import Params, RadialProfile, make_graded_grid
+from .core import Params, make_graded_grid
 from .errors import NoCrossingError, SolverError
 from .mass_constraint import RadialBallDomain, solve_nonlocal
 from .radial_steady import boundary_slope, layer_width
@@ -179,6 +179,12 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"'t_end' must be finite and positive, got {cfg.t_end}")
     if cfg.output_every < 1:
         raise ConfigError(f"'output_every' must be >= 1, got {cfg.output_every}")
+    if not (cfg.R > 0 and math.isfinite(cfg.R)):
+        raise ConfigError(f"'R' must be finite and positive, got {cfg.R}")
+    if not math.isfinite(cfg.perturb):
+        raise ConfigError(f"'perturb' must be finite, got {cfg.perturb}")
+    if cfg.seed < 0:
+        raise ConfigError(f"'seed' must be >= 0, got {cfg.seed}")
     if command == "steady-2d" and params.n != 2:
         raise ConfigError(f"'n' must be 2 for steady-2d, a planar domain, got {params.n}")
     if not 0 <= cfg.level_c < params.b:
@@ -333,20 +339,11 @@ def _run_evolve(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     r = grid.nodes
-    u0 = RadialProfile(
-        grid=grid,
-        values=reference.U.values
-        * (1.0 + cfg.perturb * np.cos(math.pi * r / cfg.R + phase)),
-    )
+    u0 = reference.U * (1.0 + cfg.perturb * np.cos(math.pi * r / cfg.R + phase))
     v_shape = np.cos(math.pi * r / (2.0 * cfg.R))  # vanishes at r = R
-    w0 = RadialProfile(
-        grid=grid,
-        values=np.exp(reference.V.values * (1.0 + cfg.perturb * math.cos(phase) * v_shape)),
-    )
+    w0 = np.exp(reference.V * (1.0 + cfg.perturb * math.cos(phase) * v_shape))
     dt = cfg.dt if cfg.dt > 0 else cfg.t_end / 1000
-    series = evolve_radial.evolve(
-        u0, w0, cfg.params, reference, dt, cfg.t_end, cfg.output_every
-    )
+    series = evolve_radial.evolve(reference, u0, w0, dt, cfg.t_end, cfg.output_every)
     columns = (series.t, series.mass, series.linf_u, series.l2_u,
                series.linf_w, series.l2_w, series.energy)
     _write_csv(cfg.out / "evolve_diagnostics.csv",

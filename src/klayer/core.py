@@ -72,7 +72,7 @@ class Params:
         object.__setattr__(self, "n", int(self.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing nodes from 0 to R with the dimension of the measure.
 
@@ -80,15 +80,14 @@ class RadialGrid:
     around it, from 0 at the axis to R at the boundary.  volumes holds the
     cell volumes and conductances the area / dr of the N - 1 interior faces,
     both without the factor omega_n; they follow from nodes and n, so they
-    take no part in construction or repr.  Two grids are equal when their R,
-    n and node values are.
+    take no part in construction or repr.
     """
 
     R: float
     nodes: np.ndarray
     n: int
-    volumes: np.ndarray = field(init=False, compare=False, repr=False)
-    conductances: np.ndarray = field(init=False, compare=False, repr=False)
+    volumes: np.ndarray = field(init=False, repr=False)
+    conductances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float, order="C")
@@ -114,15 +113,6 @@ class RadialGrid:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", n)
 
-    def __eq__(self, other):
-        if not isinstance(other, RadialGrid):
-            return NotImplemented
-        return (
-            self.R == other.R
-            and self.n == other.n
-            and np.array_equal(self.nodes, other.nodes)
-        )
-
     @property
     def count(self) -> int:
         return self.nodes.size
@@ -130,6 +120,18 @@ class RadialGrid:
     @property
     def spacings(self) -> np.ndarray:
         return np.diff(self.nodes)
+
+
+def _node_values(grid: RadialGrid, values, name: str) -> np.ndarray:
+    """A read-only float copy of values, checked to hold one finite value per
+    node of grid."""
+    values = np.array(values, dtype=float, order="C")
+    if values.shape != grid.nodes.shape:
+        raise ValueError(f"{name} shape {values.shape} does not match grid ({grid.nodes.shape})")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,15 +142,7 @@ class RadialProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, order="C")
-        if values.shape != self.grid.nodes.shape:
-            raise ValueError(
-                f"values shape {values.shape} does not match grid ({self.grid.nodes.shape})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("profile values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _node_values(self.grid, self.values, "profile values"))
 
     def __call__(self, r) -> np.ndarray:
         """Piecewise-linear evaluation at radii r."""

@@ -23,11 +23,13 @@ u, and v = ln w.
 
 A face carries zero flux exactly when u_(i+1) / u_i = e^d, so the scheme's
 stationary density is U = C W^p and its steady pair solves
-eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).  Stability
-diagnostics are measured against that pair, which relax_to_discrete_steady()
-solves with radial_steady's nonlocal Newton on K in 4-6 tridiagonal solves
-(no dt, no elliptic solve).  It keeps the name from when it time-stepped to
-the pair, because the benchmark tracer times it under that name.
+eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).
+relax_to_discrete_steady() solves it with radial_steady's nonlocal Newton on
+K in 4-6 tridiagonal solves (no dt, no elliptic solve); it keeps the name
+from when it time-stepped to the pair, because the benchmark tracer times it
+under that name.  The pair, a DiscreteSteady, owns the grid and parameters:
+evolve(reference, u0, w0, dt, t_end) and lyapunov_energy(u, v, steady) read
+them from it, take node arrays, and measure the diagnostics against it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exprel
 
-from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
+from .core import Params, RadialGrid, _node_values, unit_sphere_area
 from .errors import PositivityError
 from .mass_constraint import lambda_leading
 from . import radial_steady
@@ -60,16 +62,28 @@ def _mass(grid: RadialGrid, u: np.ndarray) -> float:
     return unit_sphere_area(grid.n) * float(np.dot(grid.volumes, u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSteady:
-    """The evolution scheme's own stationary pair on its grid."""
+    """The evolution scheme's own stationary pair (U, V = ln W) on grid.
 
-    U: RadialProfile
-    V: RadialProfile
+    U and V are stored as read-only float arrays with one finite value per
+    node; params is the model the pair solves, so grid.n must be params.n.
+    """
+
+    grid: RadialGrid
+    params: Params
+    U: np.ndarray
+    V: np.ndarray
+
+    def __post_init__(self):
+        if self.grid.n != self.params.n:
+            raise ValueError(f"grid dimension {self.grid.n} != params dimension {self.params.n}")
+        for name in ("U", "V"):
+            object.__setattr__(self, name, _node_values(self.grid, getattr(self, name), name))
 
     @property
-    def W(self) -> RadialProfile:
-        return RadialProfile(grid=self.V.grid, values=np.exp(self.V.values))
+    def W(self) -> np.ndarray:
+        return np.exp(self.V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,24 +172,22 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
     v = np.log(W)
     W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
     U = W**params.p * (params.m / _mass(grid, W**params.p))
-    return DiscreteSteady(U=RadialProfile(grid, U), V=RadialProfile(grid, v))
+    return DiscreteSteady(grid, params, U, v)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def lyapunov_energy(
-    u: np.ndarray, v: np.ndarray, steady: DiscreteSteady, params: Params
-) -> float:
+def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: DiscreteSteady) -> float:
     """Weighted energy omega_n * int(r^(n-1) phi^2 / U + p r^(n-1) psi^2) dr
 
-    of the fields (u, v) on the grid of steady, with phi the radius-weighted
-    anti-derivative of u - U (the relative radial mass distribution,
-    vanishing at both ends when masses match) and psi = v - V.
+    of the node arrays (u, v) on the grid of steady, with phi the
+    radius-weighted anti-derivative of u - U (the relative radial mass
+    distribution, vanishing at both ends when masses match) and psi = v - V.
     Non-negative; zero only when both fields match.
     """
-    U_ref, V_ref, grid = steady.U.values, steady.V.values, steady.U.grid
+    U_ref, V_ref, grid = steady.U, steady.V, steady.grid
     if np.any(U_ref <= 0):
         raise ValueError("steady U must be positive for the energy weight")
     r = grid.nodes
@@ -187,15 +199,14 @@ def lyapunov_energy(
     phi = np.zeros_like(anti)
     phi[1:] = anti[1:] / r[1:] ** (n - 1)
     psi = v - V_ref
-    integrand = r ** (n - 1) * (phi**2 / U_ref + params.p * psi**2)
+    integrand = r ** (n - 1) * (phi**2 / U_ref + steady.params.p * psi**2)
     return unit_sphere_area(n) * float(np.trapezoid(integrand, r))
 
 
 def evolve(
-    u0: RadialProfile,
-    w0: RadialProfile,
-    params: Params,
     reference: DiscreteSteady,
+    u0: np.ndarray,
+    w0: np.ndarray,
     dt: float,
     t_end: float,
     output_every: int = 10,
@@ -203,37 +214,32 @@ def evolve(
     """Run step() at the fixed dt up to t_end and record stability diagnostics
     every output_every steps and at the end.
 
-    Distances and energy are measured against reference, the scheme's steady
-    pair on u0's grid (see relax_to_discrete_steady); masses and L2 norms are
-    finite-volume sums over the grid's cells.  w0 and both fields of
-    reference must live on u0's grid, whose dimension must be params.n.
-    u0 is renormalised to mass m when needed (the factor is reported).  w0
-    must be positive with w0(R) = b.  dt and t_end must be finite and
-    positive, output_every at least 1.  Terminates at t_end or when the
-    combined L-infinity distance drops below 1e-10.
+    reference is the scheme's steady pair (see relax_to_discrete_steady); its
+    grid and params are those of the run.  Distances and energy are measured
+    against it; masses and L2 norms are finite-volume sums over the grid's
+    cells.  u0 and w0 are node arrays on that grid, finite and positive.  u0
+    is renormalised to mass m when needed (the factor is reported), and w0
+    must have w0(R) = b.  dt and t_end must be finite and positive,
+    output_every at least 1.  Terminates at t_end or when the combined
+    L-infinity distance drops below 1e-10.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be a finite positive number, got {value}")
     if output_every < 1:
         raise ValueError(f"output_every must be >= 1, got {output_every}")
-    grid = u0.grid
-    if grid.n != params.n:
-        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
-    if w0.grid != grid:
-        raise ValueError("w0 lives on an incompatible grid")
-    if reference.U.grid != grid or reference.V.grid != grid:
-        raise ValueError("steady reference lives on an incompatible grid")
-    if np.any(u0.values <= 0) or np.any(w0.values <= 0):
-        raise ValueError("u0 and w0 must be positive")
-    if abs(w0.values[-1] - params.b) > 1e-10 * params.b:
-        raise ValueError(f"w0(R) = {w0.values[-1]} must equal b = {params.b}")
-    factor = params.m / _mass(grid, u0.values)
-    u = u0.values * factor
-    v = np.log(w0.values)
+    grid, params = reference.grid, reference.params
+    u0, w0 = _node_values(grid, u0, "u0"), _node_values(grid, w0, "w0")
+    for name, value in (("u0", u0), ("w0", w0)):
+        if np.any(value <= 0):  # after the finiteness check: NaN <= 0 is False
+            raise ValueError(f"{name} must be positive")
+    if abs(w0[-1] - params.b) > 1e-10 * params.b:
+        raise ValueError(f"w0(R) = {w0[-1]} must equal b = {params.b}")
+    factor = params.m / _mass(grid, u0)
+    u = u0 * factor
+    v = np.log(w0)
     v[-1] = math.log(params.b)
-    U_ref = reference.U.values
-    W_ref = np.exp(reference.V.values)
+    U_ref, W_ref = reference.U, reference.W
 
     rows = []
 
@@ -248,7 +254,7 @@ def evolve(
                 math.sqrt(_mass(grid, du**2)),
                 float(np.max(np.abs(dw))),
                 math.sqrt(_mass(grid, dw**2)),
-                lyapunov_energy(u, v, reference, params),
+                lyapunov_energy(u, v, reference),
             )
         )
 

@@ -97,7 +97,7 @@ class RadialBallDomain:
     """
 
     def __init__(self, R: float, n: int, count: int = 2500):
-        if R <= 0:
+        if not (R > 0 and np.isfinite(R)):
             raise ValueError(f"R must be positive, got {R}")
         self.R = float(R)
         self.n = int(n)

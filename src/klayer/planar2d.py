@@ -390,7 +390,7 @@ def build_domain(shape, h: float, n_samples: int = 64):
     Newton starts of solve_local_2d and solve_nonlocal_2d and the probe's
     march limit read it.
     """
-    if h <= 0:
+    if not (h > 0 and math.isfinite(h)):
         raise ValueError("h must be positive")
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")

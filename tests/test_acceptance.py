@@ -44,7 +44,7 @@ from klayer.asymptotics import (
     thickness_leading,
     verify_p_limit,
 )
-from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
+from klayer.core import Params, make_graded_grid, refine_grid
 from klayer.evolve_radial import (
     evolve,
     fit_decay_rate,
@@ -157,16 +157,14 @@ def stability_run():
     grid = make_graded_grid(1.0, 2, 10.0 / 319, 320)
     ref = relax_to_discrete_steady(grid, par)
     r = grid.nodes
-    u0 = RadialProfile(grid, ref.U.values * (1.0 + 0.01 * np.cos(np.pi * r)))
-    w0 = RadialProfile(
-        grid, np.exp(ref.V.values * (1.0 + 0.01 * np.cos(np.pi * r / 2.0)))
-    )
+    u0 = ref.U * (1.0 + 0.01 * np.cos(np.pi * r))
+    w0 = np.exp(ref.V * (1.0 + 0.01 * np.cos(np.pi * r / 2.0)))
     dt = 0.01
     # pilot to estimate the rate, then a horizon of 10 decay times
-    pilot = evolve(u0, w0, par, ref, dt=dt, t_end=6.0, output_every=25)
+    pilot = evolve(ref, u0, w0, dt=dt, t_end=6.0, output_every=25)
     mu_pilot = fit_decay_rate(np.column_stack([pilot.t, pilot.distance()]))
     t_end = max(10.0 / max(mu_pilot, 0.05), 6.0)
-    series = evolve(u0, w0, par, ref, dt=dt, t_end=t_end, output_every=25)
+    series = evolve(ref, u0, w0, dt=dt, t_end=t_end, output_every=25)
     return {
         "par": par,
         "grid": grid,
@@ -473,9 +471,9 @@ def test_attractor_independence(stability_run):
     t_end = max(10.0 / mu, 6.0)
     finals = []
     for shape in (np.cos(2 * np.pi * r), np.cos(3 * np.pi * r)):
-        u0 = RadialProfile(grid, ref.U.values * (1.0 + 0.01 * shape))
-        w0 = RadialProfile(grid, np.exp(ref.V.values))
-        series = evolve(u0, w0, par, ref, dt=0.01, t_end=t_end, output_every=50)
+        u0 = ref.U * (1.0 + 0.01 * shape)
+        w0 = np.exp(ref.V)
+        series = evolve(ref, u0, w0, dt=0.01, t_end=t_end, output_every=50)
         finals.append(series.distance()[-1])
     # both ended on the shared attractor, so their mutual gap is bounded by
     # the sum of the remaining distances

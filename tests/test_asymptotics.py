@@ -8,7 +8,6 @@ from klayer.asymptotics import (
     QUANTITIES,
     ExpansionReport,
     boundary_mass_fraction,
-    cp,
     envelope_constants,
     interior_sup,
     lambda_leading,
@@ -22,19 +21,19 @@ from klayer.asymptotics import (
 from klayer.core import Params, RadialProfile, make_graded_grid, unit_sphere_area
 from klayer.errors import NoCrossingError
 from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
-from klayer.radial_steady import barrier_lower
+from klayer.radial_steady import barrier_lower, layer_profile_constant
 
 DISK = Params(epsilon=1e-3, p=2, b=1, m=1, n=2)
 
 
 class TestLayerConstant:
     def test_values(self):
-        assert cp(2) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-        assert cp(4) == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
+        assert layer_profile_constant(2) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert layer_profile_constant(4) == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
 
     def test_vanishes_monotonically(self):
         ps = [2.0, 8.0, 32.0, 128.0, 512.0]
-        vals = [cp(p) for p in ps]
+        vals = [layer_profile_constant(p) for p in ps]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.1
 
@@ -111,7 +110,7 @@ class TestLeadingCoefficients:
         par = Params(epsilon=1e-3, p=p, b=b, m=m, n=n)
         c = cfrac * b
         om = unit_sphere_area(n)
-        alt = ((b / c) ** (p / 2) - 1.0) * om * cp(p) ** 2 * R ** (n - 1) / m
+        alt = ((b / c) ** (p / 2) - 1.0) * om * layer_profile_constant(p) ** 2 * R ** (n - 1) / m
         assert thickness_leading(c, par, R) == pytest.approx(alt, rel=1e-12)
 
 

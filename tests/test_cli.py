@@ -144,6 +144,14 @@ class TestParseConfig:
             ("steady-2d", "--level-c", "2", "level_c"),
             ("verify", "--eps-list", "0.001 0.002 0.004", "eps_list"),
             ("verify", "--eps-list", "0.002 0.001", "eps_list"),
+            ("evolve", "--R", "0", "R"),
+            ("evolve", "--R", "nan", "R"),
+            ("evolve", "--R", "inf", "R"),
+            ("steady-radial", "--R", "0", "R"),
+            ("steady-radial", "--R", "-1", "R"),
+            ("evolve", "--perturb", "nan", "perturb"),
+            ("evolve", "--perturb", "inf", "perturb"),
+            ("evolve", "--seed", "-1", "seed"),
         ],
     )
     def test_out_of_range_rejected_before_any_output(

@@ -24,7 +24,7 @@ from klayer.core import (
     unit_sphere_area,
 )
 from klayer.errors import NoCrossingError
-from klayer.evolve_radial import EvolutionSeries
+from klayer.evolve_radial import DiscreteSteady, EvolutionSeries
 from klayer.planar2d import Disk, MaskedGrid, PlanarField, build_domain
 
 
@@ -238,20 +238,6 @@ class TestRadialGridValidation:
         with pytest.raises(ValueError):
             RadialProfile(grid=g, values=bad)
 
-    def test_equality_by_value(self):
-        # equal node values, not a shared node array, make equal grids;
-        # unequal ones compare False without raising
-        g = make_graded_grid(1.0, 2, 0.1, 64)
-        assert g == RadialGrid(R=1.0, nodes=g.nodes.copy(), n=2)
-        others = (
-            make_graded_grid(1.0, 2, 0.05, 64),  # other nodes
-            make_graded_grid(1.0, 2, 0.1, 65),  # another count
-            RadialGrid(R=1.0, nodes=g.nodes, n=3),  # another dimension
-        )
-        for other in others:
-            assert g != other
-            assert not g == other
-
 
 def _planar_field():
     grid, _ = build_domain(Disk(1.0), 0.2, n_samples=4)
@@ -260,7 +246,12 @@ def _planar_field():
 
 # the frozen dataclasses with array fields, which compare and hash by identity
 ARRAY_RECORDS = {
+    "RadialGrid": lambda: uniform_grid(1.0, 2, 16),
     "RadialProfile": lambda: RadialProfile(uniform_grid(1.0, 2, 16), np.ones(16)),
+    "DiscreteSteady": lambda: DiscreteSteady(
+        uniform_grid(1.0, 2, 16), Params(epsilon=0.05, p=2, b=1, m=1, n=2),
+        np.ones(16), np.zeros(16),
+    ),
     "PlanarField": _planar_field,
     "BoundarySample": lambda: build_domain(Disk(1.0), 0.2, n_samples=4)[1][0],
     "EvolutionSeries": lambda: EvolutionSeries(*[np.zeros(3)] * 7, renormalized_mass_factor=1.0),
@@ -295,9 +286,13 @@ def _stored_arrays():
     masked = MaskedGrid(h=0.2, x=x, y=y, phi=phi)
     field_values = np.ones(phi.shape)
     field = PlanarField(grid=masked, values=field_values)
+    U, V = np.ones(16), np.zeros(16)
+    steady = DiscreteSteady(grid, Params(epsilon=0.05, p=2, b=1, m=1, n=2), U, V)
     return {
         "RadialGrid.nodes": (nodes, grid.nodes),
         "RadialProfile.values": (values, profile.values),
+        "DiscreteSteady.U": (U, steady.U),
+        "DiscreteSteady.V": (V, steady.V),
         "MaskedGrid.x": (x, masked.x),
         "MaskedGrid.y": (y, masked.y),
         "MaskedGrid.phi": (phi, masked.phi),
@@ -362,7 +357,6 @@ class TestFiniteVolumeCells:
     def test_constructor_equality_and_repr_unchanged(self):
         grid = make_graded_grid(1.0, 2, 0.02, 64)
         same = RadialGrid(R=grid.R, nodes=grid.nodes, n=grid.n)
-        assert same == grid
         assert same.volumes is not grid.volumes
         assert "volumes" not in repr(grid) and "conductances" not in repr(grid)
         with pytest.raises(TypeError):

@@ -97,6 +97,13 @@ class TestSolveNonlocal:
             illinois(PAR, domain, tol_rel=0.0)
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
+def test_ball_radius_checked(R):
+    # NaN compares False with everything, so R <= 0 alone lets it through
+    with pytest.raises(ValueError, match="R must be positive"):
+        RadialBallDomain(R=R, n=2)
+
+
 class _Stub:
     """W stand-in for stub domains: scaling it returns itself."""
 

@@ -155,6 +155,12 @@ class TestGeometry:
         with pytest.raises(ValueError):
             build_domain(Disk(0.05), 0.02)
 
+    @pytest.mark.parametrize("h", [0.0, np.nan, np.inf])
+    def test_non_positive_or_non_finite_h_rejected(self, h):
+        # NaN compares False with everything, so h <= 0 alone lets it through
+        with pytest.raises(ValueError, match="h must be positive"):
+            build_domain(Disk(1.0), h)
+
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_no_samples_rejected(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):

@@ -343,9 +343,9 @@ class TestSolveBandedPaths:
         par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
         grid = _evolve_grid(RunConfig(command="evolve", params=par, grid_count=128))
         ref = relax_to_discrete_steady(grid, par)
-        u = ref.U.values * (1.0 + 0.01 * np.cos(np.pi * grid.nodes))
-        v = ref.V.values
-        out = [ref.U.values.tobytes(), ref.V.values.tobytes()]
+        u = ref.U * (1.0 + 0.01 * np.cos(np.pi * grid.nodes))
+        v = ref.V
+        out = [ref.U.tobytes(), ref.V.tobytes()]
         for _ in range(200):
             u, v = step(grid, u, v, par, 5e-3)
             out += [u.tobytes(), v.tobytes()]
