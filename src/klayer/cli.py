@@ -181,8 +181,8 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"'output_every' must be >= 1, got {cfg.output_every}")
     if not (cfg.R > 0 and math.isfinite(cfg.R)):
         raise ConfigError(f"'R' must be finite and positive, got {cfg.R}")
-    if not math.isfinite(cfg.perturb):
-        raise ConfigError(f"'perturb' must be finite, got {cfg.perturb}")
+    if not abs(cfg.perturb) < 1:  # u0 = U (1 + perturb cos(...)) must stay positive
+        raise ConfigError(f"'perturb' must lie in (-1, 1), got {cfg.perturb}")
     if cfg.seed < 0:
         raise ConfigError(f"'seed' must be >= 0, got {cfg.seed}")
     if command == "steady-2d" and params.n != 2:

@@ -110,39 +110,41 @@ def step(
     """One update of (u, v = ln w) on grid's cells by dt; positive for every dt.
 
     Returns the new (u, v).  Raises ValueError when dt is not a finite
-    positive number or a new field is not finite, and PositivityError when a
-    new u is not positive.
+    positive number or a new field is not finite (one pass over both), and
+    PositivityError when a new u is not positive.  V / dt is formed once and
+    read by both solves.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValueError(f"dt must be a finite positive number, got {dt}")
     V = grid.volumes
     g = grid.conductances  # interior faces 1..N-1
+    V_dt = V / dt
 
     # --- u: implicit Scharfetter-Gummel flux at the old v --------------------
-    d = params.p * np.diff(v)
+    d = params.p * (v[1:] - v[:-1])
     leave = g / exprel(-d)  # g B(-d): out of node i across its right face
     enter = g / exprel(d)  # g B(d): out of node i+1 across its left face
-    di = V / dt
+    di = V_dt.copy()
     di[:-1] += leave
     di[1:] += enter
-    u_new = radial_steady.solve_banded(-leave, di, -enter, V / dt * u)
+    u_new = radial_steady.solve_banded(-leave, di, -enter, V_dt * u)
 
     # --- w = e^v: implicit diffusion and sink at the new u, w(R) = b --------
     a = params.epsilon * g
-    di = V / dt + V * u_new
+    di = V_dt + V * u_new
     di[:-1] += a
     di[1:] += a
     di[-1] = 1.0
     lo = -a
     lo[-1] = 0.0
-    rhs = V / dt * np.exp(v)
+    rhs = V_dt * np.exp(v)
     rhs[-1] = params.b
     v_new = np.log(radial_steady.solve_banded(lo, di, -a, rhs))
     v_new[-1] = math.log(params.b)
 
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new))):
+    if not np.isfinite(np.concatenate((u_new, v_new))).all():
         raise ValueError("step gave a non-finite u or v")
-    if np.any(u_new <= 0):
+    if u_new.min() <= 0:
         raise PositivityError("u must be positive at every node")
     return u_new, v_new
 
@@ -188,18 +190,19 @@ def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: DiscreteSteady) -> flo
     Non-negative; zero only when both fields match.
     """
     U_ref, V_ref, grid = steady.U, steady.V, steady.grid
-    if np.any(U_ref <= 0):
+    if U_ref.min() <= 0:  # U_ref is finite (DiscreteSteady checks it)
         raise ValueError("steady U must be positive for the energy weight")
     r = grid.nodes
     n = grid.n
-    diff = (u - U_ref) * r ** (n - 1)
-    h = np.diff(r)
+    area = r ** (n - 1)
+    diff = (u - U_ref) * area
+    h = r[1:] - r[:-1]
     anti = np.zeros_like(diff)
     anti[1:] = np.cumsum(0.5 * h * (diff[:-1] + diff[1:]))
     phi = np.zeros_like(anti)
-    phi[1:] = anti[1:] / r[1:] ** (n - 1)
+    phi[1:] = anti[1:] / area[1:]
     psi = v - V_ref
-    integrand = r ** (n - 1) * (phi**2 / U_ref + steady.params.p * psi**2)
+    integrand = area * (phi**2 / U_ref + steady.params.p * psi**2)
     return unit_sphere_area(n) * float(np.trapezoid(integrand, r))
 
 

@@ -158,10 +158,11 @@ def solve_banded(lo, di, up, rhs):
     One call of LAPACK gtsv, the routine scipy.linalg.solve_banded((1, 1), ...)
     runs, with its guards but not its per-call overhead: ValueError on a
     non-finite entry, LinAlgError on a singular matrix, no input overwritten.
-    Every caller looks it up as a module attribute, so a wrapper set here
-    sees every tridiagonal solve.
+    The finiteness guard is one pass over a flattened copy of all four
+    arguments, every column of rhs included.  Every caller looks it up as a
+    module attribute, so a wrapper set here sees every tridiagonal solve.
     """
-    if not all(np.isfinite(a).all() for a in (lo, di, up, rhs)):
+    if not np.isfinite(np.concatenate((lo, di, up, rhs), axis=None)).all():
         raise ValueError("tridiagonal system has a non-finite entry")
     *_, x, info = dgtsv(lo, di, up, rhs)
     if info > 0:

@@ -151,6 +151,9 @@ class TestParseConfig:
             ("steady-radial", "--R", "-1", "R"),
             ("evolve", "--perturb", "nan", "perturb"),
             ("evolve", "--perturb", "inf", "perturb"),
+            ("evolve", "--perturb", "1", "perturb"),
+            ("evolve", "--perturb", "1.5", "perturb"),
+            ("evolve", "--perturb", "-1", "perturb"),
             ("evolve", "--seed", "-1", "seed"),
         ],
     )

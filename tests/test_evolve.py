@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import exprel
 
 import klayer.evolve_radial
 import klayer.radial_steady
@@ -103,6 +106,62 @@ def mass_anti_derivative_endpoint(u, steady):
     """Value of int_0^R (u - U) s^(n-1) ds; zero (to quadrature) at equal mass."""
     r = steady.grid.nodes
     return float(np.trapezoid((u - steady.U) * r ** (steady.grid.n - 1), r))
+
+
+def reference_step(grid, u, v, params, dt):
+    """step() with V / dt formed at each use and the face differences taken
+    by np.diff: the byte reference for step()."""
+    V = grid.volumes
+    g = grid.conductances
+    d = params.p * np.diff(v)
+    leave = g / exprel(-d)
+    enter = g / exprel(d)
+    di = V / dt
+    di[:-1] += leave
+    di[1:] += enter
+    u_new = klayer.radial_steady.solve_banded(-leave, di, -enter, V / dt * u)
+    a = params.epsilon * g
+    di = V / dt + V * u_new
+    di[:-1] += a
+    di[1:] += a
+    di[-1] = 1.0
+    lo = -a
+    lo[-1] = 0.0
+    rhs = V / dt * np.exp(v)
+    rhs[-1] = params.b
+    v_new = np.log(klayer.radial_steady.solve_banded(lo, di, -a, rhs))
+    v_new[-1] = math.log(params.b)
+    return u_new, v_new
+
+
+ORACLE_DTS = [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2]
+
+
+class TestStepOracle:
+    """step() gives the reference's bits, step after step."""
+
+    @staticmethod
+    def assert_same_run(grid, par, ref, dt, steps=200):
+        u, v = perturbed_state(grid, ref, amp=0.3)
+        u_ref, v_ref = u, v
+        for _ in range(steps):
+            u, v = step(grid, u, v, par, dt)
+            u_ref, v_ref = reference_step(grid, u_ref, v_ref, par, dt)
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(v, v_ref)
+
+    @pytest.mark.parametrize("dt", ORACLE_DTS)
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical(self, n, p, dt):
+        par = Params(epsilon=0.05, p=p, b=1, m=1, n=n)
+        grid = make_graded_grid(1.0, n, 10.0 / 63, 64)
+        self.assert_same_run(grid, par, relax_to_discrete_steady(grid, par), dt)
+
+    @pytest.mark.parametrize("dt", ORACLE_DTS)
+    def test_bit_identical_under_strong_drift(self, strong, dt):
+        par, grid, ref = strong
+        self.assert_same_run(grid, par, ref, dt)
 
 
 class TestStep:

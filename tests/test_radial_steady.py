@@ -323,6 +323,19 @@ class TestSolveBanded:
         with pytest.raises(ValueError):
             klayer.radial_steady.solve_banded(*system)
 
+    @pytest.mark.parametrize("at", [0, -1])
+    @pytest.mark.parametrize("cols, order", [(None, "C"), (2, "F")])
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_at_ends(self, which, bad, cols, order, at):
+        # the first and the last entry of each argument, with a 1-D and a
+        # strided (F-ordered, two-column) rhs: the one-pass guard reads all
+        system = list(dominant_system(128, cols, order))
+        a = system[which]
+        a[(at,) * a.ndim] = bad
+        with pytest.raises(ValueError):
+            klayer.radial_steady.solve_banded(*system)
+
     @pytest.mark.parametrize("row", [0, 64, 127])
     def test_singular_rejected(self, row):
         lo, di, up, rhs = dominant_system(128, None, "C")
