@@ -303,7 +303,7 @@ def _run_steady_2d(cfg: RunConfig) -> int:
     grid, samples = planar2d.build_domain(shape, cfg.h, n_samples=cfg.samples)
     res = planar2d.solve_nonlocal_2d(cfg.params, grid)
     st = res.steady
-    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    X, Y = np.meshgrid(grid.coords, grid.coords, indexing="ij")
     mask = grid.inside
     columns = (X[mask], Y[mask], st.W.values[mask], st.U.values[mask])
     _write_csv(cfg.out / "steady_field.csv", "x,y,W,U", columns)

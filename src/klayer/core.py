@@ -77,13 +77,12 @@ class RadialGrid:
     """Strictly increasing nodes from 0 to R with the dimension of the measure.
 
     Node i is the centre of the finite-volume cell between the midpoints
-    around it, from 0 at the axis to R at the boundary.  volumes holds the
-    cell volumes and conductances the area / dr of the N - 1 interior faces,
-    both without the factor omega_n; they follow from nodes and n, so they
-    take no part in construction or repr.
+    around it, from 0 at the axis to R, the last node, at the boundary.
+    volumes holds the cell volumes and conductances the area / dr of the
+    N - 1 interior faces, both without the factor omega_n; they follow from
+    nodes and n, so they take no part in construction or repr.
     """
 
-    R: float
     nodes: np.ndarray
     n: int
     volumes: np.ndarray = field(init=False, repr=False)
@@ -95,8 +94,6 @@ class RadialGrid:
             raise ValueError("grid needs at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError(f"first node must be 0, got {nodes[0]}")
-        if nodes[-1] != self.R:
-            raise ValueError(f"last node must equal R={self.R}, got {nodes[-1]}")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         if int(self.n) != self.n or self.n < 1:
@@ -104,7 +101,7 @@ class RadialGrid:
         n = int(self.n)
         faces = np.empty(nodes.size + 1)
         faces[0] = 0.0
-        faces[-1] = self.R
+        faces[-1] = nodes[-1]
         faces[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
         volumes = (faces[1:] ** n - faces[:-1] ** n) / n
         conductances = faces[1:-1] ** (n - 1) / np.diff(nodes)
@@ -112,6 +109,10 @@ class RadialGrid:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", n)
+
+    @property
+    def R(self) -> float:
+        return float(self.nodes[-1])
 
     @property
     def count(self) -> int:
@@ -237,7 +238,7 @@ def make_graded_grid(R: float, n: int, layer_width: float, count: int) -> Radial
     nodes[0] = 0.0  # absorb the O(eps_mach) closure defect into the innermost cell
     if not np.all(np.diff(nodes) > 0):
         raise ValueError("graded grid degenerated; increase count or layer_width")
-    return RadialGrid(R=R, nodes=nodes, n=n)
+    return RadialGrid(nodes=nodes, n=n)
 
 
 def refine_grid(grid: RadialGrid) -> RadialGrid:
@@ -247,7 +248,7 @@ def refine_grid(grid: RadialGrid) -> RadialGrid:
     nodes = np.empty(r.size + mids.size)
     nodes[0::2] = r
     nodes[1::2] = mids
-    return RadialGrid(R=grid.R, nodes=nodes, n=grid.n)
+    return RadialGrid(nodes=nodes, n=grid.n)
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

@@ -1,27 +1,30 @@
 """Masked Cartesian-grid solver for the nonlocal problem on 2D domains.
 
-A uniform grid covers the bounding box of a disk / ellipse / star-shaped
-domain; nodes carry the signed distance phi to the boundary (negative
-inside).  The disk's phi is exact.  For the other curves it is the exact
-projected distance within BAND_CELLS = 3 cells of the boundary, and elsewhere
-the distance to a nearby boundary point that a Euclidean distance transform
-of the rasterised boundary picks: never below the exact value, less than
-1.7 h above it, and of the same sign.  Near the boundary phi sets the
-mask, the cut-cell weights and the Shortley-Weller arms; deeper inside only
-its sign and rough size are read, by the Newton starts (layer_profile(-phi),
-the disk seed at R_eq + phi) and by the probe (its march limit max(-phi)).
-The Dirichlet condition W = b is imposed on the zero level set through
-Shortley-Weller shortened stencil arms (the boundary crossing located by
-linear interpolation of the signed distance along the arm), a first-order
-cut treatment that keeps the operator an M-matrix.  A ring of outside nodes
-keeps every arm on the grid, and a field lives on every node, holding the
-boundary value outside.  Quadrature uses inside nodes at full weight h^2 and
-boundary cells at their inside-area fraction.
+A uniform square grid, one coordinate vector for both axes, covers a disk
+(the ellipse of equal axes) / ellipse / star-shaped domain; nodes carry the
+signed distance phi to the boundary (negative inside).  The disk's phi is
+exact.  For the other curves it is the exact projected distance within
+BAND_CELLS = 3 cells of the boundary, and elsewhere the distance to a nearby
+boundary point that a Euclidean distance transform of the rasterised
+boundary picks: never below the exact value, less than 1.7 h above it, and
+of the same sign.  Near the boundary phi sets the mask, the cut-cell weights
+and the Shortley-Weller arms; deeper inside only its sign and rough size are
+read, by the Newton starts (layer_profile(-phi), the disk seed at R_eq +
+phi) and by the probe (its march limit max(-phi)).  The Dirichlet condition
+W = b is imposed on the zero level set through Shortley-Weller shortened
+stencil arms (the boundary crossing located by linear interpolation of the
+signed distance along the arm), a first-order cut treatment that keeps the
+operator an M-matrix.  A ring of outside nodes keeps every arm on the grid,
+and a field lives on every node, holding the boundary value outside.
+Quadrature uses inside nodes at full weight h^2 and boundary cells at their
+inside-area fraction; MaskedGrid holds it, and its split into quad and
+held_area that the Newton reads.
 
 One chord Newton (_newton_2d) solves both the local problem at a given sigma
 (solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
 follows the iterate (solve_nonlocal_2d, through mass_constraint's
-solve_nonlocal).
+solve_nonlocal).  It takes the operator and the quadrature as arrays, not a
+grid.
 
 Layer thickness versus boundary curvature is probed by marching inward along
 boundary normals until the bilinear interpolant of W crosses a level c.
@@ -115,39 +118,10 @@ class _Curve:
         return phi
 
 
-class Disk(_Curve):
-    def __init__(self, R: float):
-        if R <= 0:
-            raise ValueError("disk radius must be positive")
-        self.R = float(R)
-
-    def extent(self) -> float:
-        return self.R
-
-    def min_feature(self) -> float:
-        return 2.0 * self.R
-
-    def curve(self, t):
-        return self.R * np.cos(t), self.R * np.sin(t)
-
-    def curve_d1(self, t):
-        return -self.R * np.sin(t), self.R * np.cos(t)
-
-    def curve_d2(self, t):
-        return -self.R * np.cos(t), -self.R * np.sin(t)
-
-    def inside(self, x, y):
-        return np.hypot(x, y) < self.R
-
-    def signed_distance(self, coords, h):
-        X, Y = np.meshgrid(coords, coords, indexing="ij")
-        return np.hypot(X, Y) - self.R
-
-
 class Ellipse(_Curve):
     def __init__(self, a: float, b: float):
-        if a <= 0 or b <= 0:
-            raise ValueError("ellipse semi-axes must be positive")
+        if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("ellipse semi-axes must be finite and positive")
         self.a = float(a)
         self.b = float(b)
 
@@ -170,15 +144,29 @@ class Ellipse(_Curve):
         return (x / self.a) ** 2 + (y / self.b) ** 2 < 1.0
 
 
+class Disk(Ellipse):
+    """The ellipse of equal semi-axes R, with the exact signed distance."""
+
+    def __init__(self, R: float):
+        if not (R > 0 and math.isfinite(R)):
+            raise ValueError("disk radius must be finite and positive")
+        super().__init__(R, R)
+        self.R = float(R)
+
+    def signed_distance(self, coords, h):
+        X, Y = np.meshgrid(coords, coords, indexing="ij")
+        return np.hypot(X, Y) - self.R
+
+
 class Star(_Curve):
     """Polar curve r(theta) = r0 (1 + amplitude cos(k theta))."""
 
     def __init__(self, r0: float, amplitude: float, k: int):
-        if r0 <= 0:
-            raise ValueError("star base radius must be positive")
+        if not (r0 > 0 and math.isfinite(r0)):
+            raise ValueError("star base radius must be finite and positive")
         if not 0 <= abs(amplitude) < 1:
             raise ValueError("star amplitude must satisfy |amplitude| < 1")
-        if k < 1 or int(k) != k:
+        if not (k >= 1 and math.isfinite(k) and int(k) == k):
             raise ValueError("star wavenumber must be a positive integer")
         self.r0 = float(r0)
         self.amplitude = float(amplitude)
@@ -289,20 +277,22 @@ class BoundarySample:
 
 
 class MaskedGrid:
-    """Uniform Cartesian grid with an inside mask.
+    """Uniform square grid coords x coords of spacing h with an inside mask.
 
-    x, y are node coordinate vectors; phi, inside and the quadrature weights
-    are (nx, ny) arrays.  The grid keeps read-only copies of x, y and phi, so
-    the caller's arrays stay as they were.  The nodes on the grid's outer edge
-    must lie outside, so that every inside node has its four neighbours on the
-    grid.
+    phi, inside and the quadrature weights are (coords.size, coords.size)
+    arrays.  The grid keeps read-only copies of coords and phi, so the
+    caller's arrays stay as they were.  The nodes on the grid's outer edge
+    must lie outside, so that every inside node has its four neighbours on
+    the grid.  The quadrature h^2 weights splits into quad, over the inside
+    nodes, and held_area, over the outside ones, where a field holds b.
     """
 
-    def __init__(self, h: float, x: np.ndarray, y: np.ndarray, phi: np.ndarray):
+    def __init__(self, h: float, coords: np.ndarray, phi: np.ndarray):
         self.h = float(h)
-        self.x = np.array(x, dtype=float, order="C")
-        self.y = np.array(y, dtype=float, order="C")
+        self.coords = np.array(coords, dtype=float, order="C")
         self.phi = np.array(phi, dtype=float, order="C")
+        if self.phi.shape != (self.coords.size,) * 2:
+            raise ValueError(f"phi shape {self.phi.shape} does not match {self.coords.size} coords")
         inside = self.phi < 0.0
         if not inside.any():
             raise ValueError("grid contains no inside node")
@@ -311,17 +301,13 @@ class MaskedGrid:
         # inside-area fraction of the h x h cell centred at each node,
         # planar-interface approximation from the signed distance
         weights = np.clip(0.5 - self.phi / self.h, 0.0, 1.0)
-        for arr in (self.x, self.y, self.phi):
-            arr.flags.writeable = False
         self.inside = inside
-        self.inside.flags.writeable = False
         self.weights = weights
-        self.weights.flags.writeable = False
+        self.quad = self.h**2 * weights[inside]
+        self.held_area = self.h**2 * float(np.sum(weights[~inside]))
+        for arr in (self.coords, self.phi, self.inside, self.weights, self.quad):
+            arr.flags.writeable = False
         self._operator = None
-
-    @property
-    def bbox(self):
-        return (self.x[0], self.x[-1], self.y[0], self.y[-1])
 
     def area(self) -> float:
         return float(self.weights.sum()) * self.h**2
@@ -329,6 +315,12 @@ class MaskedGrid:
     def integrate(self, values: np.ndarray) -> float:
         """h^2-weighted sum with cut-cell fractions."""
         return float(np.sum(self.weights * values)) * self.h**2
+
+    def field(self, w: np.ndarray, b: float) -> "PlanarField":
+        """The field holding w on the inside nodes and b everywhere else."""
+        full = np.full(self.phi.shape, float(b))
+        full[self.inside] = w
+        return PlanarField(grid=self, values=full)
 
     def operator(self):
         """Shortley-Weller Laplacian (csc matrix over inside nodes) and the
@@ -402,7 +394,7 @@ def build_domain(shape, h: float, n_samples: int = 64):
     ext = shape.extent() + PAD_CELLS * h
     n_side = int(math.ceil(2 * ext / h))
     coords = (np.arange(n_side + 1) - n_side / 2.0) * h
-    grid = MaskedGrid(h=h, x=coords, y=coords, phi=shape.signed_distance(coords, h))
+    grid = MaskedGrid(h=h, coords=coords, phi=shape.signed_distance(coords, h))
 
     t_fine, s = _arclength(shape)
     total = s[-1]
@@ -450,9 +442,9 @@ class PlanarField:
         return PlanarField(grid=self.grid, values=amplitude * self.values**p)
 
 
-def _bilinear(x: np.ndarray, y: np.ndarray, values: np.ndarray, fill_value: float):
-    """Bilinear interpolant of values[i, j] at (x[i], y[j]), fill_value
-    outside the closed box.
+def _bilinear(coords: np.ndarray, values: np.ndarray, fill_value: float):
+    """Bilinear interpolant of values[i, j] at (coords[i], coords[j]),
+    fill_value outside the closed square.
 
     The returned function takes an (N, 2) array or a single point and returns
     N values (one for a point).  Cell search and weights are those of scipy's
@@ -463,18 +455,16 @@ def _bilinear(x: np.ndarray, y: np.ndarray, values: np.ndarray, fill_value: floa
 
     def evaluate(points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        px, py = pts[:, 0], pts[:, 1]
-        i = np.clip(np.searchsorted(x, px, side="right") - 1, 0, x.size - 2)
-        j = np.clip(np.searchsorted(y, py, side="right") - 1, 0, y.size - 2)
-        tx = (px - x[i]) / (x[i + 1] - x[i])
-        ty = (py - y[j]) / (y[j + 1] - y[j])
+        cell = np.clip(np.searchsorted(coords, pts, side="right") - 1, 0, coords.size - 2)
+        tx, ty = ((pts - coords[cell]) / (coords[cell + 1] - coords[cell])).T
+        i, j = cell.T
         out = (
             values[i, j] * (1 - tx) * (1 - ty)
             + values[i, j + 1] * (1 - tx) * ty
             + values[i + 1, j] * tx * (1 - ty)
             + values[i + 1, j + 1] * tx * ty
         )
-        out[(px < x[0]) | (px > x[-1]) | (py < y[0]) | (py > y[-1])] = fill_value
+        out[np.any((pts < coords[0]) | (pts > coords[-1]), axis=1)] = fill_value
         return out
 
     return evaluate
@@ -501,44 +491,48 @@ def solve_local_2d(
         w = np.asarray(initial, dtype=float)
         if w.shape != (int(inside.sum()),):
             raise ValueError("initial iterate has wrong shape")
-    return _newton_2d(w, sigma, params, grid)[0]
+    w, _ = _newton_2d(w, sigma, params, *grid.operator(), grid.quad, grid.held_area)
+    return grid.field(w, params.b)
 
 
-def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
-    """Chord Newton from w (inside nodes) on sigma (L w + b bvec) = w^(1+p).
+def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
+    """Chord Newton from w on sigma (L w + b bvec) = w^(1+p) over the unknowns.
 
-    The 2D counterpart of radial_steady._newton.  With sigma None,
-    sigma = eps * integral(W^p) / m follows the iterate, and the Jacobian
-    sigma L - (1+p) diag(w^p) gains the rank one col (x) row, col the
-    derivative (eps/m) (L w + b bvec) of F in sigma and row the gradient
-    p h^2 weights w^(p-1) of integral(W^p); each step is solved by
-    Sherman-Morrison.  The sparse LU of the local part is reused while full
-    steps keep the scaled residual contracting by at least 0.3 (the reaction
-    diagonal and sigma move slowly), and refactorised otherwise.  -J is a
-    strictly row-dominant M-matrix with a structurally symmetric pattern, so
-    it is factorised without pivoting under a minimum-degree ordering of
-    A + A^T.  Inner products are elementwise sums, and each solve has one
+    The 2D counterpart of radial_steady._newton.  L (csc) and bvec are the
+    Laplacian over the unknowns and the load of the Dirichlet value b;
+    integral(W^p) = sum(quad w^p) + held_area b^p, held_area the measure
+    where W = b.  With sigma None, sigma = eps * integral(W^p) / m follows
+    the iterate, and the Jacobian sigma L - (1+p) diag(w^p) gains the rank
+    one col (x) row, col the derivative (eps/m) (L w + b bvec) of F in sigma
+    and row the gradient p quad w^(p-1) of integral(W^p); each step is
+    solved by Sherman-Morrison.  The sparse LU of the local part is reused
+    while full steps keep the scaled residual contracting by at least 0.3
+    (the reaction diagonal and sigma move slowly), and refactorised
+    otherwise.  Inner products are elementwise sums, and each solve has one
     right-hand side: BLAS dot products and multi-column solves start threads
     that cost more than they save at this size.
+
+    L must have a negative diagonal, non-negative off-diagonals, non-positive
+    row sums and a structurally symmetric pattern, as MaskedGrid's
+    Shortley-Weller operator has (Gibou, Fedkiw, Cheng & Kang, JCP 176,
+    2002).  Then -J is a strictly row-dominant M-matrix, factorised without
+    pivoting under a minimum-degree ordering of A + A^T; an operator that
+    breaks these signs needs a pivoting factorisation.
 
     Newton stops when max |F_i| / (sigma |L_ii| + (1+p) w_i^p), the residual
     scaled by the Jacobian diagonal, is below STEP_TOL * b.  Unlike an
     absolute residual bound, this does not grow with the 1/theta arms of cut
-    nodes close to the boundary.  Returns (W, Newton steps), W = b at the
-    outside nodes; NoConvergenceError after MAX_ITERS steps or when the
-    converged W exceeds b.
+    nodes close to the boundary.  Returns (min(w, b), Newton steps);
+    NoConvergenceError after MAX_ITERS steps or when the converged w exceeds
+    b.
     """
     p, b = params.p, params.b
-    L, bvec = grid.operator()
     floor = 1e-30 * b
     w = np.maximum(w, floor)
     abs_diag = np.abs(L.diagonal())
     if sigma is None:
         coef = params.epsilon / params.m
-        h2 = grid.h**2
-        quad = h2 * grid.weights[grid.inside]
-        # cells of outside nodes cut by the boundary hold W = b
-        outside = h2 * float(np.sum(grid.weights[~grid.inside])) * b**p
+        held = held_area * b**p
 
     lu = None
     res_prev = math.inf
@@ -546,7 +540,7 @@ def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
     for steps in range(MAX_ITERS + 1):
         wp = w**p
         lap = L @ w + bvec * b
-        s = sigma if sigma is not None else coef * (float(np.sum(quad * wp)) + outside)
+        s = sigma if sigma is not None else coef * (float(np.sum(quad * wp)) + held)
         F = s * lap - w * wp
         res = float(np.max(np.abs(F) / (s * abs_diag + (1.0 + p) * wp)))
         if res < STEP_TOL * b:
@@ -586,9 +580,7 @@ def _newton_2d(w, sigma, params: Params, grid: MaskedGrid):
     overshoot = float(np.max(w)) - b
     if overshoot > 1e-9 * b:
         raise NoConvergenceError(f"converged 2D iterate exceeds b by {overshoot}")
-    full = np.full(grid.phi.shape, float(b))
-    full[grid.inside] = np.minimum(w, b)
-    return PlanarField(grid=grid, values=full), steps
+    return np.minimum(w, b), steps
 
 
 class Planar2DDomain:
@@ -602,8 +594,12 @@ class Planar2DDomain:
     def solve_constrained(self, params: Params):
         """Solve the nonlocal problem directly; returns (W, integral of W^p,
         Newton steps)."""
-        W, steps = _newton_2d(self.initial, None, params, self.grid)
-        return W, self.grid.integrate(W.values**params.p), steps
+        grid = self.grid
+        w, steps = _newton_2d(
+            self.initial, None, params, *grid.operator(), grid.quad, grid.held_area
+        )
+        W = grid.field(w, params.b)
+        return W, grid.integrate(W.values**params.p), steps
 
 
 def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
@@ -641,10 +637,10 @@ def curvature_thickness_report(
     if not 0 < c < params.b:
         raise ValueError(f"level c must lie in (0, b={params.b})")
     grid = W.grid
-    interp_w = _bilinear(grid.x, grid.y, W.values, params.b)
-    interp_phi = _bilinear(grid.x, grid.y, grid.phi, 1.0)
+    interp_w = _bilinear(grid.coords, W.values, params.b)
+    interp_phi = _bilinear(grid.coords, grid.phi, 1.0)
     ds = MARCH_STEP * grid.h
-    xmin, xmax, ymin, ymax = grid.bbox
+    lo, hi = grid.coords[0], grid.coords[-1]
     max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h
 
     # arc positions of the march: sequential sums of ds (as a scalar loop
@@ -661,7 +657,7 @@ def curvature_thickness_report(
     phi = interp_phi(pos).reshape(px.shape)
     val = interp_w(pos).reshape(px.shape)
 
-    outside_box = ~((xmin <= px) & (px <= xmax) & (ymin <= py) & (py <= ymax))
+    outside_box = ~((lo <= px) & (px <= hi) & (lo <= py) & (py <= hi))
     exits = outside_box | ((s > grid.h) & (phi > 0.0))
     stops = exits | (val < c)
     first = np.argmax(stops, axis=1)

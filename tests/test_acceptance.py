@@ -364,9 +364,9 @@ def test_gate_08_planar_vs_radial_oracle():
     res1 = solve_nonlocal(par, dom)
     lam_gap = abs(res2.steady.lambda_eps - res1.steady.lambda_eps) / res1.steady.lambda_eps
 
-    iy0 = int(np.argmin(np.abs(grid.y)))
-    xs = grid.x[(grid.x >= 0) & (grid.x <= 1.0)]
-    ix = np.searchsorted(grid.x, xs)
+    iy0 = int(np.argmin(np.abs(grid.coords)))
+    xs = grid.coords[(grid.coords >= 0) & (grid.coords <= 1.0)]
+    ix = np.searchsorted(grid.coords, xs)
     w_gap = float(
         np.max(np.abs(res2.steady.W.values[ix, iy0] - res1.steady.W(xs)))
     )

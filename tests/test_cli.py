@@ -375,6 +375,15 @@ class TestRunSteady2D:
             ("star:r0=1,amp=0.3", "'amp'"),
             ("star:k=2.5", "k=2.5"),
             ("disk:3", "'3'"),
+            # non-finite sizes: the shapes' own ValueError, not an overflow
+            # in the grid build or in int(k)
+            ("disk:r=inf", "disk:r=inf"),
+            ("ellipse:a=inf", "ellipse:a=inf"),
+            ("star:r0=inf", "star:r0=inf"),
+            ("star:k=inf", "star:k=inf"),
+            ("disk:r=nan", "disk:r=nan"),
+            ("ellipse:a=nan", "ellipse:a=nan"),
+            ("star:r0=nan", "star:r0=nan"),
         ],
     )
     def test_bad_shape_rejected(self, cfg_file, tmp_path, capsys, shape, named):

@@ -223,11 +223,11 @@ class TestGeometricRatio:
 class TestRadialGridValidation:
     def test_bad_first_node(self):
         with pytest.raises(ValueError):
-            RadialGrid(R=1.0, nodes=np.array([0.1, 0.5, 1.0]), n=2)
+            RadialGrid(nodes=np.array([0.1, 0.5, 1.0]), n=2)
 
     def test_not_increasing(self):
         with pytest.raises(ValueError):
-            RadialGrid(R=1.0, nodes=np.array([0.0, 0.5, 0.5, 1.0]), n=2)
+            RadialGrid(nodes=np.array([0.0, 0.5, 0.5, 1.0]), n=2)
 
     def test_profile_shape_and_finiteness(self):
         g = uniform_grid(1.0, 2, 16)
@@ -279,11 +279,11 @@ def _stored_arrays():
     """(the array a caller passed, the array the record stored) for every
     constructor that keeps an array."""
     nodes, values = np.linspace(0.0, 1.0, 16), np.ones(16)
-    grid = RadialGrid(R=1.0, nodes=nodes, n=2)
+    grid = RadialGrid(nodes=nodes, n=2)
     profile = RadialProfile(grid, values)
-    x, y = np.linspace(-1.0, 1.0, 11), np.linspace(-1.0, 1.0, 11)
-    phi = np.hypot(*np.meshgrid(x, y, indexing="ij")) - 0.5
-    masked = MaskedGrid(h=0.2, x=x, y=y, phi=phi)
+    coords = np.linspace(-1.0, 1.0, 11)
+    phi = np.hypot(*np.meshgrid(coords, coords, indexing="ij")) - 0.5
+    masked = MaskedGrid(h=0.2, coords=coords, phi=phi)
     field_values = np.ones(phi.shape)
     field = PlanarField(grid=masked, values=field_values)
     U, V = np.ones(16), np.zeros(16)
@@ -293,8 +293,7 @@ def _stored_arrays():
         "RadialProfile.values": (values, profile.values),
         "DiscreteSteady.U": (U, steady.U),
         "DiscreteSteady.V": (V, steady.V),
-        "MaskedGrid.x": (x, masked.x),
-        "MaskedGrid.y": (y, masked.y),
+        "MaskedGrid.coords": (coords, masked.coords),
         "MaskedGrid.phi": (phi, masked.phi),
         "PlanarField.values": (field_values, field.values),
     }
@@ -354,13 +353,18 @@ class TestFiniteVolumeCells:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_R_is_the_last_node(self):
+        grid = make_graded_grid(1, 2, 0.02, 64)
+        assert type(grid.R) is float
+        assert grid.R == grid.nodes[-1] == 1.0
+
     def test_constructor_equality_and_repr_unchanged(self):
         grid = make_graded_grid(1.0, 2, 0.02, 64)
-        same = RadialGrid(R=grid.R, nodes=grid.nodes, n=grid.n)
+        same = RadialGrid(nodes=grid.nodes, n=grid.n)
         assert same.volumes is not grid.volumes
         assert "volumes" not in repr(grid) and "conductances" not in repr(grid)
         with pytest.raises(TypeError):
-            RadialGrid(R=grid.R, nodes=grid.nodes, n=grid.n, volumes=grid.volumes)
+            RadialGrid(nodes=grid.nodes, n=grid.n, volumes=grid.volumes)
 
 
 class TestIntegrateRadial:
@@ -398,7 +402,7 @@ class TestInterpolateMonotone:
         assert interpolate_monotone(f, 0.5) == pytest.approx(0.5, abs=1e-14)
 
     def test_node_hit_exact(self):
-        g = RadialGrid(R=1.0, nodes=np.array([0.0, 0.5, 1.0]), n=1)
+        g = RadialGrid(nodes=np.array([0.0, 0.5, 1.0]), n=1)
         f = RadialProfile(g, np.array([0.0, 0.25, 1.0]))  # r^2 sampled
         assert interpolate_monotone(f, 0.25) == 0.5
 
@@ -417,7 +421,7 @@ class TestInterpolateMonotone:
         )
         vals = np.concatenate([[0.0], np.cumsum(incs)])
         nodes = np.linspace(0.0, 1.0, count)
-        g = RadialGrid(R=1.0, nodes=nodes, n=1)
+        g = RadialGrid(nodes=nodes, n=1)
         f = RadialProfile(g, vals)
         i = data.draw(st.integers(0, count - 1))
         assert interpolate_monotone(f, vals[i]) == pytest.approx(nodes[i], abs=1e-12)

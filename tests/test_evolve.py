@@ -307,7 +307,7 @@ class TestEvolve:
         # and renormalise the mass by 0.649; the pair that carries both
         # refuses them, so evolve cannot be handed the mismatch
         grid, ref = small
-        grid3 = RadialGrid(R=grid.R, nodes=grid.nodes, n=3)
+        grid3 = RadialGrid(nodes=grid.nodes, n=3)
         with pytest.raises(ValueError, match="grid dimension 3 != params dimension 2"):
             DiscreteSteady(grid3, PAR, ref.U, ref.V)
 

@@ -268,7 +268,7 @@ class TestBoundarySlope:
     def test_needs_four_nodes(self):
         import klayer.core as core
 
-        g = core.RadialGrid(R=1.0, nodes=np.array([0.0, 0.5, 1.0]), n=1)
+        g = core.RadialGrid(nodes=np.array([0.0, 0.5, 1.0]), n=1)
         with pytest.raises(ValueError):
             boundary_slope(RadialProfile(g, np.zeros(3)))
 
