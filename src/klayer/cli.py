@@ -49,7 +49,7 @@ class RunConfig:
     command: str
     params: Params
     R: float = 1.0
-    shape: str = "disk"
+    shape: object = "disk"  # steady-2d: the planar2d shape parse_config makes of it
     h: float = 0.01
     grid_count: int = 2500
     out: Path = Path(".")
@@ -185,8 +185,14 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"'perturb' must lie in (-1, 1), got {cfg.perturb}")
     if cfg.seed < 0:
         raise ConfigError(f"'seed' must be >= 0, got {cfg.seed}")
-    if command == "steady-2d" and params.n != 2:
-        raise ConfigError(f"'n' must be 2 for steady-2d, a planar domain, got {params.n}")
+    if not (cfg.h > 0 and math.isfinite(cfg.h)):
+        raise ConfigError(f"'h' must be finite and positive, got {cfg.h}")
+    if cfg.samples < 1:
+        raise ConfigError(f"'samples' must be >= 1, got {cfg.samples}")
+    if command == "steady-2d":
+        if params.n != 2:
+            raise ConfigError(f"'n' must be 2 for steady-2d, a planar domain, got {params.n}")
+        cfg.shape = _parse_shape(cfg.shape, cfg.R)
     if not 0 <= cfg.level_c < params.b:
         raise ConfigError(f"'level_c' must lie in [0, b) = [0, {params.b}) (0: b/2), "
                           f"got {cfg.level_c}")
@@ -226,12 +232,12 @@ def _write_summary(path: Path, items: dict) -> None:
 _SHAPE_KEYS = {"disk": ("r",), "ellipse": ("a", "b"), "star": ("r0", "amplitude", "k")}
 
 
-def _parse_shape(cfg: RunConfig):
-    raw = cfg.shape.strip().lower()
-    name, _, args = raw.partition(":")
+def _parse_shape(text: str, R: float):
+    """The planar2d shape that text names; R is the default disk and star radius."""
+    name, _, args = text.strip().lower().partition(":")
     if name not in _SHAPE_KEYS:
         raise ConfigError(
-            f"unknown shape '{cfg.shape}' "
+            f"unknown shape '{text}' "
             "(disk:r=.. | ellipse:a=..,b=.. | star:r0=..,amplitude=..,k=..)"
         )
     kv = {}
@@ -251,12 +257,12 @@ def _parse_shape(cfg: RunConfig):
                 raise ConfigError(f"shape key '{k}' must be a number, got {v!r}") from None
     try:
         if name == "disk":
-            return planar2d.Disk(kv.get("r", cfg.R))
+            return planar2d.Disk(kv.get("r", R))
         if name == "ellipse":
             return planar2d.Ellipse(kv.get("a", math.sqrt(2.0)), kv.get("b", 1.0 / math.sqrt(2.0)))
-        return planar2d.Star(kv.get("r0", cfg.R), kv.get("amplitude", 0.15), kv.get("k", 5))
+        return planar2d.Star(kv.get("r0", R), kv.get("amplitude", 0.15), kv.get("k", 5))
     except ValueError as exc:
-        raise ConfigError(f"shape '{cfg.shape}': {exc}") from None
+        raise ConfigError(f"shape '{text}': {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +305,8 @@ def _run_steady_radial(cfg: RunConfig) -> int:
 
 
 def _run_steady_2d(cfg: RunConfig) -> int:
-    shape = _parse_shape(cfg)
-    grid, samples = planar2d.build_domain(shape, cfg.h, n_samples=cfg.samples)
+    grid = planar2d.build_domain(cfg.shape, cfg.h)
+    samples = planar2d.boundary_samples(cfg.shape, cfg.samples)
     res = planar2d.solve_nonlocal_2d(cfg.params, grid)
     st = res.steady
     X, Y = np.meshgrid(grid.coords, grid.coords, indexing="ij")

@@ -118,10 +118,6 @@ class RadialGrid:
     def count(self) -> int:
         return self.nodes.size
 
-    @property
-    def spacings(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
 
 def _node_values(grid: RadialGrid, values, name: str) -> np.ndarray:
     """A read-only float copy of values, checked to hold one finite value per

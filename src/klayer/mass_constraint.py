@@ -81,10 +81,6 @@ class NonlocalResult:
     bisection_iters: int
     constraint_residual: float
 
-    def __post_init__(self):
-        if self.constraint_residual < 0:
-            raise ValueError("constraint residual cannot be negative")
-
 
 class RadialBallDomain:
     """Ball B_R(0) solved with the graded-mesh radial Newton solvers.

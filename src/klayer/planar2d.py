@@ -6,19 +6,19 @@ signed distance phi to the boundary (negative inside).  The disk's phi is
 exact.  For the other curves it is the exact projected distance within
 BAND_CELLS = 3 cells of the boundary, and elsewhere the distance to a nearby
 boundary point that a Euclidean distance transform of the rasterised
-boundary picks: never below the exact value, less than 1.7 h above it, and
-of the same sign.  Near the boundary phi sets the mask, the cut-cell weights
-and the Shortley-Weller arms; deeper inside only its sign and rough size are
-read, by the Newton starts (layer_profile(-phi), the disk seed at R_eq +
-phi) and by the probe (its march limit max(-phi)).  The Dirichlet condition
-W = b is imposed on the zero level set through Shortley-Weller shortened
-stencil arms (the boundary crossing located by linear interpolation of the
-signed distance along the arm), a first-order cut treatment that keeps the
-operator an M-matrix.  A ring of outside nodes keeps every arm on the grid,
-and a field lives on every node, holding the boundary value outside.
-Quadrature uses inside nodes at full weight h^2 and boundary cells at their
-inside-area fraction; MaskedGrid holds it, and its split into quad and
-held_area that the Newton reads.
+boundary picks: never below the exact value, less than (1/4 + sqrt 2) h
+above it, and of the same sign.  Near the boundary phi sets the mask, the
+cut-cell weights and the Shortley-Weller arms; deeper inside only its sign
+and rough size are read, by the Newton starts (layer_profile(-phi), the disk
+seed at R_eq + phi) and by the probe (its march limit max(-phi)).  The
+Dirichlet condition W = b is imposed on the zero level set through
+Shortley-Weller shortened stencil arms (the boundary crossing located by
+linear interpolation of the signed distance along the arm), a first-order
+cut treatment that keeps the operator an M-matrix.  A ring of outside nodes
+keeps every arm on the grid, and a field lives on every node, holding the
+boundary value outside.  Quadrature uses inside nodes at full weight h^2 and
+boundary cells at their inside-area fraction; MaskedGrid holds it, and its
+split into quad and held_area that the Newton reads.
 
 One chord Newton (_newton_2d) solves both the local problem at a given sigma
 (solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
@@ -26,8 +26,10 @@ follows the iterate (solve_nonlocal_2d, through mass_constraint's
 solve_nonlocal).  It takes the operator and the quadrature as arrays, not a
 grid.
 
-Layer thickness versus boundary curvature is probed by marching inward along
-boundary normals until the bilinear interpolant of W crosses a level c.
+Layer thickness versus boundary curvature is probed at boundary samples
+evenly spaced in arclength, which the shape alone determines
+(boundary_samples), by marching inward along their normals until the
+bilinear interpolant of W crosses a level c.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ __all__ = [
     "Disk",
     "Ellipse",
     "Star",
-    "BoundarySample",
+    "BoundarySamples",
+    "boundary_samples",
     "MaskedGrid",
     "PlanarField",
     "build_domain",
@@ -87,8 +90,7 @@ class _Curve:
 
     def signed_distance(self, coords, h):
         """Signed distance at the nodes of the square grid coords x coords of
-        spacing h: exact where it is below BAND_CELLS h, and elsewhere an
-        upper bound that exceeds it by less than (1/4 + sqrt 2) h.
+        spacing h, to the accuracy the module docstring states.
 
         Seeds two per cell of perimeter mark the grid nodes nearest to them,
         and the exact Euclidean distance transform finds every node's nearest
@@ -263,36 +265,68 @@ def _projected_distance(shape, x, y, t0):
 
 
 # ---------------------------------------------------------------------------
-# masked grid
+# boundary samples
 
 
 @dataclass(frozen=True, eq=False)
-class BoundarySample:
-    """A boundary point with inward unit normal, curvature and arclength."""
+class BoundarySamples:
+    """Boundary points with their arclength from t = 0, curvature and inward
+    unit normal; row k of each read-only array belongs to sample k."""
 
-    point: np.ndarray
-    inward_normal: np.ndarray
-    curvature: float
-    arclength: float
+    arclength: np.ndarray  # (N,)
+    curvature: np.ndarray  # (N,)
+    point: np.ndarray  # (N, 2)
+    inward_normal: np.ndarray  # (N, 2)
+
+    def __len__(self) -> int:
+        return self.arclength.size
+
+
+def boundary_samples(shape, count: int) -> BoundarySamples:
+    """count boundary samples evenly spaced in arclength, the first at t = 0."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    t_fine, s = _arclength(shape)
+    arclength = np.arange(count) * s[-1] / count
+    t = np.interp(arclength, s, t_fine)
+    samples = BoundarySamples(
+        arclength=arclength,
+        curvature=shape.curvature(t),
+        point=np.column_stack(shape.curve(t)),
+        inward_normal=np.column_stack(shape.inward_normal(t)),
+    )
+    for arr in (samples.arclength, samples.curvature, samples.point, samples.inward_normal):
+        arr.flags.writeable = False
+    return samples
+
+
+# ---------------------------------------------------------------------------
+# masked grid
+
+
+def _grid_coords(size: int, h: float) -> np.ndarray:
+    """The size coordinates of spacing h, centred on 0, of a square grid."""
+    return (np.arange(size) - (size - 1) / 2) * h
 
 
 class MaskedGrid:
     """Uniform square grid coords x coords of spacing h with an inside mask.
 
-    phi, inside and the quadrature weights are (coords.size, coords.size)
-    arrays.  The grid keeps read-only copies of coords and phi, so the
-    caller's arrays stay as they were.  The nodes on the grid's outer edge
-    must lie outside, so that every inside node has its four neighbours on
-    the grid.  The quadrature h^2 weights splits into quad, over the inside
-    nodes, and held_area, over the outside ones, where a field holds b.
+    phi, inside and the quadrature weights are square arrays, and coords,
+    centred on 0, has one entry per row of phi.  The grid keeps a read-only
+    copy of phi, so the caller's array stays as it was.  The nodes on the
+    grid's outer edge must lie outside, so that every inside node has its
+    four neighbours on the grid.  The quadrature h^2 weights splits into
+    quad, over the inside nodes, and held_area, over the outside ones, where
+    a field holds b.
     """
 
-    def __init__(self, h: float, coords: np.ndarray, phi: np.ndarray):
+    def __init__(self, h: float, phi: np.ndarray):
         self.h = float(h)
-        self.coords = np.array(coords, dtype=float, order="C")
         self.phi = np.array(phi, dtype=float, order="C")
-        if self.phi.shape != (self.coords.size,) * 2:
-            raise ValueError(f"phi shape {self.phi.shape} does not match {self.coords.size} coords")
+        if self.phi.ndim != 2 or self.phi.shape[0] != self.phi.shape[1]:
+            raise ValueError(f"phi shape {self.phi.shape} is not square")
+        self.coords = _grid_coords(self.phi.shape[0], self.h)
         inside = self.phi < 0.0
         if not inside.any():
             raise ValueError("grid contains no inside node")
@@ -371,50 +405,18 @@ def _assemble_cut_laplacian(grid: MaskedGrid):
     return L, bvec
 
 
-def build_domain(shape, h: float, n_samples: int = 64):
-    """Masked grid plus boundary samples (uniformly spaced in arclength).
-
-    The grid's phi comes from shape.signed_distance: exact on the disk, and
-    for the other curves exact within BAND_CELLS h of the boundary, where the
-    mask, the cut-cell weights and the Shortley-Weller arms read it.  Deeper
-    inside it is the distance to a boundary point near the nearest one, less
-    than 1.7 h above the exact distance and of the same sign; there only the
-    Newton starts of solve_local_2d and solve_nonlocal_2d and the probe's
-    march limit read it.
-    """
+def build_domain(shape, h: float) -> MaskedGrid:
+    """The masked grid of spacing h over shape, its square reaching PAD_CELLS
+    cells beyond the shape's extent."""
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("h must be positive")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if shape.min_feature() < 8 * h:
         raise ValueError(
             f"h={h} too coarse: narrowest feature {shape.min_feature()} spans "
             "fewer than 8 cells"
         )
-    ext = shape.extent() + PAD_CELLS * h
-    n_side = int(math.ceil(2 * ext / h))
-    coords = (np.arange(n_side + 1) - n_side / 2.0) * h
-    grid = MaskedGrid(h=h, coords=coords, phi=shape.signed_distance(coords, h))
-
-    t_fine, s = _arclength(shape)
-    total = s[-1]
-    s_targets = np.arange(n_samples) * total / n_samples
-    t_samples = np.interp(s_targets, s, t_fine)
-
-    samples = []
-    for t_k, s_k in zip(t_samples, s_targets):
-        px, py = shape.curve(t_k)
-        nx, ny = shape.inward_normal(t_k)
-        kappa = float(shape.curvature(t_k))
-        samples.append(
-            BoundarySample(
-                point=np.array([float(px), float(py)]),
-                inward_normal=np.array([float(nx), float(ny)]),
-                curvature=kappa,
-                arclength=float(s_k),
-            )
-        )
-    return grid, samples
+    n_side = int(math.ceil(2 * (shape.extent() + PAD_CELLS * h) / h))
+    return MaskedGrid(h, shape.signed_distance(_grid_coords(n_side + 1, h), h))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +626,7 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
 
 def curvature_thickness_report(
     W: PlanarField,
-    samples,
+    samples: BoundarySamples,
     c: float,
     params: Params,
 ) -> np.ndarray:
@@ -648,9 +650,7 @@ def curvature_thickness_report(
     # max_march
     s = np.cumsum(np.full(int(math.ceil(max_march / ds)) + 2, ds))
     s = s[np.concatenate(([0.0], s[:-1])) < max_march]
-    points = np.array([sample.point for sample in samples], dtype=float).reshape(-1, 2)
-    normals = np.array([sample.inward_normal for sample in samples], dtype=float)
-    normals = normals.reshape(-1, 2)
+    points, normals = samples.point, samples.inward_normal
     px = points[:, 0:1] + s * normals[:, 0:1]  # (rays, steps)
     py = points[:, 1:2] + s * normals[:, 1:2]
     pos = np.stack([px.ravel(), py.ravel()], axis=-1)
@@ -661,15 +661,14 @@ def curvature_thickness_report(
     exits = outside_box | ((s > grid.h) & (phi > 0.0))
     stops = exits | (val < c)
     first = np.argmax(stops, axis=1)
-    rays = np.arange(len(points))
+    rays = np.arange(len(samples))
     hit = stops[rays, first] & ~exits[rays, first]
 
-    rows = []
-    for k in np.flatnonzero(hit):
-        j = first[k]
-        prev_val = val[k, j - 1] if j > 0 else params.b
-        prev_s = s[j - 1] if j > 0 else 0.0
-        frac = (prev_val - c) / (prev_val - val[k, j])
-        found = prev_s + frac * (s[j] - prev_s)
-        rows.append((samples[k].arclength, samples[k].curvature, found))
-    return np.array(rows, dtype=float).reshape(-1, 3)
+    # interpolate between the last step above c (the boundary, holding b, on
+    # the first step) and the first one below
+    k, j = rays[hit], first[hit]
+    prev_val = np.where(j > 0, val[k, j - 1], params.b)
+    prev_s = np.where(j > 0, s[j - 1], 0.0)
+    frac = (prev_val - c) / (prev_val - val[k, j])
+    found = prev_s + frac * (s[j] - prev_s)
+    return np.column_stack((samples.arclength[k], samples.curvature[k], found))

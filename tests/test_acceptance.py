@@ -54,6 +54,7 @@ from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 from klayer.planar2d import (
     Disk,
     Ellipse,
+    boundary_samples,
     build_domain,
     curvature_thickness_report,
     solve_local_2d,
@@ -358,7 +359,7 @@ def test_gate_07_strong_chemotaxis_limit():
 def test_gate_08_planar_vs_radial_oracle():
     t0 = time.perf_counter()
     par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
-    grid, _ = build_domain(Disk(1.0), 0.005, n_samples=8)
+    grid = build_domain(Disk(1.0), 0.005)
     res2 = solve_nonlocal_2d(par, grid)
     dom = RadialBallDomain(R=1.0, n=2, count=3000)
     res1 = solve_nonlocal(par, dom)
@@ -384,14 +385,13 @@ def test_gate_08_planar_vs_radial_oracle():
 def test_gate_09_curvature_thickness_monotonicity():
     par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
     a, b_ax = np.sqrt(2.0), 1.0 / np.sqrt(2.0)  # area pi, aspect ratio 2
-    egrid, esamp = build_domain(Ellipse(a, b_ax), 0.01, n_samples=128)
-    eres = solve_nonlocal_2d(par, egrid)
-    etab = curvature_thickness_report(eres.steady.W, esamp, 0.5, par)
+    ellipse = Ellipse(a, b_ax)
+    eres = solve_nonlocal_2d(par, build_domain(ellipse, 0.01))
+    etab = curvature_thickness_report(eres.steady.W, boundary_samples(ellipse, 128), 0.5, par)
     rho = float(spearmanr(etab[:, 1], etab[:, 2]).statistic)
 
-    dgrid, dsamp = build_domain(Disk(1.0), 0.01, n_samples=48)
-    dres = solve_nonlocal_2d(par, dgrid)
-    dtab = curvature_thickness_report(dres.steady.W, dsamp, 0.5, par)
+    dres = solve_nonlocal_2d(par, build_domain(Disk(1.0), 0.01))
+    dtab = curvature_thickness_report(dres.steady.W, boundary_samples(Disk(1.0), 48), 0.5, par)
     cv = float(np.std(dtab[:, 2]) / np.mean(dtab[:, 2]))
 
     ok = len(etab) >= 32 and rho > 0 and cv <= 0.05
@@ -441,7 +441,7 @@ def test_gate_11_nonlinear_stability(stability_run):
 
 def test_gate_12_uniqueness_probe():
     par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
-    grid, _ = build_domain(Disk(1.0), 0.02, n_samples=8)
+    grid = build_domain(Disk(1.0), 0.02)
     res = solve_nonlocal_2d(par, grid)
     sigma = res.steady.sigma
     b_start = np.full(int(grid.inside.sum()), par.b)  # the constant supersolution

@@ -18,6 +18,7 @@ from klayer.cli import (
     main,
     parse_config,
 )
+from klayer.planar2d import Star
 
 
 BASE_CFG = """\
@@ -87,7 +88,8 @@ class TestParseConfig:
         "p_list": ("--p-list", "2 3", (2.0, 3.0), ("sweep",)),
         "grid_count": ("--grid-count", "900", 900, ("steady-radial", "evolve", "verify", "sweep")),
         "level_c": ("--level-c", "0.4", 0.4, ("steady-radial", "steady-2d", "verify", "sweep")),
-        "shape": ("--shape", "star", "star", ("steady-2d",)),
+        # steady-2d parses the shape with the rest of its configuration
+        "shape": ("--shape", "star", (Star, 1.0, 0.15, 5), ("steady-2d",)),
         "h": ("--h", "0.05", 0.05, ("steady-2d",)),
         "samples": ("--samples", "16", 16, ("steady-2d",)),
         "seed": ("--seed", "3", 3, ("evolve",)),
@@ -106,7 +108,10 @@ class TestParseConfig:
             argv = [command, "--config", str(cfg_file), flag, text]
             if command in commands:
                 assert vars(parser.parse_args(argv))[key] is not None
-                assert getattr(parse_config(str(path), {"command": command}), key) == value
+                parsed = getattr(parse_config(str(path), {"command": command}), key)
+                if isinstance(parsed, Star):
+                    parsed = (Star, parsed.r0, parsed.amplitude, parsed.k)
+                assert parsed == value
             else:
                 # exit code 2, an argparse error; '--h' once matched '--help'
                 with pytest.raises(SystemExit, match="^2$"):
@@ -155,6 +160,12 @@ class TestParseConfig:
             ("evolve", "--perturb", "1.5", "perturb"),
             ("evolve", "--perturb", "-1", "perturb"),
             ("evolve", "--seed", "-1", "seed"),
+            ("steady-2d", "--samples", "0", "samples"),
+            ("steady-2d", "--samples", "-3", "samples"),
+            ("steady-2d", "--h", "0", "h"),
+            ("steady-2d", "--h", "-0.05", "h"),
+            ("steady-2d", "--h", "nan", "h"),
+            ("steady-2d", "--h", "inf", "h"),
         ],
     )
     def test_out_of_range_rejected_before_any_output(
@@ -394,7 +405,7 @@ class TestRunSteady2D:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert named in err
-        assert not (out / "steady_field.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_no_samples_rejected(self, cfg_file, tmp_path, capsys, samples):
@@ -402,8 +413,8 @@ class TestRunSteady2D:
         rc = main(["steady-2d", "--config", str(cfg_file), "--eps", "0.05",
                    "--shape", "disk", "--h", "0.05", "--samples", samples, "--out", str(out)])
         assert rc == 1
-        assert "n_samples" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert "'samples'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunVerify:

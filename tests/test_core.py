@@ -25,7 +25,7 @@ from klayer.core import (
 )
 from klayer.errors import NoCrossingError
 from klayer.evolve_radial import DiscreteSteady, EvolutionSeries
-from klayer.planar2d import Disk, MaskedGrid, PlanarField, build_domain
+from klayer.planar2d import Disk, MaskedGrid, PlanarField, boundary_samples, build_domain
 
 
 def uniform_grid(R, n, count):
@@ -240,7 +240,7 @@ class TestRadialGridValidation:
 
 
 def _planar_field():
-    grid, _ = build_domain(Disk(1.0), 0.2, n_samples=4)
+    grid = build_domain(Disk(1.0), 0.2)
     return PlanarField(grid=grid, values=np.ones(grid.phi.shape))
 
 
@@ -253,7 +253,7 @@ ARRAY_RECORDS = {
         np.ones(16), np.zeros(16),
     ),
     "PlanarField": _planar_field,
-    "BoundarySample": lambda: build_domain(Disk(1.0), 0.2, n_samples=4)[1][0],
+    "BoundarySamples": lambda: boundary_samples(Disk(1.0), 4),
     "EvolutionSeries": lambda: EvolutionSeries(*[np.zeros(3)] * 7, renormalized_mass_factor=1.0),
     "ExpansionReport": lambda: ExpansionReport(
         "lambda_eps", np.array([0.004, 0.002, 0.001]), np.ones(3), 1.0, 1.0, 0.0
@@ -283,7 +283,7 @@ def _stored_arrays():
     profile = RadialProfile(grid, values)
     coords = np.linspace(-1.0, 1.0, 11)
     phi = np.hypot(*np.meshgrid(coords, coords, indexing="ij")) - 0.5
-    masked = MaskedGrid(h=0.2, coords=coords, phi=phi)
+    masked = MaskedGrid(h=0.2, phi=phi)
     field_values = np.ones(phi.shape)
     field = PlanarField(grid=masked, values=field_values)
     U, V = np.ones(16), np.zeros(16)
@@ -293,7 +293,6 @@ def _stored_arrays():
         "RadialProfile.values": (values, profile.values),
         "DiscreteSteady.U": (U, steady.U),
         "DiscreteSteady.V": (V, steady.V),
-        "MaskedGrid.coords": (coords, masked.coords),
         "MaskedGrid.phi": (phi, masked.phi),
         "PlanarField.values": (field_values, field.values),
     }

@@ -17,6 +17,7 @@ from klayer.planar2d import (
     Star,
     _bilinear,
     _projected_distance,
+    boundary_samples,
     build_domain,
     curvature_thickness_report,
     solve_local_2d,
@@ -54,8 +55,12 @@ def exact_distance(shape, x, y):
 
 @pytest.fixture(scope="module")
 def disk_grid():
-    grid, samples = build_domain(Disk(1.0), 0.02, n_samples=32)
-    return grid, samples
+    return build_domain(Disk(1.0), 0.02)
+
+
+@pytest.fixture(scope="module")
+def disk_samples():
+    return boundary_samples(Disk(1.0), 32)
 
 
 @pytest.fixture(scope="module")
@@ -66,37 +71,35 @@ def radial_reference():
 
 @pytest.fixture(scope="module")
 def disk_nonlocal(disk_grid):
-    grid, _ = disk_grid
+    grid = disk_grid
     return solve_nonlocal_2d(PAR, grid)
 
 
 class TestGeometry:
     def test_disk_area(self):
-        grid, _ = build_domain(Disk(1.0), 0.01, n_samples=8)
+        grid = build_domain(Disk(1.0), 0.01)
         assert abs(grid.area() - np.pi) <= 0.01
 
     def test_disk_signed_distance_exact(self, disk_grid):
-        grid, _ = disk_grid
+        grid = disk_grid
         X, Y = np.meshgrid(grid.coords, grid.coords, indexing="ij")
         np.testing.assert_allclose(grid.phi, np.hypot(X, Y) - 1.0, atol=1e-14)
 
     def test_inside_phi_consistency(self, disk_grid):
-        grid, _ = disk_grid
+        grid = disk_grid
         assert np.all(grid.phi[grid.inside] < 0)
         assert np.all(grid.phi[~grid.inside] >= 0)
 
-    def test_normals_and_curvature_disk(self, disk_grid):
-        _, samples = disk_grid
-        for s in samples:
-            assert np.hypot(*s.inward_normal) == pytest.approx(1.0, abs=1e-10)
-            assert s.curvature == pytest.approx(1.0, abs=1e-6)
-            # inward means toward the origin for the disk
-            assert np.dot(s.point, s.inward_normal) < 0
+    def test_normals_and_curvature_disk(self, disk_samples):
+        normal = disk_samples.inward_normal
+        np.testing.assert_allclose(np.hypot(*normal.T), 1.0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(disk_samples.curvature, 1.0, rtol=0, atol=1e-6)
+        # inward means toward the origin for the disk
+        assert np.all(np.sum(disk_samples.point * normal, axis=1) < 0)
 
     def test_ellipse_curvature_extrema(self):
         a, b = np.sqrt(2.0), 1.0 / np.sqrt(2.0)
-        _, samples = build_domain(Ellipse(a, b), 0.02, n_samples=64)
-        ks = np.array([s.curvature for s in samples])
+        ks = boundary_samples(Ellipse(a, b), 64).curvature
         assert ks.min() == pytest.approx(b / a**2, rel=1e-3)
         assert ks.max() == pytest.approx(a / b**2, rel=1e-3)
 
@@ -121,8 +124,8 @@ class TestGeometry:
         assert got[0] == pytest.approx(-0.1, abs=1e-8)
 
     def test_degenerate_star_equals_disk(self):
-        sg, _ = build_domain(Star(1.0, 0.0, 5), 0.02, n_samples=8)
-        dg, _ = build_domain(Disk(1.0), 0.02, n_samples=8)
+        sg = build_domain(Star(1.0, 0.0, 5), 0.02)
+        dg = build_domain(Disk(1.0), 0.02)
         assert np.array_equal(sg.inside, dg.inside)
         # the star's projected distance meets the disk's exact one to 4e-16,
         # which moves the weights clip(1/2 - phi/h, 0, 1) by up to 2e-14
@@ -173,15 +176,40 @@ class TestGeometry:
         with pytest.raises(ValueError, match="h must be positive"):
             build_domain(Disk(1.0), h)
 
-    @pytest.mark.parametrize("n_samples", [0, -3])
-    def test_no_samples_rejected(self, n_samples):
-        with pytest.raises(ValueError, match="n_samples"):
-            build_domain(Disk(1.0), 0.05, n_samples=n_samples)
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_samples_rejected(self, count):
+        with pytest.raises(ValueError, match="count"):
+            boundary_samples(Disk(1.0), count)
 
-    def test_arclengths_increasing(self, disk_grid):
-        _, samples = disk_grid
-        arcs = [s.arclength for s in samples]
-        assert all(b > a for a, b in zip(arcs, arcs[1:]))
+    def test_arclengths_increasing(self, disk_samples):
+        assert np.all(np.diff(disk_samples.arclength) > 0)
+
+
+class TestBoundarySamples:
+    """boundary_samples against the shape's methods called one point at a
+    time at the same curve parameters."""
+
+    @pytest.mark.parametrize("count", [1, 48, 128])
+    @pytest.mark.parametrize("shape", SHAPES[:3], ids=SHAPE_IDS[:3])
+    def test_matches_per_point_evaluation(self, shape, count):
+        samples = boundary_samples(shape, count)
+        assert len(samples) == count
+        t_fine, s = planar2d._arclength(shape)
+        arclength = np.arange(count) * s[-1] / count
+        t = [np.interp(a, s, t_fine) for a in arclength]
+        point = np.array([shape.curve(t_k) for t_k in t])
+        normal = np.array([shape.inward_normal(t_k) for t_k in t])
+        curvature = np.array([shape.curvature(t_k) for t_k in t])
+        assert np.array_equal(samples.point, point)
+        assert np.array_equal(samples.inward_normal, normal)
+        # numpy's array power may differ from the scalar pow by an ulp or two
+        np.testing.assert_allclose(samples.curvature, curvature, rtol=1e-15, atol=0)
+        assert samples.arclength[0] == 0.0
+        assert np.all(np.diff(samples.arclength) > 0)
+        assert samples.arclength[-1] < s[-1]
+        assert samples.point.shape == samples.inward_normal.shape == (count, 2)
+        for arr in (samples.arclength, samples.curvature, samples.point, samples.inward_normal):
+            assert not arr.flags.writeable
 
 
 class TestBandDistance:
@@ -191,7 +219,7 @@ class TestBandDistance:
     @pytest.mark.parametrize("h", [0.02, 0.01])
     @pytest.mark.parametrize("shape", SHAPES[1:], ids=SHAPE_IDS[1:])
     def test_matches_the_exact_projection(self, shape, h):
-        grid, _ = build_domain(shape, h, n_samples=8)
+        grid = build_domain(shape, h)
         exact = exact_distance(shape, *np.meshgrid(grid.coords, grid.coords, indexing="ij"))
         band = np.abs(exact) < planar2d.BAND_CELLS * h
         assert np.max(np.abs(grid.phi - exact)[band]) <= 1e-15
@@ -209,7 +237,7 @@ class TestBandDistance:
     def test_fine_grid_raster_has_no_gap(self):
         # MIN_SEEDS alone would space this ellipse's seeds 4.2e-3 apart, more than h
         shape, h = Ellipse(2.0, 0.5), 0.004
-        grid, _ = build_domain(shape, h, n_samples=8)
+        grid = build_domain(shape, h)
         bx, by = shape.curve(planar2d._boundary_seeds(shape, h))
         for coord in (bx, by):
             node = np.rint((coord - grid.coords[0]) / h)
@@ -259,7 +287,7 @@ def shortley_weller_rows(grid):
 class TestCutLaplacian:
     @pytest.mark.parametrize("shape", [Disk(1.0), Star(1.0, 0.15, 5)], ids=["disk", "star"])
     def test_matches_row_by_row_oracle(self, shape):
-        grid, _ = build_domain(shape, 0.05, n_samples=8)
+        grid = build_domain(shape, 0.05)
         L, bvec = grid.operator()
         L_ref, bvec_ref = shortley_weller_rows(grid)
         assert np.count_nonzero(bvec) > 0
@@ -268,23 +296,31 @@ class TestCutLaplacian:
 
     @pytest.mark.parametrize("node", [(0, 5), (10, 5), (5, 0), (5, 10)])
     def test_inside_node_on_the_edge_rejected(self, node):
-        coords = np.linspace(-1.0, 1.0, 11)
         phi = np.ones((11, 11))
         phi[5, 5] = -0.1
-        MaskedGrid(h=0.2, coords=coords, phi=phi)
+        MaskedGrid(h=0.2, phi=phi)
         phi[node] = -0.1
         with pytest.raises(ValueError, match="outer edge"):
-            MaskedGrid(h=0.2, coords=coords, phi=phi)
+            MaskedGrid(h=0.2, phi=phi)
 
-    @pytest.mark.parametrize("shape", [(11, 12), (12, 11), (11,), (12, 12)])
+    @pytest.mark.parametrize("shape", [(11, 12), (12, 11), (11,), (11, 11, 11)])
     def test_phi_shape_must_match_coords(self, shape):
-        coords = np.linspace(-1.0, 1.0, 11)
-        with pytest.raises(ValueError, match="phi shape"):
-            MaskedGrid(h=0.2, coords=coords, phi=np.ones(shape))
+        # the grid derives one coordinate vector, for both axes, from phi
+        with pytest.raises(ValueError, match="phi shape .* is not square"):
+            MaskedGrid(h=0.2, phi=np.ones(shape))
+
+    def test_coords_from_spacing_and_size(self):
+        phi = np.ones((11, 11))
+        phi[5, 5] = -0.1
+        grid = MaskedGrid(h=0.2, phi=phi)
+        np.testing.assert_allclose(grid.coords, np.linspace(-1.0, 1.0, 11), rtol=0, atol=1e-15)
+        assert grid.coords[5] == 0.0
+        assert np.array_equal(grid.coords, -grid.coords[::-1])
+        assert not grid.coords.flags.writeable
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_field_values_must_be_finite(self, disk_grid, bad):
-        grid, _ = disk_grid
+        grid = disk_grid
         values = np.ones(grid.phi.shape)
         values[0, 3] = bad
         with pytest.raises(ValueError, match="finite"):
@@ -301,7 +337,7 @@ class TestQuadrature:
     ], ids=[f"{name}-{h}" for name in SHAPE_IDS[:3] for h in (0.02, 0.01)])
     def solved(self, request):
         shape, h = request.param
-        grid, _ = build_domain(shape, h, n_samples=8)
+        grid = build_domain(shape, h)
         return grid, solve_nonlocal_2d(PAR, grid).steady.W
 
     def test_split_sums_to_area(self, solved):
@@ -319,7 +355,7 @@ class TestQuadrature:
 
 class TestLocal2D:
     def test_matches_radial_at_fixed_sigma(self, disk_grid, radial_reference):
-        grid, _ = disk_grid
+        grid = disk_grid
         sigma = radial_reference.steady.sigma
         W = solve_local_2d(sigma, PAR, grid)
         iy0 = int(np.argmin(np.abs(grid.coords)))
@@ -330,7 +366,7 @@ class TestLocal2D:
         assert np.max(np.abs(prof2 - prof1)) <= 1e-3
 
     def test_bounded_by_boundary_value(self, disk_grid):
-        grid, _ = disk_grid
+        grid = disk_grid
         W = solve_local_2d(1e-3, PAR, grid)
         vals = W.values[grid.inside]
         assert np.all(vals > 0)
@@ -340,7 +376,7 @@ class TestLocal2D:
         # deficit b - W is bounded by b^(1+p)/sigma times the torsion
         # function (-Lap T = 1, T = 0 on the boundary), computed here from
         # the same cut-cell operator as an independent linear oracle
-        grid, _ = disk_grid
+        grid = disk_grid
         sigma = 50.0
         W = solve_local_2d(sigma, PAR, grid)
         L, bvec = grid.operator()
@@ -351,7 +387,7 @@ class TestLocal2D:
         assert np.max(deficit) <= PAR.b ** (1 + PAR.p) * 2.0**2 / (8 * sigma)
 
     def test_uniqueness_probe(self, disk_grid, radial_reference):
-        grid, _ = disk_grid
+        grid = disk_grid
         sigma = radial_reference.steady.sigma
         b_start = np.full(int(grid.inside.sum()), PAR.b)  # the constant supersolution
         W_super = solve_local_2d(sigma, PAR, grid, initial=b_start)
@@ -361,14 +397,14 @@ class TestLocal2D:
 
     def test_ordering_matches_default_factorisation(self, disk_grid, monkeypatch):
         # oracle: scipy's default column ordering with partial pivoting
-        grid, _ = disk_grid
+        grid = disk_grid
         fast = solve_local_2d(0.05, PAR, grid)
         monkeypatch.setattr(planar2d, "splu", lambda J, **kwargs: splu(J))
         ref = solve_local_2d(0.05, PAR, grid)
         assert np.max(np.abs(fast.values - ref.values)) <= 1e-12
 
     def test_invalid_sigma(self, disk_grid):
-        grid, _ = disk_grid
+        grid = disk_grid
         with pytest.raises(ValueError):
             solve_local_2d(-1.0, PAR, grid)
 
@@ -385,7 +421,7 @@ class TestNonlocal2D:
         assert abs(lam2 - lam1) / lam1 < 0.01
 
     def test_constraint_monotone_on_2d_path(self, disk_grid):
-        grid, _ = disk_grid
+        grid = disk_grid
         dom = GridLocalSolves(grid)
         gs = [constraint_value(lam, PAR, dom) for lam in (0.5, 1.0, 2.0)]
         assert gs[0] < gs[1] < gs[2]
@@ -395,7 +431,7 @@ class TestNonlocal2D:
         # g = m (measured at most 3.3e-11 and 3.1e-11 over these shapes at
         # p 1, 2, 8)
         for shape in SHAPES:
-            grid, _ = build_domain(shape, 0.02, n_samples=8)
+            grid = build_domain(shape, 0.02)
             dom = GridLocalSolves(grid)
             for p in (1, 2, 8):
                 par = Params(epsilon=0.05, p=p, b=1, m=1, n=2)
@@ -410,7 +446,7 @@ class TestNonlocal2D:
         # oracle: Illinois on g(lam) = m over cold 2D local solves; measured
         # worst 4.3e-11 in lambda_eps and 4.0e-11 b in W, dominated by the
         # oracle's own tolerance
-        grid, _ = build_domain(shape, 0.02, n_samples=8)
+        grid = build_domain(shape, 0.02)
         for p in (1, 2, 8):
             par = Params(epsilon=0.05, p=p, b=1, m=1, n=2)
             res = solve_nonlocal_2d(par, grid)
@@ -424,7 +460,7 @@ class TestNonlocal2D:
 
     @pytest.mark.parametrize("shape", SHAPES[:3], ids=SHAPE_IDS[:3])
     def test_factorisations_per_solve(self, shape, monkeypatch):
-        grid, _ = build_domain(shape, 0.02, n_samples=8)
+        grid = build_domain(shape, 0.02)
         count = []
 
         def counting(*args, **kwargs):
@@ -438,14 +474,14 @@ class TestNonlocal2D:
 
     def test_ignores_dimension_parameter(self, disk_grid, disk_nonlocal):
         # the 2D solver and its disk seed are planar whatever params.n says
-        grid, _ = disk_grid
+        grid = disk_grid
         par3 = Params(epsilon=0.05, p=2, b=1, m=1, n=3)
         res = solve_nonlocal_2d(par3, grid)
         assert res.steady.lambda_eps == disk_nonlocal.steady.lambda_eps
 
     def test_mass_halving_raises_lambda_eps(self, disk_grid):
         # lambda_eps carries a 1/m^2 amplitude times the m-normalisation
-        grid, _ = disk_grid
+        grid = disk_grid
         par_half = Params(epsilon=0.05, p=2, b=1, m=0.5, n=2)
         lam_half = solve_nonlocal_2d(par_half, grid).steady.lambda_eps
         lam_full = solve_nonlocal_2d(PAR, grid).steady.lambda_eps
@@ -454,7 +490,7 @@ class TestNonlocal2D:
     def test_mask_refinement_moves_lambda_first_order(self):
         lams = {}
         for h in (0.04, 0.02):
-            grid, _ = build_domain(Disk(1.0), h, n_samples=8)
+            grid = build_domain(Disk(1.0), h)
             lams[h] = solve_nonlocal_2d(PAR, grid).steady.lambda_eps
         rel_change = abs(lams[0.04] - lams[0.02]) / lams[0.02]
         assert rel_change < 10 * 0.04  # O(h) cut-cell boundary
@@ -514,12 +550,12 @@ def scalar_ray_march(W, samples, c, params):
     lo, hi = grid.coords[0], grid.coords[-1]
     max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h
     rows, outcomes = [], []
-    for sample in samples:
+    for k in range(len(samples)):
         prev_val, prev_s, s = params.b, 0.0, 0.0
         outcome = "end"
         while s < max_march:
             s += ds
-            pos = sample.point + s * sample.inward_normal
+            pos = samples.point[k] + s * samples.inward_normal[k]
             if not (lo <= pos[0] <= hi and lo <= pos[1] <= hi):
                 outcome = "box"
                 break
@@ -529,7 +565,7 @@ def scalar_ray_march(W, samples, c, params):
             val = float(interp_w(pos)[0])
             if val < c:
                 frac = (prev_val - c) / (prev_val - val)
-                rows.append((sample.arclength, sample.curvature,
+                rows.append((samples.arclength[k], samples.curvature[k],
                              prev_s + frac * (s - prev_s)))
                 outcome = "hit"
                 break
@@ -543,7 +579,7 @@ class TestBilinear:
 
     @pytest.fixture(scope="class")
     def points(self, disk_grid):
-        grid, _ = disk_grid
+        grid = disk_grid
         c = grid.coords
         lo, hi = c[0], c[-1]
         rng = np.random.default_rng(7)
@@ -565,7 +601,7 @@ class TestBilinear:
     @pytest.mark.parametrize("filled", [True, False], ids=["filled", "nan_outside"])
     def test_matches_scipy_bit_for_bit(self, disk_grid, disk_nonlocal, points, filled):
         # measured: 0 ulps, as the cell search and the weights are scipy's
-        grid, _ = disk_grid
+        grid = disk_grid
         W = disk_nonlocal.steady.W
         values, fill = (
             (W.values.copy(), PAR.b) if filled
@@ -578,7 +614,7 @@ class TestBilinear:
             assert np.isnan(ours).any() and np.isfinite(ours).any()
 
     def test_fills_outside_closed_box_only(self, disk_grid, disk_nonlocal, points):
-        grid, _ = disk_grid
+        grid = disk_grid
         lo, hi = grid.coords[0], grid.coords[-1]
         filled = disk_nonlocal.steady.W.values
         vals = _bilinear(grid.coords, filled, -1.0)(points)
@@ -591,7 +627,7 @@ class TestBilinear:
         # scipy takes its generic path for read-only values, which groups the
         # weight products differently: measured at most 3 ulps of the largest
         # corner value
-        grid, _ = disk_grid
+        grid = disk_grid
         assert not grid.phi.flags.writeable
         ours = _bilinear(grid.coords, grid.phi, 1.0)(points)
         ref = self.scipy_interp(grid, grid.phi, 1.0)(points)
@@ -603,7 +639,7 @@ class TestBilinear:
         assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.max(np.abs(corners), axis=0)))
 
     def test_single_point(self, disk_grid, disk_nonlocal):
-        grid, _ = disk_grid
+        grid = disk_grid
         W = disk_nonlocal.steady.W
         interp = _bilinear(grid.coords, W.values, PAR.b)
         ref = self.scipy_interp(grid, W.values.copy(), PAR.b)
@@ -615,19 +651,17 @@ class TestBilinear:
 
 class TestThicknessReport:
     def test_matches_scalar_march(self):
-        grid, samples = build_domain(
-            Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), 0.02, n_samples=128
-        )
-        W = solve_nonlocal_2d(PAR, grid).steady.W
+        shape = Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0))
+        samples = boundary_samples(shape, 128)
+        W = solve_nonlocal_2d(PAR, build_domain(shape, 0.02)).steady.W
         table = curvature_thickness_report(W, samples, 0.5, PAR)
         ref, outcomes = scalar_ray_march(W, samples, 0.5, PAR)
         assert "hit" in outcomes and "exit" in outcomes
         assert np.array_equal(table, ref)
 
-    def test_disk_thickness_uniform(self, disk_grid, disk_nonlocal, radial_reference):
-        grid, samples = disk_grid
-        table = curvature_thickness_report(disk_nonlocal.steady.W, samples, 0.5, PAR)
-        assert len(table) == len(samples)
+    def test_disk_thickness_uniform(self, disk_samples, disk_nonlocal, radial_reference):
+        table = curvature_thickness_report(disk_nonlocal.steady.W, disk_samples, 0.5, PAR)
+        assert len(table) == len(disk_samples)
         cv = np.std(table[:, 2]) / np.mean(table[:, 2])
         assert cv <= 0.05
         # cross-check against the radial level-set depth
@@ -636,15 +670,23 @@ class TestThicknessReport:
         t_rad = measure_thickness(radial_reference.steady.W, 0.5)
         assert np.mean(table[:, 2]) == pytest.approx(t_rad, rel=0.1)
 
-    def test_unreachable_level_skips_all(self, disk_grid, disk_nonlocal):
-        grid, samples = disk_grid
+    def test_unreachable_level_skips_all(self, disk_samples, disk_nonlocal):
         w_min = float(np.min(disk_nonlocal.steady.W.values))
         table = curvature_thickness_report(
-            disk_nonlocal.steady.W, samples, 0.5 * w_min, PAR
+            disk_nonlocal.steady.W, disk_samples, 0.5 * w_min, PAR
         )
-        assert len(table) == 0
+        assert table.shape == (0, 3)
 
-    def test_level_validation(self, disk_grid, disk_nonlocal):
-        _, samples = disk_grid
+    def test_level_validation(self, disk_samples, disk_nonlocal):
         with pytest.raises(ValueError):
-            curvature_thickness_report(disk_nonlocal.steady.W, samples, 2.0, PAR)
+            curvature_thickness_report(disk_nonlocal.steady.W, disk_samples, 2.0, PAR)
+
+    def test_first_step_crossing_matches_scalar_march(self, disk_samples, disk_nonlocal):
+        # a level just below b is crossed between the boundary, holding b,
+        # and the first step of the march
+        W = disk_nonlocal.steady.W
+        table = curvature_thickness_report(W, disk_samples, 0.999 * PAR.b, PAR)
+        ref, outcomes = scalar_ray_march(W, disk_samples, 0.999 * PAR.b, PAR)
+        assert outcomes == ["hit"] * len(disk_samples)
+        assert np.all(table[:, 2] < planar2d.MARCH_STEP * W.grid.h)
+        assert np.array_equal(table, ref)
