@@ -5,7 +5,7 @@ All leading terms are for the ball B_R(0).  Conventions:
 
     slope of W at R   ~ slope_W_leading / eps
     slope of U at R   ~ slope_U_leading / eps^2
-    lambda_eps        ~ lambda_leading * eps
+    lambda_eps        ~ lambda_leading * eps   (radial_steady.lambda_leading)
     layer thickness   ~ thickness_leading(c) * eps   (depth of the level set
                         W = c below the boundary value b)
 
@@ -16,7 +16,7 @@ the leading coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,18 +24,18 @@ from .core import (
     Params,
     RadialProfile,
     SteadyState,
+    integrate_radial,
     interpolate_monotone,
     unit_sphere_area,
 )
-from .mass_constraint import RadialBallDomain, lambda_leading, solve_nonlocal
-from .radial_steady import boundary_slope
+from .mass_constraint import RadialBallDomain, solve_nonlocal
+from .radial_steady import boundary_slope, lambda_leading
 
 __all__ = [
     "ExpansionReport",
     "slope_W_leading",
     "slope_U_leading",
     "thickness_leading",
-    "lambda_leading",
     "measure_thickness",
     "verify_expansion",
     "verify_p_limit",
@@ -48,9 +48,6 @@ QUANTITIES = ("slope_W", "slope_U", "lambda_eps", "thickness")
 
 # power of eps multiplying the raw measurement so it tends to the coefficient
 _EPS_POWER = {"slope_W": 1, "slope_U": 2, "lambda_eps": -1, "thickness": -1}
-
-# lambda_leading lives in mass_constraint: the ball's solve there and
-# evolve_radial's steady pair start from sigma0 = eps^2 lambda_leading
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +144,7 @@ def verify_expansion(
     }
     computed = {q: np.empty(eps.size) for q in QUANTITIES}
     for i, e in enumerate(eps):
-        par = Params(epsilon=float(e), p=params.p, b=params.b, m=params.m, n=params.n)
+        par = replace(params, epsilon=float(e))
         steady = solve_nonlocal(par, domain).steady
         for q in QUANTITIES:
             computed[q][i] = table[q][0](steady)
@@ -174,8 +171,7 @@ def boundary_mass_fraction(steady: SteadyState, depth: float) -> float:
     r = grid.nodes
     R = grid.R
     r_star = R - depth
-    om = unit_sphere_area(grid.n)
-    total = om * float(np.trapezoid(r ** (grid.n - 1) * U.values, r))
+    total = integrate_radial(U)
     if r_star <= 0:
         return 1.0
     # integrate over [r_star, R] with a partial first cell
@@ -183,7 +179,7 @@ def boundary_mass_fraction(steady: SteadyState, depth: float) -> float:
     u_star = float(np.interp(r_star, r, U.values))
     xs = np.concatenate(([r_star], r[j + 1 :]))
     ys = np.concatenate(([u_star * r_star ** (grid.n - 1)], (r ** (grid.n - 1) * U.values)[j + 1 :]))
-    near = om * float(np.trapezoid(ys, xs))
+    near = unit_sphere_area(grid.n) * float(np.trapezoid(ys, xs))
     return near / total
 
 
@@ -208,9 +204,7 @@ def verify_p_limit(
     domain = RadialBallDomain(R=R, n=params_base.n, count=count)
     rows = []
     for p in ps:
-        par = Params(
-            epsilon=eps_fixed, p=p, b=params_base.b, m=params_base.m, n=params_base.n
-        )
+        par = replace(params_base, epsilon=eps_fixed, p=p)
         steady = solve_nonlocal(par, domain).steady
         sup_gap = float(np.max(np.abs(steady.W.values - par.b)))
         frac = boundary_mass_fraction(steady, depth_fraction * R)

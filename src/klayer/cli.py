@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import asymptotics, evolve_radial, planar2d
 from .core import Params, make_graded_grid
 from .errors import NoCrossingError, SolverError
 from .mass_constraint import RadialBallDomain, solve_nonlocal
-from .radial_steady import boundary_slope, layer_width
+from .radial_steady import boundary_slope, lambda_leading, layer_width
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -156,6 +156,9 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
     for key in ("eps_list", "p_list"):
         if key in entries:
             entries[key] = _float_list(entries[key])
+            bad = [x for x in entries[key] if not (x > 0 and math.isfinite(x))]
+            if bad:
+                raise ConfigError(f"'{key}' entries must be finite and positive, got {bad[0]}")
     if command == "sweep" and entries.get("eps_list"):
         entries.setdefault("epsilon", entries["eps_list"][0])
     missing = [key for key in _REQUIRED if key not in entries]
@@ -189,6 +192,8 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"'h' must be finite and positive, got {cfg.h}")
     if cfg.samples < 1:
         raise ConfigError(f"'samples' must be >= 1, got {cfg.samples}")
+    if command != "evolve" and cfg.grid_count < 16:  # evolve clamps it to [64, 512]
+        raise ConfigError(f"'grid_count' must be >= 16, got {cfg.grid_count}")
     if command == "steady-2d":
         if params.n != 2:
             raise ConfigError(f"'n' must be 2 for steady-2d, a planar domain, got {params.n}")
@@ -331,7 +336,7 @@ def _run_steady_2d(cfg: RunConfig) -> int:
 
 def _evolve_grid(cfg: RunConfig):
     ell = layer_width(
-        cfg.params.epsilon**2 * asymptotics.lambda_leading(cfg.params, cfg.R), cfg.params
+        cfg.params.epsilon**2 * lambda_leading(cfg.params, cfg.R), cfg.params
     )
     count = min(max(64, cfg.grid_count), 512)
     lw = min(max(ell, 1e-3 * cfg.R), 10.0 * cfg.R / (count - 1))
@@ -403,8 +408,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     p_list = cfg.p_list or (cfg.params.p,)
     rows = []
     for eps, p in sorted((eps, p) for eps in eps_list for p in p_list):
-        params = Params(epsilon=eps, p=p, b=cfg.params.b, m=cfg.params.m, n=cfg.params.n)
-        st = solve_nonlocal(params, _ball(cfg)).steady
+        st = solve_nonlocal(replace(cfg.params, epsilon=eps, p=p), _ball(cfg)).steady
         rows.append({"eps": eps, "p": p, **_radial_report(st, cfg.level())})
     _write_csv(cfg.out / "sweep.csv", ",".join(rows[0]), zip(*(row.values() for row in rows)))
     return 0

@@ -42,9 +42,8 @@ from scipy.special import exprel
 
 from .core import Params, RadialGrid, _node_values, unit_sphere_area
 from .errors import PositivityError
-from .mass_constraint import lambda_leading
 from . import radial_steady
-from .radial_steady import _newton, barrier_lower
+from .radial_steady import _newton, barrier_lower, lambda_leading
 
 __all__ = [
     "DiscreteSteady",

@@ -28,12 +28,11 @@ from .core import (
     ball_volume,
     integrate_radial,
     make_graded_grid,
-    unit_sphere_area,
 )
 from .errors import NoConvergenceError
 from .radial_steady import (
     barrier_lower,
-    layer_profile_constant,
+    lambda_leading,
     layer_width,
     solve_local_radial,
     solve_nonlocal_radial,
@@ -42,7 +41,6 @@ from .radial_steady import (
 __all__ = [
     "NonlocalResult",
     "RadialBallDomain",
-    "lambda_leading",
     "solve_nonlocal",
 ]
 
@@ -51,18 +49,6 @@ _BOUNDARY_REFINE = 160.0
 # the ball's grid passes stop when sigma moves by less than this, relative
 _PASS_TOL = 1e-9
 _MAX_PASSES = 8
-
-
-def lambda_leading(params: Params, R: float) -> float:
-    """Coefficient of eps in lambda_eps: omega_n^2 b^p c_p^2 R^(2n-2) / m^2."""
-    om = unit_sphere_area(params.n)
-    return (
-        om**2
-        * params.b**params.p
-        * layer_profile_constant(params.p) ** 2
-        * R ** (2 * params.n - 2)
-        / params.m**2
-    )
 
 
 @dataclass(frozen=True)

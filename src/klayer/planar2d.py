@@ -323,6 +323,8 @@ class MaskedGrid:
 
     def __init__(self, h: float, phi: np.ndarray):
         self.h = float(h)
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError(f"h must be finite and positive, got {h}")
         self.phi = np.array(phi, dtype=float, order="C")
         if self.phi.ndim != 2 or self.phi.shape[0] != self.phi.shape[1]:
             raise ValueError(f"phi shape {self.phi.shape} is not square")

@@ -30,6 +30,7 @@ __all__ = [
     "layer_profile_constant",
     "layer_profile",
     "layer_width",
+    "lambda_leading",
     "barrier_lower",
     "barrier_upper",
     "upper_barrier_sigma_max",
@@ -63,6 +64,21 @@ def layer_width(sigma: float, params: Params) -> float:
     """Characteristic boundary-layer width c_p * sqrt(sigma) / b^(p/2)."""
     cp = layer_profile_constant(params.p)
     return cp * math.sqrt(sigma) / params.b ** (params.p / 2.0)
+
+
+def lambda_leading(params: Params, R: float) -> float:
+    """Coefficient of eps in lambda_eps on the ball B_R(0):
+    omega_n^2 b^p c_p^2 R^(2n-2) / m^2.
+
+    Both radial nonlocal Newtons start from sigma0 = eps^2 lambda_leading."""
+    om = unit_sphere_area(params.n)
+    return (
+        om**2
+        * params.b**params.p
+        * layer_profile_constant(params.p) ** 2
+        * R ** (2 * params.n - 2)
+        / params.m**2
+    )
 
 
 def layer_profile(depth, sigma: float, params: Params):

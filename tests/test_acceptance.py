@@ -37,7 +37,6 @@ from scipy.special import ellipj, ellipk
 from scipy.stats import spearmanr
 
 from klayer.asymptotics import (
-    lambda_leading,
     measure_thickness,
     slope_U_leading,
     slope_W_leading,
@@ -64,6 +63,7 @@ from klayer.radial_steady import (
     barrier_lower,
     barrier_upper,
     boundary_slope,
+    lambda_leading,
     solve_local_radial,
     upper_barrier_sigma_max,
 )

@@ -10,7 +10,6 @@ from klayer.asymptotics import (
     boundary_mass_fraction,
     envelope_constants,
     interior_sup,
-    lambda_leading,
     measure_thickness,
     slope_U_leading,
     slope_W_leading,
@@ -21,7 +20,7 @@ from klayer.asymptotics import (
 from klayer.core import Params, RadialProfile, make_graded_grid, unit_sphere_area
 from klayer.errors import NoCrossingError
 from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
-from klayer.radial_steady import barrier_lower, layer_profile_constant
+from klayer.radial_steady import barrier_lower, lambda_leading, layer_profile_constant
 
 DISK = Params(epsilon=1e-3, p=2, b=1, m=1, n=2)
 

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import klayer
 from klayer.cli import (
     _OPTIONS,
     COMMANDS,
@@ -166,6 +168,13 @@ class TestParseConfig:
             ("steady-2d", "--h", "-0.05", "h"),
             ("steady-2d", "--h", "nan", "h"),
             ("steady-2d", "--h", "inf", "h"),
+            ("steady-radial", "--grid-count", "10", "grid_count"),
+            ("verify", "--grid-count", "0", "grid_count"),
+            ("sweep", "--grid-count", "-5", "grid_count"),
+            ("sweep", "--eps-list", "0.004,-1", "eps_list"),
+            ("sweep", "--p-list", "2,-1", "p_list"),
+            ("sweep", "--p-list", "2,nan", "p_list"),
+            ("verify", "--eps-list", "0.004,0.002,0", "eps_list"),
         ],
     )
     def test_out_of_range_rejected_before_any_output(
@@ -484,24 +493,47 @@ def test_readme_lists_every_option():
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _fresh_import(code: str) -> set:
+    """The words that code, run in a fresh interpreter on src/, prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(done.stdout.split())
+
+
 def test_import_footprint():
     """A fresh `import klayer.cli` loads every solver module but none of the
     scipy subpackages klayer does not use, which would cost start-up time and
     memory on every CLI call."""
     eager = {"klayer.planar2d", "klayer.evolve_radial"}
     forbidden = {"scipy.optimize", "scipy.interpolate", "scipy.fft", "scipy.spatial"}
-    code = (
+    loaded = _fresh_import(
         "import sys, klayer.cli; "
         f"print(*(m for m in {sorted(eager | forbidden)!r} if m in sys.modules))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    loaded = set(done.stdout.split())
     assert eager <= loaded
     assert not loaded & forbidden
+
+
+def test_package_loads_no_submodule():
+    """`import klayer` loads only the package; the time-stepping path does
+    not load the steady ball domain."""
+    listing = "print(*(m for m in sys.modules if m.startswith('klayer.')))"
+    assert _fresh_import(f"import sys, klayer; {listing}") == set()
+    assert "klayer.mass_constraint" not in _fresh_import(
+        f"import sys, klayer.evolve_radial; {listing}"
+    )
+
+
+def test_every_public_name_has_one_home():
+    """Each name a module lists in __all__ is defined in that module."""
+    for info in pkgutil.iter_modules(klayer.__path__, "klayer."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            home = getattr(getattr(module, name), "__module__", module.__name__)
+            assert home == module.__name__, f"{module.__name__}.{name} is defined in {home}"
 
 
 def test_tracer_targets_resolve():

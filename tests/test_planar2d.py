@@ -8,7 +8,7 @@ from klayer import planar2d
 from klayer.core import Params, make_graded_grid, unit_sphere_area
 from klayer.errors import NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady
-from klayer.mass_constraint import RadialBallDomain, lambda_leading, solve_nonlocal
+from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 from klayer.planar2d import (
     Disk,
     Ellipse,
@@ -23,7 +23,7 @@ from klayer.planar2d import (
     solve_local_2d,
     solve_nonlocal_2d,
 )
-from klayer.radial_steady import barrier_lower, layer_width, solve_local_radial
+from klayer.radial_steady import barrier_lower, lambda_leading, layer_width, solve_local_radial
 
 from constraint_oracle import GridLocalSolves, constraint_value, illinois
 
@@ -308,6 +308,13 @@ class TestCutLaplacian:
         # the grid derives one coordinate vector, for both axes, from phi
         with pytest.raises(ValueError, match="phi shape .* is not square"):
             MaskedGrid(h=0.2, phi=np.ones(shape))
+
+    @pytest.mark.parametrize("h", [0.0, -0.2, np.nan, np.inf])
+    def test_spacing_must_be_finite_and_positive(self, h):
+        phi = np.ones((11, 11))
+        phi[5, 5] = -0.1
+        with pytest.raises(ValueError, match="h must be finite and positive"):
+            MaskedGrid(h=h, phi=phi)
 
     def test_coords_from_spacing_and_size(self):
         phi = np.ones((11, 11))
