@@ -20,6 +20,7 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -212,18 +213,30 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
 # output helpers
 
 
+_CSV_CHUNK = 1024  # lines per % in _write_csv
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    """One line per index of the equal-length columns, each value as _fmt
-    writes it (%-formatting with .17g gives the same digits)."""
-    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
-    line = ",".join(["%.17g"] * len(cols)) + "\n"
+    """One line per index of the equal-length columns.  A numpy column of
+    dtype object holds str, written as it stands; any other column holds
+    numbers, each written as _fmt writes it (%-formatting with .17g gives
+    the same digits).  Each % formats _CSV_CHUNK lines at once."""
+    cols, fields = [], []
+    for col in columns:
+        text = isinstance(col, np.ndarray) and col.dtype == object
+        cols.append(col.tolist() if text else np.asarray(col, dtype=float).tolist())
+        fields.append("%s" if text else "%.17g")
+    line = ",".join(fields) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(line % row for row in zip(*cols))
+        for start in range(0, len(cols[0]), _CSV_CHUNK):
+            rows = zip(*(col[start : start + _CSV_CHUNK] for col in cols))
+            values = tuple(itertools.chain.from_iterable(rows))
+            fh.write((line * (len(values) // len(cols))) % values)
 
 
 def _write_summary(path: Path, items: dict) -> None:
@@ -314,9 +327,12 @@ def _run_steady_2d(cfg: RunConfig) -> int:
     samples = planar2d.boundary_samples(cfg.shape, cfg.samples)
     res = planar2d.solve_nonlocal_2d(cfg.params, grid)
     st = res.steady
-    X, Y = np.meshgrid(grid.coords, grid.coords, indexing="ij")
+    # x and y take only the grid coordinates: format each one once, and
+    # index the text by the inside nodes (i, j), in the C order of [mask]
+    coord_text = np.array([_fmt(c) for c in grid.coords], dtype=object)
     mask = grid.inside
-    columns = (X[mask], Y[mask], st.W.values[mask], st.U.values[mask])
+    i, j = np.nonzero(mask)
+    columns = (coord_text[i], coord_text[j], st.W.values[mask], st.U.values[mask])
     _write_csv(cfg.out / "steady_field.csv", "x,y,W,U", columns)
     table = planar2d.curvature_thickness_report(st.W, samples, cfg.level(), cfg.params)
     _write_csv(cfg.out / "curvature_thickness.csv", "arclength,curvature,thickness", table.T)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import klayer
+from klayer import planar2d
 from klayer.cli import (
     _OPTIONS,
     COMMANDS,
@@ -213,6 +214,21 @@ class TestWriteCsv:
         _write_csv_per_value(tmp_path / "old.csv", "a,b,c,d", zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 3000])
+    def test_text_columns_and_chunks(self, tmp_path, n_rows):
+        # str columns (numpy dtype object) are written as they stand, beside
+        # number columns, and a chunk boundary (1024 lines) changes no byte
+        rng = np.random.default_rng(11)
+        special = np.array([-0.0, 5e-324, -1e-300, 1e300, np.nan, np.inf, -np.inf, 2.0**53])
+        values = np.concatenate((special, rng.uniform(-2.0, 2.0, n_rows)))[:n_rows]
+        coords = np.concatenate((special, np.linspace(-1.5, 1.5, 301)))
+        pick = rng.integers(0, coords.size, n_rows)
+        text = np.array([format(float(c), ".17g") for c in coords], dtype=object)
+        _write_csv(tmp_path / "new.csv", "x,W,y", (text[pick], values, text[pick[::-1]]))
+        rows = zip(coords[pick], values, coords[pick[::-1]])
+        _write_csv_per_value(tmp_path / "old.csv", "x,W,y", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
 
 class TestRunSteadyRadial:
     def test_exit_zero_and_outputs(self, cfg_file, tmp_path):
@@ -386,6 +402,32 @@ class TestRunSteady2D:
         assert len(lines) > 100
         table = (out / "curvature_thickness.csv").read_text().splitlines()
         assert table[0] == "arclength,curvature,thickness"
+
+    @pytest.mark.parametrize("shape", ["disk", "ellipse:a=1.4142,b=0.7071", "star"])
+    def test_field_csv_bytes(self, cfg_file, tmp_path, monkeypatch, shape):
+        # oracle: each value of each row through the per-value writer, with
+        # x and y from the meshgrid of the grid coordinates; over 1024 rows,
+        # so the rows span more than one chunk of the writer
+        solve = planar2d.solve_nonlocal_2d
+        solved = []
+
+        def capturing(params, grid):
+            solved.append((grid, solve(params, grid)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(planar2d, "solve_nonlocal_2d", capturing)
+        out = tmp_path / "s2d"
+        rc = main(["steady-2d", "--config", str(cfg_file), "--eps", "0.05", "--shape", shape,
+                   "--h", "0.05", "--samples", "8", "--out", str(out)])
+        assert rc == 0
+        ((grid, res),) = solved
+        X, Y = np.meshgrid(grid.coords, grid.coords, indexing="ij")
+        mask = grid.inside
+        assert mask.sum() > 1024
+        st = res.steady
+        rows = zip(X[mask], Y[mask], st.W.values[mask], st.U.values[mask])
+        _write_csv_per_value(tmp_path / "ref.csv", "x,y,W,U", rows)
+        assert (out / "steady_field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "shape, named",

@@ -23,7 +23,13 @@ from klayer.planar2d import (
     solve_local_2d,
     solve_nonlocal_2d,
 )
-from klayer.radial_steady import barrier_lower, lambda_leading, layer_width, solve_local_radial
+from klayer.radial_steady import (
+    barrier_lower,
+    lambda_leading,
+    layer_profile,
+    layer_width,
+    solve_local_radial,
+)
 
 from constraint_oracle import GridLocalSolves, constraint_value, illinois
 
@@ -540,6 +546,39 @@ class TestNewtonOnBallOperator:
         w, _ = planar2d._newton_2d(start, sigma0, par, *operator)
         ref = solve_local_radial(sigma0, par, grid).values[:-1]
         assert np.max(np.abs(w - ref)) <= 1e-9 * b
+
+
+class ColumnByColumn:
+    """A SuperLU factorisation whose solve takes the columns of a
+    multi-column right-hand side one at a time."""
+
+    def __init__(self, lu, widths):
+        self.lu = lu
+        self.widths = widths
+
+    def solve(self, rhs):
+        self.widths.append(rhs.shape[1])
+        return np.column_stack([self.lu.solve(col) for col in rhs.T])
+
+
+class TestTwoColumnSolve:
+    def test_matches_one_column_solves(self, monkeypatch):
+        # the CLI's byte-identical outputs rest on SuperLU's two-column
+        # back-solve giving the bits of two one-column solves
+        grid = build_domain(Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), 0.05)
+        sigma0 = PAR.epsilon**2 * lambda_leading(PAR, np.sqrt(grid.area() / np.pi))
+        start = layer_profile(-grid.phi[grid.inside], sigma0, PAR)
+        args = (PAR, *grid.operator(), grid.quad, grid.held_area)
+        w, steps = planar2d._newton_2d(start, None, *args)
+        widths = []
+        monkeypatch.setattr(
+            planar2d, "splu", lambda *a, **kw: ColumnByColumn(splu(*a, **kw), widths)
+        )
+        w_ref, steps_ref = planar2d._newton_2d(start, None, *args)
+        assert steps == steps_ref
+        assert steps > 1
+        assert widths == [2] * steps
+        assert np.array_equal(w, w_ref)
 
 
 def scalar_ray_march(W, samples, c, params):
