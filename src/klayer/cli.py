@@ -240,10 +240,7 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 
 def _write_summary(path: Path, items: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("key,value\n")
-        for key, value in items.items():
-            fh.write(f"{key},{_fmt(value)}\n")
+    _write_csv(path, "key,value", (np.array(list(items), dtype=object), list(items.values())))
 
 
 # keys each --shape accepts, e.g. 'ellipse:a=1.4142,b=0.7071'
@@ -398,25 +395,25 @@ def _run_verify(cfg: RunConfig) -> int:
     reports = asymptotics.verify_expansion(
         cfg.params, cfg.R, eps_list, level_c=cfg.level(), count=cfg.grid_count
     )
-    rows = []
-    worst_fail = False
+    passed = []
     for quantity, report in reports.items():
         ok = report.relative_gap <= VERIFY_TOL[quantity]
-        worst_fail |= not ok
-        rows.append(
-            f"{quantity},{_fmt(report.leading_coefficient)},"
-            f"{_fmt(report.extrapolated_coefficient)},"
-            f"{_fmt(report.relative_gap)},{int(ok)}"
-        )
+        passed.append(ok)
         print(
             f"verify {quantity}: gap {report.relative_gap:.4f} "
             f"({'ok' if ok else 'EXCEEDS'} tol {VERIFY_TOL[quantity]})"
         )
-    with open(cfg.out / "verify_report.csv", "w", newline="\n") as fh:
-        fh.write("quantity,predicted,extrapolated,relative_gap,pass\n")
-        for row in rows:
-            fh.write(row + "\n")
-    return 2 if worst_fail else 0
+    rows = reports.values()
+    columns = (
+        np.array(list(reports), dtype=object),
+        [report.leading_coefficient for report in rows],
+        [report.extrapolated_coefficient for report in rows],
+        [report.relative_gap for report in rows],
+        passed,
+    )
+    _write_csv(cfg.out / "verify_report.csv",
+               "quantity,predicted,extrapolated,relative_gap,pass", columns)
+    return 0 if all(passed) else 2
 
 
 def _run_sweep(cfg: RunConfig) -> int:

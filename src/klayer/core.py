@@ -24,6 +24,7 @@ __all__ = [
     "ball_volume",
     "make_graded_grid",
     "refine_grid",
+    "radial_weights",
     "integrate_radial",
     "interpolate_monotone",
 ]
@@ -247,19 +248,21 @@ def refine_grid(grid: RadialGrid) -> RadialGrid:
     return RadialGrid(nodes=nodes, n=grid.n)
 
 
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(nodes)
-    h = np.diff(nodes)
+def radial_weights(grid: RadialGrid) -> np.ndarray:
+    """Node weights of the ball's quadrature: omega_n r^(n-1) times the
+    trapezoid weights of the nodes, so that weights @ f integrates f over
+    the ball."""
+    r = grid.nodes
+    h = np.diff(r)
+    w = np.zeros_like(r)
     w[:-1] += 0.5 * h
     w[1:] += 0.5 * h
-    return w
+    return unit_sphere_area(grid.n) * w * r ** (grid.n - 1)
 
 
 def integrate_radial(f: RadialProfile) -> float:
-    """omega_n * trapezoidal integral of r^(n-1) f(r) over [0, R]."""
-    g = f.grid
-    integrand = g.nodes ** (g.n - 1) * f.values
-    return unit_sphere_area(g.n) * float(np.trapezoid(integrand, g.nodes))
+    """The integral of f over the ball by the quadrature of radial_weights."""
+    return float(radial_weights(f.grid) @ f.values)
 
 
 def interpolate_monotone(f: RadialProfile, target: float) -> float:

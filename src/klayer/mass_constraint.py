@@ -6,12 +6,14 @@ equation, eps Lap W = (m / integral(W^p)) W^(1+p), by a Newton whose
 Jacobian is the local one plus rank one, solved by Sherman-Morrison.
 
 A domain exposes solve_constrained(params) -> (W, integral of W^p, Newton
-steps).  On a ball (RadialBallDomain) that is the radial Newton of
-radial_steady.solve_nonlocal_radial, whose local Jacobian is tridiagonal.
-The ball drives it over grids adapted to the layer: each pass rebuilds the
-grid at the sigma = eps * integral(W^p) / m the last one converged to, until
-sigma settles.  planar2d.Planar2DDomain runs the same Newton on one masked
-2D grid, with a sparse LU in place of the tridiagonal solve.
+steps), the integral taken by the one quadrature its Newton iterates with,
+so the reported constants are those the Newton closed the constraint with.
+On a ball (RadialBallDomain) that is radial_steady._newton with the weights
+core.radial_weights; its local Jacobian is tridiagonal.  The ball drives it
+over grids adapted to the layer: each pass rebuilds the grid at the
+sigma = eps * integral(W^p) / m the last one converged to, until sigma
+settles.  planar2d.Planar2DDomain runs the same Newton on one masked 2D
+grid, with a sparse LU in place of the tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -28,14 +30,15 @@ from .core import (
     ball_volume,
     integrate_radial,
     make_graded_grid,
+    radial_weights,
 )
 from .errors import NoConvergenceError
 from .radial_steady import (
+    _newton,
     barrier_lower,
     lambda_leading,
     layer_width,
     solve_local_radial,
-    solve_nonlocal_radial,
 )
 
 __all__ = [
@@ -104,8 +107,10 @@ class RadialBallDomain:
         """Solve the nonlocal problem directly; returns (W, integral of W^p,
         Newton steps).
 
-        The first pass runs solve_nonlocal_radial on grid_for(sigma0) from
-        the lower barrier at sigma0 = eps^2 * lambda_leading, the layer
+        Each pass runs the nonlocal radial Newton with the grid's
+        radial_weights, and the same weights applied to the returned profile
+        give integral(W^p).  The first pass runs on grid_for(sigma0) from the
+        lower barrier at sigma0 = eps^2 * lambda_leading, the layer
         asymptotics of sigma = eps * lambda_eps.  Each later pass rebuilds
         the grid at the sigma the previous pass converged to and starts from
         its profile, interpolated.  The passes stop when sigma moves by less
@@ -118,11 +123,10 @@ class RadialBallDomain:
         W = barrier_lower(grid.nodes, sigma, params, self.R)
         steps = 0
         for _ in range(_MAX_PASSES):
-            prof, k = solve_nonlocal_radial(params, grid, W)
+            weights = radial_weights(grid)
+            prof, k = _newton(W, None, params, grid, weights)
             steps += k
-            integral = integrate_radial(
-                RadialProfile(grid=grid, values=prof.values**params.p)
-            )
+            integral = float(weights @ prof.values**params.p)
             previous, sigma = sigma, params.epsilon * integral / params.m
             if abs(sigma - previous) < _PASS_TOL * sigma:
                 return prof, integral, steps

@@ -16,9 +16,12 @@ Shortley-Weller shortened stencil arms (the boundary crossing located by
 linear interpolation of the signed distance along the arm), a first-order
 cut treatment that keeps the operator an M-matrix.  A ring of outside nodes
 keeps every arm on the grid, and a field lives on every node, holding the
-boundary value outside.  Quadrature uses inside nodes at full weight h^2 and
-boundary cells at their inside-area fraction; MaskedGrid holds it, and its
-split into quad and held_area that the Newton reads.
+boundary value outside.  A node is an unknown only when phi < -_THETA_MIN h,
+so a node on the curve is held at b whatever the rounding sign of its phi.
+Quadrature weighs each node's cell by its inside-area fraction; MaskedGrid
+states it once, as quad over the unknowns and held_area over the nodes held
+at b, and the Newton and the reported integral(W^p) both sum it by
+_power_integral.
 
 One chord Newton (_newton_2d) solves both the local problem at a given sigma
 (solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
@@ -312,13 +315,14 @@ def _grid_coords(size: int, h: float) -> np.ndarray:
 class MaskedGrid:
     """Uniform square grid coords x coords of spacing h with an inside mask.
 
-    phi, inside and the quadrature weights are square arrays, and coords,
-    centred on 0, has one entry per row of phi.  The grid keeps a read-only
-    copy of phi, so the caller's array stays as it was.  The nodes on the
-    grid's outer edge must lie outside, so that every inside node has its
-    four neighbours on the grid.  The quadrature h^2 weights splits into
-    quad, over the inside nodes, and held_area, over the outside ones, where
-    a field holds b.
+    phi and inside are square arrays, and coords, centred on 0, has one
+    entry per row of phi.  The grid keeps a read-only copy of phi, so the
+    caller's array stays as it was.  A node is inside, an unknown, when
+    phi < -_THETA_MIN h.  The nodes on the grid's outer edge must lie
+    outside, so that every inside node has its four neighbours on the grid.
+    The cut-cell quadrature gives each node h^2 times the inside-area
+    fraction of its cell: quad holds it over the inside nodes, and
+    held_area sums it over the outside ones, where a field holds b.
     """
 
     def __init__(self, h: float, phi: np.ndarray):
@@ -329,7 +333,7 @@ class MaskedGrid:
         if self.phi.ndim != 2 or self.phi.shape[0] != self.phi.shape[1]:
             raise ValueError(f"phi shape {self.phi.shape} is not square")
         self.coords = _grid_coords(self.phi.shape[0], self.h)
-        inside = self.phi < 0.0
+        inside = self.phi < -_THETA_MIN * self.h
         if not inside.any():
             raise ValueError("grid contains no inside node")
         if inside[[0, -1], :].any() or inside[:, [0, -1]].any():
@@ -338,19 +342,14 @@ class MaskedGrid:
         # planar-interface approximation from the signed distance
         weights = np.clip(0.5 - self.phi / self.h, 0.0, 1.0)
         self.inside = inside
-        self.weights = weights
         self.quad = self.h**2 * weights[inside]
         self.held_area = self.h**2 * float(np.sum(weights[~inside]))
-        for arr in (self.coords, self.phi, self.inside, self.weights, self.quad):
+        for arr in (self.coords, self.phi, self.inside, self.quad):
             arr.flags.writeable = False
         self._operator = None
 
     def area(self) -> float:
-        return float(self.weights.sum()) * self.h**2
-
-    def integrate(self, values: np.ndarray) -> float:
-        """h^2-weighted sum with cut-cell fractions."""
-        return float(np.sum(self.weights * values)) * self.h**2
+        return float(self.quad.sum()) + self.held_area
 
     def field(self, w: np.ndarray, b: float) -> "PlanarField":
         """The field holding w on the inside nodes and b everywhere else."""
@@ -499,13 +498,19 @@ def solve_local_2d(
     return grid.field(w, params.b)
 
 
+def _power_integral(wp, b, p, quad, held_area):
+    """integral(W^p) of the field holding w over the unknowns, wp = w^p, and b
+    over held_area: sum(quad w^p) + held_area b^p."""
+    return float(np.sum(quad * wp)) + held_area * b**p
+
+
 def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
     """Chord Newton from w on sigma (L w + b bvec) = w^(1+p) over the unknowns.
 
     The 2D counterpart of radial_steady._newton.  L (csc) and bvec are the
     Laplacian over the unknowns and the load of the Dirichlet value b;
-    integral(W^p) = sum(quad w^p) + held_area b^p, held_area the measure
-    where W = b.  With sigma None, sigma = eps * integral(W^p) / m follows
+    integral(W^p) is _power_integral, held_area being the measure where
+    W = b.  With sigma None, sigma = eps * integral(W^p) / m follows
     the iterate, and the Jacobian sigma L - (1+p) diag(w^p) gains the rank
     one col (x) row, col the derivative (eps/m) (L w + b bvec) of F in sigma
     and row the gradient p quad w^(p-1) of integral(W^p); each step is
@@ -539,7 +544,6 @@ def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
     abs_diag = np.abs(L.diagonal())
     if sigma is None:
         coef = params.epsilon / params.m
-        held = held_area * b**p
 
     lu = None
     res_prev = math.inf
@@ -547,7 +551,7 @@ def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
     for steps in range(MAX_ITERS + 1):
         wp = w**p
         lap = L @ w + bvec * b
-        s = sigma if sigma is not None else coef * (float(np.sum(quad * wp)) + held)
+        s = sigma if sigma is not None else coef * _power_integral(wp, b, p, quad, held_area)
         F = s * lap - w * wp
         res = float(np.max(np.abs(F) / (s * abs_diag + (1.0 + p) * wp)))
         if res < STEP_TOL * b:
@@ -601,13 +605,13 @@ class Planar2DDomain:
 
     def solve_constrained(self, params: Params):
         """Solve the nonlocal problem directly; returns (W, integral of W^p,
-        Newton steps)."""
+        Newton steps), the integral by the quadrature the Newton iterates
+        with."""
         grid = self.grid
-        w, steps = _newton_2d(
-            self.initial, None, params, *grid.operator(), grid.quad, grid.held_area
-        )
-        W = grid.field(w, params.b)
-        return W, grid.integrate(W.values**params.p), steps
+        quad, held_area = grid.quad, grid.held_area
+        w, steps = _newton_2d(self.initial, None, params, *grid.operator(), quad, held_area)
+        integral = _power_integral(w**params.p, params.b, params.p, quad, held_area)
+        return grid.field(w, params.b), integral, steps
 
 
 def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:

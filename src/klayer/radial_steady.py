@@ -5,10 +5,11 @@ W(R) = b by Newton (_newton) on the node-centred finite volumes of the
 radial grid, sigma K W = V W^(1+p) with K the flux-difference operator over
 the grid's face conductances and V its cell volumes: at a given sigma (the
 local problem, solve_local_radial), or with sigma = eps * int W^p / m taken
-from the iterate itself (the nonlocal problem, solve_nonlocal_radial).
-evolve_radial time-steps on the same cells and solves its scheme's steady
-pair with the same Newton and K; the two nonlocal solves differ only in the
-quadrature of int W^p (trapezoid on the ball, cell volumes for the pair).
+from the iterate itself (the nonlocal problem, which the ball of
+mass_constraint and evolve_radial's steady pair each pose by calling _newton
+with their quadrature of int W^p).  evolve_radial time-steps on the same
+cells; the two nonlocal solves differ only in that quadrature
+(core.radial_weights on the ball, the cell volumes for the pair).
 Every tridiagonal solve of both modules is one call of solve_banded, the one
 tridiagonal kernel (LAPACK gtsv).  The closed-form sub/super-solutions
 bracketing the solution are exposed as barrier_lower / barrier_upper; they
@@ -23,7 +24,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import Params, RadialGrid, RadialProfile, _trapezoid_weights, unit_sphere_area
+from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
 from .errors import AxisSingularityError, NoConvergenceError
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "barrier_upper",
     "upper_barrier_sigma_max",
     "solve_local_radial",
-    "solve_nonlocal_radial",
     "boundary_slope",
 ]
 
@@ -297,21 +297,6 @@ def solve_local_radial(
     if initial is None:
         initial = barrier_lower(grid.nodes, sigma, params, grid.R)
     return _newton(initial, sigma, params, grid)[0]
-
-
-def solve_nonlocal_radial(
-    params: Params, grid: RadialGrid, initial: np.ndarray
-) -> tuple[RadialProfile, int]:
-    """Solve sigma(W) (W'' + (n-1)/r W') = W^(1+p), W'(0) = 0, W(R) = b on grid.
-
-    sigma(W) = eps * int W^p / m closes the mass constraint, so the
-    amplitude m / int W^p is no unknown of its own.  Newton from initial,
-    with the same stop and checks as solve_local_radial; returns the
-    profile and the number of Newton steps.
-    """
-    r = grid.nodes
-    weights = unit_sphere_area(grid.n) * _trapezoid_weights(r) * r ** (grid.n - 1)
-    return _newton(initial, None, params, grid, weights)
 
 
 def boundary_slope(W: RadialProfile) -> float:

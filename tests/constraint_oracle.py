@@ -16,6 +16,8 @@ stays in the certified bracket.
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from klayer.core import Params
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import NonlocalResult, solve_nonlocal
@@ -104,5 +106,7 @@ class GridLocalSolves:
         return self.grid.area()
 
     def solve_local(self, sigma, params):
-        W = solve_local_2d(sigma, params, self.grid)
-        return W, self.grid.integrate(W.values**params.p)
+        grid = self.grid
+        W = solve_local_2d(sigma, params, grid)
+        wp = W.values[grid.inside] ** params.p
+        return W, float(np.sum(grid.quad * wp)) + grid.held_area * params.b**params.p

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import exprel
 
 import klayer.evolve_radial
+import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.core import (
     Params,
@@ -15,6 +16,7 @@ from klayer.core import (
     ball_volume,
     integrate_radial,
     make_graded_grid,
+    radial_weights,
     refine_grid,
 )
 from klayer.errors import PositivityError
@@ -27,7 +29,8 @@ from klayer.evolve_radial import (
     step,
     _mass,
 )
-from klayer.radial_steady import solve_local_radial, solve_nonlocal_radial
+from klayer.mass_constraint import RadialBallDomain
+from klayer.radial_steady import solve_local_radial
 
 from constraint_oracle import illinois
 
@@ -430,25 +433,23 @@ class TestRelaxation:
 
     def test_shares_the_ball_operator(self, monkeypatch):
         # one Newton, whose bands come from the grid's cells: the pair's and
-        # the ball's nonlocal solves on one grid differ only in their
-        # quadrature weights, omega_n V for the pair
+        # the ball's nonlocal solves differ only in their quadrature weights,
+        # omega_n V for the pair and radial_weights for the ball
         calls = []
-
-        def capture(module):
-            newton = module._newton
+        newton = klayer.radial_steady._newton
+        for module in (klayer.evolve_radial, klayer.mass_constraint):
             monkeypatch.setattr(
                 module, "_newton", lambda *args, **kw: calls.append(args) or newton(*args, **kw)
             )
-
-        capture(klayer.radial_steady)
-        capture(klayer.evolve_radial)
         grid = make_graded_grid(1.0, 2, 10.0 / 63, 64)
-        ref = relax_to_discrete_steady(grid, PAR)
-        solve_nonlocal_radial(PAR, grid, ref.W)
-        pair, ball = calls
-        assert pair[3] is grid and ball[3] is grid
+        relax_to_discrete_steady(grid, PAR)
+        RadialBallDomain(R=1.0, n=2, count=64).solve_constrained(PAR)
+        pair, *ball = calls
+        assert pair[3] is grid and ball
         assert np.array_equal(pair[4], 2 * np.pi * grid.volumes)
-        assert not np.array_equal(pair[4], ball[4])
+        assert not np.array_equal(pair[4], radial_weights(grid))
+        for args in ball:
+            assert np.array_equal(args[4], radial_weights(args[3]))
 
     def test_fixed_point_to_rounding(self, small):
         grid, ref = small

@@ -3,7 +3,7 @@ import pytest
 
 import klayer.mass_constraint
 import klayer.radial_steady
-from klayer.core import Params, RadialProfile, integrate_radial
+from klayer.core import Params, RadialProfile, integrate_radial, radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
 from klayer.radial_steady import STEP_TOL, boundary_slope
@@ -55,6 +55,17 @@ class TestSolveNonlocal:
         st = result.steady
         assert abs(st.amplitude * st.lambda_eps - 1.0) <= 1e-10
         assert st.sigma == pytest.approx(PAR.epsilon * st.lambda_eps, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 8])
+    def test_reported_constants_use_the_quadrature(self, n, p):
+        # bit for bit: the constants are built from the quadrature the
+        # Newton iterates with, applied to the W it returns
+        par = Params(epsilon=4e-3, p=p, b=1, m=1, n=n)
+        st = solve_nonlocal(par, RadialBallDomain(R=1.0, n=n)).steady
+        integral = float(radial_weights(st.W.grid) @ st.W.values**p)
+        assert st.amplitude == par.m / integral
+        assert st.lambda_eps == integral / par.m
 
     def test_density_is_scaled_power(self, result):
         st = result.steady
