@@ -28,7 +28,7 @@ from .core import (
     interpolate_monotone,
     unit_sphere_area,
 )
-from .mass_constraint import RadialBallDomain, solve_nonlocal
+from .mass_constraint import solve_nonlocal
 from .radial_steady import boundary_slope, lambda_leading
 
 __all__ = [
@@ -132,8 +132,9 @@ def verify_expansion(
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 3 or not np.all(np.diff(eps) < 0):
         raise ValueError("eps_list must be decreasing with >= 3 entries")
-    domain = RadialBallDomain(R=R, n=params.n, count=count)
     c = params.b / 2.0 if level_c is None else level_c
+    # solved first, so a bad R or count is reported by the ball solve
+    steadies = [solve_nonlocal(replace(params, epsilon=float(e)), R, count).steady for e in eps]
 
     # quantity -> (measurement on a steady state, leading coefficient)
     table = {
@@ -142,21 +143,15 @@ def verify_expansion(
         "lambda_eps": (lambda st: st.lambda_eps, lambda_leading(params, R)),
         "thickness": (lambda st: measure_thickness(st.W, c), thickness_leading(c, params, R)),
     }
-    computed = {q: np.empty(eps.size) for q in QUANTITIES}
-    for i, e in enumerate(eps):
-        par = replace(params, epsilon=float(e))
-        steady = solve_nonlocal(par, domain).steady
-        for q in QUANTITIES:
-            computed[q][i] = table[q][0](steady)
-
     reports = {}
     for q in QUANTITIES:
-        coeff = table[q][1]
-        extrapolated = _fit_with_log_correction(eps, computed[q] * eps ** _EPS_POWER[q])
+        measure, coeff = table[q]
+        computed = np.array([measure(st) for st in steadies])
+        extrapolated = _fit_with_log_correction(eps, computed * eps ** _EPS_POWER[q])
         reports[q] = ExpansionReport(
             quantity=q,
             epsilons=eps,
-            computed=computed[q],
+            computed=computed,
             leading_coefficient=coeff,
             extrapolated_coefficient=extrapolated,
             relative_gap=abs(extrapolated - coeff) / abs(coeff),
@@ -201,11 +196,10 @@ def verify_p_limit(
     ps = [float(p) for p in p_list]
     if any(q <= 0 for q in ps) or any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be positive and increasing")
-    domain = RadialBallDomain(R=R, n=params_base.n, count=count)
     rows = []
     for p in ps:
         par = replace(params_base, epsilon=eps_fixed, p=p)
-        steady = solve_nonlocal(par, domain).steady
+        steady = solve_nonlocal(par, R, count).steady
         sup_gap = float(np.max(np.abs(steady.W.values - par.b)))
         frac = boundary_mass_fraction(steady, depth_fraction * R)
         rows.append((p, sup_gap, frac))

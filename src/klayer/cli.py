@@ -31,7 +31,7 @@ import numpy as np
 from . import asymptotics, evolve_radial, planar2d
 from .core import Params, make_graded_grid
 from .errors import NoCrossingError, SolverError
-from .mass_constraint import RadialBallDomain, solve_nonlocal
+from .mass_constraint import solve_nonlocal
 from .radial_steady import boundary_slope, lambda_leading, layer_width
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -284,10 +284,6 @@ def _parse_shape(text: str, R: float):
 # command implementations
 
 
-def _ball(cfg: RunConfig) -> RadialBallDomain:
-    return RadialBallDomain(R=cfg.R, n=cfg.params.n, count=cfg.grid_count)
-
-
 def _radial_report(steady, c: float) -> dict:
     """The quantities reported for a radial steady state at level c; the
     thickness is nan where W stays above c."""
@@ -306,7 +302,7 @@ def _radial_report(steady, c: float) -> dict:
 
 
 def _run_steady_radial(cfg: RunConfig) -> int:
-    res = solve_nonlocal(cfg.params, _ball(cfg))
+    res = solve_nonlocal(cfg.params, cfg.R, cfg.grid_count)
     st = res.steady
     columns = (st.W.grid.nodes, st.W.values, st.U.values)
     _write_csv(cfg.out / "steady_profile.csv", "r,W,U", columns)
@@ -421,7 +417,8 @@ def _run_sweep(cfg: RunConfig) -> int:
     p_list = cfg.p_list or (cfg.params.p,)
     rows = []
     for eps, p in sorted((eps, p) for eps in eps_list for p in p_list):
-        st = solve_nonlocal(replace(cfg.params, epsilon=eps, p=p), _ball(cfg)).steady
+        par = replace(cfg.params, epsilon=eps, p=p)
+        st = solve_nonlocal(par, cfg.R, cfg.grid_count).steady
         rows.append({"eps": eps, "p": p, **_radial_report(st, cfg.level())})
     _write_csv(cfg.out / "sweep.csv", ",".join(rows[0]), zip(*(row.values() for row in rows)))
     return 0

@@ -25,9 +25,9 @@ _power_integral.
 
 One chord Newton (_newton_2d) solves both the local problem at a given sigma
 (solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
-follows the iterate (solve_nonlocal_2d, through mass_constraint's
-solve_nonlocal).  It takes the operator and the quadrature as arrays, not a
-grid.
+follows the iterate (solve_nonlocal_2d, which starts it from
+mass_constraint's ball solve on the disk of equal area).  It takes the
+operator and the quadrature as arrays, not a grid.
 
 Layer thickness versus boundary curvature is probed at boundary samples
 evenly spaced in arclength, which the shape alone determines
@@ -47,7 +47,7 @@ from scipy.sparse.linalg import splu
 
 from .core import Params
 from .errors import NoConvergenceError
-from .mass_constraint import NonlocalResult, RadialBallDomain, solve_nonlocal
+from .mass_constraint import NonlocalResult, nonlocal_result, solve_nonlocal
 from .radial_steady import MAX_ITERS, STEP_TOL, layer_profile
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "PlanarField",
     "build_domain",
     "solve_local_2d",
-    "Planar2DDomain",
     "solve_nonlocal_2d",
     "curvature_thickness_report",
 ]
@@ -595,25 +594,6 @@ def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
     return np.minimum(w, b), steps
 
 
-class Planar2DDomain:
-    """A masked grid and the iterate (over its inside nodes) that its
-    nonlocal Newton starts from, for solve_nonlocal."""
-
-    def __init__(self, grid: MaskedGrid, initial: np.ndarray):
-        self.grid = grid
-        self.initial = initial
-
-    def solve_constrained(self, params: Params):
-        """Solve the nonlocal problem directly; returns (W, integral of W^p,
-        Newton steps), the integral by the quadrature the Newton iterates
-        with."""
-        grid = self.grid
-        quad, held_area = grid.quad, grid.held_area
-        w, steps = _newton_2d(self.initial, None, params, *grid.operator(), quad, held_area)
-        integral = _power_integral(w**params.p, params.b, params.p, quad, held_area)
-        return grid.field(w, params.b), integral, steps
-
-
 def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
     """Nonlocal solve on a masked 2D grid by the direct Newton of _newton_2d.
 
@@ -625,9 +605,12 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
     README ellipse and the star.
     """
     R_eq = math.sqrt(grid.area() / math.pi)
-    disk = solve_nonlocal(replace(params, n=2), RadialBallDomain(R=R_eq, n=2)).steady.W
+    disk = solve_nonlocal(replace(params, n=2), R_eq).steady.W
     initial = np.interp(R_eq + grid.phi[grid.inside], disk.grid.nodes, disk.values)
-    return solve_nonlocal(params, Planar2DDomain(grid, initial))
+    quad, held_area = grid.quad, grid.held_area
+    w, steps = _newton_2d(initial, None, params, *grid.operator(), quad, held_area)
+    integral = _power_integral(w**params.p, params.b, params.p, quad, held_area)
+    return nonlocal_result(params, grid.field(w, params.b), integral, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ W(R) = b by Newton (_newton) on the node-centred finite volumes of the
 radial grid, sigma K W = V W^(1+p) with K the flux-difference operator over
 the grid's face conductances and V its cell volumes: at a given sigma (the
 local problem, solve_local_radial), or with sigma = eps * int W^p / m taken
-from the iterate itself (the nonlocal problem, which the ball of
-mass_constraint and evolve_radial's steady pair each pose by calling _newton
-with their quadrature of int W^p).  evolve_radial time-steps on the same
+from the iterate itself (the nonlocal problem, which mass_constraint's ball
+solve and evolve_radial's steady pair each pose by calling _newton with
+their quadrature of int W^p).  evolve_radial time-steps on the same
 cells; the two nonlocal solves differ only in that quadrature
 (core.radial_weights on the ball, the cell volumes for the pair).
 Every tridiagonal solve of both modules is one call of solve_banded, the one

@@ -3,8 +3,9 @@ independent oracle for the direct nonlocal Newtons of the ball and the 2D
 grid.
 
 On a domain exposing volume() and solve_local(sigma, params) -> (W, integral
-of W^p), the map g(lam) = lam * integral(W_lam^p) is continuous and strictly
-increasing, so the constrained amplitude is the unique root of g(lam) = m.
+of W^p), as BallLocalSolves and GridLocalSolves do, the map
+g(lam) = lam * integral(W_lam^p) is continuous and strictly increasing, so
+the constrained amplitude is the unique root of g(lam) = m.
 Its certified floor is m / (b^p |Omega|), where W <= b forces g <= m.  The
 bracket is found by doubling from the floor until g crosses m; inside it the
 root is refined by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on
@@ -18,10 +19,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from klayer.core import Params
+from klayer.core import Params, RadialProfile, ball_volume, integrate_radial
 from klayer.errors import NoConvergenceError
-from klayer.mass_constraint import NonlocalResult, solve_nonlocal
+from klayer.mass_constraint import NonlocalResult, ball_grid, nonlocal_result
 from klayer.planar2d import solve_local_2d
+from klayer.radial_steady import solve_local_radial
 
 MAX_DOUBLINGS = 128
 MAX_EVALS = 400
@@ -37,7 +39,7 @@ def constraint_value(lam: float, params: Params, domain) -> float:
 
 def illinois(params: Params, domain, tol_rel: float = 1e-8) -> NonlocalResult:
     """Root of g(lam) = m to |g - m| / m < tol_rel, built into the steady
-    pair by solve_nonlocal; bisection_iters counts the evaluations of g and
+    pair by nonlocal_result; bisection_iters counts the evaluations of g and
     constraint_residual is |g - m| / m at the accepted amplitude."""
     if tol_rel <= 0:
         raise ValueError(f"tol_rel must be positive, got {tol_rel}")
@@ -88,11 +90,23 @@ def illinois(params: Params, domain, tol_rel: float = 1e-8) -> NonlocalResult:
                     f_hi *= 0.5
                 side = 1
 
-    class Root:
-        def solve_constrained(self, _params):
-            return W, integral, iters
+    return replace(nonlocal_result(params, W, integral, iters), constraint_residual=abs(g - m) / m)
 
-    return replace(solve_nonlocal(params, Root()), constraint_residual=abs(g - m) / m)
+
+class BallLocalSolves:
+    """The local problems of the ball B_R, each solved on the grid of count
+    nodes that the nonlocal ball solve adapts to its sigma (ball_grid)."""
+
+    def __init__(self, R, n, count=2500):
+        self.R, self.n, self.count = R, n, count
+
+    def volume(self):
+        return ball_volume(self.R, self.n)
+
+    def solve_local(self, sigma, params):
+        grid = ball_grid(sigma, params, self.R, self.count)
+        W = solve_local_radial(sigma, params, grid)
+        return W, integrate_radial(RadialProfile(grid=grid, values=W.values**params.p))
 
 
 class GridLocalSolves:

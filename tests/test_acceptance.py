@@ -49,7 +49,7 @@ from klayer.evolve_radial import (
     fit_decay_rate,
     relax_to_discrete_steady,
 )
-from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
+from klayer.mass_constraint import solve_nonlocal
 from klayer.planar2d import (
     Disk,
     Ellipse,
@@ -141,11 +141,10 @@ def p_limit_exact(p, eps, R, b, m, depth):
 def disk_sweep():
     """Unit-disk nonlocal solves over the acceptance eps sweep."""
     t0 = time.perf_counter()
-    dom = RadialBallDomain(R=1.0, n=2, count=3000)
     solves = []
     for eps in EPS_SWEEP:
         par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-        solves.append((par, solve_nonlocal(par, dom).steady))
+        solves.append((par, solve_nonlocal(par, 1.0, 3000).steady))
     return solves, time.perf_counter() - t0
 
 
@@ -361,8 +360,7 @@ def test_gate_08_planar_vs_radial_oracle():
     par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
     grid = build_domain(Disk(1.0), 0.005)
     res2 = solve_nonlocal_2d(par, grid)
-    dom = RadialBallDomain(R=1.0, n=2, count=3000)
-    res1 = solve_nonlocal(par, dom)
+    res1 = solve_nonlocal(par, 1.0, 3000)
     lam_gap = abs(res2.steady.lambda_eps - res1.steady.lambda_eps) / res1.steady.lambda_eps
 
     iy0 = int(np.argmin(np.abs(grid.coords)))

@@ -19,7 +19,7 @@ from klayer.asymptotics import (
 )
 from klayer.core import Params, RadialProfile, make_graded_grid, unit_sphere_area
 from klayer.errors import NoCrossingError
-from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
+from klayer.mass_constraint import solve_nonlocal
 from klayer.radial_steady import barrier_lower, lambda_leading, layer_profile_constant
 
 DISK = Params(epsilon=1e-3, p=2, b=1, m=1, n=2)
@@ -163,11 +163,10 @@ class TestExpansionReport:
 
 @pytest.fixture(scope="module")
 def sweep():
-    dom = RadialBallDomain(R=1.0, n=2, count=2000)
     out = []
     for eps in (4e-3, 2e-3):
         par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-        out.append((par, solve_nonlocal(par, dom).steady))
+        out.append((par, solve_nonlocal(par, 1.0, 2000).steady))
     return out
 
 
@@ -203,13 +202,12 @@ class TestVerifyExpansionCoarse:
 
     def test_radius_from_one_input(self):
         # the ball is built from R and count alone: at R = 2 the lambda_eps
-        # row is the solve on RadialBallDomain(R=2)
+        # row is the solve on the ball of R = 2
         eps = [2e-2, 1.4e-2, 1e-2]
         reports = verify_expansion(DISK, 2.0, eps, count=1500)
-        ball = RadialBallDomain(R=2.0, n=2, count=1500)
         for e, lam in zip(eps, reports["lambda_eps"].computed):
             par = Params(epsilon=e, p=2, b=1, m=1, n=2)
-            assert lam == solve_nonlocal(par, ball).steady.lambda_eps
+            assert lam == solve_nonlocal(par, 2.0, 1500).steady.lambda_eps
 
 
 class TestPLimit:
@@ -232,6 +230,15 @@ class TestPLimit:
         st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
         got = boundary_mass_fraction(st, 0.1)
         assert got == pytest.approx(1.0 - 0.81, rel=1e-6)
+
+
+@pytest.mark.parametrize("count", [1, 15, 2.5])
+def test_ball_count_checked(count):
+    # count 1 used to raise ZeroDivisionError through both sweeps
+    with pytest.raises(ValueError, match="count must be an integer >= 16"):
+        verify_expansion(DISK, 1.0, [2e-2, 1.4e-2, 1e-2], count=count)
+    with pytest.raises(ValueError, match="count must be an integer >= 16"):
+        verify_p_limit(DISK, 1.0, [2.0, 4.0], 0.1, count=count)
 
 
 class TestLayerEnvelope:

@@ -29,7 +29,7 @@ from klayer.evolve_radial import (
     step,
     _mass,
 )
-from klayer.mass_constraint import RadialBallDomain
+from klayer.mass_constraint import solve_nonlocal
 from klayer.radial_steady import solve_local_radial
 
 from constraint_oracle import illinois
@@ -443,7 +443,7 @@ class TestRelaxation:
             )
         grid = make_graded_grid(1.0, 2, 10.0 / 63, 64)
         relax_to_discrete_steady(grid, PAR)
-        RadialBallDomain(R=1.0, n=2, count=64).solve_constrained(PAR)
+        solve_nonlocal(PAR, 1.0, 64)
         pair, *ball = calls
         assert pair[3] is grid and ball
         assert np.array_equal(pair[4], 2 * np.pi * grid.volumes)

@@ -5,22 +5,22 @@ import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.core import Params, RadialProfile, integrate_radial, radial_weights
 from klayer.errors import NoConvergenceError
-from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
+from klayer.mass_constraint import ball_grid, solve_nonlocal
 from klayer.radial_steady import STEP_TOL, boundary_slope
 
-from constraint_oracle import constraint_value, illinois
+from constraint_oracle import BallLocalSolves, constraint_value, illinois
 
 PAR = Params(epsilon=2e-3, p=2, b=1, m=1, n=2)
 
 
 @pytest.fixture(scope="module")
 def domain():
-    return RadialBallDomain(R=1.0, n=2, count=2000)
+    return BallLocalSolves(R=1.0, n=2, count=2000)
 
 
 @pytest.fixture(scope="module")
-def result(domain):
-    return solve_nonlocal(PAR, domain)
+def result():
+    return solve_nonlocal(PAR, 1.0, 2000)
 
 
 class TestConstraintValue:
@@ -62,7 +62,7 @@ class TestSolveNonlocal:
         # bit for bit: the constants are built from the quadrature the
         # Newton iterates with, applied to the W it returns
         par = Params(epsilon=4e-3, p=p, b=1, m=1, n=n)
-        st = solve_nonlocal(par, RadialBallDomain(R=1.0, n=n)).steady
+        st = solve_nonlocal(par, 1.0).steady
         integral = float(radial_weights(st.W.grid) @ st.W.values**p)
         assert st.amplitude == par.m / integral
         assert st.lambda_eps == integral / par.m
@@ -94,11 +94,11 @@ class TestSolveNonlocal:
         _, integral = domain.solve_local(PAR.epsilon / lam, PAR)
         assert abs(lam * integral - PAR.m) / PAR.m < 2e-8
 
-    def test_lambda_eps_ratio_bounded_over_sweep(self, domain):
+    def test_lambda_eps_ratio_bounded_over_sweep(self):
         ratios = []
         for eps in (4e-3, 2e-3, 1e-3):
             par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-            st = solve_nonlocal(par, domain).steady
+            st = solve_nonlocal(par, 1.0, 2000).steady
             ratios.append(st.lambda_eps / eps)
         assert max(ratios) / min(ratios) < 1.3
         assert all(30 < r < 200 for r in ratios)
@@ -112,7 +112,18 @@ class TestSolveNonlocal:
 def test_ball_radius_checked(R):
     # NaN compares False with everything, so R <= 0 alone lets it through
     with pytest.raises(ValueError, match="R must be positive"):
-        RadialBallDomain(R=R, n=2)
+        solve_nonlocal(PAR, R)
+
+
+@pytest.mark.parametrize("count", [1, 15, 2.5])
+def test_ball_count_checked(count, monkeypatch):
+    # count 1 used to divide by zero in the boundary spacing, and 2.5 was
+    # truncated to 2; both are rejected before any grid is built
+    built = []
+    monkeypatch.setattr(klayer.mass_constraint, "make_graded_grid", lambda *a: built.append(a))
+    with pytest.raises(ValueError, match="count must be an integer >= 16"):
+        solve_nonlocal(PAR, 1.0, count)
+    assert built == []
 
 
 class _Stub:
@@ -194,8 +205,8 @@ class TestIllinois:
 
     def test_matches_plain_bisection_on_disk(self):
         par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
-        dom = RadialBallDomain(R=1.0, n=2, count=2500)
-        res = solve_nonlocal(par, dom)
+        dom = BallLocalSolves(R=1.0, n=2, count=2500)
+        res = solve_nonlocal(par, 1.0, 2500)
         lam_lo = par.m / (par.b**par.p * dom.volume())
         lam_ref, _ = plain_bisection(
             lambda lam: constraint_value(lam, par, dom), lam_lo, par.m, 1e-8
@@ -249,8 +260,8 @@ class TestDirectRadial:
     @pytest.mark.parametrize("n, p, b, eps", DIRECT_CASES)
     def test_matches_illinois_over_local_solves(self, n, p, b, eps):
         par = Params(epsilon=eps, p=p, b=b, m=1, n=n)
-        ball = RadialBallDomain(R=1.0, n=n)
-        res = solve_nonlocal(par, ball)
+        ball = BallLocalSolves(R=1.0, n=n)
+        res = solve_nonlocal(par, 1.0)
         ref = illinois(par, ball, tol_rel=1e-11)
         st, st_ref = res.steady, ref.steady
         W = st.W.values
@@ -266,7 +277,7 @@ class TestDirectRadial:
                 boundary_slope(st_ref.W), rel=2e-7
             )
         # W lives on the grid adapted to its own sigma (measured 1.7e-11)
-        nodes = ball.grid_for(st.sigma, par).nodes
+        nodes = ball_grid(st.sigma, par, 1.0, 2500).nodes
         assert np.max(np.abs(st.W.grid.nodes - nodes)) <= 1e-10
         # W solves sigma K W = V W^(1+p) on the finite volumes with
         # sigma = eps int W^p / m taken from W itself, to the Newton stop
@@ -280,7 +291,7 @@ class TestDirectRadial:
         jd = (sigma * di - (1.0 + p) * V * W**p)[:-1]
         assert np.max(np.abs(F / jd)) <= STEP_TOL * b
         assert W[-1] == b and np.all(W > 0) and np.all(W <= b)
-        again = solve_nonlocal(par, ball).steady
+        again = solve_nonlocal(par, 1.0).steady
         assert again.W.values.tobytes() == W.tobytes()
         assert again.lambda_eps == st.lambda_eps
 
@@ -299,22 +310,22 @@ class TestDirectRadial:
             for p in (2, 4):
                 calls.clear()
                 par = Params(epsilon=eps, p=p, b=1, m=1, n=2)
-                res = solve_nonlocal(par, RadialBallDomain(R=1.0, n=2))
+                res = solve_nonlocal(par, 1.0)
                 assert res.bisection_iters == len(calls) <= 7
 
     def test_pass_cap(self, monkeypatch):
         # the first pass always moves sigma off its asymptotic start
         monkeypatch.setattr(klayer.mass_constraint, "_MAX_PASSES", 1)
         with pytest.raises(NoConvergenceError):
-            solve_nonlocal(PAR, RadialBallDomain(R=1.0, n=2))
+            solve_nonlocal(PAR, 1.0)
 
     def test_scaled_stop_regression(self):
         # W^(1+p) <= 0.5^41 = 4.5e-13 here, below the absolute residual
         # bound of 1e-10 that the local solve used to stop on: Illinois over
         # those local solves returned 1.5104e-13, 13.6 % low
         par = Params(epsilon=0.1, p=40, b=0.5, m=1, n=2)
-        ball = RadialBallDomain(R=1.0, n=2)
+        ball = BallLocalSolves(R=1.0, n=2)
         ref = illinois(par, ball, tol_rel=1e-10)
         assert ref.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
-        direct = solve_nonlocal(par, ball)
+        direct = solve_nonlocal(par, 1.0)
         assert direct.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)

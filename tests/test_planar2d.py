@@ -8,7 +8,7 @@ from klayer import planar2d
 from klayer.core import Params, make_graded_grid, unit_sphere_area
 from klayer.errors import NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady
-from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
+from klayer.mass_constraint import solve_nonlocal
 from klayer.planar2d import (
     Disk,
     Ellipse,
@@ -71,8 +71,7 @@ def disk_samples():
 
 @pytest.fixture(scope="module")
 def radial_reference():
-    dom = RadialBallDomain(R=1.0, n=2, count=3000)
-    return solve_nonlocal(PAR, dom)
+    return solve_nonlocal(PAR, 1.0, 3000)
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +513,29 @@ class TestNonlocal2D:
         res = solve_nonlocal_2d(PAR, grid)
         assert res.constraint_residual < 1e-8
         assert len(count) == 1
+
+    @pytest.mark.parametrize("shape", SHAPES[:3], ids=SHAPE_IDS[:3])
+    def test_one_ball_solve_seeds_one_newton(self, shape, monkeypatch):
+        # the disk of equal area is solved once, in the plane, and the 2D
+        # Newton it seeds is the whole nonlocal solve
+        grid = build_domain(shape, 0.05)
+        balls, newtons = [], []
+        ball, newton = planar2d.solve_nonlocal, planar2d._newton_2d
+
+        def ball_solve(params, R, *args):
+            balls.append((params.n, R))
+            return ball(params, R, *args)
+
+        def newton_2d(*args):
+            w, steps = newton(*args)
+            newtons.append(steps)
+            return w, steps
+
+        monkeypatch.setattr(planar2d, "solve_nonlocal", ball_solve)
+        monkeypatch.setattr(planar2d, "_newton_2d", newton_2d)
+        res = solve_nonlocal_2d(Params(epsilon=0.05, p=2, b=1, m=1, n=3), grid)
+        assert balls == [(2, np.sqrt(grid.area() / np.pi))]
+        assert len(newtons) == 1 and res.bisection_iters == newtons[0]
 
     def test_ignores_dimension_parameter(self, disk_grid, disk_nonlocal):
         # the 2D solver and its disk seed are planar whatever params.n says

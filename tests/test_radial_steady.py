@@ -6,7 +6,7 @@ from klayer.cli import RunConfig, _evolve_grid
 from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady, step
-from klayer.mass_constraint import RadialBallDomain, solve_nonlocal
+from klayer.mass_constraint import ball_grid, solve_nonlocal
 import klayer.radial_steady
 from klayer.radial_steady import (
     barrier_lower,
@@ -160,7 +160,7 @@ class TestNewtonStop:
         # moves W by at most 1e-10 b (measured 5e-14 to 1.9e-12 b)
         par = Params(epsilon=eps, p=p, b=b, m=1, n=n)
         sigma = eps * lam
-        grid = RadialBallDomain(R=1.0, n=n).grid_for(sigma, par)
+        grid = ball_grid(sigma, par, 1.0, 2500)
         W = solve_local_radial(sigma, par, grid).values
         lo, di, up, V = fv_operator(grid)
         dW = np.diff(W)
@@ -366,7 +366,7 @@ class TestSolveBandedPaths:
 
     @staticmethod
     def ball_run():
-        res = solve_nonlocal(Params(epsilon=0.004, p=2, b=1, m=1, n=2), RadialBallDomain(R=1.0, n=2))
+        res = solve_nonlocal(Params(epsilon=0.004, p=2, b=1, m=1, n=2), 1.0)
         return res.steady.W.values.tobytes(), res.steady.lambda_eps
 
     @pytest.mark.parametrize(
