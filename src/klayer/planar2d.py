@@ -29,6 +29,16 @@ follows the iterate (solve_nonlocal_2d, which starts it from
 mass_constraint's ball solve on the disk of equal area).  It takes the
 operator and the quadrature as arrays, not a grid.
 
+The steady state is unique, so on a grid whose phi equals its flip along an
+axis it has that mirror symmetry too.  Every shape states its mirrors
+(mirrors()), build_domain makes phi exactly symmetric under them, and both
+solves run the Newton on one representative node per mirror orbit
+(_mirror_fold): the operator's columns are summed over each orbit, its rows
+and bvec taken at the representatives, quad summed over each orbit, and the
+solution unfolded onto every node.  The disk and the ellipse fold to about
+a quarter of the unknowns, the star to a half (a quarter for even k); a grid
+without an exact mirror is its own fold, one orbit per node.
+
 Layer thickness versus boundary curvature is probed at boundary samples
 evenly spaced in arclength, which the shape alone determines
 (boundary_samples), by marching inward along their normals until the
@@ -147,6 +157,11 @@ class Ellipse(_Curve):
     def inside(self, x, y):
         return (x / self.a) ** 2 + (y / self.b) ** 2 < 1.0
 
+    def mirrors(self) -> tuple:
+        """The axes of phi under whose flip the shape is symmetric: axis 0
+        is x -> -x and axis 1 is y -> -y."""
+        return (0, 1)
+
 
 class Disk(Ellipse):
     """The ellipse of equal semi-axes R, with the exact signed distance."""
@@ -209,6 +224,11 @@ class Star(_Curve):
 
     def inside(self, x, y):
         return np.hypot(x, y) < self.radius(np.arctan2(y, x))
+
+    def mirrors(self) -> tuple:
+        """y -> -y (axis 1) always; x -> -x (axis 0) for even k, since
+        cos k(pi - theta) = (-1)^k cos k theta."""
+        return (0, 1) if self.k % 2 == 0 else (1,)
 
 
 def _arclength(shape):
@@ -407,7 +427,13 @@ def _assemble_cut_laplacian(grid: MaskedGrid):
 
 def build_domain(shape, h: float) -> MaskedGrid:
     """The masked grid of spacing h over shape, its square reaching PAD_CELLS
-    cells beyond the shape's extent."""
+    cells beyond the shape's extent.
+
+    On each axis of shape.mirrors() the lower half of phi is copied onto the
+    upper half, so phi equals its flip exactly and the fold of _mirror_fold
+    applies; the mirror image of a curve point is a curve point, so phi keeps
+    the accuracy the module docstring states.
+    """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("h must be positive")
     if shape.min_feature() < 8 * h:
@@ -416,7 +442,43 @@ def build_domain(shape, h: float) -> MaskedGrid:
             "fewer than 8 cells"
         )
     n_side = int(math.ceil(2 * (shape.extent() + PAD_CELLS * h) / h))
-    return MaskedGrid(h, shape.signed_distance(_grid_coords(n_side + 1, h), h))
+    phi = shape.signed_distance(_grid_coords(n_side + 1, h), h)
+    for axis in shape.mirrors():
+        upper = (slice(None),) * axis + (slice((phi.shape[axis] + 1) // 2, None),)
+        phi[upper] = np.flip(phi, axis)[upper]
+    return MaskedGrid(h, phi)
+
+
+def _mirror_fold(grid: MaskedGrid):
+    """The cut-cell system on one representative node per mirror orbit.
+
+    An axis of phi along which np.flip leaves phi exactly as it is maps the
+    mask, the quadrature and every Shortley-Weller coefficient onto
+    themselves, so the solution, which is unique, is symmetric under it.  A
+    node's representative is the least unknown index over its images under
+    these flips (itself alone when there are none).  Returns (reps, orbit,
+    system): reps, the representatives' indices, ascending; orbit, the
+    position in reps of each unknown's representative, so w[orbit] unfolds
+    a folded w; and system = (L[reps] E, bvec[reps], quad summed over each
+    orbit, held_area), the arguments of _newton_2d after sigma and params,
+    E[k, orbit[k]] = 1.  Folding keeps the row sums and off-diagonal signs,
+    and a node whose image is its own neighbour moves that arm onto the
+    diagonal, which stays negative, so _newton_2d's precondition holds.
+    """
+    inside = grid.inside
+    count = int(inside.sum())
+    rep = np.full(inside.shape, -1)
+    rep[inside] = np.arange(count)
+    for axis in (0, 1):
+        if np.array_equal(np.flip(grid.phi, axis), grid.phi):
+            rep = np.minimum(rep, np.flip(rep, axis))
+    reps, orbit = np.unique(rep[inside], return_inverse=True)
+    L, bvec = grid.operator()
+    E = sparse.csc_matrix((np.ones(count), (np.arange(count), orbit)), shape=(count, reps.size))
+    # row-selected as csr, whose conversion to csc sorts each column as L's
+    L_f = sparse.csc_matrix(L.tocsr()[reps] @ E)
+    quad = np.bincount(orbit, weights=grid.quad)
+    return reps, orbit, (L_f, bvec[reps], quad, grid.held_area)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +542,11 @@ def solve_local_2d(
 ) -> PlanarField:
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
 
-    Newton (see _newton_2d) starts from the distance-based layer profile
-    radial_steady.layer_profile at the depth -phi below the boundary, unless
-    an initial iterate over the inside nodes, of shape (N_inside,), is given.
+    Newton (see _newton_2d) runs on the mirror orbits of _mirror_fold.  It
+    starts from the distance-based layer profile radial_steady.layer_profile
+    at the depth -phi below the boundary, unless an initial iterate over the
+    inside nodes, of shape (N_inside,), is given; of that iterate only the
+    orbit representatives' entries are read.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -493,8 +557,9 @@ def solve_local_2d(
         w = np.asarray(initial, dtype=float)
         if w.shape != (int(inside.sum()),):
             raise ValueError("initial iterate has wrong shape")
-    w, _ = _newton_2d(w, sigma, params, *grid.operator(), grid.quad, grid.held_area)
-    return grid.field(w, params.b)
+    reps, orbit, system = _mirror_fold(grid)
+    w, _ = _newton_2d(w[reps], sigma, params, *system)
+    return grid.field(w[orbit], params.b)
 
 
 def _power_integral(wp, b, p, quad, held_area):
@@ -517,11 +582,12 @@ def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
     while full steps keep the scaled residual contracting by at least 0.3
     (the reaction diagonal and sigma move slowly), and refactorised
     otherwise.  With sigma None, both right-hand sides of a step go to one
-    two-column back-solve.  On the README ellipse at h = 0.01 (31 416
-    unknowns, a 2-vCPU host) its median took 3.3-6.0 ms against 4.3-7.3 ms
-    for two one-column solves, over 4 runs of 100, with CPU time equal to
-    wall time (no thread started), and it gave the same bits.  Inner
-    products are elementwise sums, not BLAS dot products.
+    two-column back-solve.  On the README ellipse at h = 0.01 (the full
+    31 416-unknown operator, before the mirror fold; a 2-vCPU host) its
+    median took 3.3-6.0 ms against 4.3-7.3 ms for two one-column solves,
+    over 4 runs of 100, with CPU time equal to wall time (no thread
+    started), and it gave the same bits.  Inner products are elementwise
+    sums, not BLAS dot products.
 
     L must have a negative diagonal, non-negative off-diagonals, non-positive
     row sums and a structurally symmetric pattern, as MaskedGrid's
@@ -606,10 +672,11 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
     """
     R_eq = math.sqrt(grid.area() / math.pi)
     disk = solve_nonlocal(replace(params, n=2), R_eq).steady.W
-    initial = np.interp(R_eq + grid.phi[grid.inside], disk.grid.nodes, disk.values)
-    quad, held_area = grid.quad, grid.held_area
-    w, steps = _newton_2d(initial, None, params, *grid.operator(), quad, held_area)
-    integral = _power_integral(w**params.p, params.b, params.p, quad, held_area)
+    reps, orbit, system = _mirror_fold(grid)
+    initial = np.interp(R_eq + grid.phi[grid.inside][reps], disk.grid.nodes, disk.values)
+    w, steps = _newton_2d(initial, None, params, *system)
+    w = w[orbit]
+    integral = _power_integral(w**params.p, params.b, params.p, grid.quad, grid.held_area)
     return nonlocal_result(params, grid.field(w, params.b), integral, steps)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -559,6 +561,155 @@ class TestNonlocal2D:
             lams[h] = solve_nonlocal_2d(PAR, grid).steady.lambda_eps
         rel_change = abs(lams[0.04] - lams[0.02]) / lams[0.02]
         assert rel_change < 10 * 0.04  # O(h) cut-cell boundary
+
+
+SYMMETRIC_SHAPES = SHAPES + [Star(1.0, 0.15, 4)]
+SYMMETRIC_IDS = SHAPE_IDS + ["star-k4"]
+
+
+class TestMirrors:
+    """Each shape declares the flips of phi (axis 0: x -> -x, axis 1:
+    y -> -y) that map it onto itself, and build_domain makes phi exactly
+    symmetric under them."""
+
+    @pytest.mark.parametrize("shape", SYMMETRIC_SHAPES, ids=SYMMETRIC_IDS)
+    def test_declared_mirrors_are_the_shape_symmetries(self, shape):
+        rng = np.random.default_rng(3)
+        extent = shape.extent()
+        x, y = rng.uniform(-1.2 * extent, 1.2 * extent, size=(2, 20000))
+        t = rng.uniform(0.0, 2.0 * np.pi, 2000)
+        cx, cy = shape.curve(t)
+        inside = shape.inside(x, y)
+        for axis, image, t_image in ((0, (-x, y), np.pi - t), (1, (x, -y), -t)):
+            same = inside == shape.inside(*image)
+            if axis in shape.mirrors():
+                assert np.all(same)
+                # the image of curve(t) is curve(pi - t) or curve(-t)
+                mx, my = (-cx, cy) if axis == 0 else (cx, -cy)
+                ix, iy = shape.curve(t_image)
+                np.testing.assert_allclose(ix, mx, rtol=0, atol=1e-15 * extent)
+                np.testing.assert_allclose(iy, my, rtol=0, atol=1e-15 * extent)
+            else:
+                # only the odd star lacks a declared mirror, and it is not one
+                assert isinstance(shape, Star) and shape.k % 2 == 1 and axis == 0
+                assert not np.all(same)
+
+    @pytest.mark.parametrize("shape", SYMMETRIC_SHAPES, ids=SYMMETRIC_IDS)
+    def test_built_phi_equals_its_flip(self, shape):
+        phi = build_domain(shape, 0.03).phi
+        for axis in shape.mirrors():
+            assert np.array_equal(np.flip(phi, axis), phi)
+
+
+def full_system_newton(params, grid, sigma=None):
+    """The oracle for the mirror fold: _newton_2d on the full, unfolded
+    operator of the grid, from the start the solve functions take (the
+    equal-area disk seed for the nonlocal problem, the layer profile at a
+    given sigma)."""
+    if sigma is None:
+        R_eq = np.sqrt(grid.area() / np.pi)
+        W = solve_nonlocal(replace(params, n=2), R_eq).steady.W
+        start = np.interp(R_eq + grid.phi[grid.inside], W.grid.nodes, W.values)
+    else:
+        start = layer_profile(-grid.phi[grid.inside], sigma, params)
+    return planar2d._newton_2d(
+        start, sigma, params, *grid.operator(), grid.quad, grid.held_area
+    )
+
+
+class TestMirrorFold:
+    """The 2D Newton runs on one node per mirror orbit (_mirror_fold)."""
+
+    FOLD_SHAPES = [Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), Disk(1.0),
+                   Star(1.0, 0.15, 5), Star(1.0, 0.15, 4)]
+    FOLD_IDS = ["ellipse", "disk", "star-k5", "star-k4"]
+
+    @pytest.mark.parametrize("h", [0.05, 0.02])
+    @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=FOLD_IDS)
+    def test_folded_operator_meets_the_newton_precondition(self, shape, h):
+        grid = build_domain(shape, h)
+        reps, orbit, (L, bvec, quad, held_area) = planar2d._mirror_fold(grid)
+        mirrors = len(shape.mirrors())
+        # each orbit holds at most 2^mirrors nodes, and its representative
+        assert reps.size >= grid.quad.size / 2**mirrors
+        assert np.array_equal(orbit[reps], np.arange(reps.size))
+        assert np.all(reps[orbit] <= np.arange(orbit.size))
+        diag = L.diagonal()
+        off = L - sparse.diags(diag)
+        assert np.all(diag < 0)
+        assert off.min() >= 0
+        # non-positive row sums, to rounding: where the arm of a neighbouring
+        # mirror image moves onto the diagonal, -3/h^2 and three arms of
+        # 1/h^2 cancel to 1.4e-16 |L_ii| (measured, the ellipse at h = 0.05)
+        assert np.max(np.asarray(L.sum(axis=1)).ravel() / np.abs(diag)) <= 1e-15
+        pattern = (L != 0).astype(np.int8)
+        assert (pattern != pattern.T).nnz == 0
+        assert np.array_equal(bvec, grid.operator()[1][reps])
+        assert quad.sum() == pytest.approx(grid.quad.sum(), rel=1e-14)
+        assert held_area == grid.held_area
+
+    @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=FOLD_IDS)
+    def test_matches_the_full_system(self, shape, monkeypatch):
+        # measured at most 1.8e-15 b in W and 2.5e-15 in lambda_eps, far
+        # below the Newton's own stop error; the step counts match
+        grid = build_domain(shape, 0.02)
+        res = solve_nonlocal_2d(PAR, grid)
+        w_ref, steps_ref = full_system_newton(PAR, grid)
+        st = res.steady
+        assert res.bisection_iters == steps_ref
+        assert np.max(np.abs(st.W.values[grid.inside] - w_ref)) <= 1e-14 * PAR.b
+        integral = float(np.sum(grid.quad * w_ref**PAR.p)) + grid.held_area * PAR.b**PAR.p
+        assert st.lambda_eps == pytest.approx(integral / PAR.m, rel=1e-14)
+
+        # the local problem at the solution's sigma, cold from the layer
+        # profile.  On a grid of even size a node whose mirror is its
+        # neighbour folds that arm onto the diagonal, so its scaled residual
+        # is read against a smaller |L_ii| and the folded stop is never the
+        # looser one: it may take one step more, and then the oracle is the
+        # less converged of the two (measured 2.9e-11 b apart on the star
+        # k = 4, in 15 against 14 steps)
+        steps = []
+        newton = planar2d._newton_2d
+
+        def counting(*args):
+            w, k = newton(*args)
+            steps.append(k)
+            return w, k
+
+        monkeypatch.setattr(planar2d, "_newton_2d", counting)
+        W = solve_local_2d(st.sigma, PAR, grid)
+        monkeypatch.undo()
+        w_ref, steps_ref = full_system_newton(PAR, grid, st.sigma)
+        reps, _, (L, *_) = planar2d._mirror_fold(grid)
+        extra = steps[0] - steps_ref
+        if np.array_equal(L.diagonal(), grid.operator()[0].diagonal()[reps]):
+            assert extra == 0
+        assert extra in (0, 1)
+        bound = 1e-14 if extra == 0 else 1e-10
+        assert np.max(np.abs(W.values[grid.inside] - w_ref)) <= bound * PAR.b
+
+    def test_asymmetric_grid_is_not_folded(self):
+        # a disk off the grid's centre: no flip leaves phi as it is, so each
+        # node is its own orbit and the solves give the full system's bits
+        h = 0.05
+        coords = planar2d._grid_coords(49, h)
+        X, Y = np.meshgrid(coords, coords, indexing="ij")
+        grid = MaskedGrid(h, np.hypot(X - 0.13, Y + 0.07) - 0.9)
+        count = grid.quad.size
+        reps, orbit, (L, bvec, quad, held_area) = planar2d._mirror_fold(grid)
+        assert np.array_equal(reps, np.arange(count))
+        assert np.array_equal(orbit, np.arange(count))
+        full_L, full_bvec = grid.operator()
+        for a, b in ((L.indptr, full_L.indptr), (L.indices, full_L.indices),
+                     (L.data, full_L.data), (bvec, full_bvec), (quad, grid.quad)):
+            assert np.array_equal(a, b)
+        res = solve_nonlocal_2d(PAR, grid)
+        w_ref, steps_ref = full_system_newton(PAR, grid)
+        assert res.bisection_iters == steps_ref
+        assert np.array_equal(res.steady.W.values[grid.inside], w_ref)
+        W = solve_local_2d(res.steady.sigma, PAR, grid)
+        w_ref, _ = full_system_newton(PAR, grid, res.steady.sigma)
+        assert np.array_equal(W.values[grid.inside], w_ref)
 
 
 def ball_operator(grid):
