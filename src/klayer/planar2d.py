@@ -42,7 +42,9 @@ without an exact mirror is its own fold, one orbit per node.
 Layer thickness versus boundary curvature is probed at boundary samples
 evenly spaced in arclength, which the shape alone determines
 (boundary_samples), by marching inward along their normals until the
-bilinear interpolant of W crosses a level c.
+bilinear interpolant of W crosses a level c.  The march runs MARCH_BLOCK
+steps at a time over the rays that have not yet stopped, and W and phi
+share one cell search per point.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ BAND_CELLS = 3  # phi is the exact projected distance where |phi| < BAND_CELLS h
 MIN_SEEDS = 2048  # fewest boundary seeds of the band; fine grids get two per cell of perimeter
 PAD_CELLS = 4  # cells between the extent and the box edge; perfbench/workloads.py mirrors it
 MARCH_STEP = 0.5  # thickness-probe march step, in grid spacings
+MARCH_BLOCK = 32  # thickness-probe steps evaluated per pass over the rays still marching
 
 
 # ---------------------------------------------------------------------------
@@ -506,32 +509,37 @@ class PlanarField:
         return PlanarField(grid=self.grid, values=amplitude * self.values**p)
 
 
-def _bilinear(coords: np.ndarray, values: np.ndarray, fill_value: float):
-    """Bilinear interpolant of values[i, j] at (coords[i], coords[j]),
-    fill_value outside the closed square.
+def _bilinear(coords: np.ndarray, points):
+    """Bilinear interpolation at points, an (N, 2) array or a single point,
+    on the square grid coords x coords.
 
-    The returned function takes an (N, 2) array or a single point and returns
-    N values (one for a point).  Cell search and weights are those of scipy's
-    linear RegularGridInterpolator, which it matches bit for bit on writeable
-    float values (scipy's compiled 2-D path).
+    Returns interpolate(values, fill_value): the N values (one for a point)
+    of the interpolant of values[i, j] at (coords[i], coords[j]), fill_value
+    outside the closed square.  The cell search and the weights are made
+    once, here, and serve every values array.  They are those of scipy's
+    linear RegularGridInterpolator, which interpolate matches bit for bit on
+    writeable float values (scipy's compiled 2-D path).
     """
-    values = np.asarray(values, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    cell = np.clip(np.searchsorted(coords, pts, side="right") - 1, 0, coords.size - 2)
+    tx, ty = ((pts - coords[cell]) / (coords[cell + 1] - coords[cell])).T
+    sx, sy = 1 - tx, 1 - ty
+    n = coords.size
+    corner = cell[:, 0] * n + cell[:, 1]  # flat index of values[i, j]
+    outside = np.any((pts < coords[0]) | (pts > coords[-1]), axis=1)
 
-    def evaluate(points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        cell = np.clip(np.searchsorted(coords, pts, side="right") - 1, 0, coords.size - 2)
-        tx, ty = ((pts - coords[cell]) / (coords[cell + 1] - coords[cell])).T
-        i, j = cell.T
+    def interpolate(values, fill_value: float) -> np.ndarray:
+        flat = np.asarray(values, dtype=float).ravel()
         out = (
-            values[i, j] * (1 - tx) * (1 - ty)
-            + values[i, j + 1] * (1 - tx) * ty
-            + values[i + 1, j] * tx * (1 - ty)
-            + values[i + 1, j + 1] * tx * ty
+            flat[corner] * sx * sy
+            + flat[corner + 1] * sx * ty
+            + flat[corner + n] * tx * sy
+            + flat[corner + n + 1] * tx * ty
         )
-        out[np.any((pts < coords[0]) | (pts > coords[-1]), axis=1)] = fill_value
+        out[outside] = fill_value
         return out
 
-    return evaluate
+    return interpolate
 
 
 def solve_local_2d(
@@ -699,8 +707,6 @@ def curvature_thickness_report(
     if not 0 < c < params.b:
         raise ValueError(f"level c must lie in (0, b={params.b})")
     grid = W.grid
-    interp_w = _bilinear(grid.coords, W.values, params.b)
-    interp_phi = _bilinear(grid.coords, grid.phi, 1.0)
     ds = MARCH_STEP * grid.h
     lo, hi = grid.coords[0], grid.coords[-1]
     max_march = float(np.max(-grid.phi)) * 2.0 + 4 * grid.h
@@ -711,24 +717,40 @@ def curvature_thickness_report(
     s = np.cumsum(np.full(int(math.ceil(max_march / ds)) + 2, ds))
     s = s[np.concatenate(([0.0], s[:-1])) < max_march]
     points, normals = samples.point, samples.inward_normal
-    px = points[:, 0:1] + s * normals[:, 0:1]  # (rays, steps)
-    py = points[:, 1:2] + s * normals[:, 1:2]
-    pos = np.stack([px.ravel(), py.ravel()], axis=-1)
-    phi = interp_phi(pos).reshape(px.shape)
-    val = interp_w(pos).reshape(px.shape)
 
-    outside_box = ~((lo <= px) & (px <= hi) & (lo <= py) & (py <= hi))
-    exits = outside_box | ((s > grid.h) & (phi > 0.0))
-    stops = exits | (val < c)
-    first = np.argmax(stops, axis=1)
-    rays = np.arange(len(samples))
-    hit = stops[rays, first] & ~exits[rays, first]
+    # MARCH_BLOCK steps at a time, over the rays that have not yet stopped
+    thickness = np.full(len(samples), np.nan)  # nan: the ray exits or never reaches c
+    val_prev = np.full(len(samples), float(params.b))  # W at each marching ray's last step
+    active = np.arange(len(samples))
+    for start in range(0, s.size, MARCH_BLOCK):
+        sb = s[start : start + MARCH_BLOCK]
+        px = points[active, 0:1] + sb * normals[active, 0:1]  # (active rays, steps)
+        py = points[active, 1:2] + sb * normals[active, 1:2]
+        interpolate = _bilinear(grid.coords, np.stack([px.ravel(), py.ravel()], axis=-1))
+        phi = interpolate(grid.phi, 1.0).reshape(px.shape)
+        val = interpolate(W.values, params.b).reshape(px.shape)
 
-    # interpolate between the last step above c (the boundary, holding b, on
-    # the first step) and the first one below
-    k, j = rays[hit], first[hit]
-    prev_val = np.where(j > 0, val[k, j - 1], params.b)
-    prev_s = np.where(j > 0, s[j - 1], 0.0)
-    frac = (prev_val - c) / (prev_val - val[k, j])
-    found = prev_s + frac * (s[j] - prev_s)
-    return np.column_stack((samples.arclength[k], samples.curvature[k], found))
+        outside_box = ~((lo <= px) & (px <= hi) & (lo <= py) & (py <= hi))
+        exits = outside_box | ((sb > grid.h) & (phi > 0.0))
+        stops = exits | (val < c)
+        j = np.argmax(stops, axis=1)
+        row = np.arange(active.size)
+        stopped = stops[row, j]
+        hit = stopped & ~exits[row, j]
+
+        # interpolate between the last step above c (the boundary, holding
+        # b, before the first step) and the first one below
+        j = j[hit]
+        step = start + j
+        prev_val = np.where(j > 0, val[hit, j - 1], val_prev[active[hit]])
+        prev_s = np.where(step > 0, s[step - 1], 0.0)
+        frac = (prev_val - c) / (prev_val - val[hit, j])
+        thickness[active[hit]] = prev_s + frac * (s[step] - prev_s)
+
+        active = active[~stopped]
+        val_prev[active] = val[~stopped, -1]
+        if not active.size:
+            break
+
+    k = np.flatnonzero(~np.isnan(thickness))
+    return np.column_stack((samples.arclength[k], samples.curvature[k], thickness[k]))

@@ -217,7 +217,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 3000])
     def test_text_columns_and_chunks(self, tmp_path, n_rows):
         # str columns (numpy dtype object) are written as they stand, beside
-        # number columns, and a chunk boundary (1024 lines) changes no byte
+        # number columns
         rng = np.random.default_rng(11)
         special = np.array([-0.0, 5e-324, -1e-300, 1e300, np.nan, np.inf, -np.inf, 2.0**53])
         values = np.concatenate((special, rng.uniform(-2.0, 2.0, n_rows)))[:n_rows]
@@ -228,6 +228,45 @@ class TestWriteCsv:
         rows = zip(coords[pick], values, coords[pick[::-1]])
         _write_csv_per_value(tmp_path / "old.csv", "x,W,y", rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_distinct_bits_keep_their_text(self, tmp_path):
+        # each distinct bit pattern is formatted once: -0.0 is not 0.0, and
+        # NaNs of any payload and sign still print as nan
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                        dtype=np.uint64).view(float)
+        col = np.array([0.0, -0.0, nans[0], np.inf, nans[1], 0.0, -0.0, -np.inf, nans[2],
+                        np.inf, 0.1, 0.1])
+        assert len(set(col.view(np.int64).tolist())) == 8
+        _write_csv(tmp_path / "new.csv", "v,w", (col, col[::-1]))
+        _write_csv_per_value(tmp_path / "old.csv", "v,w", zip(col, col[::-1]))
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "old.csv").read_text()
+        assert text.splitlines()[1:3] == ["0,0.10000000000000001", "-0,0.10000000000000001"]
+
+    def test_many_rows_few_values(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = np.array([-0.0, 1.0 / 3.0, 2.0**-1074, -1e300, 0.7071])
+        col = values[rng.integers(0, values.size, 40_000)]
+        ramp = np.arange(40_000) * 0.01  # every value distinct
+        _write_csv(tmp_path / "new.csv", "a,b", (col, ramp))
+        _write_csv_per_value(tmp_path / "old.csv", "a,b", zip(col, ramp))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_zero_rows(self, tmp_path):
+        empty = np.array([], dtype=object)
+        _write_csv(tmp_path / "new.csv", "k,a,b", (empty, np.array([]), []))
+        assert (tmp_path / "new.csv").read_bytes() == b"k,a,b\n"
+
+    @pytest.mark.parametrize("length", [0, 1, 4])
+    @pytest.mark.parametrize("short", [0, 1, 2])
+    def test_unequal_lengths_rejected(self, tmp_path, short, length):
+        # a short column raises, whichever it is, before the file is opened;
+        # one of length 1 is not broadcast
+        columns = [np.arange(5.0), np.arange(5.0), np.array(list("abcde"), dtype=object)]
+        columns[short] = columns[short][:length]
+        with pytest.raises(ValueError):
+            _write_csv(tmp_path / "new.csv", "a,b,c", columns)
+        assert not (tmp_path / "new.csv").exists()
 
 
 class TestRunSteadyRadial:
@@ -406,8 +445,7 @@ class TestRunSteady2D:
     @pytest.mark.parametrize("shape", ["disk", "ellipse:a=1.4142,b=0.7071", "star"])
     def test_field_csv_bytes(self, cfg_file, tmp_path, monkeypatch, shape):
         # oracle: each value of each row through the per-value writer, with
-        # x and y from the meshgrid of the grid coordinates; over 1024 rows,
-        # so the rows span more than one chunk of the writer
+        # x and y from the meshgrid of the grid coordinates, over 1024 rows
         solve = planar2d.solve_nonlocal_2d
         solved = []
 

@@ -856,17 +856,28 @@ class TestBilinear:
             (W.values.copy(), PAR.b) if filled
             else (np.where(grid.inside, W.values, np.nan), np.nan)
         )
-        ours = _bilinear(grid.coords, values, fill)(points)
+        ours = _bilinear(grid.coords, points)(values, fill)
         ref = self.scipy_interp(grid, values, fill)(points)
         assert np.array_equal(ours, ref, equal_nan=True)
         if not filled:
             assert np.isnan(ours).any() and np.isfinite(ours).any()
 
+    def test_one_search_serves_several_values(self, disk_grid, disk_nonlocal, points):
+        # the probe interpolates W and phi through one cell search: each
+        # values array still matches scipy bit for bit, whatever came before
+        grid = disk_grid
+        interpolate = _bilinear(grid.coords, points)
+        W = disk_nonlocal.steady.W.values.copy()
+        phi = grid.phi.copy()
+        for values, fill in ((W, PAR.b), (phi, 1.0), (W, PAR.b)):
+            ref = self.scipy_interp(grid, values, fill)(points)
+            assert np.array_equal(interpolate(values, fill), ref)
+
     def test_fills_outside_closed_box_only(self, disk_grid, disk_nonlocal, points):
         grid = disk_grid
         lo, hi = grid.coords[0], grid.coords[-1]
         filled = disk_nonlocal.steady.W.values
-        vals = _bilinear(grid.coords, filled, -1.0)(points)
+        vals = _bilinear(grid.coords, points)(filled, -1.0)
         in_box = np.all((lo <= points) & (points <= hi), axis=1)
         assert np.all(vals[~in_box] == -1.0)
         assert np.all(vals[in_box] > 0.0)
@@ -878,7 +889,7 @@ class TestBilinear:
         # corner value
         grid = disk_grid
         assert not grid.phi.flags.writeable
-        ours = _bilinear(grid.coords, grid.phi, 1.0)(points)
+        ours = _bilinear(grid.coords, points)(grid.phi, 1.0)
         ref = self.scipy_interp(grid, grid.phi, 1.0)(points)
         cell = np.searchsorted(grid.coords, points, side="right") - 1
         i, j = np.clip(cell, 0, grid.coords.size - 2).T
@@ -890,19 +901,22 @@ class TestBilinear:
     def test_single_point(self, disk_grid, disk_nonlocal):
         grid = disk_grid
         W = disk_nonlocal.steady.W
-        interp = _bilinear(grid.coords, W.values, PAR.b)
         ref = self.scipy_interp(grid, W.values.copy(), PAR.b)
         for point in (np.array([0.31, -0.47]), np.array([grid.coords[-1], grid.coords[-1]])):
-            value = interp(point)
+            value = _bilinear(grid.coords, point)(W.values, PAR.b)
             assert value.shape == (1,)
             assert np.array_equal(value, ref(point))
 
 
 class TestThicknessReport:
-    def test_matches_scalar_march(self):
+    @pytest.fixture(scope="class")
+    def ellipse_W(self):
         shape = Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0))
+        return shape, solve_nonlocal_2d(PAR, build_domain(shape, 0.02)).steady.W
+
+    def test_matches_scalar_march(self, ellipse_W):
+        shape, W = ellipse_W
         samples = boundary_samples(shape, 128)
-        W = solve_nonlocal_2d(PAR, build_domain(shape, 0.02)).steady.W
         table = curvature_thickness_report(W, samples, 0.5, PAR)
         ref, outcomes = scalar_ray_march(W, samples, 0.5, PAR)
         assert "hit" in outcomes and "exit" in outcomes
@@ -938,4 +952,50 @@ class TestThicknessReport:
         ref, outcomes = scalar_ray_march(W, disk_samples, 0.999 * PAR.b, PAR)
         assert outcomes == ["hit"] * len(disk_samples)
         assert np.all(table[:, 2] < planar2d.MARCH_STEP * W.grid.h)
+        assert np.array_equal(table, ref)
+
+    def test_blocked_march_level_never_reached(self, ellipse_W):
+        # no ray stops below the level: each runs to the march limit, through
+        # every block and the last, partial one, or leaves the domain
+        shape, W = ellipse_W
+        samples = boundary_samples(shape, 32)
+        c = 0.5 * float(np.min(W.values))
+        table = curvature_thickness_report(W, samples, c, PAR)
+        ref, outcomes = scalar_ray_march(W, samples, c, PAR)
+        assert set(outcomes) == {"end", "exit"}
+        assert table.shape == (0, 3)
+        assert np.array_equal(table, ref)
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["last_of_block", "first_of_next"])
+    def test_blocked_march_stop_at_block_edge(self, ellipse_W, offset):
+        # a level whose first stop, on some ray, falls on the last step of a
+        # block, or on the first step of the next, whose step before lies in
+        # the previous block; found by search over the rays and block edges
+        shape, W = ellipse_W
+        samples = boundary_samples(shape, 32)
+        grid = W.grid
+        ds = planar2d.MARCH_STEP * grid.h
+        steps = np.arange(1, 200) * ds
+        interp_w = RegularGridInterpolator(
+            (grid.coords, grid.coords), W.values.copy(), bounds_error=False, fill_value=PAR.b
+        )
+        found = None
+        for k in range(len(samples)):
+            ray = samples.point[k] + steps[:, None] * samples.inward_normal[k]
+            val = interp_w(ray)
+            for j in range(planar2d.MARCH_BLOCK + offset, steps.size, planar2d.MARCH_BLOCK):
+                c = 0.5 * (val[j - 1] + val[j])
+                if np.all(val[:j] > c) and val[j] < c:
+                    found = k, j, c
+                    break
+            if found:
+                break
+        assert found is not None
+        k, j, c = found
+        table = curvature_thickness_report(W, samples, c, PAR)
+        ref, outcomes = scalar_ray_march(W, samples, c, PAR)
+        assert outcomes[k] == "hit"
+        (row,) = np.flatnonzero(ref[:, 0] == samples.arclength[k])
+        # the crossing lies between steps[j - 1] = j ds and steps[j] = (j + 1) ds
+        assert j * ds - 1e-12 < ref[row, 2] <= (j + 1) * ds + 1e-12
         assert np.array_equal(table, ref)
