@@ -452,7 +452,11 @@ def run(config: RunConfig) -> int:
     return COMMANDS[config.command](config)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The klayer parser.  Every sub-command is listed, but only command's
+    (every one's, when command is None) takes its options: argparse reads
+    only the invoked sub-parser, and each add_argument queries the terminal
+    size."""
     parser = argparse.ArgumentParser(
         prog="klayer",
         description="Boundary-layer steady states and stability of a singular "
@@ -462,6 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         # no prefix matching: '--h' on a command without --h would be --help
         cmd = sub.add_parser(name, allow_abbrev=False)
+        if command is not None and name != command:
+            continue
         cmd.add_argument("--config", default=None)
         for key, (caster, flag, _) in _OPTIONS.items():
             if flag and _takes(name, key):
@@ -470,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     overrides = {key: value for key, value in vars(args).items() if key in _OPTIONS}
     try:
         config = parse_config(args.config, overrides)

@@ -13,8 +13,11 @@ are those the Newton closed the constraint with.  On the ball B_R
 core.radial_weights; its local Jacobian is tridiagonal.  The ball drives it
 over grids adapted to the layer (ball_grid): each pass rebuilds the grid at
 the sigma = eps * integral(W^p) / m the last one converged to, until sigma
-settles.  planar2d.solve_nonlocal_2d runs the same Newton on one masked 2D
-grid, with a sparse LU in place of the tridiagonal solve.
+settles on the full grid.  Where that grid adapts to sigma, the first pass
+runs on a quarter of its nodes (nested iteration), and the full grid mostly
+needs two passes, not three.  planar2d.solve_nonlocal_2d runs the same
+Newton on one masked 2D grid, with a sparse LU in place of the tridiagonal
+solve.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ class NonlocalResult:
     """Converged steady state plus solver diagnostics.
 
     bisection_iters counts the Newton steps of the solve, over all grid
-    passes on a ball; the name predates the direct Newton, which replaced a
-    root-finder over local solves.  constraint_residual is the relative
-    defect |amplitude * integral(W^p) - m| / m; the amplitude is
-    m / integral(W^p) of the converged W, so it is 0 up to rounding by
-    construction and says nothing of the solve's accuracy.
+    passes on a ball, a coarse first one included; the name predates the
+    direct Newton, which replaced a root-finder over local solves.
+    constraint_residual is the relative defect |amplitude * integral(W^p)
+    - m| / m; the amplitude is m / integral(W^p) of the converged W, so it
+    is 0 up to rounding by construction and says nothing of the solve's
+    accuracy.
     """
 
     steady: SteadyState
@@ -96,14 +100,18 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> NonlocalResul
 
     Each pass runs the nonlocal radial Newton with the grid's radial_weights,
     and the same weights applied to the returned profile give
-    integral(W^p).  The first pass runs on ball_grid(sigma0) from the lower
-    barrier at sigma0 = eps^2 * lambda_leading, the layer asymptotics of
-    sigma = eps * lambda_eps.  Each later pass rebuilds the grid at the sigma
-    the previous pass converged to and starts from its profile, interpolated.
-    The passes stop when sigma moves by less than _PASS_TOL relative, so W
-    lives on the grid adapted to its own sigma, as a local solve at the root
-    would; NoConvergenceError after _MAX_PASSES passes.  bisection_iters
-    counts the Newton steps over all passes.
+    integral(W^p).  The first pass starts from the lower barrier at
+    sigma0 = eps^2 * lambda_leading, the layer asymptotics of
+    sigma = eps * lambda_eps, on ball_grid(sigma0).  That grid has
+    max(16, count // 4) nodes where it adapts to sigma (its boundary spacing
+    is below the uniform R / (count - 1)), and count nodes where the spacing
+    is capped at the uniform one and does not move with sigma.  Each later
+    pass rebuilds the grid of count nodes at the sigma the previous pass
+    converged to and starts from its profile, interpolated.  The passes stop
+    when a pass on count nodes moves sigma by less than _PASS_TOL relative,
+    so W lives on the grid adapted to its own sigma, as a local solve at the
+    root would; NoConvergenceError after _MAX_PASSES passes.
+    bisection_iters counts the Newton steps over all passes.
     """
     if not (R > 0 and np.isfinite(R)):
         raise ValueError(f"R must be positive, got {R}")
@@ -111,7 +119,9 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> NonlocalResul
         raise ValueError(f"count must be an integer >= 16, got {count!r}")
     R = float(R)
     sigma = params.epsilon**2 * lambda_leading(params, R)
-    grid = ball_grid(sigma, params, R, count)
+    # a grid capped at the uniform spacing does not move with sigma: start on it
+    adapts = layer_width(sigma, params) / _BOUNDARY_REFINE < R / (count - 1)
+    grid = ball_grid(sigma, params, R, max(16, count // 4) if adapts else count)
     W = barrier_lower(grid.nodes, sigma, params, R)
     steps = 0
     for _ in range(_MAX_PASSES):
@@ -120,7 +130,7 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> NonlocalResul
         steps += k
         integral = float(weights @ prof.values**params.p)
         previous, sigma = sigma, params.epsilon * integral / params.m
-        if abs(sigma - previous) < _PASS_TOL * sigma:
+        if grid.count == count and abs(sigma - previous) < _PASS_TOL * sigma:
             return nonlocal_result(params, prof, integral, steps)
         new = ball_grid(sigma, params, R, count)
         W = np.interp(new.nodes, grid.nodes, prof.values)

@@ -1,6 +1,7 @@
 """Illinois regula falsi on the mass constraint over local solves: the
 independent oracle for the direct nonlocal Newtons of the ball and the 2D
-grid.
+grid.  full_grid_passes is the reference for the ball solve's coarse first
+pass: the same grid passes with every one on the full grid.
 
 On a domain exposing volume() and solve_local(sigma, params) -> (W, integral
 of W^p), as BallLocalSolves and GridLocalSolves do, the map
@@ -19,11 +20,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from klayer.core import Params, RadialProfile, ball_volume, integrate_radial
+from klayer import mass_constraint
+from klayer.core import Params, RadialProfile, ball_volume, integrate_radial, radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import NonlocalResult, ball_grid, nonlocal_result
 from klayer.planar2d import solve_local_2d
-from klayer.radial_steady import solve_local_radial
+from klayer.radial_steady import _newton, barrier_lower, lambda_leading, solve_local_radial
 
 MAX_DOUBLINGS = 128
 MAX_EVALS = 400
@@ -124,3 +126,27 @@ class GridLocalSolves:
         W = solve_local_2d(sigma, params, grid)
         wp = W.values[grid.inside] ** params.p
         return W, float(np.sum(grid.quad * wp)) + grid.held_area * params.b**params.p
+
+
+def full_grid_passes(params: Params, R: float, count: int = 2500) -> NonlocalResult:
+    """The ball's nonlocal solve with every grid pass on count nodes: the
+    first from the lower barrier on ball_grid(sigma0), sigma0 = eps^2 *
+    lambda_leading, each later one on ball_grid of the sigma the previous
+    pass converged to, from its profile interpolated, until sigma moves by
+    less than the solver's pass tolerance."""
+    sigma = params.epsilon**2 * lambda_leading(params, R)
+    grid = ball_grid(sigma, params, R, count)
+    W = barrier_lower(grid.nodes, sigma, params, R)
+    steps = 0
+    for _ in range(mass_constraint._MAX_PASSES):
+        weights = radial_weights(grid)
+        prof, k = _newton(W, None, params, grid, weights)
+        steps += k
+        integral = float(weights @ prof.values**params.p)
+        previous, sigma = sigma, params.epsilon * integral / params.m
+        if abs(sigma - previous) < mass_constraint._PASS_TOL * sigma:
+            return nonlocal_result(params, prof, integral, steps)
+        new = ball_grid(sigma, params, R, count)
+        W = np.interp(new.nodes, grid.nodes, prof.values)
+        grid = new
+    raise NoConvergenceError("radial grid passes did not settle sigma")

@@ -551,6 +551,21 @@ class TestRunVerify:
         assert quantities == ["slope_W", "slope_U", "lambda_eps", "thickness"]
 
 
+@pytest.mark.parametrize(
+    "argv", [[name, "-h"] for name in COMMANDS] + [["-h"], ["transmogrify"], []]
+)
+def test_main_parses_as_the_full_parser(argv, capsys):
+    """main builds the options of the invoked command only; its help and
+    error texts and exit codes are those of the parser of every command."""
+    with pytest.raises(SystemExit) as full:
+        _build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as one:
+        main(argv)
+    assert one.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
 def test_readme_lists_every_option():
     """The README's CLI section has one table row per config key, giving its
     flag and the commands that take it, as _OPTIONS declares them."""

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import klayer.mass_constraint
 import klayer.radial_steady
+from klayer.asymptotics import measure_thickness
 from klayer.core import Params, RadialProfile, integrate_radial, radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import ball_grid, solve_nonlocal
-from klayer.radial_steady import STEP_TOL, boundary_slope
+from klayer.radial_steady import STEP_TOL, _newton, boundary_slope
 
-from constraint_oracle import BallLocalSolves, constraint_value, illinois
+from constraint_oracle import BallLocalSolves, constraint_value, full_grid_passes, illinois
 
 PAR = Params(epsilon=2e-3, p=2, b=1, m=1, n=2)
 
@@ -329,3 +332,115 @@ class TestDirectRadial:
         assert ref.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
         direct = solve_nonlocal(par, 1.0)
         assert direct.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
+
+
+# (n, p, eps, b, m): n 1-3, p 1-40, eps 0.05-2.5e-4, (b, m) (1, 1) and (2, 3)
+COARSE_CASES = [
+    (n, p, eps, b, m)
+    for n, p, eps, (b, m) in itertools.product(
+        (1, 2, 3), (1, 2, 8, 40), (0.05, 0.004, 2.5e-4), ((1, 1), (2, 3))
+    )
+]
+
+
+def _stencil_conditioning(W, b):
+    """Relative move of the three-node boundary slope of W when a node next
+    to R moves by one ulp: ulp(R) * b / (h^2 |slope|), h the last spacing."""
+    r = W.grid.nodes
+    return np.spacing(r[-1]) * b / ((r[-1] - r[-2]) ** 2 * abs(boundary_slope(W)))
+
+
+class TestCoarseStart:
+    """The ball solve's coarse first pass against full_grid_passes, the same
+    passes with every one on the full grid."""
+
+    @pytest.fixture()
+    def pass_sizes(self, monkeypatch):
+        """The node count of each grid pass of the ball solves that follow."""
+        sizes = []
+        newton = klayer.mass_constraint._newton
+        monkeypatch.setattr(
+            klayer.mass_constraint,
+            "_newton",
+            lambda W, *args: sizes.append(W.size) or newton(W, *args),
+        )
+        return sizes
+
+    @pytest.mark.parametrize("n, p, eps, b, m", COARSE_CASES)
+    def test_matches_full_grid_passes(self, n, p, eps, b, m):
+        par = Params(epsilon=eps, p=p, b=b, m=m, n=n)
+        st = solve_nonlocal(par, 1.0).steady
+        ref = full_grid_passes(par, 1.0).steady
+        assert st.W.grid.count == 2500
+        # measured worst over these cases: lambda_eps 1.9e-10, thickness
+        # 2.0e-11 and slope_U 8.1e-8; the thickness at the reported level
+        # b/2, where the profile reaches it
+        assert st.lambda_eps == pytest.approx(ref.lambda_eps, rel=1e-9)
+        if ref.W.values[0] < b / 2:
+            assert measure_thickness(st.W, b / 2) == pytest.approx(
+                measure_thickness(ref.W, b / 2), rel=1e-10
+            )
+        else:
+            assert st.W.values[0] > b / 2
+        assert boundary_slope(st.U) == pytest.approx(boundary_slope(ref.U), rel=4e-7)
+        # slope_W moved by up to 1.1e-7 at p <= 8 and 3.2e-6 at p 40, never
+        # more than half the move of a one-ulp node shift next to R
+        assert boundary_slope(st.W) == pytest.approx(
+            boundary_slope(ref.W), rel=4e-7 + _stencil_conditioning(ref.W, b)
+        )
+
+    def test_slope_move_is_the_stencil_conditioning(self):
+        # n 1, p 120, eps 2.5e-4: the coarse start moves slope_W by 1.0e-5,
+        # exactly as far as the reference's own slope_W moves when the sigma
+        # of its grid moves by 1e-12 (a one-ulp move of the nodes next to R)
+        par = Params(epsilon=2.5e-4, p=120, b=1, m=1, n=1)
+        ref = full_grid_passes(par, 1.0).steady
+        grid = ball_grid(ref.sigma * (1 + 1e-12), par, 1.0, 2500)
+        W = np.interp(grid.nodes, ref.W.grid.nodes, ref.W.values)
+        shifted, _ = _newton(W, None, par, grid, radial_weights(grid))
+        slope = boundary_slope(ref.W)
+        shift = abs(boundary_slope(shifted) / slope - 1)
+        move = abs(boundary_slope(solve_nonlocal(par, 1.0).steady.W) / slope - 1)
+        assert 5e-6 < move <= shift <= _stencil_conditioning(ref.W, par.b)
+
+    @pytest.mark.parametrize("count", [16, 17, 63, 64, 80])
+    @pytest.mark.parametrize("n, p, eps", [(2, 2, 1e-3), (1, 8, 2.5e-4), (3, 40, 0.004)])
+    def test_returns_count_nodes(self, count, n, p, eps):
+        # below count 64 the coarse pass takes 16 nodes, at 16 all of them
+        par = Params(epsilon=eps, p=p, b=1, m=1, n=n)
+        st = solve_nonlocal(par, 1.0, count).steady
+        ref = full_grid_passes(par, 1.0, count).steady
+        assert st.W.grid.count == count
+        # measured worst 1.8e-11
+        assert st.lambda_eps == pytest.approx(ref.lambda_eps, rel=1e-10)
+
+    def test_only_a_full_grid_pass_ends_the_solve(self, monkeypatch, pass_sizes):
+        # sigma0 set to the coarse grid's own converged sigma: the coarse pass
+        # moves sigma by less than the pass tolerance, and the solve still
+        # goes on to the grid of count nodes
+        par = Params(epsilon=2e-3, p=2, b=1, m=1, n=2)
+        sigma = full_grid_passes(par, 1.0, 625).steady.sigma
+        monkeypatch.setattr(
+            klayer.mass_constraint, "lambda_leading", lambda params, R: sigma / params.epsilon**2
+        )
+        st = solve_nonlocal(par, 1.0).steady
+        assert pass_sizes[0] == 625 and st.W.grid.count == 2500
+
+    def test_capped_grid_unchanged(self):
+        # the README disk: its spacing is capped at R / (count - 1), so the
+        # solve starts on the full grid, as it did before the coarse pass
+        par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
+        res, ref = solve_nonlocal(par, 1.0), full_grid_passes(par, 1.0)
+        for got, want in ((res.steady.W, ref.steady.W), (res.steady.U, ref.steady.U)):
+            assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+        assert res.bisection_iters == ref.bisection_iters
+
+    def test_first_pass_is_coarse(self, pass_sizes):
+        # the README sweep at p 2 and 4: a pass on a quarter of the nodes,
+        # then two on all of them
+        for eps in (0.004, 0.002, 0.001):
+            for p in (2, 4):
+                pass_sizes.clear()
+                solve_nonlocal(Params(epsilon=eps, p=p, b=1, m=1, n=2), 1.0)
+                assert pass_sizes == [625, 2500, 2500]
