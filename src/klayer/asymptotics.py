@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    Field,
     Params,
-    RadialProfile,
     SteadyState,
     integrate_radial,
     interpolate_monotone,
@@ -103,7 +103,7 @@ def thickness_leading(c: float, params: Params, R: float) -> float:
     return ((b / c) ** (p / 2.0) - 1.0) * 2.0 * n * (p + 2.0) / (m * p**2) * volume / R
 
 
-def measure_thickness(W: RadialProfile, c: float) -> float:
+def measure_thickness(W: Field, c: float) -> float:
     """Depth R - W^(-1)(c) of the level set W = c below the boundary."""
     R = W.grid.R
     return R - interpolate_monotone(W, c)
@@ -207,7 +207,7 @@ def verify_p_limit(
 
 
 def envelope_constants(
-    W: RadialProfile, eps: float, params: Params, band: float = 5.0
+    W: Field, eps: float, params: Params, band: float = 5.0
 ) -> tuple[float, float]:
     """Tightest constants r1 <= r2 with r1 * s(d) <= W <= r2 * s(d) over the
     layer band d <= band * eps, where s(d) = (1 + d/eps)^(-2/p).
@@ -225,7 +225,7 @@ def envelope_constants(
     return float(ratio.min()), float(ratio.max())
 
 
-def interior_sup(W: RadialProfile, delta: float) -> float:
+def interior_sup(W: Field, delta: float) -> float:
     """Max of W over the interior region dist(r, boundary) > delta."""
     grid = W.grid
     mask = (grid.R - grid.nodes) > delta

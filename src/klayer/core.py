@@ -1,4 +1,5 @@
-"""Shared domain types: parameters, graded radial meshes, quadrature, interpolation.
+"""Shared domain types: parameters, graded radial meshes, fields, quadrature,
+interpolation.
 
 Radial fields live on node-centred grids over [0, R].  All integrals use the
 n-dimensional radial measure omega_n * r^(n-1) dr, where omega_n is the surface
@@ -18,7 +19,7 @@ from .errors import NoCrossingError
 __all__ = [
     "Params",
     "RadialGrid",
-    "RadialProfile",
+    "Field",
     "SteadyState",
     "unit_sphere_area",
     "ball_volume",
@@ -119,13 +120,17 @@ class RadialGrid:
     def count(self) -> int:
         return self.nodes.size
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.nodes.shape
 
-def _node_values(grid: RadialGrid, values, name: str) -> np.ndarray:
+
+def _node_values(grid, values, name: str) -> np.ndarray:
     """A read-only float copy of values, checked to hold one finite value per
-    node of grid."""
+    node of grid (of grid.shape)."""
     values = np.array(values, dtype=float, order="C")
-    if values.shape != grid.nodes.shape:
-        raise ValueError(f"{name} shape {values.shape} does not match grid ({grid.nodes.shape})")
+    if values.shape != grid.shape:
+        raise ValueError(f"{name} shape {values.shape} does not match grid ({grid.shape})")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite")
     values.flags.writeable = False
@@ -133,21 +138,16 @@ def _node_values(grid: RadialGrid, values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RadialProfile:
-    """A scalar field sampled at the nodes of a RadialGrid."""
+class Field:
+    """A finite scalar field with one value per node of grid: a RadialGrid,
+    or a planar2d.MaskedGrid, on whose nodes outside the domain the field
+    holds its boundary value."""
 
-    grid: RadialGrid
+    grid: object
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _node_values(self.grid, self.values, "profile values"))
-
-    def __call__(self, r) -> np.ndarray:
-        """Piecewise-linear evaluation at radii r."""
-        return np.interp(r, self.grid.nodes, self.values)
-
-    def scaled_power(self, amplitude: float, p: float) -> "RadialProfile":
-        return RadialProfile(grid=self.grid, values=amplitude * self.values**p)
+        object.__setattr__(self, "values", _node_values(self.grid, self.values, "field values"))
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,8 @@ class SteadyState:
     sigma      = epsilon * lambda_eps, the effective diffusion of the local
                  problem the pair solves.
 
-    W and U are RadialProfile for ball domains or a planar field object for
-    masked 2D grids; both always have the same shape.
+    W and U are Fields on one grid, a RadialGrid for ball domains or a
+    planar2d.MaskedGrid for planar ones.
     """
 
     W: object
@@ -260,12 +260,12 @@ def radial_weights(grid: RadialGrid) -> np.ndarray:
     return unit_sphere_area(grid.n) * w * r ** (grid.n - 1)
 
 
-def integrate_radial(f: RadialProfile) -> float:
+def integrate_radial(f: Field) -> float:
     """The integral of f over the ball by the quadrature of radial_weights."""
     return float(radial_weights(f.grid) @ f.values)
 
 
-def interpolate_monotone(f: RadialProfile, target: float) -> float:
+def interpolate_monotone(f: Field, target: float) -> float:
     """Radius where the piecewise-linear profile crosses target.
 
     The profile must be monotone across the bracketing interval, so the

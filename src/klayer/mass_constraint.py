@@ -6,18 +6,18 @@ equation, eps Lap W = (m / integral(W^p)) W^(1+p), by a Newton whose
 Jacobian is the local one plus rank one, solved by Sherman-Morrison.
 
 Each domain has one solve function, and both build their result with
-nonlocal_result from the converged W and integral(W^p), the integral taken
-by the one quadrature the Newton iterates with, so the reported constants
-are those the Newton closed the constraint with.  On the ball B_R
+nonlocal_result from the converged W, a core.Field, and integral(W^p), the
+integral taken by the one quadrature the Newton iterates with, so the
+reported constants are those the Newton closed the constraint with; U is
+the Field amplitude * W^p on W's own grid.  On the ball B_R
 (solve_nonlocal) that is radial_steady._newton with the weights
 core.radial_weights; its local Jacobian is tridiagonal.  The ball drives it
 over grids adapted to the layer (ball_grid): each pass rebuilds the grid at
 the sigma = eps * integral(W^p) / m the last one converged to, until sigma
-settles on the full grid.  Where that grid adapts to sigma, the first pass
-runs on a quarter of its nodes (nested iteration), and the full grid mostly
-needs two passes, not three.  planar2d.solve_nonlocal_2d runs the same
-Newton on one masked 2D grid, with a sparse LU in place of the tridiagonal
-solve.
+settles on the full grid.  From count 64 on, the first pass runs on a
+quarter of its nodes (nested iteration), and the full grid mostly needs two
+passes, not three.  planar2d.solve_nonlocal_2d runs the same Newton on one
+masked 2D grid, with a sparse LU in place of the tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Params, RadialGrid, SteadyState, make_graded_grid, radial_weights
+from .core import Field, Params, RadialGrid, SteadyState, make_graded_grid, radial_weights
 from .errors import NoConvergenceError
 from .radial_steady import _newton, barrier_lower, lambda_leading, layer_width
 # kept only because the benchmark tracer wraps this name; ROADMAP item 3 drops it
@@ -44,6 +44,9 @@ _BOUNDARY_REFINE = 160.0
 # the ball's grid passes stop when sigma moves by less than this, relative
 _PASS_TOL = 1e-9
 _MAX_PASSES = 8
+# the first pass runs on count // 4 nodes from this count on; below it, a
+# pass on so few nodes costs more Newton steps than it saves
+_COARSE_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -64,17 +67,18 @@ class NonlocalResult:
     constraint_residual: float
 
 
-def nonlocal_result(params: Params, W, integral: float, steps: int) -> NonlocalResult:
-    """Build the steady pair from the converged W and integral(W^p).
+def nonlocal_result(params: Params, W: Field, integral: float, steps: int) -> NonlocalResult:
+    """Build the steady pair from the converged Field W and integral(W^p).
 
-    The amplitude m / integral(W^p) makes U = amplitude * W^p integrate to m
-    exactly and keeps amplitude * lambda_eps = 1 to rounding.
+    The amplitude m / integral(W^p) makes U = amplitude * W^p, a Field on
+    W's grid, integrate to m exactly and keeps amplitude * lambda_eps = 1 to
+    rounding.
     """
     m = params.m
     amplitude = m / integral
     steady = SteadyState(
         W=W,
-        U=W.scaled_power(amplitude, params.p),
+        U=Field(W.grid, amplitude * W.values**params.p),
         amplitude=amplitude,
         lambda_eps=integral / m,
         sigma=params.epsilon * integral / m,
@@ -102,16 +106,15 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> NonlocalResul
     and the same weights applied to the returned profile give
     integral(W^p).  The first pass starts from the lower barrier at
     sigma0 = eps^2 * lambda_leading, the layer asymptotics of
-    sigma = eps * lambda_eps, on ball_grid(sigma0).  That grid has
-    max(16, count // 4) nodes where it adapts to sigma (its boundary spacing
-    is below the uniform R / (count - 1)), and count nodes where the spacing
-    is capped at the uniform one and does not move with sigma.  Each later
-    pass rebuilds the grid of count nodes at the sigma the previous pass
-    converged to and starts from its profile, interpolated.  The passes stop
-    when a pass on count nodes moves sigma by less than _PASS_TOL relative,
-    so W lives on the grid adapted to its own sigma, as a local solve at the
-    root would; NoConvergenceError after _MAX_PASSES passes.
-    bisection_iters counts the Newton steps over all passes.
+    sigma = eps * lambda_eps, on ball_grid(sigma0) of count // 4 nodes, or
+    of count nodes below count _COARSE_MIN, where the coarse pass costs
+    more Newton steps than it saves.  Each later pass rebuilds the grid of
+    count nodes at the sigma the previous pass converged to and starts from
+    its profile, interpolated.  The passes stop when a pass on count nodes
+    moves sigma by less than _PASS_TOL relative, so W lives on the grid
+    adapted to its own sigma, as a local solve at the root would;
+    NoConvergenceError after _MAX_PASSES passes.  bisection_iters counts the
+    Newton steps over all passes.
     """
     if not (R > 0 and np.isfinite(R)):
         raise ValueError(f"R must be positive, got {R}")
@@ -119,9 +122,7 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> NonlocalResul
         raise ValueError(f"count must be an integer >= 16, got {count!r}")
     R = float(R)
     sigma = params.epsilon**2 * lambda_leading(params, R)
-    # a grid capped at the uniform spacing does not move with sigma: start on it
-    adapts = layer_width(sigma, params) / _BOUNDARY_REFINE < R / (count - 1)
-    grid = ball_grid(sigma, params, R, max(16, count // 4) if adapts else count)
+    grid = ball_grid(sigma, params, R, count // 4 if count >= _COARSE_MIN else count)
     W = barrier_lower(grid.nodes, sigma, params, R)
     steps = 0
     for _ in range(_MAX_PASSES):

@@ -15,9 +15,10 @@ Dirichlet condition W = b is imposed on the zero level set through
 Shortley-Weller shortened stencil arms (the boundary crossing located by
 linear interpolation of the signed distance along the arm), a first-order
 cut treatment that keeps the operator an M-matrix.  A ring of outside nodes
-keeps every arm on the grid, and a field lives on every node, holding the
-boundary value outside.  A node is an unknown only when phi < -_THETA_MIN h,
-so a node on the curve is held at b whatever the rounding sign of its phi.
+keeps every arm on the grid, and a field (a core.Field, which
+MaskedGrid.field builds) lives on every node, holding the boundary value
+outside.  A node is an unknown only when phi < -_THETA_MIN h, so a node on
+the curve is held at b whatever the rounding sign of its phi.
 Quadrature weighs each node's cell by its inside-area fraction; MaskedGrid
 states it once, as quad over the unknowns and held_area over the nodes held
 at b, and the Newton and the reported integral(W^p) both sum it by
@@ -57,7 +58,7 @@ from scipy import sparse
 from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import splu
 
-from .core import Params
+from .core import Field, Params
 from .errors import NoConvergenceError
 from .mass_constraint import NonlocalResult, nonlocal_result, solve_nonlocal
 from .radial_steady import MAX_ITERS, STEP_TOL, layer_profile
@@ -69,7 +70,6 @@ __all__ = [
     "BoundarySamples",
     "boundary_samples",
     "MaskedGrid",
-    "PlanarField",
     "build_domain",
     "solve_local_2d",
     "solve_nonlocal_2d",
@@ -337,11 +337,12 @@ def _grid_coords(size: int, h: float) -> np.ndarray:
 class MaskedGrid:
     """Uniform square grid coords x coords of spacing h with an inside mask.
 
-    phi and inside are square arrays, and coords, centred on 0, has one
-    entry per row of phi.  The grid keeps a read-only copy of phi, so the
-    caller's array stays as it was.  A node is inside, an unknown, when
-    phi < -_THETA_MIN h.  The nodes on the grid's outer edge must lie
-    outside, so that every inside node has its four neighbours on the grid.
+    phi and inside are square arrays of the grid's shape, and coords,
+    centred on 0, has one entry per row of phi.  The grid keeps a read-only
+    copy of phi, so the caller's array stays as it was.  A node is inside,
+    an unknown, when phi < -_THETA_MIN h.  The nodes on the grid's outer
+    edge must lie outside, so that every inside node has its four
+    neighbours on the grid.
     The cut-cell quadrature gives each node h^2 times the inside-area
     fraction of its cell: quad holds it over the inside nodes, and
     held_area sums it over the outside ones, where a field holds b.
@@ -366,25 +367,24 @@ class MaskedGrid:
         self.inside = inside
         self.quad = self.h**2 * weights[inside]
         self.held_area = self.h**2 * float(np.sum(weights[~inside]))
+        self.shape = self.phi.shape
         for arr in (self.coords, self.phi, self.inside, self.quad):
             arr.flags.writeable = False
-        self._operator = None
 
     def area(self) -> float:
         return float(self.quad.sum()) + self.held_area
 
-    def field(self, w: np.ndarray, b: float) -> "PlanarField":
+    def field(self, w: np.ndarray, b: float) -> Field:
         """The field holding w on the inside nodes and b everywhere else."""
-        full = np.full(self.phi.shape, float(b))
+        full = np.full(self.shape, float(b))
         full[self.inside] = w
-        return PlanarField(grid=self, values=full)
+        return Field(grid=self, values=full)
 
     def operator(self):
         """Shortley-Weller Laplacian (csc matrix over inside nodes) and the
-        Dirichlet load vector: Lap(W) ~ L @ w + bvec * b."""
-        if self._operator is None:
-            self._operator = _assemble_cut_laplacian(self)
-        return self._operator
+        Dirichlet load vector: Lap(W) ~ L @ w + bvec * b, assembled anew on
+        each call."""
+        return _assemble_cut_laplacian(self)
 
 
 def _assemble_cut_laplacian(grid: MaskedGrid):
@@ -485,28 +485,7 @@ def _mirror_fold(grid: MaskedGrid):
 
 
 # ---------------------------------------------------------------------------
-# fields and the local solver
-
-
-@dataclass(frozen=True, eq=False)
-class PlanarField:
-    """Finite scalar field on every node of a masked grid; outside the domain
-    it holds its boundary value."""
-
-    grid: MaskedGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float, order="C")
-        if vals.shape != self.grid.phi.shape:
-            raise ValueError("field shape does not match grid")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def scaled_power(self, amplitude: float, p: float) -> "PlanarField":
-        return PlanarField(grid=self.grid, values=amplitude * self.values**p)
+# interpolation and the local solver
 
 
 def _bilinear(coords: np.ndarray, points):
@@ -547,7 +526,7 @@ def solve_local_2d(
     params: Params,
     grid: MaskedGrid,
     initial: np.ndarray | None = None,
-) -> PlanarField:
+) -> Field:
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
 
     Newton (see _newton_2d) runs on the mirror orbits of _mirror_fold.  It
@@ -693,7 +672,7 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
 
 
 def curvature_thickness_report(
-    W: PlanarField,
+    W: Field,
     samples: BoundarySamples,
     c: float,
     params: Params,

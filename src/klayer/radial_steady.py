@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import Params, RadialGrid, RadialProfile, unit_sphere_area
+from .core import Field, Params, RadialGrid, unit_sphere_area
 from .errors import AxisSingularityError, NoConvergenceError
 
 __all__ = [
@@ -210,7 +210,7 @@ def _newton(W, sigma, params, grid, weights=None, polish=False):
     two right-hand sides combined by Sherman-Morrison.
     Stops on the Jacobi-scaled and the absolute residual per unit of V
     (STEP_TOL, NEWTON_TOL); with polish, one more step follows, taken in
-    q = W^(-p/2).  Returns (the RadialProfile on grid, tridiagonal solves);
+    q = W^(-p/2).  Returns (the Field on grid, tridiagonal solves);
     raises NoConvergenceError after MAX_ITERS steps, when an iterate turns
     non-finite, or when the converged W exceeds b.
     """
@@ -275,7 +275,7 @@ def _newton(W, sigma, params, grid, weights=None, polish=False):
     if overshoot > 1e-9 * b:
         raise NoConvergenceError(f"converged iterate exceeds b by {overshoot}")
     np.minimum(W, b, out=W)
-    return RadialProfile(grid=grid, values=W), steps
+    return Field(grid=grid, values=W), steps
 
 
 def solve_local_radial(
@@ -283,7 +283,7 @@ def solve_local_radial(
     params: Params,
     grid: RadialGrid,
     initial: np.ndarray | None = None,
-) -> RadialProfile:
+) -> Field:
     """Solve sigma (W'' + (n-1)/r W') = W^(1+p), W'(0) = 0, W(R) = b.
 
     Newton starts from the lower barrier (a sub-solution, which keeps the
@@ -299,7 +299,7 @@ def solve_local_radial(
     return _newton(initial, sigma, params, grid)[0]
 
 
-def boundary_slope(W: RadialProfile) -> float:
+def boundary_slope(W: Field) -> float:
     """One-sided second-order finite difference for W'(R)."""
     r = W.grid.nodes
     v = W.values

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from klayer import mass_constraint
-from klayer.core import Params, RadialProfile, ball_volume, integrate_radial, radial_weights
+from klayer.core import Field, Params, ball_volume, integrate_radial, radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import NonlocalResult, ball_grid, nonlocal_result
 from klayer.planar2d import solve_local_2d
@@ -108,7 +108,7 @@ class BallLocalSolves:
     def solve_local(self, sigma, params):
         grid = ball_grid(sigma, params, self.R, self.count)
         W = solve_local_radial(sigma, params, grid)
-        return W, integrate_radial(RadialProfile(grid=grid, values=W.values**params.p))
+        return W, integrate_radial(Field(grid=grid, values=W.values**params.p))
 
 
 class GridLocalSolves:

@@ -17,7 +17,7 @@ from klayer.asymptotics import (
     verify_expansion,
     verify_p_limit,
 )
-from klayer.core import Params, RadialProfile, make_graded_grid, unit_sphere_area
+from klayer.core import Field, Params, make_graded_grid, unit_sphere_area
 from klayer.errors import NoCrossingError
 from klayer.mass_constraint import solve_nonlocal
 from klayer.radial_steady import barrier_lower, lambda_leading, layer_profile_constant
@@ -117,20 +117,20 @@ class TestMeasureThickness:
     def test_barrier_inversion(self):
         par = Params(epsilon=1.0, p=2, b=1, m=1, n=1)
         grid = make_graded_grid(10.0, 1, 0.05, 4000)
-        W = RadialProfile(grid, np.asarray(barrier_lower(grid.nodes, 1.0, par, 10.0)))
+        W = Field(grid, np.asarray(barrier_lower(grid.nodes, 1.0, par, 10.0)))
         # (1 + z/sqrt(2))^(-1) = 1/2  at  z = sqrt(2)
         assert measure_thickness(W, 0.5) == pytest.approx(np.sqrt(2.0), rel=1e-6)
 
     def test_boundary_level_gives_zero(self):
         par = Params(epsilon=1.0, p=2, b=1, m=1, n=1)
         grid = make_graded_grid(10.0, 1, 0.05, 200)
-        W = RadialProfile(grid, np.asarray(barrier_lower(grid.nodes, 1.0, par, 10.0)))
+        W = Field(grid, np.asarray(barrier_lower(grid.nodes, 1.0, par, 10.0)))
         assert measure_thickness(W, 1.0) == 0.0
 
     def test_level_below_range(self):
         par = Params(epsilon=1.0, p=2, b=1, m=1, n=1)
         grid = make_graded_grid(10.0, 1, 0.05, 200)
-        W = RadialProfile(grid, np.asarray(barrier_lower(grid.nodes, 1.0, par, 10.0)))
+        W = Field(grid, np.asarray(barrier_lower(grid.nodes, 1.0, par, 10.0)))
         with pytest.raises(NoCrossingError):
             measure_thickness(W, 1e-6)
 
@@ -224,7 +224,7 @@ class TestPLimit:
     def test_mass_fraction_constant_density(self):
         # U == const on the disk: fraction within depth d is 1 - (1-d)^2
         grid = make_graded_grid(1.0, 2, 10.0 / 1999, 2000)
-        U = RadialProfile(grid, np.ones(grid.count))
+        U = Field(grid, np.ones(grid.count))
         from klayer.core import SteadyState
 
         st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0)

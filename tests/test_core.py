@@ -11,9 +11,9 @@ from klayer import core
 from klayer.asymptotics import ExpansionReport
 from klayer.cli import RunConfig, _evolve_grid, main
 from klayer.core import (
+    Field,
     Params,
     RadialGrid,
-    RadialProfile,
     SteadyState,
     ball_volume,
     integrate_radial,
@@ -25,7 +25,7 @@ from klayer.core import (
 )
 from klayer.errors import NoCrossingError
 from klayer.evolve_radial import DiscreteSteady, EvolutionSeries
-from klayer.planar2d import Disk, MaskedGrid, PlanarField, boundary_samples, build_domain
+from klayer.planar2d import Disk, MaskedGrid, boundary_samples, build_domain
 
 
 def uniform_grid(R, n, count):
@@ -232,27 +232,27 @@ class TestRadialGridValidation:
     def test_profile_shape_and_finiteness(self):
         g = uniform_grid(1.0, 2, 16)
         with pytest.raises(ValueError):
-            RadialProfile(grid=g, values=np.ones(5))
+            Field(grid=g, values=np.ones(5))
         bad = np.ones(16)
         bad[3] = np.inf
         with pytest.raises(ValueError):
-            RadialProfile(grid=g, values=bad)
+            Field(grid=g, values=bad)
 
 
 def _planar_field():
     grid = build_domain(Disk(1.0), 0.2)
-    return PlanarField(grid=grid, values=np.ones(grid.phi.shape))
+    return Field(grid=grid, values=np.ones(grid.shape))
 
 
 # the frozen dataclasses with array fields, which compare and hash by identity
 ARRAY_RECORDS = {
     "RadialGrid": lambda: uniform_grid(1.0, 2, 16),
-    "RadialProfile": lambda: RadialProfile(uniform_grid(1.0, 2, 16), np.ones(16)),
+    "Field(RadialGrid)": lambda: Field(uniform_grid(1.0, 2, 16), np.ones(16)),
     "DiscreteSteady": lambda: DiscreteSteady(
         uniform_grid(1.0, 2, 16), Params(epsilon=0.05, p=2, b=1, m=1, n=2),
         np.ones(16), np.zeros(16),
     ),
-    "PlanarField": _planar_field,
+    "Field(MaskedGrid)": _planar_field,
     "BoundarySamples": lambda: boundary_samples(Disk(1.0), 4),
     "EvolutionSeries": lambda: EvolutionSeries(*[np.zeros(3)] * 7, renormalized_mass_factor=1.0),
     "ExpansionReport": lambda: ExpansionReport(
@@ -280,21 +280,21 @@ def _stored_arrays():
     constructor that keeps an array."""
     nodes, values = np.linspace(0.0, 1.0, 16), np.ones(16)
     grid = RadialGrid(nodes=nodes, n=2)
-    profile = RadialProfile(grid, values)
+    radial = Field(grid, values)
     coords = np.linspace(-1.0, 1.0, 11)
     phi = np.hypot(*np.meshgrid(coords, coords, indexing="ij")) - 0.5
     masked = MaskedGrid(h=0.2, phi=phi)
     field_values = np.ones(phi.shape)
-    field = PlanarField(grid=masked, values=field_values)
+    planar = Field(grid=masked, values=field_values)
     U, V = np.ones(16), np.zeros(16)
     steady = DiscreteSteady(grid, Params(epsilon=0.05, p=2, b=1, m=1, n=2), U, V)
     return {
         "RadialGrid.nodes": (nodes, grid.nodes),
-        "RadialProfile.values": (values, profile.values),
+        "Field(RadialGrid).values": (values, radial.values),
         "DiscreteSteady.U": (U, steady.U),
         "DiscreteSteady.V": (V, steady.V),
         "MaskedGrid.phi": (phi, masked.phi),
-        "PlanarField.values": (field_values, field.values),
+        "Field(MaskedGrid).values": (field_values, planar.values),
     }
 
 
@@ -369,25 +369,25 @@ class TestFiniteVolumeCells:
 class TestIntegrateRadial:
     def test_disk_area(self):
         g = uniform_grid(1.0, 2, 400)
-        f = RadialProfile(g, np.ones(g.count))
+        f = Field(g, np.ones(g.count))
         assert integrate_radial(f) == pytest.approx(np.pi, abs=1e-6)
 
     def test_ball_volume(self):
         g = uniform_grid(1.0, 3, 2000)
-        f = RadialProfile(g, np.ones(g.count))
+        f = Field(g, np.ones(g.count))
         assert integrate_radial(f) == pytest.approx(4 * np.pi / 3, abs=1e-6)
 
     def test_symmetric_interval(self):
         # omega_1 = 2 counts both ends of [-R, R]
         g = uniform_grid(1.0, 1, 400)
-        f = RadialProfile(g, g.nodes.copy())
+        f = Field(g, g.nodes.copy())
         assert integrate_radial(f) == pytest.approx(1.0, abs=1e-10)
 
     def test_second_order_convergence(self):
         errs = []
         for count in (101, 201, 401):
             g = uniform_grid(1.0, 3, count)
-            f = RadialProfile(g, np.ones(g.count))
+            f = Field(g, np.ones(g.count))
             errs.append(abs(integrate_radial(f) - 4 * np.pi / 3))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
@@ -397,17 +397,17 @@ class TestIntegrateRadial:
 class TestInterpolateMonotone:
     def test_identity(self):
         g = uniform_grid(1.0, 1, 33)
-        f = RadialProfile(g, g.nodes.copy())
+        f = Field(g, g.nodes.copy())
         assert interpolate_monotone(f, 0.5) == pytest.approx(0.5, abs=1e-14)
 
     def test_node_hit_exact(self):
         g = RadialGrid(nodes=np.array([0.0, 0.5, 1.0]), n=1)
-        f = RadialProfile(g, np.array([0.0, 0.25, 1.0]))  # r^2 sampled
+        f = Field(g, np.array([0.0, 0.25, 1.0]))  # r^2 sampled
         assert interpolate_monotone(f, 0.25) == 0.5
 
     def test_no_crossing(self):
         g = uniform_grid(1.0, 1, 17)
-        f = RadialProfile(g, g.nodes.copy())  # range [0, 1]
+        f = Field(g, g.nodes.copy())  # range [0, 1]
         with pytest.raises(NoCrossingError):
             interpolate_monotone(f, 2.0)
 
@@ -421,7 +421,7 @@ class TestInterpolateMonotone:
         vals = np.concatenate([[0.0], np.cumsum(incs)])
         nodes = np.linspace(0.0, 1.0, count)
         g = RadialGrid(nodes=nodes, n=1)
-        f = RadialProfile(g, vals)
+        f = Field(g, vals)
         i = data.draw(st.integers(0, count - 1))
         assert interpolate_monotone(f, vals[i]) == pytest.approx(nodes[i], abs=1e-12)
 
@@ -429,6 +429,6 @@ class TestInterpolateMonotone:
 class TestSteadyStateInvariants:
     def test_positive_constants_required(self):
         g = uniform_grid(1.0, 2, 16)
-        W = RadialProfile(g, np.ones(16))
+        W = Field(g, np.ones(16))
         with pytest.raises(ValueError):
             SteadyState(W=W, U=W, amplitude=-1.0, lambda_eps=1.0, sigma=1.0)

@@ -10,9 +10,9 @@ import klayer.evolve_radial
 import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.core import (
+    Field,
     Params,
     RadialGrid,
-    RadialProfile,
     ball_volume,
     integrate_radial,
     make_graded_grid,
@@ -69,7 +69,7 @@ class FixedGridBall:
 
     def solve_local(self, sigma, params):
         W = solve_local_radial(sigma, params, self.grid)
-        return W, integrate_radial(RadialProfile(self.grid, W.values**params.p))
+        return W, integrate_radial(Field(self.grid, W.values**params.p))
 
 
 def count_newton_steps(monkeypatch, grid, par):

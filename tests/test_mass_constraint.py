@@ -6,9 +6,10 @@ import pytest
 import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.asymptotics import measure_thickness
-from klayer.core import Params, RadialProfile, integrate_radial, radial_weights
+from klayer.core import Field, Params, RadialGrid, integrate_radial, radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import ball_grid, solve_nonlocal
+from klayer.planar2d import Disk, Ellipse, build_domain, solve_nonlocal_2d
 from klayer.radial_steady import STEP_TOL, _newton, boundary_slope
 
 from constraint_oracle import BallLocalSolves, constraint_value, full_grid_passes, illinois
@@ -72,9 +73,8 @@ class TestSolveNonlocal:
 
     def test_density_is_scaled_power(self, result):
         st = result.steady
-        np.testing.assert_allclose(
-            st.U.values, st.amplitude * st.W.values**PAR.p, rtol=1e-10, atol=0.0
-        )
+        assert st.U.grid is st.W.grid
+        assert np.array_equal(st.U.values, st.amplitude * st.W.values**PAR.p)
 
     def test_bracket_seed_independence(self, domain, result):
         # doubling the lower bracket endpoint (via a volume-doubled view of
@@ -111,6 +111,18 @@ class TestSolveNonlocal:
             illinois(PAR, domain, tol_rel=0.0)
 
 
+@pytest.mark.parametrize(
+    "shape", [Disk(1.0), Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0))], ids=["disk", "ellipse"]
+)
+def test_planar_pair_shares_one_grid(shape):
+    # as test_density_is_scaled_power on the ball: U is amplitude * W^p on
+    # W's own grid, bit for bit
+    par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
+    st = solve_nonlocal_2d(par, build_domain(shape, 0.05)).steady
+    assert st.U.grid is st.W.grid
+    assert np.array_equal(st.U.values, st.amplitude * st.W.values**par.p)
+
+
 @pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
 def test_ball_radius_checked(R):
     # NaN compares False with everything, so R <= 0 alone lets it through
@@ -129,11 +141,8 @@ def test_ball_count_checked(count, monkeypatch):
     assert built == []
 
 
-class _Stub:
-    """W stand-in for stub domains: scaling it returns itself."""
-
-    def scaled_power(self, amplitude, p):
-        return self
+# the W of every stub domain: a constant field on a two-node grid
+_STUB_W = Field(RadialGrid(nodes=np.array([0.0, 1.0]), n=1), np.ones(2))
 
 
 class SteepConstraint:
@@ -150,7 +159,7 @@ class SteepConstraint:
     def solve_local(self, sigma, params):
         lam = params.epsilon / sigma
         self.visited.append(lam)
-        return _Stub(), self.g(lam) / lam
+        return _STUB_W, self.g(lam) / lam
 
 
 def plain_bisection(g, lam_lo, m, tol_rel):
@@ -219,8 +228,9 @@ class TestIllinois:
         assert res.steady.amplitude == pytest.approx(lam_ref, rel=4e-8)
         assert res.constraint_residual < 1e-8
         # pins the direct path that every ball takes: on a ball
-        # bisection_iters counts Newton steps over all grid passes
-        assert res.bisection_iters == 4
+        # bisection_iters counts Newton steps over all grid passes, here 4
+        # on the coarse first pass and 2 on the full grid
+        assert res.bisection_iters == 6
 
 
 class TestBracketFailure:
@@ -284,7 +294,7 @@ class TestDirectRadial:
         assert np.max(np.abs(st.W.grid.nodes - nodes)) <= 1e-10
         # W solves sigma K W = V W^(1+p) on the finite volumes with
         # sigma = eps int W^p / m taken from W itself, to the Newton stop
-        sigma = eps * integrate_radial(RadialProfile(st.W.grid, W**p)) / par.m
+        sigma = eps * integrate_radial(Field(st.W.grid, W**p)) / par.m
         assert sigma == pytest.approx(st.sigma, rel=1e-14)
         g, V = st.W.grid.conductances, st.W.grid.volumes
         di = -(np.r_[0.0, g] + np.r_[g, 0.0])
@@ -406,7 +416,8 @@ class TestCoarseStart:
     @pytest.mark.parametrize("count", [16, 17, 63, 64, 80])
     @pytest.mark.parametrize("n, p, eps", [(2, 2, 1e-3), (1, 8, 2.5e-4), (3, 40, 0.004)])
     def test_returns_count_nodes(self, count, n, p, eps):
-        # below count 64 the coarse pass takes 16 nodes, at 16 all of them
+        # below count 64 every pass takes count nodes, from 64 on the first
+        # takes 16 or 20
         par = Params(epsilon=eps, p=p, b=1, m=1, n=n)
         st = solve_nonlocal(par, 1.0, count).steady
         ref = full_grid_passes(par, 1.0, count).steady
@@ -426,15 +437,28 @@ class TestCoarseStart:
         st = solve_nonlocal(par, 1.0).steady
         assert pass_sizes[0] == 625 and st.W.grid.count == 2500
 
-    def test_capped_grid_unchanged(self):
-        # the README disk: its spacing is capped at R / (count - 1), so the
-        # solve starts on the full grid, as it did before the coarse pass
-        par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
-        res, ref = solve_nonlocal(par, 1.0), full_grid_passes(par, 1.0)
+    @pytest.mark.parametrize("count", [16, 40, 63])
+    def test_small_count_unchanged(self, count, pass_sizes):
+        # below count 64 a quarter of the nodes is too few to pay: every
+        # pass runs on count nodes, exactly as full_grid_passes does
+        par = Params(epsilon=1e-3, p=2, b=1, m=1, n=2)
+        res, ref = solve_nonlocal(par, 1.0, count), full_grid_passes(par, 1.0, count)
+        assert set(pass_sizes) == {count}
         for got, want in ((res.steady.W, ref.steady.W), (res.steady.U, ref.steady.U)):
             assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
         assert res.bisection_iters == ref.bisection_iters
+
+    def test_capped_grid_starts_coarse(self, pass_sizes):
+        # the README disk: its spacing is capped at R / (count - 1), and it
+        # too takes a coarse first pass (4 steps on 625 nodes, 2 on 2500)
+        par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
+        res, ref = solve_nonlocal(par, 1.0), full_grid_passes(par, 1.0)
+        assert pass_sizes[0] == 625 and res.steady.W.grid.count == 2500
+        assert res.steady.W.grid.nodes.tobytes() == ref.steady.W.grid.nodes.tobytes()
+        # measured 2.2e-16 and 1.1e-16 b
+        assert res.steady.lambda_eps == pytest.approx(ref.steady.lambda_eps, rel=1e-14)
+        assert np.max(np.abs(res.steady.W.values - ref.steady.W.values)) <= 1e-14 * par.b
 
     def test_first_pass_is_coarse(self, pass_sizes):
         # the README sweep at p 2 and 4: a pass on a quarter of the nodes,

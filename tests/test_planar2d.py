@@ -7,7 +7,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from klayer import planar2d
-from klayer.core import Params, make_graded_grid, unit_sphere_area
+from klayer.core import Field, Params, make_graded_grid, unit_sphere_area
 from klayer.errors import NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady
 from klayer.mass_constraint import solve_nonlocal
@@ -15,7 +15,6 @@ from klayer.planar2d import (
     Disk,
     Ellipse,
     MaskedGrid,
-    PlanarField,
     Star,
     _bilinear,
     _projected_distance,
@@ -316,6 +315,20 @@ class TestCutLaplacian:
         assert np.array_equal(L.toarray(), L_ref)
         assert np.array_equal(bvec, bvec_ref)
 
+    def test_each_solve_assembles_once(self, monkeypatch):
+        # the grid keeps no operator: each call assembles it anew, and each
+        # solve makes one call, from its _mirror_fold
+        grid = build_domain(Disk(1.0), 0.05)
+        assert grid.operator()[0] is not grid.operator()[0]
+        assembled = []
+        assemble = planar2d._assemble_cut_laplacian
+        monkeypatch.setattr(
+            planar2d, "_assemble_cut_laplacian", lambda g: assembled.append(g) or assemble(g)
+        )
+        solve_local_2d(0.01, PAR, grid)
+        solve_nonlocal_2d(PAR, grid)
+        assert len(assembled) == 2 and all(g is grid for g in assembled)
+
     @pytest.mark.parametrize("node", [(0, 5), (10, 5), (5, 0), (5, 10)])
     def test_inside_node_on_the_edge_rejected(self, node):
         phi = np.ones((11, 11))
@@ -353,7 +366,7 @@ class TestCutLaplacian:
         values = np.ones(grid.phi.shape)
         values[0, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            PlanarField(grid=grid, values=values)
+            Field(grid=grid, values=values)
 
 
 class TestQuadrature:
@@ -404,7 +417,8 @@ class TestLocal2D:
         xs = grid.coords[(grid.coords >= 0) & (grid.coords <= 1.0)]
         ix = np.searchsorted(grid.coords, xs)
         prof2 = W.values[ix, iy0]
-        prof1 = radial_reference.steady.W(xs)
+        W1 = radial_reference.steady.W
+        prof1 = np.interp(xs, W1.grid.nodes, W1.values)
         assert np.max(np.abs(prof2 - prof1)) <= 1e-3
 
     def test_bounded_by_boundary_value(self, disk_grid):

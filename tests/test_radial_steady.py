@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from klayer.cli import RunConfig, _evolve_grid
-from klayer.core import Params, RadialProfile, make_graded_grid, refine_grid
+from klayer.core import Field, Params, make_graded_grid, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady, step
 from klayer.mass_constraint import ball_grid, solve_nonlocal
@@ -257,12 +257,12 @@ class TestConvergedSandwich:
 class TestBoundarySlope:
     def test_linear_exact(self):
         grid = make_graded_grid(2.0, 1, 0.3, 40)
-        f = RadialProfile(grid, grid.nodes.copy())
+        f = Field(grid, grid.nodes.copy())
         assert boundary_slope(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_quadratic_exact_to_rounding(self):
         grid = make_graded_grid(2.0, 1, 0.3, 40)
-        f = RadialProfile(grid, grid.nodes**2)
+        f = Field(grid, grid.nodes**2)
         assert boundary_slope(f) == pytest.approx(4.0, rel=1e-10)
 
     def test_needs_four_nodes(self):
@@ -270,7 +270,7 @@ class TestBoundarySlope:
 
         g = core.RadialGrid(nodes=np.array([0.0, 0.5, 1.0]), n=1)
         with pytest.raises(ValueError):
-            boundary_slope(RadialProfile(g, np.zeros(3)))
+            boundary_slope(Field(g, np.zeros(3)))
 
     def test_halfline_slope_leading_term(self, halfline_solve):
         # sqrt(2/(p+2)) b^(1+p/2) / sqrt(sigma) = 1/sqrt(2) for this setup
