@@ -160,7 +160,9 @@ def verify_expansion(
 
 
 def boundary_mass_fraction(steady: SteadyState, depth: float) -> float:
-    """Fraction of the U-mass within the given depth of the boundary."""
+    """Fraction of the U-mass within the given depth of the boundary; its
+    partial-cell trapezoid restates the rule of core.radial_weights (see
+    there)."""
     U = steady.U
     grid = U.grid
     r = grid.nodes

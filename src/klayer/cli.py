@@ -5,8 +5,7 @@ Commands
     steady-2d       nonlocal steady state on a masked 2D domain, CSV x,y,W,U
                     plus a curvature/thickness table along the boundary
     evolve          radial time integration from a perturbed steady state,
-                    CSV diagnostics t,mass,linf_u,l2_u,linf_w,l2_w,energy;
-                    the step dt defaults to t_end / 1000
+                    CSV diagnostics (evolve_radial.COLUMNS); dt defaults to t_end / 1000
     verify          small-eps expansion suite (boundary slopes, lambda_eps,
                     layer thickness); exit code 2 when a gap exceeds its
                     tolerance
@@ -57,7 +56,7 @@ class RunConfig:
     eps_list: tuple = ()
     p_list: tuple = ()
     t_end: float = 20.0
-    dt: float = 0.0  # 0: t_end / 1000
+    dt: float = 0.0  # 0: t_end / 1000, which parse_config puts in its place
     perturb: float = 0.01
     level_c: float = 0.0  # 0: b/2
     samples: int = 48
@@ -182,6 +181,12 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"'t_end' must be finite and positive, got {cfg.t_end}")
     if cfg.output_every < 1:
         raise ConfigError(f"'output_every' must be >= 1, got {cfg.output_every}")
+    cfg.dt = cfg.dt or cfg.t_end / 1000
+    # the rows at t = 0, after every output_every steps and after the last
+    rows = 1 + -(-evolve_radial.step_count(cfg.dt, cfg.t_end) // cfg.output_every)
+    if rows < evolve_radial.FIT_MIN_SAMPLES:
+        raise ConfigError(f"'dt' and 'output_every' give {rows} diagnostic rows, fewer than "
+                          f"the {evolve_radial.FIT_MIN_SAMPLES} the decay-rate fit needs")
     if not (cfg.R > 0 and math.isfinite(cfg.R)):
         raise ConfigError(f"'R' must be finite and positive, got {cfg.R}")
     if not abs(cfg.perturb) < 1:  # u0 = U (1 + perturb cos(...)) must stay positive
@@ -365,27 +370,15 @@ def _run_evolve(cfg: RunConfig) -> int:
     u0 = reference.U * (1.0 + cfg.perturb * np.cos(math.pi * r / cfg.R + phase))
     v_shape = np.cos(math.pi * r / (2.0 * cfg.R))  # vanishes at r = R
     w0 = np.exp(reference.V * (1.0 + cfg.perturb * math.cos(phase) * v_shape))
-    dt = cfg.dt if cfg.dt > 0 else cfg.t_end / 1000
-    series = evolve_radial.evolve(reference, u0, w0, dt, cfg.t_end, cfg.output_every)
-    columns = (series.t, series.mass, series.linf_u, series.l2_u,
-               series.linf_w, series.l2_w, series.energy)
-    _write_csv(cfg.out / "evolve_diagnostics.csv",
-               "t,mass,linf_u,l2_u,linf_w,l2_w,energy", columns)
-    d = series.distance()
-    mu_hat = evolve_radial.fit_decay_rate(np.column_stack([series.t, d]))
-    _write_summary(
-        cfg.out / "evolve_summary.csv",
-        {
-            "mu_hat": mu_hat,
-            "initial_distance": d[0],
-            "final_distance": d[-1],
-            "mass_drift": float(np.max(np.abs(series.mass - series.mass[0]))
-                                / series.mass[0]),
-            "dt": dt,
-            "perturb": cfg.perturb,
-            "seed": cfg.seed,
-        },
-    )
+    series = evolve_radial.evolve(reference, u0, w0, cfg.dt, cfg.t_end, cfg.output_every)
+    _write_csv(cfg.out / "evolve_diagnostics.csv", ",".join(evolve_radial.COLUMNS),
+               [getattr(series, name) for name in evolve_radial.COLUMNS])
+    d, mass = series.distance(), series.mass
+    summary = {"mu_hat": evolve_radial.fit_decay_rate(series.t, d),
+               "initial_distance": d[0], "final_distance": d[-1],
+               "mass_drift": float(np.max(np.abs(mass - mass[0])) / mass[0]),
+               "dt": cfg.dt, "perturb": cfg.perturb, "seed": cfg.seed}
+    _write_summary(cfg.out / "evolve_summary.csv", summary)
     return 0
 
 

@@ -251,7 +251,9 @@ def refine_grid(grid: RadialGrid) -> RadialGrid:
 def radial_weights(grid: RadialGrid) -> np.ndarray:
     """Node weights of the ball's quadrature: omega_n r^(n-1) times the
     trapezoid weights of the nodes, so that weights @ f integrates f over
-    the ball."""
+    the ball.  asymptotics.boundary_mass_fraction and
+    evolve_radial.lyapunov_energy restate this rule with np.trapezoid, so a
+    change of rule (to the cell volumes) must move all three at once."""
     r = grid.nodes
     h = np.diff(r)
     w = np.zeros_like(r)

