@@ -24,8 +24,8 @@ from .core import (
     Field,
     Params,
     SteadyState,
-    integrate_radial,
     interpolate_monotone,
+    radial_cumulative,
     unit_sphere_area,
 )
 from .mass_constraint import solve_nonlocal
@@ -160,24 +160,14 @@ def verify_expansion(
 
 
 def boundary_mass_fraction(steady: SteadyState, depth: float) -> float:
-    """Fraction of the U-mass within the given depth of the boundary; its
-    partial-cell trapezoid restates the rule of core.radial_weights (see
-    there)."""
-    U = steady.U
-    grid = U.grid
-    r = grid.nodes
-    R = grid.R
-    r_star = R - depth
-    total = integrate_radial(U)
-    if r_star <= 0:
-        return 1.0
-    # integrate over [r_star, R] with a partial first cell
-    j = int(np.searchsorted(r, r_star, side="right") - 1)
-    u_star = float(np.interp(r_star, r, U.values))
-    xs = np.concatenate(([r_star], r[j + 1 :]))
-    ys = np.concatenate(([u_star * r_star ** (grid.n - 1)], (r ** (grid.n - 1) * U.values)[j + 1 :]))
-    near = unit_sphere_area(grid.n) * float(np.trapezoid(ys, xs))
-    return near / total
+    """Fraction of the U-mass within the given depth of the boundary: one
+    minus the mass inside R - depth, read from core.radial_cumulative
+    linearly in r^n between nodes, over the total.  0 at depth 0, 1 at any
+    depth >= R."""
+    grid = steady.U.grid
+    mass = radial_cumulative(grid, steady.U.values)
+    inner = np.interp(max(grid.R - depth, 0.0) ** grid.n, grid.nodes**grid.n, mass)
+    return float(1.0 - inner / mass[-1])
 
 
 def verify_p_limit(

@@ -26,6 +26,7 @@ __all__ = [
     "make_graded_grid",
     "refine_grid",
     "radial_weights",
+    "radial_cumulative",
     "integrate_radial",
     "interpolate_monotone",
 ]
@@ -251,15 +252,26 @@ def refine_grid(grid: RadialGrid) -> RadialGrid:
 def radial_weights(grid: RadialGrid) -> np.ndarray:
     """Node weights of the ball's quadrature: omega_n r^(n-1) times the
     trapezoid weights of the nodes, so that weights @ f integrates f over
-    the ball.  asymptotics.boundary_mass_fraction and
-    evolve_radial.lyapunov_energy restate this rule with np.trapezoid, so a
-    change of rule (to the cell volumes) must move all three at once."""
+    the ball.  radial_cumulative sums the same trapezoids from the axis;
+    the two state the rule for every caller, so a change of rule (to the
+    cell volumes) edits both and nothing else."""
     r = grid.nodes
     h = np.diff(r)
     w = np.zeros_like(r)
     w[:-1] += 0.5 * h
     w[1:] += 0.5 * h
     return unit_sphere_area(grid.n) * w * r ** (grid.n - 1)
+
+
+def radial_cumulative(grid: RadialGrid, values) -> np.ndarray:
+    """omega_n times the integral of values r^(n-1) from the axis to each
+    node, summed over the trapezoids of radial_weights: 0 at the axis, and
+    radial_weights(grid) @ values, up to rounding, at R."""
+    r = grid.nodes
+    f = np.asarray(values, dtype=float) * r ** (grid.n - 1)
+    out = np.zeros_like(r)
+    np.cumsum(0.5 * np.diff(r) * (f[:-1] + f[1:]), out=out[1:])
+    return unit_sphere_area(grid.n) * out
 
 
 def integrate_radial(f: Field) -> float:

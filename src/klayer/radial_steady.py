@@ -221,9 +221,7 @@ def _newton(W, sigma, params, grid, weights=None, polish=False):
         raise ValueError("initial iterate shape does not match grid")
     p, b = params.p, params.b
     g, V = grid.conductances, grid.volumes
-    lo = np.concatenate(([0.0], g))
-    up = np.concatenate((g, [0.0]))
-    di = -(lo + up)
+    di = -(np.concatenate(([0.0], g)) + np.concatenate((g, [0.0])))
     at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
     floor = 1e-30 * b
     coef = params.epsilon / params.m
@@ -235,10 +233,10 @@ def _newton(W, sigma, params, grid, weights=None, polish=False):
     W = np.maximum(W, floor)
     for steps in range(MAX_ITERS + 1):
         Wp = W**p
-        dW = W[1:] - W[:-1]
+        flux = g * (W[1:] - W[:-1])  # into cell i across its right face
         KW = np.zeros_like(W)
-        KW[:-1] = up[:-1] * dW
-        KW[1:] -= lo[1:] * dW
+        KW[:-1] = flux
+        KW[1:] -= flux
         s = coef * float(weights @ Wp) if sigma is None else sigma
         F = s * KW - V * Wp * W
         F[-1] = W[-1] - b
@@ -251,9 +249,9 @@ def _newton(W, sigma, params, grid, weights=None, polish=False):
             break
         if steps == MAX_ITERS:
             raise NoConvergenceError(f"Newton failed on {at} after {MAX_ITERS} iterations")
-        jl = s * lo[1:]
+        ju = s * g
+        jl = ju.copy()
         jl[-1] = 0.0
-        ju = s * up[:-1]
         if sigma is None:
             col = coef * KW  # d F / d sigma, zero on the Dirichlet row
             col[-1] = 0.0

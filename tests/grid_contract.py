@@ -70,10 +70,12 @@ class BallField:
     def lap(self, r):
         return np.exp(r**2) * (2.0 * (self.R**2 - r**2 - 1.0) * (self.n + 2.0 * r**2) - 4.0 * r**2)
 
-    def integral(self, power: int) -> float:
-        """omega_n int_0^R r^(n-1) u^power dr by 200-point Gauss-Legendre."""
+    def integral(self, power: int, upper: float | None = None) -> float:
+        """omega_n int_0^upper r^(n-1) u^power dr (upper R by default) by
+        200-point Gauss-Legendre."""
+        upper = self.R if upper is None else upper
         x, weights = np.polynomial.legendre.leggauss(200)
-        r = 0.5 * self.R * (x + 1.0)
-        return unit_sphere_area(self.n) * 0.5 * self.R * float(
+        r = 0.5 * upper * (x + 1.0)
+        return unit_sphere_area(self.n) * 0.5 * upper * float(
             np.sum(weights * r ** (self.n - 1) * self.u(r) ** power)
         )

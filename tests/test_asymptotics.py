@@ -17,7 +17,7 @@ from klayer.asymptotics import (
     verify_expansion,
     verify_p_limit,
 )
-from klayer.core import Field, Params, make_graded_grid, unit_sphere_area
+from klayer.core import Field, Params, SteadyState, make_graded_grid, unit_sphere_area
 from klayer.errors import NoCrossingError
 from klayer.mass_constraint import solve_nonlocal
 from klayer.radial_steady import barrier_lower, lambda_leading, layer_profile_constant
@@ -225,11 +225,19 @@ class TestPLimit:
         # U == const on the disk: fraction within depth d is 1 - (1-d)^2
         grid = make_graded_grid(1.0, 2, 10.0 / 1999, 2000)
         U = Field(grid, np.ones(grid.count))
-        from klayer.core import SteadyState
-
         st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
         got = boundary_mass_fraction(st, 0.1)
         assert got == pytest.approx(1.0 - 0.81, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mass_fraction_ends(self, n):
+        # no depth holds no mass, a depth of R or more holds all of it
+        grid = make_graded_grid(1.0, n, 0.05, 200)
+        U = Field(grid, np.exp(-grid.nodes))
+        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
+        assert boundary_mass_fraction(st, 0.0) == 0.0
+        for depth in (1.0, 1.5, 1e9):
+            assert boundary_mass_fraction(st, depth) == 1.0
 
 
 @pytest.mark.parametrize("count", [1, 15, 2.5])
