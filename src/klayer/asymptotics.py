@@ -134,7 +134,7 @@ def verify_expansion(
         raise ValueError("eps_list must be decreasing with >= 3 entries")
     c = params.b / 2.0 if level_c is None else level_c
     # solved first, so a bad R or count is reported by the ball solve
-    steadies = [solve_nonlocal(replace(params, epsilon=float(e)), R, count).steady for e in eps]
+    steadies = [solve_nonlocal(replace(params, epsilon=float(e)), R, count) for e in eps]
 
     # quantity -> (measurement on a steady state, leading coefficient)
     table = {
@@ -163,7 +163,9 @@ def boundary_mass_fraction(steady: SteadyState, depth: float) -> float:
     """Fraction of the U-mass within the given depth of the boundary: one
     minus the mass inside R - depth, read from core.radial_cumulative
     linearly in r^n between nodes, over the total.  0 at depth 0, 1 at any
-    depth >= R."""
+    depth >= R; ValueError unless depth is finite and >= 0."""
+    if not (depth >= 0 and np.isfinite(depth)):
+        raise ValueError(f"depth must be finite and >= 0, got {depth}")
     grid = steady.U.grid
     mass = radial_cumulative(grid, steady.U.values)
     inner = np.interp(max(grid.R - depth, 0.0) ** grid.n, grid.nodes**grid.n, mass)
@@ -183,15 +185,18 @@ def verify_p_limit(
     Each p is solved on the ball B_R with count grid nodes.  Along an
     increasing p_list the sup norm of b - W decreases toward 0 while the
     U-mass concentrates near the boundary (fraction within depth
-    depth_fraction * R increasing toward 1).
+    depth_fraction * R increasing toward 1).  depth_fraction must be finite
+    and >= 0 (ValueError before any solve).
     """
+    if not (depth_fraction >= 0 and np.isfinite(depth_fraction)):
+        raise ValueError(f"depth_fraction must be finite and >= 0, got {depth_fraction}")
     ps = [float(p) for p in p_list]
     if any(q <= 0 for q in ps) or any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be positive and increasing")
     rows = []
     for p in ps:
         par = replace(params_base, epsilon=eps_fixed, p=p)
-        steady = solve_nonlocal(par, R, count).steady
+        steady = solve_nonlocal(par, R, count)
         sup_gap = float(np.max(np.abs(steady.W.values - par.b)))
         frac = boundary_mass_fraction(steady, depth_fraction * R)
         rows.append((p, sup_gap, frac))

@@ -313,14 +313,13 @@ def _radial_report(steady, c: float) -> dict:
 
 
 def _run_steady_radial(cfg: RunConfig) -> int:
-    res = solve_nonlocal(cfg.params, cfg.R, cfg.grid_count)
-    st = res.steady
+    st = solve_nonlocal(cfg.params, cfg.R, cfg.grid_count)
     columns = (st.W.grid.nodes, st.W.values, st.U.values)
     _write_csv(cfg.out / "steady_profile.csv", "r,W,U", columns)
     summary = {
         **_radial_report(st, cfg.level()),
-        "bisection_iters": res.bisection_iters,
-        "constraint_residual": res.constraint_residual,
+        "bisection_iters": st.bisection_iters,
+        "constraint_residual": st.constraint_residual,
     }
     _write_summary(cfg.out / "steady_summary.csv", summary)
     return 0
@@ -329,8 +328,7 @@ def _run_steady_radial(cfg: RunConfig) -> int:
 def _run_steady_2d(cfg: RunConfig) -> int:
     grid = planar2d.build_domain(cfg.shape, cfg.h)
     samples = planar2d.boundary_samples(cfg.shape, cfg.samples)
-    res = planar2d.solve_nonlocal_2d(cfg.params, grid)
-    st = res.steady
+    st = planar2d.solve_nonlocal_2d(cfg.params, grid)
     mask = grid.inside
     i, j = np.nonzero(mask)  # the inside nodes, in the C order of [mask]
     columns = (grid.coords[i], grid.coords[j], st.W.values[mask], st.U.values[mask])
@@ -344,8 +342,8 @@ def _run_steady_2d(cfg: RunConfig) -> int:
             "amplitude": st.amplitude,
             "sigma": st.sigma,
             "area": grid.area(),
-            "bisection_iters": res.bisection_iters,
-            "constraint_residual": res.constraint_residual,
+            "bisection_iters": st.bisection_iters,
+            "constraint_residual": st.constraint_residual,
         },
     )
     return 0
@@ -414,7 +412,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     rows = []
     for eps, p in sorted((eps, p) for eps in eps_list for p in p_list):
         par = replace(cfg.params, epsilon=eps, p=p)
-        st = solve_nonlocal(par, cfg.R, cfg.grid_count).steady
+        st = solve_nonlocal(par, cfg.R, cfg.grid_count)
         rows.append({"eps": eps, "p": p, **_radial_report(st, cfg.level())})
     _write_csv(cfg.out / "sweep.csv", ",".join(rows[0]), zip(*(row.values() for row in rows)))
     return 0
@@ -435,11 +433,12 @@ COMMANDS = {
 
 def run(config: RunConfig) -> int:
     """Execute a validated configuration; returns the process exit code."""
+    import tempfile  # here, so that `import klayer.cli` pays nothing for it
+
     config.out.mkdir(parents=True, exist_ok=True)
-    probe = config.out / ".write_probe"
     try:
-        probe.touch()
-        probe.unlink()
+        # an unnamed file, so no file of the user's is touched; it goes on close
+        tempfile.TemporaryFile(dir=config.out).close()
     except OSError as exc:
         raise OSError(f"output directory {config.out} is not writable: {exc}") from exc
     return COMMANDS[config.command](config)

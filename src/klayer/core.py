@@ -1,5 +1,5 @@
-"""Shared domain types: parameters, graded radial meshes, fields, quadrature,
-interpolation.
+"""Shared domain types: parameters, graded radial meshes, fields, the steady
+pair and its one constructor (nonlocal_result), quadrature, interpolation.
 
 Radial fields live on node-centred grids over [0, R].  All integrals use the
 n-dimensional radial measure omega_n * r^(n-1) dr, where omega_n is the surface
@@ -21,13 +21,13 @@ __all__ = [
     "RadialGrid",
     "Field",
     "SteadyState",
+    "nonlocal_result",
     "unit_sphere_area",
     "ball_volume",
     "make_graded_grid",
     "refine_grid",
     "radial_weights",
     "radial_cumulative",
-    "integrate_radial",
     "interpolate_monotone",
 ]
 
@@ -153,7 +153,8 @@ class Field:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Converged steady pair (W, U) plus the nonlocal constants.
+    """Converged steady pair (W, U) plus the nonlocal constants and the
+    solve's diagnostics.
 
     amplitude  = m / integral(W^p)   (so U = amplitude * W^p pointwise)
     lambda_eps = integral(W^p) / m   (reciprocal of amplitude)
@@ -162,6 +163,14 @@ class SteadyState:
 
     W and U are Fields on one grid, a RadialGrid for ball domains or a
     planar2d.MaskedGrid for planar ones.
+
+    bisection_iters counts the Newton steps of the solve, over all grid
+    passes on a ball, a coarse first one included; the name predates the
+    direct Newton, which replaced a root-finder over local solves.
+    constraint_residual is the relative defect |amplitude * integral(W^p)
+    - m| / m; the amplitude is m / integral(W^p) of the converged W, so it
+    is 0 up to rounding by construction and says nothing of the solve's
+    accuracy.
     """
 
     W: object
@@ -169,10 +178,34 @@ class SteadyState:
     amplitude: float
     lambda_eps: float
     sigma: float
+    bisection_iters: int
+    constraint_residual: float
 
     def __post_init__(self):
         if not (self.amplitude > 0 and self.lambda_eps > 0 and self.sigma > 0):
             raise ValueError("steady-state constants must be positive")
+
+
+def nonlocal_result(params: Params, W: Field, integral: float, steps: int) -> SteadyState:
+    """The steady pair of the converged Field W, integral(W^p) and the
+    solve's steps: the one constructor of a SteadyState, on the ball, on a
+    planar domain and for the evolution scheme's pair.
+
+    The amplitude m / integral(W^p) makes U = amplitude * W^p, a Field on
+    W's grid, integrate to m exactly and keeps amplitude * lambda_eps = 1 to
+    rounding.
+    """
+    m = params.m
+    amplitude = m / integral
+    return SteadyState(
+        W=W,
+        U=Field(W.grid, amplitude * W.values**params.p),
+        amplitude=amplitude,
+        lambda_eps=integral / m,
+        sigma=params.epsilon * integral / m,
+        bisection_iters=steps,
+        constraint_residual=abs(amplitude * integral - m) / m,
+    )
 
 
 def _geometric_ratio(total: float, h0: float, k: int) -> float:
@@ -272,11 +305,6 @@ def radial_cumulative(grid: RadialGrid, values) -> np.ndarray:
     out = np.zeros_like(r)
     np.cumsum(0.5 * np.diff(r) * (f[:-1] + f[1:]), out=out[1:])
     return unit_sphere_area(grid.n) * out
-
-
-def integrate_radial(f: Field) -> float:
-    """The integral of f over the ball by the quadrature of radial_weights."""
-    return float(radial_weights(f.grid) @ f.values)
 
 
 def interpolate_monotone(f: Field, target: float) -> float:

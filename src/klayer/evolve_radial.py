@@ -25,7 +25,8 @@ A face carries zero flux exactly when u_(i+1) / u_i = e^d, so the scheme's
 stationary density is U = C W^p and its steady pair solves
 eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).
 relax_to_discrete_steady() solves it with radial_steady's nonlocal Newton on
-K in 4-6 tridiagonal solves (no dt, no elliptic solve); it keeps the name
+K in 4-6 tridiagonal solves (no dt, no elliptic solve) and takes U from
+core.nonlocal_result, the constructor of every steady pair; it keeps the name
 from when it time-stepped to the pair, because the benchmark tracer times it
 under that name.  The pair, a DiscreteSteady, owns the grid and parameters:
 evolve(reference, u0, w0, dt, t_end) and lyapunov_energy(u, v, steady) read
@@ -40,7 +41,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import exprel
 
-from .core import Params, RadialGrid, radial_cumulative, radial_weights, unit_sphere_area
+from .core import Field, Params, RadialGrid, nonlocal_result, radial_cumulative, radial_weights
+from .core import unit_sphere_area
 from .core import _node_values
 from .errors import PositivityError
 from . import radial_steady
@@ -168,16 +170,18 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
     weights omega_n V in place of the ball's trapezoid ones.  Newton starts
     from the lower barrier at sigma0 = eps^2 lambda_leading, as the ball's
     solve does, and takes its last step in q = W^(-p/2), which leaves the
-    pair fixed under step() to a few ulps.  Raises NoConvergenceError as
+    pair fixed under step() to a few ulps.  U = C W^p is the U of
+    core.nonlocal_result with the finite-volume mass as integral(W^p); V is
+    ln W as the Newton returned W.  Raises NoConvergenceError as
     radial_steady's solves do.
     """
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
     weights = unit_sphere_area(grid.n) * grid.volumes
-    W = _newton(start, None, params, grid, weights, polish=True)[0].values
-    v = np.log(W)
+    prof, steps = _newton(start, None, params, grid, weights, polish=True)
+    v = np.log(prof.values)
     W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
-    U = W**params.p * (params.m / _mass(grid, W**params.p))
+    U = nonlocal_result(params, Field(grid, W), _mass(grid, W**params.p), steps).U.values
     return DiscreteSteady(grid, params, U, v)
 
 

@@ -5,11 +5,11 @@ the constraint lam * integral(W^p) = m.  Every domain solves the two as one
 equation, eps Lap W = (m / integral(W^p)) W^(1+p), by a Newton whose
 Jacobian is the local one plus rank one, solved by Sherman-Morrison.
 
-Each domain has one solve function, and both build their result with
-nonlocal_result from the converged W, a core.Field, and integral(W^p), the
-integral taken by the one quadrature the Newton iterates with, so the
-reported constants are those the Newton closed the constraint with; U is
-the Field amplitude * W^p on W's own grid.  On the ball B_R
+Each domain has one solve function, and both return the core.SteadyState
+that core.nonlocal_result builds from the converged W, a core.Field, and
+integral(W^p), the integral taken by the one quadrature the Newton iterates
+with, so the reported constants are those the Newton closed the constraint
+with; U is the Field amplitude * W^p on W's own grid.  On the ball B_R
 (solve_nonlocal) that is radial_steady._newton with the weights
 core.radial_weights; its local Jacobian is tridiagonal.  The ball drives it
 over grids adapted to the layer (ball_grid): each pass rebuilds the grid at
@@ -22,20 +22,17 @@ masked 2D grid, with a sparse LU in place of the tridiagonal solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Field, Params, RadialGrid, SteadyState, make_graded_grid, radial_weights
+from .core import Params, RadialGrid, SteadyState, make_graded_grid, nonlocal_result
+from .core import radial_weights
 from .errors import NoConvergenceError
 from .radial_steady import _newton, barrier_lower, lambda_leading, layer_width
 # kept only because the benchmark tracer wraps this name; ROADMAP item 3 drops it
 from .radial_steady import solve_local_radial
 
 __all__ = [
-    "NonlocalResult",
     "ball_grid",
-    "nonlocal_result",
     "solve_nonlocal",
 ]
 
@@ -49,47 +46,6 @@ _MAX_PASSES = 8
 _COARSE_MIN = 64
 
 
-@dataclass(frozen=True)
-class NonlocalResult:
-    """Converged steady state plus solver diagnostics.
-
-    bisection_iters counts the Newton steps of the solve, over all grid
-    passes on a ball, a coarse first one included; the name predates the
-    direct Newton, which replaced a root-finder over local solves.
-    constraint_residual is the relative defect |amplitude * integral(W^p)
-    - m| / m; the amplitude is m / integral(W^p) of the converged W, so it
-    is 0 up to rounding by construction and says nothing of the solve's
-    accuracy.
-    """
-
-    steady: SteadyState
-    bisection_iters: int
-    constraint_residual: float
-
-
-def nonlocal_result(params: Params, W: Field, integral: float, steps: int) -> NonlocalResult:
-    """Build the steady pair from the converged Field W and integral(W^p).
-
-    The amplitude m / integral(W^p) makes U = amplitude * W^p, a Field on
-    W's grid, integrate to m exactly and keeps amplitude * lambda_eps = 1 to
-    rounding.
-    """
-    m = params.m
-    amplitude = m / integral
-    steady = SteadyState(
-        W=W,
-        U=Field(W.grid, amplitude * W.values**params.p),
-        amplitude=amplitude,
-        lambda_eps=integral / m,
-        sigma=params.epsilon * integral / m,
-    )
-    return NonlocalResult(
-        steady=steady,
-        bisection_iters=steps,
-        constraint_residual=abs(amplitude * integral - m) / m,
-    )
-
-
 def ball_grid(sigma: float, params: Params, R: float, count: int) -> RadialGrid:
     """Graded grid of count nodes on the ball B_R adapted to sigma: its
     boundary spacing is 1/160 of the layer width, so the profile (and its
@@ -99,7 +55,7 @@ def ball_grid(sigma: float, params: Params, R: float, count: int) -> RadialGrid:
     return make_graded_grid(R, params.n, 10.0 * h_b, count)
 
 
-def solve_nonlocal(params: Params, R: float, count: int = 2500) -> NonlocalResult:
+def solve_nonlocal(params: Params, R: float, count: int = 2500) -> SteadyState:
     """Solve the nonlocal problem on the ball B_R(0) in dimension params.n.
 
     Each pass runs the nonlocal radial Newton with the grid's radial_weights,

@@ -27,8 +27,9 @@ _power_integral.
 One chord Newton (_newton_2d) solves both the local problem at a given sigma
 (solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
 follows the iterate (solve_nonlocal_2d, which starts it from
-mass_constraint's ball solve on the disk of equal area).  It takes the
-operator and the quadrature as arrays, not a grid.
+mass_constraint's ball solve on the disk of equal area and returns the
+core.SteadyState that core.nonlocal_result builds, as the ball's solve
+does).  It takes the operator and the quadrature as arrays, not a grid.
 
 The steady state is unique, so on a grid whose phi equals its flip along an
 axis it has that mirror symmetry too.  Every shape states its mirrors
@@ -58,9 +59,9 @@ from scipy import sparse
 from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import splu
 
-from .core import Field, Params
+from .core import Field, Params, SteadyState, nonlocal_result
 from .errors import NoConvergenceError
-from .mass_constraint import NonlocalResult, nonlocal_result, solve_nonlocal
+from .mass_constraint import solve_nonlocal
 from .radial_steady import MAX_ITERS, STEP_TOL, layer_profile
 
 __all__ = [
@@ -647,7 +648,7 @@ def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
     return np.minimum(w, b), steps
 
 
-def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
+def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> SteadyState:
     """Nonlocal solve on a masked 2D grid by the direct Newton of _newton_2d.
 
     Newton starts from the radial solve on the disk of equal area (n = 2
@@ -658,7 +659,7 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> NonlocalResult:
     README ellipse and the star.
     """
     R_eq = math.sqrt(grid.area() / math.pi)
-    disk = solve_nonlocal(replace(params, n=2), R_eq).steady.W
+    disk = solve_nonlocal(replace(params, n=2), R_eq).W
     reps, orbit, system = _mirror_fold(grid)
     initial = np.interp(R_eq + grid.phi[grid.inside][reps], disk.grid.nodes, disk.values)
     w, steps = _newton_2d(initial, None, params, *system)

@@ -21,9 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from klayer import mass_constraint
-from klayer.core import Field, Params, ball_volume, integrate_radial, radial_weights
+from klayer.core import Params, SteadyState, ball_volume, nonlocal_result, radial_weights
 from klayer.errors import NoConvergenceError
-from klayer.mass_constraint import NonlocalResult, ball_grid, nonlocal_result
+from klayer.mass_constraint import ball_grid
 from klayer.planar2d import solve_local_2d
 from klayer.radial_steady import _newton, barrier_lower, lambda_leading, solve_local_radial
 
@@ -39,7 +39,7 @@ def constraint_value(lam: float, params: Params, domain) -> float:
     return lam * integral
 
 
-def illinois(params: Params, domain, tol_rel: float = 1e-8) -> NonlocalResult:
+def illinois(params: Params, domain, tol_rel: float = 1e-8) -> SteadyState:
     """Root of g(lam) = m to |g - m| / m < tol_rel, built into the steady
     pair by nonlocal_result; bisection_iters counts the evaluations of g and
     constraint_residual is |g - m| / m at the accepted amplitude."""
@@ -108,7 +108,7 @@ class BallLocalSolves:
     def solve_local(self, sigma, params):
         grid = ball_grid(sigma, params, self.R, self.count)
         W = solve_local_radial(sigma, params, grid)
-        return W, integrate_radial(Field(grid=grid, values=W.values**params.p))
+        return W, float(radial_weights(grid) @ W.values**params.p)
 
 
 class GridLocalSolves:
@@ -128,7 +128,7 @@ class GridLocalSolves:
         return W, float(np.sum(grid.quad * wp)) + grid.held_area * params.b**params.p
 
 
-def full_grid_passes(params: Params, R: float, count: int = 2500) -> NonlocalResult:
+def full_grid_passes(params: Params, R: float, count: int = 2500) -> SteadyState:
     """The ball's nonlocal solve with every grid pass on count nodes: the
     first from the lower barrier on ball_grid(sigma0), sigma0 = eps^2 *
     lambda_leading, each later one on ball_grid of the sigma the previous

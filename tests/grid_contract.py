@@ -24,6 +24,8 @@ from scipy.sparse.linalg import spsolve
 
 from klayer.core import radial_weights, unit_sphere_area
 
+# the 200-point Gauss-Legendre rule on [-1, 1] of BallField.integral, formed once
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(200)
 
 def contract_errors(system, coords, field, power: int = 2) -> tuple[float, float]:
     """(nodal error of the operator, relative quadrature error of field^power)
@@ -74,8 +76,7 @@ class BallField:
         """omega_n int_0^upper r^(n-1) u^power dr (upper R by default) by
         200-point Gauss-Legendre."""
         upper = self.R if upper is None else upper
-        x, weights = np.polynomial.legendre.leggauss(200)
-        r = 0.5 * upper * (x + 1.0)
+        r = 0.5 * upper * (_GAUSS_X + 1.0)
         return unit_sphere_area(self.n) * 0.5 * upper * float(
-            np.sum(weights * r ** (self.n - 1) * self.u(r) ** power)
+            np.sum(_GAUSS_W * r ** (self.n - 1) * self.u(r) ** power)
         )

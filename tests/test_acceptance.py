@@ -144,7 +144,7 @@ def disk_sweep():
     solves = []
     for eps in EPS_SWEEP:
         par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-        solves.append((par, solve_nonlocal(par, 1.0, 3000).steady))
+        solves.append((par, solve_nonlocal(par, 1.0, 3000)))
     return solves, time.perf_counter() - t0
 
 
@@ -361,14 +361,14 @@ def test_gate_08_planar_vs_radial_oracle():
     grid = build_domain(Disk(1.0), 0.005)
     res2 = solve_nonlocal_2d(par, grid)
     res1 = solve_nonlocal(par, 1.0, 3000)
-    lam_gap = abs(res2.steady.lambda_eps - res1.steady.lambda_eps) / res1.steady.lambda_eps
+    lam_gap = abs(res2.lambda_eps - res1.lambda_eps) / res1.lambda_eps
 
     iy0 = int(np.argmin(np.abs(grid.coords)))
     xs = grid.coords[(grid.coords >= 0) & (grid.coords <= 1.0)]
     ix = np.searchsorted(grid.coords, xs)
-    W1 = res1.steady.W
+    W1 = res1.W
     w_gap = float(
-        np.max(np.abs(res2.steady.W.values[ix, iy0] - np.interp(xs, W1.grid.nodes, W1.values)))
+        np.max(np.abs(res2.W.values[ix, iy0] - np.interp(xs, W1.grid.nodes, W1.values)))
     )
     elapsed = time.perf_counter() - t0
     ok = lam_gap < 0.01 and w_gap < 5e-3 and elapsed < 300.0
@@ -386,11 +386,11 @@ def test_gate_09_curvature_thickness_monotonicity():
     a, b_ax = np.sqrt(2.0), 1.0 / np.sqrt(2.0)  # area pi, aspect ratio 2
     ellipse = Ellipse(a, b_ax)
     eres = solve_nonlocal_2d(par, build_domain(ellipse, 0.01))
-    etab = curvature_thickness_report(eres.steady.W, boundary_samples(ellipse, 128), 0.5, par)
+    etab = curvature_thickness_report(eres.W, boundary_samples(ellipse, 128), 0.5, par)
     rho = float(spearmanr(etab[:, 1], etab[:, 2]).statistic)
 
     dres = solve_nonlocal_2d(par, build_domain(Disk(1.0), 0.01))
-    dtab = curvature_thickness_report(dres.steady.W, boundary_samples(Disk(1.0), 48), 0.5, par)
+    dtab = curvature_thickness_report(dres.W, boundary_samples(Disk(1.0), 48), 0.5, par)
     cv = float(np.std(dtab[:, 2]) / np.mean(dtab[:, 2]))
 
     ok = len(etab) >= 32 and rho > 0 and cv <= 0.05
@@ -442,7 +442,7 @@ def test_gate_12_uniqueness_probe():
     par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
     grid = build_domain(Disk(1.0), 0.02)
     res = solve_nonlocal_2d(par, grid)
-    sigma = res.steady.sigma
+    sigma = res.sigma
     b_start = np.full(int(grid.inside.sum()), par.b)  # the constant supersolution
     W_super = solve_local_2d(sigma, par, grid, initial=b_start)
     near_zero = np.full(int(grid.inside.sum()), 1e-3 * par.b)

@@ -166,7 +166,7 @@ def sweep():
     out = []
     for eps in (4e-3, 2e-3):
         par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-        out.append((par, solve_nonlocal(par, 1.0, 2000).steady))
+        out.append((par, solve_nonlocal(par, 1.0, 2000)))
     return out
 
 
@@ -207,7 +207,7 @@ class TestVerifyExpansionCoarse:
         reports = verify_expansion(DISK, 2.0, eps, count=1500)
         for e, lam in zip(eps, reports["lambda_eps"].computed):
             par = Params(epsilon=e, p=2, b=1, m=1, n=2)
-            assert lam == solve_nonlocal(par, 2.0, 1500).steady.lambda_eps
+            assert lam == solve_nonlocal(par, 2.0, 1500).lambda_eps
 
 
 class TestPLimit:
@@ -225,7 +225,8 @@ class TestPLimit:
         # U == const on the disk: fraction within depth d is 1 - (1-d)^2
         grid = make_graded_grid(1.0, 2, 10.0 / 1999, 2000)
         U = Field(grid, np.ones(grid.count))
-        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
+        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0,
+                         bisection_iters=0, constraint_residual=0.0)
         got = boundary_mass_fraction(st, 0.1)
         assert got == pytest.approx(1.0 - 0.81, rel=1e-6)
 
@@ -234,10 +235,30 @@ class TestPLimit:
         # no depth holds no mass, a depth of R or more holds all of it
         grid = make_graded_grid(1.0, n, 0.05, 200)
         U = Field(grid, np.exp(-grid.nodes))
-        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
+        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0,
+                         bisection_iters=0, constraint_residual=0.0)
         assert boundary_mass_fraction(st, 0.0) == 0.0
         for depth in (1.0, 1.5, 1e9):
             assert boundary_mass_fraction(st, depth) == 1.0
+
+    @pytest.mark.parametrize("depth", [-0.1, np.nan, np.inf])
+    def test_mass_fraction_rejects_bad_depth(self, depth):
+        # a negative depth used to give 0.0 and a nan depth nan
+        grid = make_graded_grid(1.0, 2, 0.05, 200)
+        U = Field(grid, np.ones(grid.count))
+        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0,
+                         bisection_iters=0, constraint_residual=0.0)
+        with pytest.raises(ValueError, match="depth must be finite and >= 0"):
+            boundary_mass_fraction(st, depth)
+
+    @pytest.mark.parametrize("depth_fraction", [-0.1, np.nan, np.inf])
+    def test_rejects_bad_depth_fraction_before_solving(self, monkeypatch, depth_fraction):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking depth_fraction")
+
+        monkeypatch.setattr(asymptotics, "solve_nonlocal", no_solve)
+        with pytest.raises(ValueError, match="depth_fraction must be finite and >= 0"):
+            verify_p_limit(DISK, 1.0, [5.0], 0.1, depth_fraction=depth_fraction)
 
 
 @pytest.mark.parametrize("count", [1, 15, 2.5])

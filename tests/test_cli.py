@@ -5,13 +5,14 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import klayer
-from klayer import planar2d
+from klayer import cli, planar2d
 from klayer.cli import (
     _OPTIONS,
     COMMANDS,
@@ -299,6 +300,30 @@ class TestRunSteadyRadial:
         )
         assert rc == 1
 
+    def test_unwritable_output_dir_fails_before_solving(self, cfg_file, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only directory")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the writability check")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+        monkeypatch.setattr(cli, "solve_nonlocal", no_solve)
+        out = tmp_path / "out"
+        assert main(["steady-radial", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+
+    def test_keeps_a_file_named_like_the_probe(self, cfg_file, tmp_path):
+        # the writability probe used to touch and then delete out/.write_probe
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".write_probe").write_text("keep me")
+        argv = ["--config", str(cfg_file), "--grid-count", "1200", "--out", str(out)]
+        assert main(["steady-radial", *argv]) == 0
+        assert (out / ".write_probe").read_text() == "keep me"
+        assert sorted(f.name for f in out.iterdir()) == [
+            ".write_probe", "steady_profile.csv", "steady_summary.csv"]
+
     def test_writes_only_csv(self, cfg_file, tmp_path):
         out = tmp_path / "radial"
         rc = main(["steady-radial", "--config", str(cfg_file), "--grid-count", "1200",
@@ -485,8 +510,7 @@ class TestRunSteady2D:
         X, Y = np.meshgrid(grid.coords, grid.coords, indexing="ij")
         mask = grid.inside
         assert mask.sum() > 1024
-        st = res.steady
-        rows = zip(X[mask], Y[mask], st.W.values[mask], st.U.values[mask])
+        rows = zip(X[mask], Y[mask], res.W.values[mask], res.U.values[mask])
         _write_csv_per_value(tmp_path / "ref.csv", "x,y,W,U", rows)
         assert (out / "steady_field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 

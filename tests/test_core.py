@@ -16,7 +16,6 @@ from klayer.core import (
     RadialGrid,
     SteadyState,
     ball_volume,
-    integrate_radial,
     interpolate_monotone,
     make_graded_grid,
     radial_cumulative,
@@ -273,9 +272,11 @@ def test_array_records_compare_by_identity(make):
     assert x != twin
     assert hash(x) == hash(x)
     # the records that hold them compare without raising
-    st = SteadyState(W=x, U=x, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
-    assert st == SteadyState(W=x, U=x, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
-    assert st != SteadyState(W=twin, U=twin, amplitude=1.0, lambda_eps=1.0, sigma=1.0)
+    constants = dict(amplitude=1.0, lambda_eps=1.0, sigma=1.0, bisection_iters=0,
+                     constraint_residual=0.0)
+    st = SteadyState(W=x, U=x, **constants)
+    assert st == SteadyState(W=x, U=x, **constants)
+    assert st != SteadyState(W=twin, U=twin, **constants)
     assert hash(st) == hash(st)
 
 
@@ -409,28 +410,26 @@ def test_grid_contract_order_2(family):
 
 
 class TestIntegrateRadial:
+    """Integrals over the ball as radial_weights(grid) @ values."""
+
     def test_disk_area(self):
         g = uniform_grid(1.0, 2, 400)
-        f = Field(g, np.ones(g.count))
-        assert integrate_radial(f) == pytest.approx(np.pi, abs=1e-6)
+        assert radial_weights(g) @ np.ones(g.count) == pytest.approx(np.pi, abs=1e-6)
 
     def test_ball_volume(self):
         g = uniform_grid(1.0, 3, 2000)
-        f = Field(g, np.ones(g.count))
-        assert integrate_radial(f) == pytest.approx(4 * np.pi / 3, abs=1e-6)
+        assert radial_weights(g) @ np.ones(g.count) == pytest.approx(4 * np.pi / 3, abs=1e-6)
 
     def test_symmetric_interval(self):
         # omega_1 = 2 counts both ends of [-R, R]
         g = uniform_grid(1.0, 1, 400)
-        f = Field(g, g.nodes.copy())
-        assert integrate_radial(f) == pytest.approx(1.0, abs=1e-10)
+        assert radial_weights(g) @ g.nodes == pytest.approx(1.0, abs=1e-10)
 
     def test_second_order_convergence(self):
         errs = []
         for count in (101, 201, 401):
             g = uniform_grid(1.0, 3, count)
-            f = Field(g, np.ones(g.count))
-            errs.append(abs(integrate_radial(f) - 4 * np.pi / 3))
+            errs.append(abs(radial_weights(g) @ np.ones(g.count) - 4 * np.pi / 3))
         order1 = np.log2(errs[0] / errs[1])
         order2 = np.log2(errs[1] / errs[2])
         assert order1 > 1.9 and order2 > 1.9
@@ -509,4 +508,5 @@ class TestSteadyStateInvariants:
         g = uniform_grid(1.0, 2, 16)
         W = Field(g, np.ones(16))
         with pytest.raises(ValueError):
-            SteadyState(W=W, U=W, amplitude=-1.0, lambda_eps=1.0, sigma=1.0)
+            SteadyState(W=W, U=W, amplitude=-1.0, lambda_eps=1.0, sigma=1.0,
+                        bisection_iters=0, constraint_residual=0.0)

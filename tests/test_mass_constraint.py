@@ -6,7 +6,7 @@ import pytest
 import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.asymptotics import measure_thickness
-from klayer.core import Field, Params, RadialGrid, integrate_radial, radial_weights
+from klayer.core import Field, Params, RadialGrid, radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import ball_grid, solve_nonlocal
 from klayer.planar2d import Disk, Ellipse, build_domain, solve_nonlocal_2d
@@ -51,14 +51,12 @@ class TestConstraintValue:
 
 class TestSolveNonlocal:
     def test_mass_closure(self, result):
-        st = result.steady
-        assert integrate_radial(st.U) == pytest.approx(PAR.m, rel=1e-12)
+        assert radial_weights(result.U.grid) @ result.U.values == pytest.approx(PAR.m, rel=1e-12)
         assert result.constraint_residual < 1e-8
 
     def test_reciprocal_constants(self, result):
-        st = result.steady
-        assert abs(st.amplitude * st.lambda_eps - 1.0) <= 1e-10
-        assert st.sigma == pytest.approx(PAR.epsilon * st.lambda_eps, rel=1e-14)
+        assert abs(result.amplitude * result.lambda_eps - 1.0) <= 1e-10
+        assert result.sigma == pytest.approx(PAR.epsilon * result.lambda_eps, rel=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("p", [1, 2, 8])
@@ -66,15 +64,14 @@ class TestSolveNonlocal:
         # bit for bit: the constants are built from the quadrature the
         # Newton iterates with, applied to the W it returns
         par = Params(epsilon=4e-3, p=p, b=1, m=1, n=n)
-        st = solve_nonlocal(par, 1.0).steady
+        st = solve_nonlocal(par, 1.0)
         integral = float(radial_weights(st.W.grid) @ st.W.values**p)
         assert st.amplitude == par.m / integral
         assert st.lambda_eps == integral / par.m
 
     def test_density_is_scaled_power(self, result):
-        st = result.steady
-        assert st.U.grid is st.W.grid
-        assert np.array_equal(st.U.values, st.amplitude * st.W.values**PAR.p)
+        assert result.U.grid is result.W.grid
+        assert np.array_equal(result.U.values, result.amplitude * result.W.values**PAR.p)
 
     def test_bracket_seed_independence(self, domain, result):
         # doubling the lower bracket endpoint (via a volume-doubled view of
@@ -87,13 +84,10 @@ class TestSolveNonlocal:
                 return domain.solve_local(sigma, params)
 
         alt = illinois(PAR, WideBracket(), tol_rel=1e-8)
-        assert alt.steady.amplitude == pytest.approx(
-            result.steady.amplitude, rel=5e-8
-        )
+        assert alt.amplitude == pytest.approx(result.amplitude, rel=5e-8)
 
     def test_fixed_point_consistency(self, domain, result):
-        st = result.steady
-        lam = st.amplitude
+        lam = result.amplitude
         _, integral = domain.solve_local(PAR.epsilon / lam, PAR)
         assert abs(lam * integral - PAR.m) / PAR.m < 2e-8
 
@@ -101,7 +95,7 @@ class TestSolveNonlocal:
         ratios = []
         for eps in (4e-3, 2e-3, 1e-3):
             par = Params(epsilon=eps, p=2, b=1, m=1, n=2)
-            st = solve_nonlocal(par, 1.0, 2000).steady
+            st = solve_nonlocal(par, 1.0, 2000)
             ratios.append(st.lambda_eps / eps)
         assert max(ratios) / min(ratios) < 1.3
         assert all(30 < r < 200 for r in ratios)
@@ -118,7 +112,7 @@ def test_planar_pair_shares_one_grid(shape):
     # as test_density_is_scaled_power on the ball: U is amplitude * W^p on
     # W's own grid, bit for bit
     par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
-    st = solve_nonlocal_2d(par, build_domain(shape, 0.05)).steady
+    st = solve_nonlocal_2d(par, build_domain(shape, 0.05))
     assert st.U.grid is st.W.grid
     assert np.array_equal(st.U.values, st.amplitude * st.W.values**par.p)
 
@@ -225,7 +219,7 @@ class TestIllinois:
         )
         # g grows like lam^(1/2) here: each root sits within 2e-8 of the
         # exact one
-        assert res.steady.amplitude == pytest.approx(lam_ref, rel=4e-8)
+        assert res.amplitude == pytest.approx(lam_ref, rel=4e-8)
         assert res.constraint_residual < 1e-8
         # pins the direct path that every ball takes: on a ball
         # bisection_iters counts Newton steps over all grid passes, here 4
@@ -274,9 +268,8 @@ class TestDirectRadial:
     def test_matches_illinois_over_local_solves(self, n, p, b, eps):
         par = Params(epsilon=eps, p=p, b=b, m=1, n=n)
         ball = BallLocalSolves(R=1.0, n=n)
-        res = solve_nonlocal(par, 1.0)
-        ref = illinois(par, ball, tol_rel=1e-11)
-        st, st_ref = res.steady, ref.steady
+        st = solve_nonlocal(par, 1.0)
+        st_ref = illinois(par, ball, tol_rel=1e-11)
         W = st.W.values
         W_ref = np.interp(st.W.grid.nodes, st_ref.W.grid.nodes, st_ref.W.values)
         # measured worst over these cases: lambda_eps 2.8e-10, W 5.9e-10 b
@@ -294,7 +287,7 @@ class TestDirectRadial:
         assert np.max(np.abs(st.W.grid.nodes - nodes)) <= 1e-10
         # W solves sigma K W = V W^(1+p) on the finite volumes with
         # sigma = eps int W^p / m taken from W itself, to the Newton stop
-        sigma = eps * integrate_radial(Field(st.W.grid, W**p)) / par.m
+        sigma = eps * (radial_weights(st.W.grid) @ W**p) / par.m
         assert sigma == pytest.approx(st.sigma, rel=1e-14)
         g, V = st.W.grid.conductances, st.W.grid.volumes
         di = -(np.r_[0.0, g] + np.r_[g, 0.0])
@@ -304,7 +297,7 @@ class TestDirectRadial:
         jd = (sigma * di - (1.0 + p) * V * W**p)[:-1]
         assert np.max(np.abs(F / jd)) <= STEP_TOL * b
         assert W[-1] == b and np.all(W > 0) and np.all(W <= b)
-        again = solve_nonlocal(par, 1.0).steady
+        again = solve_nonlocal(par, 1.0)
         assert again.W.values.tobytes() == W.tobytes()
         assert again.lambda_eps == st.lambda_eps
 
@@ -339,9 +332,9 @@ class TestDirectRadial:
         par = Params(epsilon=0.1, p=40, b=0.5, m=1, n=2)
         ball = BallLocalSolves(R=1.0, n=2)
         ref = illinois(par, ball, tol_rel=1e-10)
-        assert ref.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
+        assert ref.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
         direct = solve_nonlocal(par, 1.0)
-        assert direct.steady.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
+        assert direct.lambda_eps == pytest.approx(1.748312e-13, rel=1e-6)
 
 
 # (n, p, eps, b, m): n 1-3, p 1-40, eps 0.05-2.5e-4, (b, m) (1, 1) and (2, 3)
@@ -379,8 +372,8 @@ class TestCoarseStart:
     @pytest.mark.parametrize("n, p, eps, b, m", COARSE_CASES)
     def test_matches_full_grid_passes(self, n, p, eps, b, m):
         par = Params(epsilon=eps, p=p, b=b, m=m, n=n)
-        st = solve_nonlocal(par, 1.0).steady
-        ref = full_grid_passes(par, 1.0).steady
+        st = solve_nonlocal(par, 1.0)
+        ref = full_grid_passes(par, 1.0)
         assert st.W.grid.count == 2500
         # measured worst over these cases: lambda_eps 1.9e-10, thickness
         # 2.0e-11 and slope_U 8.1e-8; the thickness at the reported level
@@ -404,13 +397,13 @@ class TestCoarseStart:
         # exactly as far as the reference's own slope_W moves when the sigma
         # of its grid moves by 1e-12 (a one-ulp move of the nodes next to R)
         par = Params(epsilon=2.5e-4, p=120, b=1, m=1, n=1)
-        ref = full_grid_passes(par, 1.0).steady
+        ref = full_grid_passes(par, 1.0)
         grid = ball_grid(ref.sigma * (1 + 1e-12), par, 1.0, 2500)
         W = np.interp(grid.nodes, ref.W.grid.nodes, ref.W.values)
         shifted, _ = _newton(W, None, par, grid, radial_weights(grid))
         slope = boundary_slope(ref.W)
         shift = abs(boundary_slope(shifted) / slope - 1)
-        move = abs(boundary_slope(solve_nonlocal(par, 1.0).steady.W) / slope - 1)
+        move = abs(boundary_slope(solve_nonlocal(par, 1.0).W) / slope - 1)
         assert 5e-6 < move <= shift <= _stencil_conditioning(ref.W, par.b)
 
     @pytest.mark.parametrize("count", [16, 17, 63, 64, 80])
@@ -419,8 +412,8 @@ class TestCoarseStart:
         # below count 64 every pass takes count nodes, from 64 on the first
         # takes 16 or 20
         par = Params(epsilon=eps, p=p, b=1, m=1, n=n)
-        st = solve_nonlocal(par, 1.0, count).steady
-        ref = full_grid_passes(par, 1.0, count).steady
+        st = solve_nonlocal(par, 1.0, count)
+        ref = full_grid_passes(par, 1.0, count)
         assert st.W.grid.count == count
         # measured worst 1.8e-11
         assert st.lambda_eps == pytest.approx(ref.lambda_eps, rel=1e-10)
@@ -430,11 +423,11 @@ class TestCoarseStart:
         # moves sigma by less than the pass tolerance, and the solve still
         # goes on to the grid of count nodes
         par = Params(epsilon=2e-3, p=2, b=1, m=1, n=2)
-        sigma = full_grid_passes(par, 1.0, 625).steady.sigma
+        sigma = full_grid_passes(par, 1.0, 625).sigma
         monkeypatch.setattr(
             klayer.mass_constraint, "lambda_leading", lambda params, R: sigma / params.epsilon**2
         )
-        st = solve_nonlocal(par, 1.0).steady
+        st = solve_nonlocal(par, 1.0)
         assert pass_sizes[0] == 625 and st.W.grid.count == 2500
 
     @pytest.mark.parametrize("count", [16, 40, 63])
@@ -444,7 +437,7 @@ class TestCoarseStart:
         par = Params(epsilon=1e-3, p=2, b=1, m=1, n=2)
         res, ref = solve_nonlocal(par, 1.0, count), full_grid_passes(par, 1.0, count)
         assert set(pass_sizes) == {count}
-        for got, want in ((res.steady.W, ref.steady.W), (res.steady.U, ref.steady.U)):
+        for got, want in ((res.W, ref.W), (res.U, ref.U)):
             assert got.grid.nodes.tobytes() == want.grid.nodes.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
         assert res.bisection_iters == ref.bisection_iters
@@ -454,11 +447,11 @@ class TestCoarseStart:
         # too takes a coarse first pass (4 steps on 625 nodes, 2 on 2500)
         par = Params(epsilon=0.01, p=2, b=1, m=1, n=2)
         res, ref = solve_nonlocal(par, 1.0), full_grid_passes(par, 1.0)
-        assert pass_sizes[0] == 625 and res.steady.W.grid.count == 2500
-        assert res.steady.W.grid.nodes.tobytes() == ref.steady.W.grid.nodes.tobytes()
+        assert pass_sizes[0] == 625 and res.W.grid.count == 2500
+        assert res.W.grid.nodes.tobytes() == ref.W.grid.nodes.tobytes()
         # measured 2.2e-16 and 1.1e-16 b
-        assert res.steady.lambda_eps == pytest.approx(ref.steady.lambda_eps, rel=1e-14)
-        assert np.max(np.abs(res.steady.W.values - ref.steady.W.values)) <= 1e-14 * par.b
+        assert res.lambda_eps == pytest.approx(ref.lambda_eps, rel=1e-14)
+        assert np.max(np.abs(res.W.values - ref.W.values)) <= 1e-14 * par.b
 
     def test_first_pass_is_coarse(self, pass_sizes):
         # the README sweep at p 2 and 4: a pass on a quarter of the nodes,

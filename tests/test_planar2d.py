@@ -401,7 +401,7 @@ class TestQuadrature:
         # sum over the padded square's node weights misses by 1 ulp on all
         # three shapes)
         grid = build_domain(shape, h)
-        st = solve_nonlocal_2d(PAR, grid).steady
+        st = solve_nonlocal_2d(PAR, grid)
         w = st.W.values[grid.inside]
         integral = float(np.sum(grid.quad * w**PAR.p)) + grid.held_area * PAR.b**PAR.p
         assert st.amplitude == PAR.m / integral
@@ -411,13 +411,13 @@ class TestQuadrature:
 class TestLocal2D:
     def test_matches_radial_at_fixed_sigma(self, disk_grid, radial_reference):
         grid = disk_grid
-        sigma = radial_reference.steady.sigma
+        sigma = radial_reference.sigma
         W = solve_local_2d(sigma, PAR, grid)
         iy0 = int(np.argmin(np.abs(grid.coords)))
         xs = grid.coords[(grid.coords >= 0) & (grid.coords <= 1.0)]
         ix = np.searchsorted(grid.coords, xs)
         prof2 = W.values[ix, iy0]
-        W1 = radial_reference.steady.W
+        W1 = radial_reference.W
         prof1 = np.interp(xs, W1.grid.nodes, W1.values)
         assert np.max(np.abs(prof2 - prof1)) <= 1e-3
 
@@ -444,7 +444,7 @@ class TestLocal2D:
 
     def test_uniqueness_probe(self, disk_grid, radial_reference):
         grid = disk_grid
-        sigma = radial_reference.steady.sigma
+        sigma = radial_reference.sigma
         b_start = np.full(int(grid.inside.sum()), PAR.b)  # the constant supersolution
         W_super = solve_local_2d(sigma, PAR, grid, initial=b_start)
         W_lower = solve_local_2d(sigma, PAR, grid)
@@ -467,15 +467,15 @@ class TestLocal2D:
 
 class TestNonlocal2D:
     def test_mass_closure(self, disk_nonlocal):
-        st = disk_nonlocal.steady
+        st = disk_nonlocal
         grid = st.W.grid
         u = st.U.values
         total = np.sum(grid.quad * u[grid.inside]) + grid.held_area * st.amplitude * PAR.b**PAR.p
         assert total == pytest.approx(PAR.m, rel=1e-6)
 
     def test_lambda_matches_radial(self, disk_nonlocal, radial_reference):
-        lam2 = disk_nonlocal.steady.lambda_eps
-        lam1 = radial_reference.steady.lambda_eps
+        lam2 = disk_nonlocal.lambda_eps
+        lam1 = radial_reference.lambda_eps
         assert abs(lam2 - lam1) / lam1 < 0.01
 
     def test_constraint_monotone_on_2d_path(self, disk_grid):
@@ -493,7 +493,7 @@ class TestNonlocal2D:
             dom = GridLocalSolves(grid)
             for p in (1, 2, 8):
                 par = Params(epsilon=0.05, p=p, b=1, m=1, n=2)
-                st = solve_nonlocal_2d(par, grid).steady
+                st = solve_nonlocal_2d(par, grid)
                 W, integral = dom.solve_local(st.sigma, par)
                 assert np.max(np.abs(W.values - st.W.values)) <= 5e-10 * par.b
                 g = par.epsilon / st.sigma * integral
@@ -507,14 +507,13 @@ class TestNonlocal2D:
         grid = build_domain(shape, 0.02)
         for p in (1, 2, 8):
             par = Params(epsilon=0.05, p=p, b=1, m=1, n=2)
-            res = solve_nonlocal_2d(par, grid)
-            ref = illinois(par, GridLocalSolves(grid), tol_rel=1e-11)
-            st, st_ref = res.steady, ref.steady
+            st = solve_nonlocal_2d(par, grid)
+            st_ref = illinois(par, GridLocalSolves(grid), tol_rel=1e-11)
             assert st.lambda_eps == pytest.approx(st_ref.lambda_eps, rel=2e-10)
             assert np.max(np.abs(st.W.values - st_ref.W.values)) <= 2e-10 * par.b
             assert np.all(st.W.values[~grid.inside] == par.b)
             assert np.all(st.U.values[~grid.inside] == st.amplitude * par.b**par.p)
-            assert res.constraint_residual <= 1e-15
+            assert st.constraint_residual <= 1e-15
 
     @pytest.mark.parametrize("shape", SHAPES[:3], ids=SHAPE_IDS[:3])
     def test_factorisations_per_solve(self, shape, monkeypatch):
@@ -558,21 +557,21 @@ class TestNonlocal2D:
         grid = disk_grid
         par3 = Params(epsilon=0.05, p=2, b=1, m=1, n=3)
         res = solve_nonlocal_2d(par3, grid)
-        assert res.steady.lambda_eps == disk_nonlocal.steady.lambda_eps
+        assert res.lambda_eps == disk_nonlocal.lambda_eps
 
     def test_mass_halving_raises_lambda_eps(self, disk_grid):
         # lambda_eps carries a 1/m^2 amplitude times the m-normalisation
         grid = disk_grid
         par_half = Params(epsilon=0.05, p=2, b=1, m=0.5, n=2)
-        lam_half = solve_nonlocal_2d(par_half, grid).steady.lambda_eps
-        lam_full = solve_nonlocal_2d(PAR, grid).steady.lambda_eps
+        lam_half = solve_nonlocal_2d(par_half, grid).lambda_eps
+        lam_full = solve_nonlocal_2d(PAR, grid).lambda_eps
         assert lam_half > 1.4 * lam_full
 
     def test_mask_refinement_moves_lambda_first_order(self):
         lams = {}
         for h in (0.04, 0.02):
             grid = build_domain(Disk(1.0), h)
-            lams[h] = solve_nonlocal_2d(PAR, grid).steady.lambda_eps
+            lams[h] = solve_nonlocal_2d(PAR, grid).lambda_eps
         rel_change = abs(lams[0.04] - lams[0.02]) / lams[0.02]
         assert rel_change < 10 * 0.04  # O(h) cut-cell boundary
 
@@ -622,7 +621,7 @@ def full_system_newton(params, grid, sigma=None):
     given sigma)."""
     if sigma is None:
         R_eq = np.sqrt(grid.area() / np.pi)
-        W = solve_nonlocal(replace(params, n=2), R_eq).steady.W
+        W = solve_nonlocal(replace(params, n=2), R_eq).W
         start = np.interp(R_eq + grid.phi[grid.inside], W.grid.nodes, W.values)
     else:
         start = layer_profile(-grid.phi[grid.inside], sigma, params)
@@ -667,10 +666,9 @@ class TestMirrorFold:
         # measured at most 1.8e-15 b in W and 2.5e-15 in lambda_eps, far
         # below the Newton's own stop error; the step counts match
         grid = build_domain(shape, 0.02)
-        res = solve_nonlocal_2d(PAR, grid)
+        st = solve_nonlocal_2d(PAR, grid)
         w_ref, steps_ref = full_system_newton(PAR, grid)
-        st = res.steady
-        assert res.bisection_iters == steps_ref
+        assert st.bisection_iters == steps_ref
         assert np.max(np.abs(st.W.values[grid.inside] - w_ref)) <= 1e-14 * PAR.b
         integral = float(np.sum(grid.quad * w_ref**PAR.p)) + grid.held_area * PAR.b**PAR.p
         assert st.lambda_eps == pytest.approx(integral / PAR.m, rel=1e-14)
@@ -720,9 +718,9 @@ class TestMirrorFold:
         res = solve_nonlocal_2d(PAR, grid)
         w_ref, steps_ref = full_system_newton(PAR, grid)
         assert res.bisection_iters == steps_ref
-        assert np.array_equal(res.steady.W.values[grid.inside], w_ref)
-        W = solve_local_2d(res.steady.sigma, PAR, grid)
-        w_ref, _ = full_system_newton(PAR, grid, res.steady.sigma)
+        assert np.array_equal(res.W.values[grid.inside], w_ref)
+        W = solve_local_2d(res.sigma, PAR, grid)
+        w_ref, _ = full_system_newton(PAR, grid, res.sigma)
         assert np.array_equal(W.values[grid.inside], w_ref)
 
 
@@ -865,7 +863,7 @@ class TestBilinear:
     def test_matches_scipy_bit_for_bit(self, disk_grid, disk_nonlocal, points, filled):
         # measured: 0 ulps, as the cell search and the weights are scipy's
         grid = disk_grid
-        W = disk_nonlocal.steady.W
+        W = disk_nonlocal.W
         values, fill = (
             (W.values.copy(), PAR.b) if filled
             else (np.where(grid.inside, W.values, np.nan), np.nan)
@@ -881,7 +879,7 @@ class TestBilinear:
         # values array still matches scipy bit for bit, whatever came before
         grid = disk_grid
         interpolate = _bilinear(grid.coords, points)
-        W = disk_nonlocal.steady.W.values.copy()
+        W = disk_nonlocal.W.values.copy()
         phi = grid.phi.copy()
         for values, fill in ((W, PAR.b), (phi, 1.0), (W, PAR.b)):
             ref = self.scipy_interp(grid, values, fill)(points)
@@ -890,7 +888,7 @@ class TestBilinear:
     def test_fills_outside_closed_box_only(self, disk_grid, disk_nonlocal, points):
         grid = disk_grid
         lo, hi = grid.coords[0], grid.coords[-1]
-        filled = disk_nonlocal.steady.W.values
+        filled = disk_nonlocal.W.values
         vals = _bilinear(grid.coords, points)(filled, -1.0)
         in_box = np.all((lo <= points) & (points <= hi), axis=1)
         assert np.all(vals[~in_box] == -1.0)
@@ -914,7 +912,7 @@ class TestBilinear:
 
     def test_single_point(self, disk_grid, disk_nonlocal):
         grid = disk_grid
-        W = disk_nonlocal.steady.W
+        W = disk_nonlocal.W
         ref = self.scipy_interp(grid, W.values.copy(), PAR.b)
         for point in (np.array([0.31, -0.47]), np.array([grid.coords[-1], grid.coords[-1]])):
             value = _bilinear(grid.coords, point)(W.values, PAR.b)
@@ -926,7 +924,7 @@ class TestThicknessReport:
     @pytest.fixture(scope="class")
     def ellipse_W(self):
         shape = Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0))
-        return shape, solve_nonlocal_2d(PAR, build_domain(shape, 0.02)).steady.W
+        return shape, solve_nonlocal_2d(PAR, build_domain(shape, 0.02)).W
 
     def test_matches_scalar_march(self, ellipse_W):
         shape, W = ellipse_W
@@ -937,31 +935,31 @@ class TestThicknessReport:
         assert np.array_equal(table, ref)
 
     def test_disk_thickness_uniform(self, disk_samples, disk_nonlocal, radial_reference):
-        table = curvature_thickness_report(disk_nonlocal.steady.W, disk_samples, 0.5, PAR)
+        table = curvature_thickness_report(disk_nonlocal.W, disk_samples, 0.5, PAR)
         assert len(table) == len(disk_samples)
         cv = np.std(table[:, 2]) / np.mean(table[:, 2])
         assert cv <= 0.05
         # cross-check against the radial level-set depth
         from klayer.asymptotics import measure_thickness
 
-        t_rad = measure_thickness(radial_reference.steady.W, 0.5)
+        t_rad = measure_thickness(radial_reference.W, 0.5)
         assert np.mean(table[:, 2]) == pytest.approx(t_rad, rel=0.1)
 
     def test_unreachable_level_skips_all(self, disk_samples, disk_nonlocal):
-        w_min = float(np.min(disk_nonlocal.steady.W.values))
+        w_min = float(np.min(disk_nonlocal.W.values))
         table = curvature_thickness_report(
-            disk_nonlocal.steady.W, disk_samples, 0.5 * w_min, PAR
+            disk_nonlocal.W, disk_samples, 0.5 * w_min, PAR
         )
         assert table.shape == (0, 3)
 
     def test_level_validation(self, disk_samples, disk_nonlocal):
         with pytest.raises(ValueError):
-            curvature_thickness_report(disk_nonlocal.steady.W, disk_samples, 2.0, PAR)
+            curvature_thickness_report(disk_nonlocal.W, disk_samples, 2.0, PAR)
 
     def test_first_step_crossing_matches_scalar_march(self, disk_samples, disk_nonlocal):
         # a level just below b is crossed between the boundary, holding b,
         # and the first step of the march
-        W = disk_nonlocal.steady.W
+        W = disk_nonlocal.W
         table = curvature_thickness_report(W, disk_samples, 0.999 * PAR.b, PAR)
         ref, outcomes = scalar_ray_march(W, disk_samples, 0.999 * PAR.b, PAR)
         assert outcomes == ["hit"] * len(disk_samples)

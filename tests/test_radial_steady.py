@@ -367,7 +367,7 @@ class TestSolveBandedPaths:
     @staticmethod
     def ball_run():
         res = solve_nonlocal(Params(epsilon=0.004, p=2, b=1, m=1, n=2), 1.0)
-        return res.steady.W.values.tobytes(), res.steady.lambda_eps
+        return res.W.values.tobytes(), res.lambda_eps
 
     @pytest.mark.parametrize(
         "run, solves",
