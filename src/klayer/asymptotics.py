@@ -39,8 +39,6 @@ __all__ = [
     "measure_thickness",
     "verify_expansion",
     "verify_p_limit",
-    "envelope_constants",
-    "interior_sup",
     "boundary_mass_fraction",
 ]
 
@@ -202,30 +200,3 @@ def verify_p_limit(
         rows.append((p, sup_gap, frac))
     return rows
 
-
-def envelope_constants(
-    W: Field, eps: float, params: Params, band: float = 5.0
-) -> tuple[float, float]:
-    """Tightest constants r1 <= r2 with r1 * s(d) <= W <= r2 * s(d) over the
-    layer band d <= band * eps, where s(d) = (1 + d/eps)^(-2/p).
-
-    The ratio r2/r1 staying bounded along an eps-sweep is the two-sided
-    similarity statement for the layer profile.
-    """
-    grid = W.grid
-    d = grid.R - grid.nodes
-    mask = d <= band * eps
-    if np.count_nonzero(mask) < 4:
-        raise ValueError("layer band contains fewer than 4 nodes; refine the grid")
-    shape = (1.0 + d[mask] / eps) ** (-2.0 / params.p)
-    ratio = W.values[mask] / shape
-    return float(ratio.min()), float(ratio.max())
-
-
-def interior_sup(W: Field, delta: float) -> float:
-    """Max of W over the interior region dist(r, boundary) > delta."""
-    grid = W.grid
-    mask = (grid.R - grid.nodes) > delta
-    if not np.any(mask):
-        raise ValueError(f"no nodes deeper than delta={delta}")
-    return float(np.max(W.values[mask]))

@@ -1,5 +1,6 @@
 """Shared domain types: parameters, graded radial meshes, fields, the steady
-pair and its one constructor (nonlocal_result), quadrature, interpolation.
+pair and its one constructor (nonlocal_result), the one Newton of every
+steady solve (newton, over a NewtonSystem), quadrature, interpolation.
 
 Radial fields live on node-centred grids over [0, R].  All integrals use the
 n-dimensional radial measure omega_n * r^(n-1) dr, where omega_n is the surface
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NoCrossingError
+from .errors import NoConvergenceError, NoCrossingError
 
 __all__ = [
     "Params",
@@ -22,6 +24,8 @@ __all__ = [
     "Field",
     "SteadyState",
     "nonlocal_result",
+    "NewtonSystem",
+    "newton",
     "unit_sphere_area",
     "ball_volume",
     "make_graded_grid",
@@ -206,6 +210,113 @@ def nonlocal_result(params: Params, W: Field, integral: float, steps: int) -> St
         bisection_iters=steps,
         constraint_residual=abs(amplitude * integral - m) / m,
     )
+
+
+# Newton controls of newton: the iteration cap and the stop.  Newton stops
+# once the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of the
+# Newton step, is below STEP_TOL * b and every |F_i| / M_i is below
+# NEWTON_TOL times min(1, b^(1+p)), the size of W^(1+p) at the boundary, or
+# |F_i| is below its own rounding floor.  The scaled test alone stops short
+# where diffusion dominates (the smallest eigenvalue of sigma L lies far below
+# its diagonal), the absolute one alone where W^(1+p) is far below NEWTON_TOL.
+MAX_ITERS = 60
+STEP_TOL = 1e-13
+NEWTON_TOL = 1e-10
+
+
+class NewtonSystem(NamedTuple):
+    """sigma (L w + b bvec) = M w^(1+p) over the unknowns w of one grid, as
+    newton takes it: apply(w, b) = L w + b bvec, the diagonal of L
+    (negative), the row weights M (an array, or 1.0), the unknowns'
+    quadrature quad and held_area, the measure held at W = b, so that
+    integral(W^p) = quad @ w^p + held_area b^p; and factor(s, jd), the
+    Jacobian s L with its diagonal replaced by jd, factorised: its
+    .solve(rhs) takes one column or two, and newton reuses it over later
+    steps unless its reusable attribute is False."""
+
+    apply: Callable
+    diagonal: np.ndarray
+    weight: np.ndarray | float
+    quad: np.ndarray
+    held_area: float
+    factor: Callable
+
+
+def newton(w, sigma, params: Params, system: NewtonSystem, polish: bool = False):
+    """Newton from w on the system's equation at a given sigma or, with
+    sigma None, with sigma = eps * integral(W^p) / m following the iterate.
+
+    The Jacobian is s L - (1+p) M diag(w^p); with sigma None it gains the
+    rank one (eps/m) (L w + b bvec) (x) grad integral(W^p), eliminated by
+    Sherman-Morrison from one two-column solve.  A reusable factorisation
+    (a chord) is kept while full steps contract the scaled residual by at
+    least 0.3.  A step that would take an entry below a tenth of its value
+    is damped, and every iterate is floored at 1e-30 b.  Stops on the scaled
+    and the absolute residual (STEP_TOL, NEWTON_TOL); with polish, one more
+    step follows, taken in q = W^(-p/2).  Returns (min(w, b), Newton steps);
+    raises NoConvergenceError after MAX_ITERS steps, when an iterate turns
+    non-finite, or when the converged w exceeds b.
+    """
+    p, b = params.p, params.b
+    M = system.weight
+    at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
+    floor = 1e-30 * b
+    coef = params.epsilon / params.m
+    # float64 cancellation floor of each residual, over sigma: the sigma L w
+    # terms are O(sigma |L_ii|) individually, so F_i cannot drop below their
+    # rounding error however exact the iterate
+    rounding = 8.0 * np.finfo(float).eps * np.abs(system.diagonal) * b
+    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p)) * M
+    w = np.maximum(w, floor)
+    lu = None
+    res_prev = math.inf
+    limited = False
+    for steps in range(MAX_ITERS + 1):
+        wp = w**p
+        lap = system.apply(w, b)
+        s = sigma
+        if sigma is None:
+            s = coef * (float(system.quad @ wp) + system.held_area * b**p)
+        F = s * lap - M * wp * w
+        jd = s * system.diagonal - (1.0 + p) * M * wp
+        res = float(np.max(np.abs(F) / np.abs(jd)))
+        done = res < STEP_TOL * b and np.all(np.abs(F) < np.maximum(res_tol, rounding * s))
+        if done and not polish:
+            break
+        if steps == MAX_ITERS:
+            raise NoConvergenceError(f"Newton failed on {at} after {MAX_ITERS} iterations")
+        # reuse a factorisation only while full steps keep contracting; a
+        # stale reaction diagonal far from the solution causes overshoot
+        if lu is None or limited or res > 0.3 * res_prev or not getattr(lu, "reusable", True):
+            lu = None  # release the stale factors before computing new ones
+            lu = system.factor(s, jd)
+        res_prev = res
+        if sigma is None:
+            # as rows of one C-ordered array, so that row @ y sums in the same
+            # order whatever the layout of the solve's result
+            y, z = np.ascontiguousarray(lu.solve(np.column_stack((-F, coef * lap))).T)
+            row = p * system.quad * wp / w
+            delta = y - z * (row @ y) / (1.0 + row @ z)
+        else:
+            delta = lu.solve(-F)
+        if done:
+            # the step in q = W^(-p/2), the variable in which the layer
+            # b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W
+            w = w * (1.0 - 0.5 * p * delta / w) ** (-2.0 / p)
+            steps += 1
+            break
+        # damp a step that would take an entry below a tenth of its value
+        ratio = -float(np.min(delta / w))
+        limited = ratio > 0.9
+        if limited:
+            delta *= 0.9 / ratio
+        w = np.maximum(w + delta, floor)
+        if not np.all(np.isfinite(w)):
+            raise NoConvergenceError(f"Newton iterate on {at} turned non-finite")
+    overshoot = float(np.max(w)) - b
+    if overshoot > 1e-9 * b:
+        raise NoConvergenceError(f"converged iterate exceeds b by {overshoot}")
+    return np.minimum(w, b), steps
 
 
 def _geometric_ratio(total: float, h0: float, k: int) -> float:

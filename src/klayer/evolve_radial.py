@@ -24,8 +24,8 @@ u, and v = ln w.
 A face carries zero flux exactly when u_(i+1) / u_i = e^d, so the scheme's
 stationary density is U = C W^p and its steady pair solves
 eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).
-relax_to_discrete_steady() solves it with radial_steady's nonlocal Newton on
-K in 4-6 tridiagonal solves (no dt, no elliptic solve) and takes U from
+relax_to_discrete_steady() solves it with core.newton on
+radial_steady.ball_system in 4-6 tridiagonal solves (no dt, no elliptic solve) and takes U from
 core.nonlocal_result, the constructor of every steady pair; it keeps the name
 from when it time-stepped to the pair, because the benchmark tracer times it
 under that name.  The pair, a DiscreteSteady, owns the grid and parameters:
@@ -41,12 +41,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import exprel
 
-from .core import Field, Params, RadialGrid, nonlocal_result, radial_cumulative, radial_weights
-from .core import unit_sphere_area
+from .core import Field, Params, RadialGrid, newton, nonlocal_result, radial_cumulative
+from .core import radial_weights, unit_sphere_area
 from .core import _node_values
 from .errors import PositivityError
 from . import radial_steady
-from .radial_steady import _newton, barrier_lower, lambda_leading
+from .radial_steady import ball_system, barrier_lower, lambda_leading
 
 __all__ = [
     "DiscreteSteady",
@@ -160,7 +160,7 @@ def step(
 
 
 def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady:
-    """The fixed point of step() on grid, by radial_steady's nonlocal Newton.
+    """The fixed point of step() on grid, by core.newton on ball_system.
 
     There every face flux vanishes, so U = C W^p, and W solves
     eps K W = V C W^(1+p) off the Dirichlet row, K being the flux-difference
@@ -173,13 +173,13 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
     pair fixed under step() to a few ulps.  U = C W^p is the U of
     core.nonlocal_result with the finite-volume mass as integral(W^p); V is
     ln W as the Newton returned W.  Raises NoConvergenceError as
-    radial_steady's solves do.
+    core.newton does.
     """
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
     weights = unit_sphere_area(grid.n) * grid.volumes
-    prof, steps = _newton(start, None, params, grid, weights, polish=True)
-    v = np.log(prof.values)
+    w, steps = newton(start, None, params, ball_system(grid, weights), polish=True)
+    v = np.log(w)
     W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
     U = nonlocal_result(params, Field(grid, W), _mass(grid, W**params.p), steps).U.values
     return DiscreteSteady(grid, params, U, v)

@@ -9,25 +9,26 @@ Each domain has one solve function, and both return the core.SteadyState
 that core.nonlocal_result builds from the converged W, a core.Field, and
 integral(W^p), the integral taken by the one quadrature the Newton iterates
 with, so the reported constants are those the Newton closed the constraint
-with; U is the Field amplitude * W^p on W's own grid.  On the ball B_R
-(solve_nonlocal) that is radial_steady._newton with the weights
-core.radial_weights; its local Jacobian is tridiagonal.  The ball drives it
-over grids adapted to the layer (ball_grid): each pass rebuilds the grid at
-the sigma = eps * integral(W^p) / m the last one converged to, until sigma
+with; U is the Field amplitude * W^p on W's own grid.  That Newton is
+core.newton on every domain.  On the ball B_R (solve_nonlocal) it runs on
+radial_steady.ball_system with the weights core.radial_weights; its local
+Jacobian is tridiagonal.  The ball drives it over grids adapted to the
+layer (ball_grid): each pass rebuilds the grid at the
+sigma = eps * integral(W^p) / m the last one converged to, until sigma
 settles on the full grid.  From count 64 on, the first pass runs on a
 quarter of its nodes (nested iteration), and the full grid mostly needs two
-passes, not three.  planar2d.solve_nonlocal_2d runs the same Newton on one
-masked 2D grid, with a sparse LU in place of the tridiagonal solve.
+passes, not three.  planar2d.solve_nonlocal_2d runs it on one masked 2D
+grid, with a sparse LU in place of the tridiagonal solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Params, RadialGrid, SteadyState, make_graded_grid, nonlocal_result
-from .core import radial_weights
+from .core import Field, Params, RadialGrid, SteadyState, make_graded_grid, newton
+from .core import nonlocal_result, radial_weights
 from .errors import NoConvergenceError
-from .radial_steady import _newton, barrier_lower, lambda_leading, layer_width
+from .radial_steady import ball_system, barrier_lower, lambda_leading, layer_width
 # kept only because the benchmark tracer wraps this name; ROADMAP item 3 drops it
 from .radial_steady import solve_local_radial
 
@@ -58,7 +59,7 @@ def ball_grid(sigma: float, params: Params, R: float, count: int) -> RadialGrid:
 def solve_nonlocal(params: Params, R: float, count: int = 2500) -> SteadyState:
     """Solve the nonlocal problem on the ball B_R(0) in dimension params.n.
 
-    Each pass runs the nonlocal radial Newton with the grid's radial_weights,
+    Each pass runs core.newton on the ball_system with the grid's radial_weights,
     and the same weights applied to the returned profile give
     integral(W^p).  The first pass starts from the lower barrier at
     sigma0 = eps^2 * lambda_leading, the layer asymptotics of
@@ -83,7 +84,8 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> SteadyState:
     steps = 0
     for _ in range(_MAX_PASSES):
         weights = radial_weights(grid)
-        prof, k = _newton(W, None, params, grid, weights)
+        w, k = newton(W, None, params, ball_system(grid, weights))
+        prof = Field(grid, w)
         steps += k
         integral = float(weights @ prof.values**params.p)
         previous, sigma = sigma, params.epsilon * integral / params.m

@@ -21,15 +21,15 @@ outside.  A node is an unknown only when phi < -_THETA_MIN h, so a node on
 the curve is held at b whatever the rounding sign of its phi.
 Quadrature weighs each node's cell by its inside-area fraction; MaskedGrid
 states it once, as quad over the unknowns and held_area over the nodes held
-at b, and the Newton and the reported integral(W^p) both sum it by
-_power_integral.
+at b, and the Newton and the reported integral(W^p) both sum it.
 
-One chord Newton (_newton_2d) solves both the local problem at a given sigma
-(solve_local_2d) and the nonlocal one, where sigma = eps * integral(W^p) / m
-follows the iterate (solve_nonlocal_2d, which starts it from
-mass_constraint's ball solve on the disk of equal area and returns the
-core.SteadyState that core.nonlocal_result builds, as the ball's solve
-does).  It takes the operator and the quadrature as arrays, not a grid.
+core.newton, the one Newton of every domain, solves both the local problem
+at a given sigma (solve_local_2d) and the nonlocal one, where
+sigma = eps * integral(W^p) / m follows the iterate (solve_nonlocal_2d,
+which starts it from mass_constraint's ball solve on the disk of equal area
+and returns the core.SteadyState that core.nonlocal_result builds, as the
+ball's solve does).  _cut_cell_system hands it the operator, the quadrature
+and a sparse LU, reused as a chord while the steps contract.
 
 The steady state is unique, so on a grid whose phi equals its flip along an
 axis it has that mirror symmetry too.  Every shape states its mirrors
@@ -59,10 +59,10 @@ from scipy import sparse
 from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import splu
 
-from .core import Field, Params, SteadyState, nonlocal_result
+from .core import Field, NewtonSystem, Params, SteadyState, newton, nonlocal_result
 from .errors import NoConvergenceError
 from .mass_constraint import solve_nonlocal
-from .radial_steady import MAX_ITERS, STEP_TOL, layer_profile
+from .radial_steady import layer_profile
 
 __all__ = [
     "Disk",
@@ -464,10 +464,11 @@ def _mirror_fold(grid: MaskedGrid):
     system): reps, the representatives' indices, ascending; orbit, the
     position in reps of each unknown's representative, so w[orbit] unfolds
     a folded w; and system = (L[reps] E, bvec[reps], quad summed over each
-    orbit, held_area), the arguments of _newton_2d after sigma and params,
+    orbit, held_area), the arguments of _cut_cell_system,
     E[k, orbit[k]] = 1.  Folding keeps the row sums and off-diagonal signs,
     and a node whose image is its own neighbour moves that arm onto the
-    diagonal, which stays negative, so _newton_2d's precondition holds.
+    diagonal, which stays negative, so _cut_cell_system's precondition
+    holds.
     """
     inside = grid.inside
     count = int(inside.sum())
@@ -530,7 +531,7 @@ def solve_local_2d(
 ) -> Field:
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
 
-    Newton (see _newton_2d) runs on the mirror orbits of _mirror_fold.  It
+    core.newton runs on the mirror orbits of _mirror_fold.  It
     starts from the distance-based layer profile radial_steady.layer_profile
     at the depth -phi below the boundary, unless an initial iterate over the
     inside nodes, of shape (N_inside,), is given; of that iterate only the
@@ -546,110 +547,49 @@ def solve_local_2d(
         if w.shape != (int(inside.sum()),):
             raise ValueError("initial iterate has wrong shape")
     reps, orbit, system = _mirror_fold(grid)
-    w, _ = _newton_2d(w[reps], sigma, params, *system)
+    w, _ = newton(w[reps], sigma, params, _cut_cell_system(*system))
     return grid.field(w[orbit], params.b)
 
 
-def _power_integral(wp, b, p, quad, held_area):
-    """integral(W^p) of the field holding w over the unknowns, wp = w^p, and b
-    over held_area: sum(quad w^p) + held_area b^p."""
-    return float(np.sum(quad * wp)) + held_area * b**p
-
-
-def _newton_2d(w, sigma, params: Params, L, bvec, quad, held_area):
-    """Chord Newton from w on sigma (L w + b bvec) = w^(1+p) over the unknowns.
-
-    The 2D counterpart of radial_steady._newton.  L (csc) and bvec are the
-    Laplacian over the unknowns and the load of the Dirichlet value b;
-    integral(W^p) is _power_integral, held_area being the measure where
-    W = b.  With sigma None, sigma = eps * integral(W^p) / m follows
-    the iterate, and the Jacobian sigma L - (1+p) diag(w^p) gains the rank
-    one col (x) row, col the derivative (eps/m) (L w + b bvec) of F in sigma
-    and row the gradient p quad w^(p-1) of integral(W^p); each step is
-    solved by Sherman-Morrison.  The sparse LU of the local part is reused
-    while full steps keep the scaled residual contracting by at least 0.3
-    (the reaction diagonal and sigma move slowly), and refactorised
-    otherwise.  With sigma None, both right-hand sides of a step go to one
-    two-column back-solve.  On the README ellipse at h = 0.01 (the full
-    31 416-unknown operator, before the mirror fold; a 2-vCPU host) its
-    median took 3.3-6.0 ms against 4.3-7.3 ms for two one-column solves,
-    over 4 runs of 100, with CPU time equal to wall time (no thread
-    started), and it gave the same bits.  Inner products are elementwise
-    sums, not BLAS dot products.
+def _cut_cell_system(L, bvec, quad, held_area) -> NewtonSystem:
+    """sigma (L w + b bvec) = w^(1+p), L a csc matrix over the unknowns, as
+    core.newton takes it, with row weight 1 and a sparse LU (_lu_factor)
+    that the Newton reuses while its full steps contract.
 
     L must have a negative diagonal, non-negative off-diagonals, non-positive
     row sums and a structurally symmetric pattern, as MaskedGrid's
     Shortley-Weller operator has (Gibou, Fedkiw, Cheng & Kang, JCP 176,
     2002).  Then -J is a strictly row-dominant M-matrix, factorised without
     pivoting under a minimum-degree ordering of A + A^T; an operator that
-    breaks these signs needs a pivoting factorisation.
-
-    Newton stops when max |F_i| / (sigma |L_ii| + (1+p) w_i^p), the residual
-    scaled by the Jacobian diagonal, is below STEP_TOL * b.  Unlike an
-    absolute residual bound, this does not grow with the 1/theta arms of cut
-    nodes close to the boundary.  Returns (min(w, b), Newton steps);
-    NoConvergenceError after MAX_ITERS steps or when the converged w exceeds
-    b.
+    breaks these signs needs a pivoting factorisation.  A two-column
+    back-solve gives the bits of two one-column ones; on the README ellipse
+    at h = 0.01 (31 416 unknowns, unfolded; a 2-vCPU host) its median took
+    3.3-6.0 ms against 4.3-7.3 ms for the two.
     """
-    p, b = params.p, params.b
-    floor = 1e-30 * b
-    w = np.maximum(w, floor)
-    abs_diag = np.abs(L.diagonal())
-    if sigma is None:
-        coef = params.epsilon / params.m
+    return NewtonSystem(
+        lambda w, b: L @ w + bvec * b, L.diagonal(), 1.0, quad, held_area, _lu_factor(L)
+    )
 
-    lu = None
-    res_prev = math.inf
-    limited = False
-    for steps in range(MAX_ITERS + 1):
-        wp = w**p
-        lap = L @ w + bvec * b
-        s = sigma if sigma is not None else coef * _power_integral(wp, b, p, quad, held_area)
-        F = s * lap - w * wp
-        res = float(np.max(np.abs(F) / (s * abs_diag + (1.0 + p) * wp)))
-        if res < STEP_TOL * b:
-            break
-        if steps == MAX_ITERS:
-            raise NoConvergenceError(
-                f"2D Newton failed at sigma={s}: scaled residual {res}"
-            )
-        # reuse the factorisation only while full steps keep contracting;
-        # a stale reaction diagonal far from the solution causes overshoot
-        if lu is None or limited or res > 0.3 * res_prev:
-            lu = None  # release the stale factors before computing new ones
-            J = sparse.csc_matrix(s * L)
-            J.setdiag(J.diagonal() - (1.0 + p) * wp)
-            lu = splu(
-                J,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        res_prev = res
-        if sigma is None:
-            delta, z = lu.solve(np.column_stack((-F, coef * lap))).T
-            row = p * quad * wp / w
-            delta -= z * (float(np.sum(row * delta)) / (1.0 + float(np.sum(row * z))))
-        else:
-            delta = lu.solve(-F)
-        alpha = 1.0
-        neg = delta < 0
-        limited = False
-        if np.any(neg):
-            ratio = float(np.max(-delta[neg] / w[neg]))
-            if ratio > 0.9:  # keep the iterate strictly positive
-                alpha = 0.9 / ratio
-                limited = True
-        w = np.maximum(w + alpha * delta, floor)
 
-    overshoot = float(np.max(w)) - b
-    if overshoot > 1e-9 * b:
-        raise NoConvergenceError(f"converged 2D iterate exceeds b by {overshoot}")
-    return np.minimum(w, b), steps
+def _lu_factor(L):
+    """core.newton's factor(s, jd) for L (csc): the sparse LU, without
+    pivoting, of s L with its diagonal replaced by jd."""
+
+    def factor(s, jd):
+        J = sparse.csc_matrix(s * L)
+        J.setdiag(jd)
+        return splu(
+            J,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+
+    return factor
 
 
 def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> SteadyState:
-    """Nonlocal solve on a masked 2D grid by the direct Newton of _newton_2d.
+    """Nonlocal solve on a masked 2D grid by core.newton, the direct Newton.
 
     Newton starts from the radial solve on the disk of equal area (n = 2
     whatever params.n says; the 2D solver ignores it), sampled at the radius
@@ -662,9 +602,9 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> SteadyState:
     disk = solve_nonlocal(replace(params, n=2), R_eq).W
     reps, orbit, system = _mirror_fold(grid)
     initial = np.interp(R_eq + grid.phi[grid.inside][reps], disk.grid.nodes, disk.values)
-    w, steps = _newton_2d(initial, None, params, *system)
+    w, steps = newton(initial, None, params, _cut_cell_system(*system))
     w = w[orbit]
-    integral = _power_integral(w**params.p, params.b, params.p, grid.quad, grid.held_area)
+    integral = float(np.sum(grid.quad * w**params.p)) + grid.held_area * params.b**params.p
     return nonlocal_result(params, grid.field(w, params.b), integral, steps)
 
 

@@ -1,31 +1,32 @@
 """Radial boundary-value solvers and closed-form layer barriers.
 
 Solves sigma * (W'' + (n-1)/r W') = W^(1+p) on (0, R) with W'(0) = 0 and
-W(R) = b by Newton (_newton) on the node-centred finite volumes of the
-radial grid, sigma K W = V W^(1+p) with K the flux-difference operator over
-the grid's face conductances and V its cell volumes: at a given sigma (the
-local problem, solve_local_radial), or with sigma = eps * int W^p / m taken
-from the iterate itself (the nonlocal problem, which mass_constraint's ball
-solve and evolve_radial's steady pair each pose by calling _newton with
-their quadrature of int W^p).  evolve_radial time-steps on the same
-cells; the two nonlocal solves differ only in that quadrature
-(core.radial_weights on the ball, the cell volumes for the pair).
-Every tridiagonal solve of both modules is one call of solve_banded, the one
-tridiagonal kernel (LAPACK gtsv).  The closed-form sub/super-solutions
-bracketing the solution are exposed as barrier_lower / barrier_upper; they
-double as Newton initial iterates and as independent checks on converged
-solutions.
+W(R) = b on the node-centred finite volumes of the radial grid,
+sigma K W = V W^(1+p) with K the flux-difference operator over the grid's
+face conductances and V its cell volumes, the one radial operator, which
+ball_system hands to core.newton: at a given sigma (the local problem,
+solve_local_radial), or with sigma = eps * int W^p / m taken from the
+iterate itself (the nonlocal problem, which mass_constraint's ball solve
+and evolve_radial's steady pair each pose with their quadrature of
+int W^p).  evolve_radial time-steps on the same cells; the two nonlocal
+solves differ only in that quadrature (core.radial_weights on the ball, the
+cell volumes for the pair).  Every tridiagonal solve of both modules is one
+call of solve_banded, the one tridiagonal kernel (LAPACK gtsv).  The
+closed-form sub/super-solutions bracketing the solution are exposed as
+barrier_lower / barrier_upper; they double as Newton initial iterates and
+as independent checks on converged solutions.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import Field, Params, RadialGrid, unit_sphere_area
-from .errors import AxisSingularityError, NoConvergenceError
+from .core import Field, NewtonSystem, Params, RadialGrid, newton, unit_sphere_area
+from .errors import AxisSingularityError
 
 __all__ = [
     "layer_profile_constant",
@@ -35,22 +36,10 @@ __all__ = [
     "barrier_lower",
     "barrier_upper",
     "upper_barrier_sigma_max",
+    "ball_system",
     "solve_local_radial",
     "boundary_slope",
 ]
-
-
-# Newton controls of the radial solves: the iteration cap and STEP_TOL,
-# shared with the 2D solve in planar2d.  The radial Newton stops
-# once the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of the
-# Newton step, is below STEP_TOL * b and every |F_i| / V_i is below
-# NEWTON_TOL times min(1, b^(1+p)), the size of W^(1+p) at the boundary, or
-# |F_i| is below its own rounding floor.  The scaled test alone stops short
-# where diffusion dominates (the smallest eigenvalue of sigma K lies far below
-# its diagonal), the absolute one alone where W^(1+p) is far below NEWTON_TOL.
-MAX_ITERS = 60
-STEP_TOL = 1e-13
-NEWTON_TOL = 1e-10
 
 
 def layer_profile_constant(p: float) -> float:
@@ -70,7 +59,8 @@ def lambda_leading(params: Params, R: float) -> float:
     """Coefficient of eps in lambda_eps on the ball B_R(0):
     omega_n^2 b^p c_p^2 R^(2n-2) / m^2.
 
-    Both radial nonlocal Newtons start from sigma0 = eps^2 lambda_leading."""
+    The ball's nonlocal solve and evolve_radial's steady pair both start
+    core.newton from sigma0 = eps^2 lambda_leading."""
     om = unit_sphere_area(params.n)
     return (
         om**2
@@ -186,94 +176,39 @@ def solve_banded(lo, di, up, rhs):
     return x
 
 
-def _solve_tridiag_rank_one(lo, di, up, rhs, col, row):
-    """Solve (T + col row^T) x = rhs, T tridiagonal as in solve_banded.
+def ball_system(grid: RadialGrid, quad=None) -> NewtonSystem:
+    """sigma K W = V W^(1+p), W(R) = b, on the cells of grid as core.newton
+    takes it, every node an unknown.
 
-    One banded solve with the two right-hand sides rhs and col, combined by
-    Sherman-Morrison.
+    Row i of K W is g_i (W_(i+1) - W_i) - g_(i-1) (W_i - W_(i-1)), the net
+    flux into cell i over the face conductances g (no flux across r = 0),
+    so K W / V approximates W'' + (n-1)/r W'.  The last row, b - W(R) with
+    weight 0, holds W(R) = b from a start that has it.  quad weighs every
+    node in integral(W^p) (held_area 0): core.radial_weights on the ball,
+    omega_n V for evolve_radial's pair.  Each step is one solve_banded call;
+    gtsv factorises as it solves, so there is no factorisation to reuse.
     """
-    y, z = solve_banded(lo, di, up, np.column_stack((rhs, col))).T
-    return y - z * (row @ y) / (1.0 + row @ z)
+    g = grid.conductances
+    diagonal = -(np.concatenate(([0.0], g)) + np.concatenate((g, [0.0])))
+    diagonal[-1] = -1.0
+    weight = grid.volumes.copy()
+    weight[-1] = 0.0
 
+    def apply(w, b):
+        flux = g * (w[1:] - w[:-1])  # into cell i across its right face
+        out = np.empty_like(w)
+        out[:-1] = flux
+        out[1:-1] -= flux[:-1]
+        out[-1] = b - w[-1]  # the Dirichlet row
+        return out
 
-def _newton(W, sigma, params, grid, weights=None, polish=False):
-    """Newton from W on sigma K W = V W^(1+p) off the last row, W(R) = b.
+    def factor(s, jd):
+        up = s * g
+        lo = up.copy()
+        lo[-1] = 0.0
+        return SimpleNamespace(solve=lambda rhs: solve_banded(lo, jd, up, rhs), reusable=False)
 
-    K is the flux-difference operator over the cells of grid, row i of K W
-    being g_i (W_(i+1) - W_i) - g_(i-1) (W_i - W_(i-1)), the net flux into
-    cell i (g the conductances, zero row sums, no flux across r = 0; the
-    last row is the Dirichlet one), so that K W / V, V the cell volumes,
-    approximates W'' + (n-1)/r W'.  With sigma None,
-    sigma = eps * int W^p / m follows the iterate, int W^p being
-    weights @ W^p, and the Jacobian gains the rank one
-    (eps/m) K W (x) grad int W^p, so each step is one tridiagonal solve with
-    two right-hand sides combined by Sherman-Morrison.
-    Stops on the Jacobi-scaled and the absolute residual per unit of V
-    (STEP_TOL, NEWTON_TOL); with polish, one more step follows, taken in
-    q = W^(-p/2).  Returns (the Field on grid, tridiagonal solves);
-    raises NoConvergenceError after MAX_ITERS steps, when an iterate turns
-    non-finite, or when the converged W exceeds b.
-    """
-    if grid.n != params.n:
-        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
-    W = np.asarray(W, dtype=float)
-    if W.shape != grid.nodes.shape:
-        raise ValueError("initial iterate shape does not match grid")
-    p, b = params.p, params.b
-    g, V = grid.conductances, grid.volumes
-    di = -(np.concatenate(([0.0], g)) + np.concatenate((g, [0.0])))
-    at = "the nonlocal problem" if sigma is None else f"sigma={sigma}"
-    floor = 1e-30 * b
-    coef = params.epsilon / params.m
-    # float64 cancellation floor of each residual, over sigma: the sigma K W
-    # terms are O(sigma |K_ii|) individually, so F_i cannot drop below their
-    # rounding error however exact the iterate
-    rounding = 8.0 * np.finfo(float).eps * np.abs(di) * b
-    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p)) * V
-    W = np.maximum(W, floor)
-    for steps in range(MAX_ITERS + 1):
-        Wp = W**p
-        flux = g * (W[1:] - W[:-1])  # into cell i across its right face
-        KW = np.zeros_like(W)
-        KW[:-1] = flux
-        KW[1:] -= flux
-        s = coef * float(weights @ Wp) if sigma is None else sigma
-        F = s * KW - V * Wp * W
-        F[-1] = W[-1] - b
-        jd = s * di - (1.0 + p) * V * Wp
-        jd[-1] = 1.0
-        done = np.max(np.abs(F) / np.abs(jd)) < STEP_TOL * b and np.all(
-            np.abs(F) < np.maximum(res_tol, rounding * s)
-        )
-        if done and not polish:
-            break
-        if steps == MAX_ITERS:
-            raise NoConvergenceError(f"Newton failed on {at} after {MAX_ITERS} iterations")
-        ju = s * g
-        jl = ju.copy()
-        jl[-1] = 0.0
-        if sigma is None:
-            col = coef * KW  # d F / d sigma, zero on the Dirichlet row
-            col[-1] = 0.0
-            row = p * weights * Wp / W  # grad int W^p
-            delta = _solve_tridiag_rank_one(jl, jd, ju, -F, col, row)
-        else:
-            delta = solve_banded(jl, jd, ju, -F)
-        if done:
-            # the step in q = W^(-p/2), the variable in which the layer
-            # b (1 + z/l)^(-2/p) is linear: q moves by -(p/2) q delta / W
-            W = W * (1.0 - 0.5 * p * delta / W) ** (-2.0 / p)
-            steps += 1
-            break
-        W = np.maximum(W + delta, floor)
-        if not np.all(np.isfinite(W)):
-            raise NoConvergenceError(f"Newton iterate on {at} turned non-finite")
-    W[-1] = b
-    overshoot = np.max(W) - b
-    if overshoot > 1e-9 * b:
-        raise NoConvergenceError(f"converged iterate exceeds b by {overshoot}")
-    np.minimum(W, b, out=W)
-    return Field(grid=grid, values=W), steps
+    return NewtonSystem(apply, diagonal, weight, quad, 0.0, factor)
 
 
 def solve_local_radial(
@@ -284,17 +219,26 @@ def solve_local_radial(
 ) -> Field:
     """Solve sigma (W'' + (n-1)/r W') = W^(1+p), W'(0) = 0, W(R) = b.
 
-    Newton starts from the lower barrier (a sub-solution, which keeps the
-    iterates in the monotone basin) unless an explicit initial iterate is
-    given, and stops on the scaled and the absolute residual (see STEP_TOL
-    and NEWTON_TOL); NoConvergenceError when it does not get there in
-    MAX_ITERS steps.
+    core.newton on ball_system(grid) starts from the lower barrier (a
+    sub-solution, which keeps the iterates in the monotone basin) unless an
+    explicit initial iterate is given, whose last entry is replaced by b,
+    and stops on the scaled and the absolute residual (see core.STEP_TOL
+    and core.NEWTON_TOL); NoConvergenceError when it does not get there in
+    core.MAX_ITERS steps.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if grid.n != params.n:
+        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
     if initial is None:
         initial = barrier_lower(grid.nodes, sigma, params, grid.R)
-    return _newton(initial, sigma, params, grid)[0]
+    else:
+        initial = np.array(initial, dtype=float)
+        if initial.shape != grid.shape:
+            raise ValueError("initial iterate shape does not match grid")
+        initial[-1] = params.b
+    w, _ = newton(initial, sigma, params, ball_system(grid))
+    return Field(grid, w)
 
 
 def boundary_slope(W: Field) -> float:

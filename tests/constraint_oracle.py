@@ -1,5 +1,5 @@
 """Illinois regula falsi on the mass constraint over local solves: the
-independent oracle for the direct nonlocal Newtons of the ball and the 2D
+independent oracle for the direct nonlocal Newton on the ball and the 2D
 grid.  full_grid_passes is the reference for the ball solve's coarse first
 pass: the same grid passes with every one on the full grid.
 
@@ -21,11 +21,12 @@ from dataclasses import replace
 import numpy as np
 
 from klayer import mass_constraint
-from klayer.core import Params, SteadyState, ball_volume, nonlocal_result, radial_weights
+from klayer.core import Field, Params, SteadyState, ball_volume, newton, nonlocal_result
+from klayer.core import radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import ball_grid
 from klayer.planar2d import solve_local_2d
-from klayer.radial_steady import _newton, barrier_lower, lambda_leading, solve_local_radial
+from klayer.radial_steady import ball_system, barrier_lower, lambda_leading, solve_local_radial
 
 MAX_DOUBLINGS = 128
 MAX_EVALS = 400
@@ -140,7 +141,8 @@ def full_grid_passes(params: Params, R: float, count: int = 2500) -> SteadyState
     steps = 0
     for _ in range(mass_constraint._MAX_PASSES):
         weights = radial_weights(grid)
-        prof, k = _newton(W, None, params, grid, weights)
+        w, k = newton(W, None, params, ball_system(grid, weights))
+        prof = Field(grid, w)
         steps += k
         integral = float(weights @ prof.values**params.p)
         previous, sigma = sigma, params.epsilon * integral / params.m

@@ -1,7 +1,7 @@
 """The manufactured-solution contract of a grid (Roache, "Code verification by
 the method of manufactured solutions", J. Fluids Eng. 124, 2002).
 
-Every grid hands the steady Newtons the same four things: the operator L over
+Every grid hands the steady Newton the same four things: the operator L over
 its unknowns and the Dirichlet load bvec, with Lap W ~ L w + b bvec, the
 quadrature weights quad of the unknowns, and held_area, the measure where
 W = b.  Given those four, the coordinates of the unknowns and a manufactured
@@ -43,7 +43,7 @@ def radial_system(grid):
 
     The unknowns are the nodes below R.  L is K / V, the flux-difference
     operator over the face conductances divided by the cell volumes, as
-    radial_steady._newton states it, with no flux across r = 0; the node at
+    radial_steady.ball_system states it, with no flux across r = 0; the node at
     R is held at b.  quad and held_area are the weights of
     core.radial_weights at the unknowns and at R."""
     g, V = grid.conductances, grid.volumes[:-1]

@@ -8,8 +8,6 @@ from klayer.asymptotics import (
     QUANTITIES,
     ExpansionReport,
     boundary_mass_fraction,
-    envelope_constants,
-    interior_sup,
     measure_thickness,
     slope_U_leading,
     slope_W_leading,
@@ -21,6 +19,35 @@ from klayer.core import Field, Params, SteadyState, make_graded_grid, unit_spher
 from klayer.errors import NoCrossingError
 from klayer.mass_constraint import solve_nonlocal
 from klayer.radial_steady import barrier_lower, lambda_leading, layer_profile_constant
+
+
+def envelope_constants(
+    W: Field, eps: float, params: Params, band: float = 5.0
+) -> tuple[float, float]:
+    """Tightest constants r1 <= r2 with r1 * s(d) <= W <= r2 * s(d) over the
+    layer band d <= band * eps, where s(d) = (1 + d/eps)^(-2/p).
+
+    The ratio r2/r1 staying bounded along an eps-sweep is the two-sided
+    similarity statement for the layer profile.
+    """
+    grid = W.grid
+    d = grid.R - grid.nodes
+    mask = d <= band * eps
+    if np.count_nonzero(mask) < 4:
+        raise ValueError("layer band contains fewer than 4 nodes; refine the grid")
+    shape = (1.0 + d[mask] / eps) ** (-2.0 / params.p)
+    ratio = W.values[mask] / shape
+    return float(ratio.min()), float(ratio.max())
+
+
+def interior_sup(W: Field, delta: float) -> float:
+    """Max of W over the interior region dist(r, boundary) > delta."""
+    grid = W.grid
+    mask = (grid.R - grid.nodes) > delta
+    if not np.any(mask):
+        raise ValueError(f"no nodes deeper than delta={delta}")
+    return float(np.max(W.values[mask]))
+
 
 DISK = Params(epsilon=1e-3, p=2, b=1, m=1, n=2)
 

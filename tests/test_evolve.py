@@ -14,6 +14,7 @@ from klayer.core import (
     RadialGrid,
     ball_volume,
     make_graded_grid,
+    newton,
     radial_weights,
     refine_grid,
 )
@@ -29,7 +30,7 @@ from klayer.evolve_radial import (
     _mass,
 )
 from klayer.mass_constraint import solve_nonlocal
-from klayer.radial_steady import solve_local_radial
+from klayer.radial_steady import ball_system, solve_local_radial
 
 from constraint_oracle import illinois
 
@@ -509,24 +510,33 @@ class TestRelaxation:
                 assert np.all(gaps[:-1] / gaps[1:] >= 3.9)
 
     def test_shares_the_ball_operator(self, monkeypatch):
-        # one Newton, whose bands come from the grid's cells: the pair's and
-        # the ball's nonlocal solves differ only in their quadrature weights,
-        # omega_n V for the pair and radial_weights for the ball
-        calls = []
-        newton = klayer.radial_steady._newton
+        # one Newton on one system, whose bands come from the grid's cells:
+        # the pair's and the ball's nonlocal solves differ only in their
+        # quadrature weights, omega_n V for the pair and radial_weights for
+        # the ball
+        built, solved = [], []
+
+        def system(grid, quad=None):
+            built.append((grid, quad, ball_system(grid, quad)))
+            return built[-1][2]
+
+        def solve(w, sigma, params, sys, **kw):
+            solved.append(sys)
+            return newton(w, sigma, params, sys, **kw)
+
         for module in (klayer.evolve_radial, klayer.mass_constraint):
-            monkeypatch.setattr(
-                module, "_newton", lambda *args, **kw: calls.append(args) or newton(*args, **kw)
-            )
+            monkeypatch.setattr(module, "ball_system", system)
+            monkeypatch.setattr(module, "newton", solve)
         grid = make_graded_grid(1.0, 2, 10.0 / 63, 64)
         relax_to_discrete_steady(grid, PAR)
         solve_nonlocal(PAR, 1.0, 64)
-        pair, *ball = calls
-        assert pair[3] is grid and ball
-        assert np.array_equal(pair[4], 2 * np.pi * grid.volumes)
-        assert not np.array_equal(pair[4], radial_weights(grid))
-        for args in ball:
-            assert np.array_equal(args[4], radial_weights(args[3]))
+        assert [id(sys) for sys in solved] == [id(sys) for *_, sys in built]
+        (pair_grid, pair_quad, _), *ball = built
+        assert pair_grid is grid and ball
+        assert np.array_equal(pair_quad, 2 * np.pi * grid.volumes)
+        assert not np.array_equal(pair_quad, radial_weights(grid))
+        for g, quad, _ in ball:
+            assert np.array_equal(quad, radial_weights(g))
 
     def test_fixed_point_to_rounding(self, small):
         grid, ref = small

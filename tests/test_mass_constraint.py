@@ -6,11 +6,11 @@ import pytest
 import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.asymptotics import measure_thickness
-from klayer.core import Field, Params, RadialGrid, radial_weights
+from klayer.core import STEP_TOL, Field, Params, RadialGrid, newton, radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import ball_grid, solve_nonlocal
 from klayer.planar2d import Disk, Ellipse, build_domain, solve_nonlocal_2d
-from klayer.radial_steady import STEP_TOL, _newton, boundary_slope
+from klayer.radial_steady import ball_system, boundary_slope
 
 from constraint_oracle import BallLocalSolves, constraint_value, full_grid_passes, illinois
 
@@ -361,10 +361,9 @@ class TestCoarseStart:
     def pass_sizes(self, monkeypatch):
         """The node count of each grid pass of the ball solves that follow."""
         sizes = []
-        newton = klayer.mass_constraint._newton
         monkeypatch.setattr(
             klayer.mass_constraint,
-            "_newton",
+            "newton",
             lambda W, *args: sizes.append(W.size) or newton(W, *args),
         )
         return sizes
@@ -400,7 +399,8 @@ class TestCoarseStart:
         ref = full_grid_passes(par, 1.0)
         grid = ball_grid(ref.sigma * (1 + 1e-12), par, 1.0, 2500)
         W = np.interp(grid.nodes, ref.W.grid.nodes, ref.W.values)
-        shifted, _ = _newton(W, None, par, grid, radial_weights(grid))
+        shifted, _ = newton(W, None, par, ball_system(grid, radial_weights(grid)))
+        shifted = Field(grid, shifted)
         slope = boundary_slope(ref.W)
         shift = abs(boundary_slope(shifted) / slope - 1)
         move = abs(boundary_slope(solve_nonlocal(par, 1.0).W) / slope - 1)

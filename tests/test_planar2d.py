@@ -7,9 +7,9 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import splu
 
 from klayer import planar2d
-from klayer.core import Field, Params, make_graded_grid, unit_sphere_area
+from klayer.core import NEWTON_TOL, STEP_TOL, Field, Params, make_graded_grid, newton
+from klayer.core import unit_sphere_area
 from klayer.errors import NoConvergenceError
-from klayer.evolve_radial import relax_to_discrete_steady
 from klayer.mass_constraint import solve_nonlocal
 from klayer.planar2d import (
     Disk,
@@ -25,11 +25,11 @@ from klayer.planar2d import (
     solve_nonlocal_2d,
 )
 from klayer.radial_steady import (
+    ball_system,
     barrier_lower,
     lambda_leading,
     layer_profile,
     layer_width,
-    solve_local_radial,
 )
 
 from constraint_oracle import GridLocalSolves, constraint_value, illinois
@@ -535,19 +535,19 @@ class TestNonlocal2D:
         # Newton it seeds is the whole nonlocal solve
         grid = build_domain(shape, 0.05)
         balls, newtons = [], []
-        ball, newton = planar2d.solve_nonlocal, planar2d._newton_2d
+        ball = planar2d.solve_nonlocal
 
         def ball_solve(params, R, *args):
             balls.append((params.n, R))
             return ball(params, R, *args)
 
-        def newton_2d(*args):
+        def counting(*args):
             w, steps = newton(*args)
             newtons.append(steps)
             return w, steps
 
         monkeypatch.setattr(planar2d, "solve_nonlocal", ball_solve)
-        monkeypatch.setattr(planar2d, "_newton_2d", newton_2d)
+        monkeypatch.setattr(planar2d, "newton", counting)
         res = solve_nonlocal_2d(Params(epsilon=0.05, p=2, b=1, m=1, n=3), grid)
         assert balls == [(2, np.sqrt(grid.area() / np.pi))]
         assert len(newtons) == 1 and res.bisection_iters == newtons[0]
@@ -574,6 +574,31 @@ class TestNonlocal2D:
             lams[h] = solve_nonlocal_2d(PAR, grid).lambda_eps
         rel_change = abs(lams[0.04] - lams[0.02]) / lams[0.02]
         assert rel_change < 10 * 0.04  # O(h) cut-cell boundary
+
+
+class TestStopRule:
+    """A converged 2D solve meets both parts of core.newton's one stop rule
+    on the system it solved, the mirror-folded one: the Jacobi-scaled
+    residual is below STEP_TOL b, and every |F_i| is below NEWTON_TOL
+    min(1, b^(1+p)) or its rounding floor 8 eps_mach |L_ii| b sigma.  The
+    scaled part alone stopped the disk at h 0.01 one step short, with a
+    residual 7 times the absolute bound and W 3.8e-13 b away."""
+
+    @pytest.mark.parametrize("shape, h", [(SHAPES[0], 0.01), (SHAPES[1], 0.02)],
+                             ids=SHAPE_IDS[:2])
+    def test_converged_solve_meets_both_parts(self, shape, h):
+        grid = build_domain(shape, h)
+        st = solve_nonlocal_2d(PAR, grid)
+        reps, _, (L, bvec, quad, held_area) = planar2d._mirror_fold(grid)
+        p, b = PAR.p, PAR.b
+        w = st.W.values[grid.inside][reps]
+        wp = w**p
+        sigma = PAR.epsilon * (float(quad @ wp) + held_area * b**p) / PAR.m
+        F = sigma * (L @ w + bvec * b) - wp * w
+        diag = L.diagonal()
+        assert np.max(np.abs(F) / np.abs(sigma * diag - (1.0 + p) * wp)) < STEP_TOL * b
+        floor = 8.0 * np.finfo(float).eps * np.abs(diag) * b * sigma
+        assert np.all(np.abs(F) < np.maximum(NEWTON_TOL * min(1.0, b ** (1.0 + p)), floor))
 
 
 SYMMETRIC_SHAPES = SHAPES + [Star(1.0, 0.15, 4)]
@@ -615,7 +640,7 @@ class TestMirrors:
 
 
 def full_system_newton(params, grid, sigma=None):
-    """The oracle for the mirror fold: _newton_2d on the full, unfolded
+    """The oracle for the mirror fold: core.newton on the full, unfolded
     operator of the grid, from the start the solve functions take (the
     equal-area disk seed for the nonlocal problem, the layer profile at a
     given sigma)."""
@@ -625,9 +650,8 @@ def full_system_newton(params, grid, sigma=None):
         start = np.interp(R_eq + grid.phi[grid.inside], W.grid.nodes, W.values)
     else:
         start = layer_profile(-grid.phi[grid.inside], sigma, params)
-    return planar2d._newton_2d(
-        start, sigma, params, *grid.operator(), grid.quad, grid.held_area
-    )
+    system = planar2d._cut_cell_system(*grid.operator(), grid.quad, grid.held_area)
+    return newton(start, sigma, params, system)
 
 
 class TestMirrorFold:
@@ -681,14 +705,13 @@ class TestMirrorFold:
         # less converged of the two (measured 2.9e-11 b apart on the star
         # k = 4, in 15 against 14 steps)
         steps = []
-        newton = planar2d._newton_2d
 
         def counting(*args):
             w, k = newton(*args)
             steps.append(k)
             return w, k
 
-        monkeypatch.setattr(planar2d, "_newton_2d", counting)
+        monkeypatch.setattr(planar2d, "newton", counting)
         W = solve_local_2d(st.sigma, PAR, grid)
         monkeypatch.undo()
         w_ref, steps_ref = full_system_newton(PAR, grid, st.sigma)
@@ -724,25 +747,21 @@ class TestMirrorFold:
         assert np.array_equal(W.values[grid.inside], w_ref)
 
 
-def ball_operator(grid):
-    """The ball's finite-volume operator as _newton_2d takes it: unknowns at
-    the nodes 0..N-2, L = diag(1/V) K over them (K the flux difference of
-    radial_steady._newton), the Dirichlet node's conductance in bvec, and
-    the cell volumes omega_n V as the quadrature."""
-    g, V = grid.conductances, grid.volumes
-    left = np.concatenate(([0.0], g[:-1]))  # face conductance towards node i - 1
-    K = sparse.diags([g[:-1], -(left + g), g[:-1]], [-1, 0, 1])
-    L = sparse.csc_matrix(sparse.diags(1.0 / V[:-1]) @ K)
-    bvec = np.zeros(grid.count - 1)
-    bvec[-1] = g[-1] / V[-2]
-    omega = unit_sphere_area(grid.n)
-    return L, bvec, omega * V[:-1], omega * V[-1]
+def ball_lu_system(grid, quad=None):
+    """ball_system with its Jacobian factorised by the 2D solve's sparse LU
+    (planar2d._lu_factor, reused as a chord) in place of gtsv on every
+    step."""
+    system = ball_system(grid, quad)
+    g = grid.conductances
+    L = sparse.diags([np.r_[g[:-1], 0.0], system.diagonal, g], [-1, 0, 1], format="csc")
+    return system._replace(factor=planar2d._lu_factor(L))
 
 
 class TestNewtonOnBallOperator:
-    """_newton_2d on an operator that is not cut-cell: the ball's, against
-    the independent tridiagonal Newton of radial_steady.  Measured worst
-    gaps 2.5e-10 b (nonlocal) and 2.0e-10 b (local) in 7-16 Newton steps."""
+    """core.newton on the ball's operator with the sparse LU of the 2D
+    solves against the tridiagonal solve of the ball's: the chord and full
+    Newton stop on the same rule.  Measured worst gaps 4.7e-11 b (nonlocal)
+    and 1.1e-10 b (local), in 3-18 chord and 2-5 full steps."""
 
     @pytest.mark.parametrize("b, m", [(1.0, 1.0), (1.5, 2.0)])
     @pytest.mark.parametrize("eps", [0.2, 0.05, 0.01])
@@ -753,14 +772,12 @@ class TestNewtonOnBallOperator:
         sigma0 = eps**2 * lambda_leading(par, 1.0)
         ell = layer_width(sigma0, par)
         grid = make_graded_grid(1, n, min(max(ell, 1e-3), 10 / 127), 128)
-        operator = ball_operator(grid)
-        start = barrier_lower(grid.nodes, sigma0, par, grid.R)[:-1]
-        w, _ = planar2d._newton_2d(start, None, par, *operator)
-        ref = relax_to_discrete_steady(grid, par).W[:-1]
-        assert np.max(np.abs(w - ref)) <= 1e-9 * b
-        w, _ = planar2d._newton_2d(start, sigma0, par, *operator)
-        ref = solve_local_radial(sigma0, par, grid).values[:-1]
-        assert np.max(np.abs(w - ref)) <= 1e-9 * b
+        quad = unit_sphere_area(n) * grid.volumes
+        start = barrier_lower(grid.nodes, sigma0, par, grid.R)
+        for sigma in (None, sigma0):
+            w, _ = newton(start, sigma, par, ball_lu_system(grid, quad))
+            ref, _ = newton(start, sigma, par, ball_system(grid, quad))
+            assert np.max(np.abs(w - ref)) <= 3e-10 * b
 
 
 class ColumnByColumn:
@@ -783,13 +800,13 @@ class TestTwoColumnSolve:
         grid = build_domain(Ellipse(np.sqrt(2.0), 1.0 / np.sqrt(2.0)), 0.05)
         sigma0 = PAR.epsilon**2 * lambda_leading(PAR, np.sqrt(grid.area() / np.pi))
         start = layer_profile(-grid.phi[grid.inside], sigma0, PAR)
-        args = (PAR, *grid.operator(), grid.quad, grid.held_area)
-        w, steps = planar2d._newton_2d(start, None, *args)
+        system = planar2d._cut_cell_system(*grid.operator(), grid.quad, grid.held_area)
+        w, steps = newton(start, None, PAR, system)
         widths = []
         monkeypatch.setattr(
             planar2d, "splu", lambda *a, **kw: ColumnByColumn(splu(*a, **kw), widths)
         )
-        w_ref, steps_ref = planar2d._newton_2d(start, None, *args)
+        w_ref, steps_ref = newton(start, None, PAR, system)
         assert steps == steps_ref
         assert steps > 1
         assert widths == [2] * steps

@@ -7,6 +7,7 @@ from klayer.core import Field, Params, make_graded_grid, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady, step
 from klayer.mass_constraint import ball_grid, solve_nonlocal
+import klayer.core
 import klayer.radial_steady
 from klayer.radial_steady import (
     barrier_lower,
@@ -81,7 +82,7 @@ class TestSolveLocalRadial:
 
     def test_no_convergence_with_single_iteration(self, monkeypatch):
         grid = make_graded_grid(1.0, 2, 0.02, 200)
-        monkeypatch.setattr(klayer.radial_steady, "MAX_ITERS", 1)
+        monkeypatch.setattr(klayer.core, "MAX_ITERS", 1)
         with pytest.raises(NoConvergenceError):
             solve_local_radial(1e-4, P2, grid)
 
