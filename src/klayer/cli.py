@@ -365,9 +365,10 @@ def _run_evolve(cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     r = grid.nodes
-    u0 = reference.U * (1.0 + cfg.perturb * np.cos(math.pi * r / cfg.R + phase))
+    u0 = reference.U.values * (1.0 + cfg.perturb * np.cos(math.pi * r / cfg.R + phase))
     v_shape = np.cos(math.pi * r / (2.0 * cfg.R))  # vanishes at r = R
-    w0 = np.exp(reference.V * (1.0 + cfg.perturb * math.cos(phase) * v_shape))
+    V = np.log(reference.W.values)
+    w0 = np.exp(V * (1.0 + cfg.perturb * math.cos(phase) * v_shape))
     series = evolve_radial.evolve(reference, u0, w0, cfg.dt, cfg.t_end, cfg.output_every)
     _write_csv(cfg.out / "evolve_diagnostics.csv", ",".join(evolve_radial.COLUMNS),
                [getattr(series, name) for name in evolve_radial.COLUMNS])

@@ -165,7 +165,8 @@ class SteadyState:
     sigma      = epsilon * lambda_eps, the effective diffusion of the local
                  problem the pair solves.
 
-    W and U are Fields on one grid, a RadialGrid for ball domains or a
+    params is the model the pair solves.  W and U are Fields on one grid,
+    a RadialGrid for ball domains and the evolution scheme's pair, or a
     planar2d.MaskedGrid for planar ones.
 
     bisection_iters counts the Newton steps of the solve, over all grid
@@ -177,6 +178,7 @@ class SteadyState:
     accuracy.
     """
 
+    params: Params
     W: object
     U: object
     amplitude: float
@@ -202,6 +204,7 @@ def nonlocal_result(params: Params, W: Field, integral: float, steps: int) -> St
     m = params.m
     amplitude = m / integral
     return SteadyState(
+        params=params,
         W=W,
         U=Field(W.grid, amplitude * W.values**params.p),
         amplitude=amplitude,
@@ -215,10 +218,12 @@ def nonlocal_result(params: Params, W: Field, integral: float, steps: int) -> St
 # Newton controls of newton: the iteration cap and the stop.  Newton stops
 # once the Jacobi-scaled residual max |F_i| / |J_ii|, an estimate of the
 # Newton step, is below STEP_TOL * b and every |F_i| / M_i is below
-# NEWTON_TOL times min(1, b^(1+p)), the size of W^(1+p) at the boundary, or
-# |F_i| is below its own rounding floor.  The scaled test alone stops short
+# NEWTON_TOL times b^(1+p), the size of W^(1+p) at the boundary, or
+# |F_i| is below its own rounding floor.  F scales as b^(1+p) and the step as
+# b, so this is the b = 1 test scaled.  The scaled test alone stops short
 # where diffusion dominates (the smallest eigenvalue of sigma L lies far below
-# its diagonal), the absolute one alone where W^(1+p) is far below NEWTON_TOL.
+# its diagonal), the absolute one alone where W^(1+p) is far below
+# NEWTON_TOL b^(1+p).
 MAX_ITERS = 60
 STEP_TOL = 1e-13
 NEWTON_TOL = 1e-10
@@ -266,7 +271,7 @@ def newton(w, sigma, params: Params, system: NewtonSystem, polish: bool = False)
     # terms are O(sigma |L_ii|) individually, so F_i cannot drop below their
     # rounding error however exact the iterate
     rounding = 8.0 * np.finfo(float).eps * np.abs(system.diagonal) * b
-    res_tol = NEWTON_TOL * min(1.0, b ** (1.0 + p)) * M
+    res_tol = NEWTON_TOL * b ** (1.0 + p) * M
     w = np.maximum(w, floor)
     lu = None
     res_prev = math.inf

@@ -25,12 +25,14 @@ A face carries zero flux exactly when u_(i+1) / u_i = e^d, so the scheme's
 stationary density is U = C W^p and its steady pair solves
 eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).
 relax_to_discrete_steady() solves it with core.newton on
-radial_steady.ball_system in 4-6 tridiagonal solves (no dt, no elliptic solve) and takes U from
-core.nonlocal_result, the constructor of every steady pair; it keeps the name
-from when it time-stepped to the pair, because the benchmark tracer times it
-under that name.  The pair, a DiscreteSteady, owns the grid and parameters:
-evolve(reference, u0, w0, dt, t_end) and lyapunov_energy(u, v, steady) read
-them from it, take node arrays, and measure the diagnostics against it.
+radial_steady.ball_system in 4-6 tridiagonal solves (no dt, no elliptic
+solve) and returns the core.SteadyState of core.nonlocal_result, the
+constructor of every steady pair, with the Newton's own iterate as W; it
+keeps the name from when it time-stepped to the pair, because the benchmark
+tracer times it under that name.  The pair carries its grid (on W) and
+parameters: evolve(reference, u0, w0, dt, t_end) and
+lyapunov_energy(u, v, steady) read them from it, take node arrays, and
+measure the diagnostics against it, its V being ln W.
 """
 
 from __future__ import annotations
@@ -41,15 +43,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import exprel
 
-from .core import Field, Params, RadialGrid, newton, nonlocal_result, radial_cumulative
-from .core import radial_weights, unit_sphere_area
+from .core import Field, Params, RadialGrid, SteadyState, newton, nonlocal_result
+from .core import radial_cumulative, radial_weights, unit_sphere_area
 from .core import _node_values
 from .errors import PositivityError
 from . import radial_steady
 from .radial_steady import ball_system, barrier_lower, lambda_leading
 
 __all__ = [
-    "DiscreteSteady",
     "EvolutionSeries",
     "COLUMNS",
     "step",
@@ -64,30 +65,6 @@ __all__ = [
 def _mass(grid: RadialGrid, u: np.ndarray) -> float:
     """The finite-volume mass omega_n sum(V_i u_i) that step() conserves."""
     return unit_sphere_area(grid.n) * float(np.dot(grid.volumes, u))
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteSteady:
-    """The evolution scheme's own stationary pair (U, V = ln W) on grid.
-
-    U and V are stored as read-only float arrays with one finite value per
-    node; params is the model the pair solves, so grid.n must be params.n.
-    """
-
-    grid: RadialGrid
-    params: Params
-    U: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        if self.grid.n != self.params.n:
-            raise ValueError(f"grid dimension {self.grid.n} != params dimension {self.params.n}")
-        for name in ("U", "V"):
-            object.__setattr__(self, name, _node_values(self.grid, getattr(self, name), name))
-
-    @property
-    def W(self) -> np.ndarray:
-        return np.exp(self.V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +136,7 @@ def step(
 # discrete steady reference
 
 
-def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady:
+def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> SteadyState:
     """The fixed point of step() on grid, by core.newton on ball_system.
 
     There every face flux vanishes, so U = C W^p, and W solves
@@ -170,30 +147,27 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> DiscreteSteady
     weights omega_n V in place of the ball's trapezoid ones.  Newton starts
     from the lower barrier at sigma0 = eps^2 lambda_leading, as the ball's
     solve does, and takes its last step in q = W^(-p/2), which leaves the
-    pair fixed under step() to a few ulps.  U = C W^p is the U of
-    core.nonlocal_result with the finite-volume mass as integral(W^p); V is
-    ln W as the Newton returned W.  Raises NoConvergenceError as
-    core.newton does.
+    pair fixed under step() to a few ulps.  Returns the SteadyState of
+    core.nonlocal_result with the Newton's iterate as W and the
+    finite-volume mass as integral(W^p), so U = C W^p; step() takes
+    V = ln W.  Raises NoConvergenceError as core.newton does.
     """
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
     weights = unit_sphere_area(grid.n) * grid.volumes
     w, steps = newton(start, None, params, ball_system(grid, weights), polish=True)
-    v = np.log(w)
-    W = np.exp(v)  # as DiscreteSteady.W returns it: U / W^p is C to rounding
-    U = nonlocal_result(params, Field(grid, W), _mass(grid, W**params.p), steps).U.values
-    return DiscreteSteady(grid, params, U, v)
+    return nonlocal_result(params, Field(grid, w), _mass(grid, w**params.p), steps)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: DiscreteSteady) -> float:
+def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: SteadyState) -> float:
     """Weighted energy omega_n * int(r^(n-1) phi^2 / U + p r^(n-1) psi^2) dr
 
     of the node arrays (u, v) on the grid of steady, integrated by
-    radial_weights, with psi = v - V and phi = radial_cumulative(u - U) /
+    radial_weights, with psi = v - ln W and phi = radial_cumulative(u - U) /
     (omega_n r^(n-1)), the relative radial mass distribution.
     Non-negative; zero only when both fields match.  phi(0) = 0, but
     phi(R) = 0 only where the trapezoid masses of u and U match, and
@@ -201,12 +175,12 @@ def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: DiscreteSteady) -> flo
     against a max |phi| of 1.6e-2 for u = U (1 + 0.3 cos(pi r)) at eps 0.05
     on the 128-node grid of klayer evolve.
     """
-    U_ref, V_ref, grid = steady.U, steady.V, steady.grid
-    if U_ref.min() <= 0:  # U_ref is finite (DiscreteSteady checks it)
+    U_ref, grid = steady.U.values, steady.W.grid
+    if U_ref.min() <= 0:  # U_ref is finite (Field checks it)
         raise ValueError("steady U must be positive for the energy weight")
     phi = radial_cumulative(grid, u - U_ref)
     phi[1:] /= unit_sphere_area(grid.n) * grid.nodes[1:] ** (grid.n - 1)
-    integrand = phi**2 / U_ref + steady.params.p * (v - V_ref) ** 2
+    integrand = phi**2 / U_ref + steady.params.p * (v - np.log(steady.W.values)) ** 2
     return float(radial_weights(grid) @ integrand)
 
 
@@ -222,7 +196,7 @@ def step_count(dt: float, t_end: float) -> int:
 
 
 def evolve(
-    reference: DiscreteSteady,
+    reference: SteadyState,
     u0: np.ndarray,
     w0: np.ndarray,
     dt: float,
@@ -234,7 +208,8 @@ def evolve(
     output_every steps and after the last step, always the last row.
 
     reference is the scheme's steady pair (see relax_to_discrete_steady); its
-    grid and params are those of the run.  Distances and energy are measured
+    grid, a RadialGrid of dimension params.n (ValueError otherwise), and its
+    params are those of the run.  Distances and energy are measured
     against it; masses and L2 norms are finite-volume sums over the grid's
     cells.  u0 and w0 are node arrays on that grid, finite and positive.  u0
     is renormalised to mass m, and w0 must have w0(R) = b.  dt and t_end
@@ -247,7 +222,11 @@ def evolve(
             raise ValueError(f"{name} must be a finite positive number, got {value}")
     if output_every < 1:
         raise ValueError(f"output_every must be >= 1, got {output_every}")
-    grid, params = reference.grid, reference.params
+    grid, params = reference.W.grid, reference.params
+    if not isinstance(grid, RadialGrid):
+        raise ValueError(f"reference grid must be a RadialGrid, got {type(grid).__name__}")
+    if grid.n != params.n:
+        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
     u0, w0 = _node_values(grid, u0, "u0"), _node_values(grid, w0, "w0")
     for name, value in (("u0", u0), ("w0", w0)):
         if np.any(value <= 0):  # after the finiteness check: NaN <= 0 is False
@@ -257,7 +236,7 @@ def evolve(
     u = u0 * (params.m / _mass(grid, u0))
     v = np.log(w0)
     v[-1] = math.log(params.b)
-    U_ref, W_ref = reference.U, reference.W
+    U_ref, W_ref = reference.U.values, reference.W.values
 
     rows = []
 

@@ -338,7 +338,7 @@ def _grid_coords(size: int, h: float) -> np.ndarray:
 class MaskedGrid:
     """Uniform square grid coords x coords of spacing h with an inside mask.
 
-    phi and inside are square arrays of the grid's shape, and coords,
+    phi (finite) and inside are square arrays of the grid's shape, and coords,
     centred on 0, has one entry per row of phi.  The grid keeps a read-only
     copy of phi, so the caller's array stays as it was.  A node is inside,
     an unknown, when phi < -_THETA_MIN h.  The nodes on the grid's outer
@@ -356,6 +356,8 @@ class MaskedGrid:
         self.phi = np.array(phi, dtype=float, order="C")
         if self.phi.ndim != 2 or self.phi.shape[0] != self.phi.shape[1]:
             raise ValueError(f"phi shape {self.phi.shape} is not square")
+        if not np.all(np.isfinite(self.phi)):
+            raise ValueError("phi must be finite")
         self.coords = _grid_coords(self.phi.shape[0], self.h)
         inside = self.phi < -_THETA_MIN * self.h
         if not inside.any():

@@ -211,33 +211,21 @@ def ball_system(grid: RadialGrid, quad=None) -> NewtonSystem:
     return NewtonSystem(apply, diagonal, weight, quad, 0.0, factor)
 
 
-def solve_local_radial(
-    sigma: float,
-    params: Params,
-    grid: RadialGrid,
-    initial: np.ndarray | None = None,
-) -> Field:
+def solve_local_radial(sigma: float, params: Params, grid: RadialGrid) -> Field:
     """Solve sigma (W'' + (n-1)/r W') = W^(1+p), W'(0) = 0, W(R) = b.
 
     core.newton on ball_system(grid) starts from the lower barrier (a
-    sub-solution, which keeps the iterates in the monotone basin) unless an
-    explicit initial iterate is given, whose last entry is replaced by b,
-    and stops on the scaled and the absolute residual (see core.STEP_TOL
-    and core.NEWTON_TOL); NoConvergenceError when it does not get there in
+    sub-solution, which keeps the iterates in the monotone basin) and stops
+    on the scaled and the absolute residual (see core.STEP_TOL and
+    core.NEWTON_TOL); NoConvergenceError when it does not get there in
     core.MAX_ITERS steps.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if grid.n != params.n:
         raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
-    if initial is None:
-        initial = barrier_lower(grid.nodes, sigma, params, grid.R)
-    else:
-        initial = np.array(initial, dtype=float)
-        if initial.shape != grid.shape:
-            raise ValueError("initial iterate shape does not match grid")
-        initial[-1] = params.b
-    w, _ = newton(initial, sigma, params, ball_system(grid))
+    start = barrier_lower(grid.nodes, sigma, params, grid.R)
+    w, _ = newton(start, sigma, params, ball_system(grid))
     return Field(grid, w)
 
 

@@ -157,8 +157,8 @@ def stability_run():
     grid = make_graded_grid(1.0, 2, 10.0 / 319, 320)
     ref = relax_to_discrete_steady(grid, par)
     r = grid.nodes
-    u0 = ref.U * (1.0 + 0.01 * np.cos(np.pi * r))
-    w0 = np.exp(ref.V * (1.0 + 0.01 * np.cos(np.pi * r / 2.0)))
+    u0 = ref.U.values * (1.0 + 0.01 * np.cos(np.pi * r))
+    w0 = np.exp(np.log(ref.W.values) * (1.0 + 0.01 * np.cos(np.pi * r / 2.0)))
     dt = 0.01
     # pilot to estimate the rate, then a horizon of 10 decay times
     pilot = evolve(ref, u0, w0, dt=dt, t_end=6.0, output_every=25)
@@ -468,8 +468,8 @@ def test_attractor_independence(stability_run):
     t_end = max(10.0 / mu, 6.0)
     finals = []
     for shape in (np.cos(2 * np.pi * r), np.cos(3 * np.pi * r)):
-        u0 = ref.U * (1.0 + 0.01 * shape)
-        w0 = np.exp(ref.V)
+        u0 = ref.U.values * (1.0 + 0.01 * shape)
+        w0 = np.exp(np.log(ref.W.values))
         series = evolve(ref, u0, w0, dt=0.01, t_end=t_end, output_every=50)
         finals.append(series.distance()[-1])
     # both ended on the shared attractor, so their mutual gap is bounded by

@@ -252,8 +252,8 @@ class TestPLimit:
         # U == const on the disk: fraction within depth d is 1 - (1-d)^2
         grid = make_graded_grid(1.0, 2, 10.0 / 1999, 2000)
         U = Field(grid, np.ones(grid.count))
-        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0,
-                         bisection_iters=0, constraint_residual=0.0)
+        st = SteadyState(params=DISK, W=U, U=U, amplitude=1.0, lambda_eps=1.0,
+                         sigma=1.0, bisection_iters=0, constraint_residual=0.0)
         got = boundary_mass_fraction(st, 0.1)
         assert got == pytest.approx(1.0 - 0.81, rel=1e-6)
 
@@ -262,8 +262,8 @@ class TestPLimit:
         # no depth holds no mass, a depth of R or more holds all of it
         grid = make_graded_grid(1.0, n, 0.05, 200)
         U = Field(grid, np.exp(-grid.nodes))
-        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0,
-                         bisection_iters=0, constraint_residual=0.0)
+        st = SteadyState(params=DISK, W=U, U=U, amplitude=1.0, lambda_eps=1.0,
+                         sigma=1.0, bisection_iters=0, constraint_residual=0.0)
         assert boundary_mass_fraction(st, 0.0) == 0.0
         for depth in (1.0, 1.5, 1e9):
             assert boundary_mass_fraction(st, depth) == 1.0
@@ -273,8 +273,8 @@ class TestPLimit:
         # a negative depth used to give 0.0 and a nan depth nan
         grid = make_graded_grid(1.0, 2, 0.05, 200)
         U = Field(grid, np.ones(grid.count))
-        st = SteadyState(W=U, U=U, amplitude=1.0, lambda_eps=1.0, sigma=1.0,
-                         bisection_iters=0, constraint_residual=0.0)
+        st = SteadyState(params=DISK, W=U, U=U, amplitude=1.0, lambda_eps=1.0,
+                         sigma=1.0, bisection_iters=0, constraint_residual=0.0)
         with pytest.raises(ValueError, match="depth must be finite and >= 0"):
             boundary_mass_fraction(st, depth)
 

@@ -25,7 +25,7 @@ from klayer.core import (
     unit_sphere_area,
 )
 from klayer.errors import NoCrossingError
-from klayer.evolve_radial import DiscreteSteady, EvolutionSeries
+from klayer.evolve_radial import EvolutionSeries
 from klayer.planar2d import Disk, MaskedGrid, boundary_samples, build_domain
 
 from grid_contract import BallField, contract_errors, radial_system
@@ -251,10 +251,6 @@ def _planar_field():
 ARRAY_RECORDS = {
     "RadialGrid": lambda: uniform_grid(1.0, 2, 16),
     "Field(RadialGrid)": lambda: Field(uniform_grid(1.0, 2, 16), np.ones(16)),
-    "DiscreteSteady": lambda: DiscreteSteady(
-        uniform_grid(1.0, 2, 16), Params(epsilon=0.05, p=2, b=1, m=1, n=2),
-        np.ones(16), np.zeros(16),
-    ),
     "Field(MaskedGrid)": _planar_field,
     "BoundarySamples": lambda: boundary_samples(Disk(1.0), 4),
     "EvolutionSeries": lambda: EvolutionSeries(*[np.zeros(3)] * 7),
@@ -272,8 +268,8 @@ def test_array_records_compare_by_identity(make):
     assert x != twin
     assert hash(x) == hash(x)
     # the records that hold them compare without raising
-    constants = dict(amplitude=1.0, lambda_eps=1.0, sigma=1.0, bisection_iters=0,
-                     constraint_residual=0.0)
+    constants = dict(params=Params(epsilon=0.05, p=2, b=1, m=1, n=2), amplitude=1.0,
+                     lambda_eps=1.0, sigma=1.0, bisection_iters=0, constraint_residual=0.0)
     st = SteadyState(W=x, U=x, **constants)
     assert st == SteadyState(W=x, U=x, **constants)
     assert st != SteadyState(W=twin, U=twin, **constants)
@@ -291,13 +287,9 @@ def _stored_arrays():
     masked = MaskedGrid(h=0.2, phi=phi)
     field_values = np.ones(phi.shape)
     planar = Field(grid=masked, values=field_values)
-    U, V = np.ones(16), np.zeros(16)
-    steady = DiscreteSteady(grid, Params(epsilon=0.05, p=2, b=1, m=1, n=2), U, V)
     return {
         "RadialGrid.nodes": (nodes, grid.nodes),
         "Field(RadialGrid).values": (values, radial.values),
-        "DiscreteSteady.U": (U, steady.U),
-        "DiscreteSteady.V": (V, steady.V),
         "MaskedGrid.phi": (phi, masked.phi),
         "Field(MaskedGrid).values": (field_values, planar.values),
     }
@@ -508,5 +500,6 @@ class TestSteadyStateInvariants:
         g = uniform_grid(1.0, 2, 16)
         W = Field(g, np.ones(16))
         with pytest.raises(ValueError):
-            SteadyState(W=W, U=W, amplitude=-1.0, lambda_eps=1.0, sigma=1.0,
+            SteadyState(params=Params(epsilon=0.05, p=2, b=1, m=1, n=2), W=W, U=W,
+                        amplitude=-1.0, lambda_eps=1.0, sigma=1.0,
                         bisection_iters=0, constraint_residual=0.0)

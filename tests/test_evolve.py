@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import klayer.evolve_radial
 import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.core import (
+    Field,
     Params,
     RadialGrid,
     ball_volume,
@@ -20,7 +22,6 @@ from klayer.core import (
 )
 from klayer.errors import PositivityError
 from klayer.evolve_radial import (
-    DiscreteSteady,
     evolve,
     fit_decay_rate,
     lyapunov_energy,
@@ -30,6 +31,7 @@ from klayer.evolve_radial import (
     _mass,
 )
 from klayer.mass_constraint import solve_nonlocal
+from klayer.planar2d import Disk, build_domain
 from klayer.radial_steady import ball_system, solve_local_radial
 
 from constraint_oracle import illinois
@@ -84,31 +86,36 @@ def count_newton_steps(monkeypatch, grid, par):
     return relax_to_discrete_steady(grid, par), len(calls)
 
 
+def log_w(ref):
+    """The pair's V = ln W, the log-chemical that step() takes."""
+    return np.log(ref.W.values)
+
+
 def density_spread(par, ref):
     """Relative spread of U / W^p, which the scheme's pair keeps constant."""
-    ratio = ref.U / ref.W**par.p
+    ratio = ref.U.values / ref.W.values**par.p
     return np.max(ratio) / np.min(ratio) - 1.0
 
 
 def step_move(grid, par, ref):
     """Largest relative change of (u, v) over one step from the pair."""
-    u, v = step(grid, ref.U, ref.V, par, 1e-3)
-    du = np.max(np.abs(u - ref.U)) / np.max(ref.U)
-    dv = np.max(np.abs(v - ref.V)) / (np.max(np.abs(ref.V)) + 1.0)
+    u, v = step(grid, ref.U.values, log_w(ref), par, 1e-3)
+    du = np.max(np.abs(u - ref.U.values)) / np.max(ref.U.values)
+    dv = np.max(np.abs(v - log_w(ref))) / (np.max(np.abs(log_w(ref))) + 1.0)
     return max(du, dv)
 
 
 def perturbed_state(grid, reference, amp=0.01):
     r = grid.nodes
-    u0 = reference.U * (1.0 + amp * np.cos(np.pi * r))
-    v0 = reference.V * (1.0 + amp * np.cos(np.pi * r / 2.0))
+    u0 = reference.U.values * (1.0 + amp * np.cos(np.pi * r))
+    v0 = log_w(reference) * (1.0 + amp * np.cos(np.pi * r / 2.0))
     return u0, v0
 
 
 def mass_anti_derivative_endpoint(u, steady):
     """Value of int_0^R (u - U) s^(n-1) ds; zero (to quadrature) at equal mass."""
-    r = steady.grid.nodes
-    return float(np.trapezoid((u - steady.U) * r ** (steady.grid.n - 1), r))
+    r = steady.W.grid.nodes
+    return float(np.trapezoid((u - steady.U.values) * r ** (steady.W.grid.n - 1), r))
 
 
 def reference_step(grid, u, v, params, dt):
@@ -170,11 +177,11 @@ class TestStepOracle:
 class TestStep:
     def test_steady_state_is_fixed_point(self, setup):
         grid, ref = setup
-        u, v = ref.U, ref.V
+        u, v = ref.U.values, log_w(ref)
         for _ in range(100):
             u, v = step(grid, u, v, PAR, 1e-3)
-        assert np.max(np.abs(u - ref.U)) <= 1e-8
-        assert np.max(np.abs(v - ref.V)) <= 1e-8
+        assert np.max(np.abs(u - ref.U.values)) <= 1e-8
+        assert np.max(np.abs(v - log_w(ref))) <= 1e-8
 
     def test_mass_conserved_each_step(self, setup):
         grid, ref = setup
@@ -210,8 +217,8 @@ class TestStep:
             par, (grid, ref) = PAR, setup
         r = grid.nodes
         dt = 10.0**log_dt
-        u = ref.U * (1.0 + amp_u * np.cos(mode * np.pi * r))
-        v = ref.V * (1.0 + amp_v * np.cos(np.pi * r / 2.0))
+        u = ref.U.values * (1.0 + amp_u * np.cos(mode * np.pi * r))
+        v = log_w(ref) * (1.0 + amp_v * np.cos(np.pi * r / 2.0))
         u_new, v_new = step(grid, u, v, par, dt)
         assert np.all(u_new > 0)
         assert np.all(np.isfinite(v_new))
@@ -242,28 +249,28 @@ class TestStep:
             with pytest.MonkeyPatch.context() as mp:
                 self.spoil(mp, 0, 7, value)
                 with pytest.raises(PositivityError):
-                    step(grid, ref.U, ref.V, PAR, 1e-3)
+                    step(grid, ref.U.values, log_w(ref), PAR, 1e-3)
 
     @pytest.mark.parametrize("solve", [0, 1])
     def test_non_finite_rejected(self, setup, monkeypatch, solve):
         grid, ref = setup
         self.spoil(monkeypatch, solve, 7, np.nan)
         with pytest.raises(ValueError):
-            step(grid, ref.U, ref.V, PAR, 1e-3)
+            step(grid, ref.U.values, log_w(ref), PAR, 1e-3)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
     def test_dt_checked(self, setup, dt):
         grid, ref = setup
         with pytest.raises(ValueError, match="dt must be a finite positive number"):
-            step(grid, ref.U, ref.V, PAR, dt)
+            step(grid, ref.U.values, log_w(ref), PAR, dt)
 
 
 class TestEvolve:
     def test_small_perturbation_decays(self, setup):
         grid, ref = setup
         r = grid.nodes
-        u0 = ref.U * (1.0 + 0.01 * np.cos(np.pi * r))
-        w0 = np.exp(ref.V * (1.0 + 0.01 * np.cos(np.pi * r / 2)))
+        u0 = ref.U.values * (1.0 + 0.01 * np.cos(np.pi * r))
+        w0 = np.exp(log_w(ref) * (1.0 + 0.01 * np.cos(np.pi * r / 2)))
         series = evolve(ref, u0, w0, dt=1e-3, t_end=8.0, output_every=20)
         d = series.distance()
         assert d[-1] < 0.2 * d[0]
@@ -279,16 +286,16 @@ class TestEvolve:
 
     def test_renormalizes_initial_mass(self, setup):
         grid, ref = setup
-        u0 = 1.3 * ref.U
-        w0 = np.exp(ref.V)
+        u0 = 1.3 * ref.U.values
+        w0 = np.exp(log_w(ref))
         series = evolve(ref, u0, w0, dt=1e-3, t_end=5e-3, output_every=1)
         assert series.mass[0] == pytest.approx(PAR.m, rel=1e-12)
 
     def test_w_boundary_value_checked(self, setup):
         grid, ref = setup
-        w_bad = 1.1 * np.exp(ref.V)
+        w_bad = 1.1 * np.exp(log_w(ref))
         with pytest.raises(ValueError):
-            evolve(ref, ref.U, w_bad, dt=1e-3, t_end=1e-2)
+            evolve(ref, ref.U.values, w_bad, dt=1e-3, t_end=1e-2)
 
     @pytest.mark.parametrize("field", ["u0", "w0"])
     @pytest.mark.parametrize("bad", ["short", np.nan, np.inf, 0.0])
@@ -296,7 +303,7 @@ class TestEvolve:
         # one finite positive value per node; a NaN is not <= 0, so only the
         # finiteness check catches it
         grid, ref = small
-        fields = {"u0": ref.U.copy(), "w0": ref.W}
+        fields = {"u0": ref.U.values.copy(), "w0": ref.W.values.copy()}
         if bad == "short":
             fields[field] = fields[field][:-1]
         else:
@@ -306,24 +313,21 @@ class TestEvolve:
 
     def test_params_dimension_checked(self, small):
         # n = 3 cells under params.n = 2 would step with the wrong volumes
-        # and renormalise the mass by 0.649; the pair that carries both
-        # refuses them, so evolve cannot be handed the mismatch
+        # and renormalise the mass by 0.649; evolve refuses the mismatch
         grid, ref = small
         grid3 = RadialGrid(nodes=grid.nodes, n=3)
+        mismatched = replace(ref, W=Field(grid3, ref.W.values), U=Field(grid3, ref.U.values))
         with pytest.raises(ValueError, match="grid dimension 3 != params dimension 2"):
-            DiscreteSteady(grid3, PAR, ref.U, ref.V)
+            evolve(mismatched, ref.U.values, ref.W.values, dt=1e-3, t_end=1e-2)
 
-    @pytest.mark.parametrize("field", ["U", "V"])
-    @pytest.mark.parametrize("bad", ["short", np.nan])
-    def test_pair_fields_checked(self, small, field, bad):
+    def test_reference_grid_checked(self, small):
+        # a planar steady state is no pair of the radial scheme
         grid, ref = small
-        fields = {"U": ref.U.copy(), "V": ref.V.copy()}
-        if bad == "short":
-            fields[field] = fields[field][1:]
-        else:
-            fields[field][3] = bad
-        with pytest.raises(ValueError, match=f"^{field}"):
-            DiscreteSteady(grid, PAR, fields["U"], fields["V"])
+        masked = build_domain(Disk(1.0), 0.2)
+        disk = Field(masked, np.ones(masked.shape))
+        planar = replace(ref, W=disk, U=disk)
+        with pytest.raises(ValueError, match="must be a RadialGrid, got MaskedGrid"):
+            evolve(planar, ref.U.values, ref.W.values, dt=1e-3, t_end=1e-2)
 
     @pytest.mark.parametrize(
         "dt, t_end, output_every, named",
@@ -341,14 +345,14 @@ class TestEvolve:
         # a NaN fails every comparison, so it is rejected, not stepped with
         grid, ref = small
         with pytest.raises(ValueError, match=f"^{named} must"):
-            evolve(ref, ref.U, ref.W, dt, t_end, output_every)
+            evolve(ref, ref.U.values, ref.W.values, dt, t_end, output_every)
 
     def test_w_only_perturbation_returns_to_steady(self, setup):
         # mass unchanged, so the attractor is the same pair
         grid, ref = setup
         r = grid.nodes
-        w0 = np.exp(ref.V * (1 + 0.02 * np.cos(np.pi * r / 2)))
-        series = evolve(ref, ref.U, w0, dt=1e-2, t_end=8.0, output_every=50)
+        w0 = np.exp(log_w(ref) * (1 + 0.02 * np.cos(np.pi * r / 2)))
+        series = evolve(ref, ref.U.values, w0, dt=1e-2, t_end=8.0, output_every=50)
         assert series.distance()[-1] < 0.05 * series.distance()[0]
 
     @staticmethod
@@ -430,7 +434,7 @@ class TestStepCount:
 class TestLyapunov:
     def test_zero_at_steady(self, setup):
         grid, ref = setup
-        energy = lyapunov_energy(ref.U, ref.V, ref)
+        energy = lyapunov_energy(ref.U.values, log_w(ref), ref)
         assert energy == pytest.approx(0.0, abs=1e-14)
 
     def test_positive_off_steady(self, setup):
@@ -482,7 +486,7 @@ class TestFitDecayRate:
 class TestRelaxation:
     def test_reference_mass_matches(self, setup):
         grid, ref = setup
-        assert _mass(grid, ref.U) == pytest.approx(PAR.m, rel=1e-12)
+        assert _mass(grid, ref.U.values) == pytest.approx(PAR.m, rel=1e-12)
 
     def test_reference_close_to_elliptic_pair(self):
         # the elliptic pair on the same grid, by Illinois over local solves:
@@ -499,8 +503,8 @@ class TestRelaxation:
             for _ in range(4 if n > 1 else 1):
                 ref = relax_to_discrete_steady(grid, par)
                 steady = illinois(par, FixedGridBall(grid), tol_rel=1e-10)
-                gaps.append((np.max(np.abs(ref.U - steady.U.values)),
-                             np.max(np.abs(ref.W - steady.W.values))))
+                gaps.append((np.max(np.abs(ref.U.values - steady.U.values)),
+                             np.max(np.abs(ref.W.values - steady.W.values))))
                 grid = refine_grid(grid)
             gaps = np.array(gaps)
             if n == 1:
@@ -538,6 +542,23 @@ class TestRelaxation:
         for g, quad, _ in ball:
             assert np.array_equal(quad, radial_weights(g))
 
+    def test_w_is_the_newton_iterate(self, small, monkeypatch):
+        # W is stored as the Newton returned it, not as exp(ln w), so the
+        # V = ln W that step() takes is ln of the iterate bit for bit
+        grid, _ = small
+        iterates = []
+
+        def solve(*args, **kw):
+            result = newton(*args, **kw)
+            iterates.append(result[0])
+            return result
+
+        monkeypatch.setattr(klayer.evolve_radial, "newton", solve)
+        ref = relax_to_discrete_steady(grid, PAR)
+        assert np.array_equal(ref.W.values, iterates[0])
+        assert np.array_equal(log_w(ref), np.log(iterates[0]))
+        assert ref.params == PAR and ref.W.grid is grid and ref.U.grid is grid
+
     def test_fixed_point_to_rounding(self, small):
         grid, ref = small
         assert step_move(grid, PAR, ref) <= 4 * ULP
@@ -546,16 +567,16 @@ class TestRelaxation:
         # zero Scharfetter-Gummel flux on every face means U = C W^p exactly
         grid, ref = small
         assert density_spread(PAR, ref) <= 4 * ULP
-        assert _mass(grid, ref.U) == pytest.approx(PAR.m, rel=4 * ULP)
+        assert _mass(grid, ref.U.values) == pytest.approx(PAR.m, rel=4 * ULP)
 
     def test_positive_pair_under_strong_drift(self, strong):
         # |p dV / 2| > 1 on a face: a central chemotactic flux has no positive
         # stationary density here, the exponentially fitted one has
         par, grid, ref = strong
-        assert np.max(np.abs(0.5 * par.p * np.diff(ref.V))) >= 1.0
-        assert np.all(ref.U > 0)
-        assert np.all(ref.W > 0)
-        assert _mass(grid, ref.U) == pytest.approx(par.m, rel=4 * ULP)
+        assert np.max(np.abs(0.5 * par.p * np.diff(log_w(ref)))) >= 1.0
+        assert np.all(ref.U.values > 0)
+        assert np.all(ref.W.values > 0)
+        assert _mass(grid, ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
 
     @pytest.mark.parametrize(
         "count, n, p, eps, width",
@@ -579,7 +600,7 @@ class TestRelaxation:
         ref, steps = count_newton_steps(monkeypatch, grid, par)
         assert 1 <= steps <= 6
         assert density_spread(par, ref) <= 4 * ULP
-        assert _mass(grid, ref.U) == pytest.approx(par.m, rel=4 * ULP)
+        assert _mass(grid, ref.U.values) == pytest.approx(par.m, rel=4 * ULP)
         assert step_move(grid, par, ref) <= 4 * ULP
 
     def test_cold_start_where_plain_update_cycles(self, monkeypatch):
@@ -595,6 +616,6 @@ class TestRelaxation:
             grid = make_graded_grid(1.0, 1, 1e-3, count)
             ref, steps = count_newton_steps(monkeypatch, grid, par)
             assert 1 <= steps <= 6
-            assert ref.W[0] == pytest.approx(w0, abs=1e-5)
+            assert ref.W.values[0] == pytest.approx(w0, abs=1e-5)
             assert density_spread(par, ref) <= 4 * ULP
-            assert _mass(grid, ref.U) == pytest.approx(par.m, rel=4 * ULP)
+            assert _mass(grid, ref.U.values) == pytest.approx(par.m, rel=4 * ULP)

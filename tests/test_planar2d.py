@@ -351,6 +351,16 @@ class TestCutLaplacian:
         with pytest.raises(ValueError, match="h must be finite and positive"):
             MaskedGrid(h=h, phi=phi)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("node", [(5, 5), (0, 0)])
+    def test_phi_must_be_finite(self, node, bad):
+        # a NaN node was silently outside (NaN < 0 is False) and area() nan
+        phi = np.ones((11, 11))
+        phi[4, 4] = -0.1
+        phi[node] = bad
+        with pytest.raises(ValueError, match="phi must be finite"):
+            MaskedGrid(h=0.2, phi=phi)
+
     def test_coords_from_spacing_and_size(self):
         phi = np.ones((11, 11))
         phi[5, 5] = -0.1

@@ -3,13 +3,14 @@ import pytest
 from scipy.linalg import solve_banded
 
 from klayer.cli import RunConfig, _evolve_grid
-from klayer.core import Field, Params, make_graded_grid, refine_grid
+from klayer.core import Field, Params, make_graded_grid, newton, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady, step
 from klayer.mass_constraint import ball_grid, solve_nonlocal
 import klayer.core
 import klayer.radial_steady
 from klayer.radial_steady import (
+    ball_system,
     barrier_lower,
     barrier_upper,
     boundary_slope,
@@ -64,12 +65,12 @@ class TestSolveLocalRadial:
             solve_local_radial(-1.0, P2, grid)
 
     def test_large_sigma_linear_oracle(self):
-        # reaction is negligible at sigma = 1e6: start from W == b and
-        # compare against the linearized problem sigma K W = b^p V W on the
-        # solver's finite volumes, solved directly
+        # reaction is negligible at sigma = 1e6: Newton on the ball's system
+        # from W == b, compared against the linearized problem
+        # sigma K W = b^p V W on the solver's finite volumes, solved directly
         grid = make_graded_grid(1.0, 2, 10.0 / 399, 400)
-        W = solve_local_radial(1e6, P2, grid, initial=np.ones(grid.count))
-        assert np.max(np.abs(W.values - 1.0)) <= 1e-3
+        W, _ = newton(np.ones(grid.count), 1e6, P2, ball_system(grid))
+        assert np.max(np.abs(W - 1.0)) <= 1e-3
 
         lo, di, up, V = fv_operator(grid)
         sigma = 1e6
@@ -78,7 +79,7 @@ class TestSolveLocalRadial:
         rhs = np.zeros(grid.count)
         rhs[-1] = 1.0
         W_lin = klayer.radial_steady.solve_banded(jl[1:], jd, ju[:-1], rhs)
-        assert np.max(np.abs(W.values - W_lin)) <= 1e-9
+        assert np.max(np.abs(W - W_lin)) <= 1e-9
 
     def test_no_convergence_with_single_iteration(self, monkeypatch):
         grid = make_graded_grid(1.0, 2, 0.02, 200)
@@ -357,9 +358,9 @@ class TestSolveBandedPaths:
         par = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
         grid = _evolve_grid(RunConfig(command="evolve", params=par, grid_count=128))
         ref = relax_to_discrete_steady(grid, par)
-        u = ref.U * (1.0 + 0.01 * np.cos(np.pi * grid.nodes))
-        v = ref.V
-        out = [ref.U.tobytes(), ref.V.tobytes()]
+        u = ref.U.values * (1.0 + 0.01 * np.cos(np.pi * grid.nodes))
+        v = np.log(ref.W.values)
+        out = [ref.U.values.tobytes(), v.tobytes()]
         for _ in range(200):
             u, v = step(grid, u, v, par, 5e-3)
             out += [u.tobytes(), v.tobytes()]
