@@ -9,13 +9,16 @@ All leading terms are for the ball B_R(0).  Conventions:
     layer thickness   ~ thickness_leading(c) * eps   (depth of the level set
                         W = c below the boundary value b)
 
-The eps -> 0 extrapolation fits  measured * eps^k = C0 + C1 * eps * log(1/eps)
+measure() takes the four of one steady state (QUANTITIES); verify_expansion
+and the CLI's steady-radial and sweep reports read it.  The eps -> 0
+extrapolation fits  measured * eps^k = C0 + C1 * eps * log(1/eps)
 because the remainders carry a log eps factor; a pure-constant fit would bias
 the leading coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,10 +27,12 @@ from .core import (
     Field,
     Params,
     SteadyState,
+    ball_volume,
     interpolate_monotone,
     radial_cumulative,
     unit_sphere_area,
 )
+from .errors import NoCrossingError
 from .mass_constraint import solve_nonlocal
 from .radial_steady import boundary_slope, lambda_leading
 
@@ -37,15 +42,18 @@ __all__ = [
     "slope_U_leading",
     "thickness_leading",
     "measure_thickness",
+    "measure",
     "verify_expansion",
     "verify_p_limit",
     "boundary_mass_fraction",
 ]
 
-QUANTITIES = ("slope_W", "slope_U", "lambda_eps", "thickness")
-
-# power of eps multiplying the raw measurement so it tends to the coefficient
-_EPS_POWER = {"slope_W": 1, "slope_U": 2, "lambda_eps": -1, "thickness": -1}
+# quantity -> (k, tol): measured * eps^k tends to the leading coefficient,
+# and tol gates the relative gap of the extrapolated one in klayer verify
+# (the slope of U and the thickness carry the larger remainders)
+EXPANSION = {"slope_W": (1, 0.05), "slope_U": (2, 0.08), "lambda_eps": (-1, 0.05),
+             "thickness": (-1, 0.08)}
+QUANTITIES = tuple(EXPANSION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +104,25 @@ def thickness_leading(c: float, params: Params, R: float) -> float:
     p, b, m, n = params.p, params.b, params.m, params.n
     if not 0 < c < b:
         raise ValueError(f"level c must lie in (0, b={b}), got {c}")
-    om = unit_sphere_area(n)
-    volume = om * R**n / n
-    return ((b / c) ** (p / 2.0) - 1.0) * 2.0 * n * (p + 2.0) / (m * p**2) * volume / R
+    return ((b / c) ** (p / 2.0) - 1.0) * 2.0 * n * (p + 2.0) / (m * p**2) * ball_volume(R, n) / R
 
 
 def measure_thickness(W: Field, c: float) -> float:
     """Depth R - W^(-1)(c) of the level set W = c below the boundary."""
     R = W.grid.R
     return R - interpolate_monotone(W, c)
+
+
+def measure(steady: SteadyState, c: float) -> dict[str, float]:
+    """The QUANTITIES of a ball's steady state, in that order: the boundary
+    slopes of W and U, lambda_eps and the thickness at level c, which is nan
+    where W does not cross c."""
+    try:
+        thickness = measure_thickness(steady.W, c)
+    except NoCrossingError:
+        thickness = math.nan
+    return {"slope_W": boundary_slope(steady.W), "slope_U": boundary_slope(steady.U),
+            "lambda_eps": steady.lambda_eps, "thickness": thickness}
 
 
 def _fit_with_log_correction(eps: np.ndarray, scaled: np.ndarray) -> float:
@@ -118,14 +136,14 @@ def verify_expansion(
     R: float,
     eps_list,
     level_c: float | None = None,
-    count: int = 3000,
+    count: int = 2500,
 ) -> dict[str, ExpansionReport]:
     """Sweep eps once, measure every quantity, extrapolate eps -> 0, compare.
 
     Each eps is solved on the ball B_R with count grid nodes.  Returns one
     report per quantity, keyed in QUANTITIES order.  eps_list must be
     decreasing with at least 3 entries.  level_c (default b/2) sets the level
-    of the thickness quantity.
+    of the thickness quantity; NoCrossingError where W does not cross it.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 3 or not np.all(np.diff(eps) < 0):
@@ -134,18 +152,18 @@ def verify_expansion(
     # solved first, so a bad R or count is reported by the ball solve
     steadies = [solve_nonlocal(replace(params, epsilon=float(e)), R, count) for e in eps]
 
-    # quantity -> (measurement on a steady state, leading coefficient)
-    table = {
-        "slope_W": (lambda st: boundary_slope(st.W), slope_W_leading(params, R)),
-        "slope_U": (lambda st: boundary_slope(st.U), slope_U_leading(params, R)),
-        "lambda_eps": (lambda st: st.lambda_eps, lambda_leading(params, R)),
-        "thickness": (lambda st: measure_thickness(st.W, c), thickness_leading(c, params, R)),
-    }
+    leading = {"slope_W": slope_W_leading(params, R), "slope_U": slope_U_leading(params, R),
+               "lambda_eps": lambda_leading(params, R),
+               "thickness": thickness_leading(c, params, R)}
+    rows = [measure(st, c) for st in steadies]
+    for st, row in zip(steadies, rows):
+        if math.isnan(row["thickness"]):
+            measure_thickness(st.W, c)  # raises the NoCrossingError
     reports = {}
-    for q in QUANTITIES:
-        measure, coeff = table[q]
-        computed = np.array([measure(st) for st in steadies])
-        extrapolated = _fit_with_log_correction(eps, computed * eps ** _EPS_POWER[q])
+    for q, (k, _) in EXPANSION.items():
+        coeff = leading[q]
+        computed = np.array([row[q] for row in rows])
+        extrapolated = _fit_with_log_correction(eps, computed * eps**k)
         reports[q] = ExpansionReport(
             quantity=q,
             epsilons=eps,

@@ -28,15 +28,11 @@ import numpy as np
 
 from . import asymptotics, evolve_radial, planar2d
 from .core import Params, make_graded_grid
-from .errors import NoCrossingError, SolverError
+from .errors import SolverError
 from .mass_constraint import solve_nonlocal
-from .radial_steady import boundary_slope, lambda_leading, layer_width
+from .radial_steady import lambda_leading, layer_width
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
-
-# verification gates per quantity (relative gap of the extrapolated
-# coefficient; the slope of U and the thickness carry the larger remainders)
-VERIFY_TOL = {"slope_W": 0.05, "slope_U": 0.08, "lambda_eps": 0.05, "thickness": 0.08}
 
 
 class ConfigError(ValueError):
@@ -295,21 +291,9 @@ def _parse_shape(text: str, R: float):
 # command implementations
 
 
-def _radial_report(steady, c: float) -> dict:
-    """The quantities reported for a radial steady state at level c; the
-    thickness is nan where W stays above c."""
-    try:
-        thickness = asymptotics.measure_thickness(steady.W, c)
-    except NoCrossingError:
-        thickness = math.nan
-    return {
-        "lambda_eps": steady.lambda_eps,
-        "amplitude": steady.amplitude,
-        "sigma": steady.sigma,
-        "slope_W": boundary_slope(steady.W),
-        "slope_U": boundary_slope(steady.U),
-        "thickness": thickness,
-    }
+def _constants(steady) -> dict:
+    """The constants every steady summary and sweep row opens with."""
+    return {"lambda_eps": steady.lambda_eps, "amplitude": steady.amplitude, "sigma": steady.sigma}
 
 
 def _run_steady_radial(cfg: RunConfig) -> int:
@@ -317,7 +301,8 @@ def _run_steady_radial(cfg: RunConfig) -> int:
     columns = (st.W.grid.nodes, st.W.values, st.U.values)
     _write_csv(cfg.out / "steady_profile.csv", "r,W,U", columns)
     summary = {
-        **_radial_report(st, cfg.level()),
+        **_constants(st),
+        **asymptotics.measure(st, cfg.level()),
         "bisection_iters": st.bisection_iters,
         "constraint_residual": st.constraint_residual,
     }
@@ -338,9 +323,7 @@ def _run_steady_2d(cfg: RunConfig) -> int:
     _write_summary(
         cfg.out / "steady_summary.csv",
         {
-            "lambda_eps": st.lambda_eps,
-            "amplitude": st.amplitude,
-            "sigma": st.sigma,
+            **_constants(st),
             "area": grid.area(),
             "bisection_iters": st.bisection_iters,
             "constraint_residual": st.constraint_residual,
@@ -388,11 +371,12 @@ def _run_verify(cfg: RunConfig) -> int:
     )
     passed = []
     for quantity, report in reports.items():
-        ok = report.relative_gap <= VERIFY_TOL[quantity]
+        tol = asymptotics.EXPANSION[quantity][1]
+        ok = report.relative_gap <= tol
         passed.append(ok)
         print(
             f"verify {quantity}: gap {report.relative_gap:.4f} "
-            f"({'ok' if ok else 'EXCEEDS'} tol {VERIFY_TOL[quantity]})"
+            f"({'ok' if ok else 'EXCEEDS'} tol {tol})"
         )
     rows = reports.values()
     columns = (
@@ -414,7 +398,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     for eps, p in sorted((eps, p) for eps in eps_list for p in p_list):
         par = replace(cfg.params, epsilon=eps, p=p)
         st = solve_nonlocal(par, cfg.R, cfg.grid_count)
-        rows.append({"eps": eps, "p": p, **_radial_report(st, cfg.level())})
+        rows.append({"eps": eps, "p": p, **_constants(st), **asymptotics.measure(st, cfg.level())})
     _write_csv(cfg.out / "sweep.csv", ",".join(rows[0]), zip(*(row.values() for row in rows)))
     return 0
 

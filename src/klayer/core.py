@@ -1,6 +1,6 @@
 """Shared domain types: parameters, graded radial meshes, fields, the steady
-pair and its one constructor (nonlocal_result), the one Newton of every
-steady solve (newton, over a NewtonSystem), quadrature, interpolation.
+pair (built from W and integral(W^p)), the one Newton of every steady solve
+(newton, over a NewtonSystem), quadrature, interpolation.
 
 Radial fields live on node-centred grids over [0, R].  All integrals use the
 n-dimensional radial measure omega_n * r^(n-1) dr, where omega_n is the surface
@@ -23,7 +23,6 @@ __all__ = [
     "RadialGrid",
     "Field",
     "SteadyState",
-    "nonlocal_result",
     "NewtonSystem",
     "newton",
     "unit_sphere_area",
@@ -99,6 +98,8 @@ class RadialGrid:
         nodes = np.array(self.nodes, dtype=float, order="C")
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError(f"first node must be 0, got {nodes[0]}")
         if not np.all(np.diff(nodes) > 0):
@@ -157,62 +158,53 @@ class Field:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Converged steady pair (W, U) plus the nonlocal constants and the
-    solve's diagnostics.
+    """Converged steady pair (W, U) of the ball, a planar domain or the
+    evolution scheme, fixed by W and integral = integral(W^p).
 
-    amplitude  = m / integral(W^p)   (so U = amplitude * W^p pointwise)
-    lambda_eps = integral(W^p) / m   (reciprocal of amplitude)
-    sigma      = epsilon * lambda_eps, the effective diffusion of the local
-                 problem the pair solves.
+    params is the model the pair solves.  W is a Field on a RadialGrid (the
+    ball, the evolution's pair) or a planar2d.MaskedGrid; integral, finite
+    and positive, is taken by the quadrature the solve iterated with.  The
+    rest follows from the two:
 
-    params is the model the pair solves.  W and U are Fields on one grid,
-    a RadialGrid for ball domains and the evolution scheme's pair, or a
-    planar2d.MaskedGrid for planar ones.
+    amplitude  = m / integral   (U = amplitude * W^p, a Field on W's grid)
+    lambda_eps = integral / m   (reciprocal of amplitude)
+    sigma      = epsilon * integral / m, the effective diffusion of the
+                 local problem the pair solves.
 
     bisection_iters counts the Newton steps of the solve, over all grid
     passes on a ball, a coarse first one included; the name predates the
     direct Newton, which replaced a root-finder over local solves.
-    constraint_residual is the relative defect |amplitude * integral(W^p)
-    - m| / m; the amplitude is m / integral(W^p) of the converged W, so it
-    is 0 up to rounding by construction and says nothing of the solve's
-    accuracy.
+    constraint_residual = |amplitude * integral - m| / m is 0 up to rounding
+    by construction and says nothing of the solve's accuracy.
     """
 
     params: Params
-    W: object
-    U: object
-    amplitude: float
-    lambda_eps: float
-    sigma: float
+    W: Field
+    integral: float
     bisection_iters: int
-    constraint_residual: float
+    U: Field = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (self.amplitude > 0 and self.lambda_eps > 0 and self.sigma > 0):
-            raise ValueError("steady-state constants must be positive")
+        if not (self.integral > 0 and math.isfinite(self.integral)):
+            raise ValueError(f"integral(W^p) must be finite and positive, got {self.integral}")
+        U = Field(self.W.grid, self.amplitude * self.W.values**self.params.p)
+        object.__setattr__(self, "U", U)
 
+    @property
+    def amplitude(self) -> float:
+        return self.params.m / self.integral
 
-def nonlocal_result(params: Params, W: Field, integral: float, steps: int) -> SteadyState:
-    """The steady pair of the converged Field W, integral(W^p) and the
-    solve's steps: the one constructor of a SteadyState, on the ball, on a
-    planar domain and for the evolution scheme's pair.
+    @property
+    def lambda_eps(self) -> float:
+        return self.integral / self.params.m
 
-    The amplitude m / integral(W^p) makes U = amplitude * W^p, a Field on
-    W's grid, integrate to m exactly and keeps amplitude * lambda_eps = 1 to
-    rounding.
-    """
-    m = params.m
-    amplitude = m / integral
-    return SteadyState(
-        params=params,
-        W=W,
-        U=Field(W.grid, amplitude * W.values**params.p),
-        amplitude=amplitude,
-        lambda_eps=integral / m,
-        sigma=params.epsilon * integral / m,
-        bisection_iters=steps,
-        constraint_residual=abs(amplitude * integral - m) / m,
-    )
+    @property
+    def sigma(self) -> float:
+        return self.params.epsilon * self.integral / self.params.m
+
+    @property
+    def constraint_residual(self) -> float:
+        return abs(self.amplitude * self.integral - self.params.m) / self.params.m
 
 
 # Newton controls of newton: the iteration cap and the stop.  Newton stops

@@ -26,13 +26,13 @@ stationary density is U = C W^p and its steady pair solves
 eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).
 relax_to_discrete_steady() solves it with core.newton on
 radial_steady.ball_system in 4-6 tridiagonal solves (no dt, no elliptic
-solve) and returns the core.SteadyState of core.nonlocal_result, the
-constructor of every steady pair, with the Newton's own iterate as W; it
-keeps the name from when it time-stepped to the pair, because the benchmark
-tracer times it under that name.  The pair carries its grid (on W) and
-parameters: evolve(reference, u0, w0, dt, t_end) and
-lyapunov_energy(u, v, steady) read them from it, take node arrays, and
-measure the diagnostics against it, its V being ln W.
+solve) and returns the core.SteadyState of the Newton's own iterate as W
+and its finite-volume mass as integral(W^p); it keeps the name from when it
+time-stepped to the pair, because the benchmark tracer times it under that
+name.  The pair carries its grid (on W) and parameters:
+evolve(reference, u0, w0, dt, t_end) and lyapunov_energy(u, v, steady) read
+them from it, take node arrays, and measure the diagnostics against it, its
+V being ln W.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import exprel
 
-from .core import Field, Params, RadialGrid, SteadyState, newton, nonlocal_result
+from .core import Field, Params, RadialGrid, SteadyState, newton
 from .core import radial_cumulative, radial_weights, unit_sphere_area
 from .core import _node_values
 from .errors import PositivityError
@@ -147,16 +147,16 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> SteadyState:
     weights omega_n V in place of the ball's trapezoid ones.  Newton starts
     from the lower barrier at sigma0 = eps^2 lambda_leading, as the ball's
     solve does, and takes its last step in q = W^(-p/2), which leaves the
-    pair fixed under step() to a few ulps.  Returns the SteadyState of
-    core.nonlocal_result with the Newton's iterate as W and the
-    finite-volume mass as integral(W^p), so U = C W^p; step() takes
-    V = ln W.  Raises NoConvergenceError as core.newton does.
+    pair fixed under step() to a few ulps.  Returns the SteadyState of the
+    Newton's iterate as W and the finite-volume mass as integral(W^p), so
+    U = C W^p; step() takes V = ln W.  Raises NoConvergenceError as
+    core.newton does.
     """
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
     weights = unit_sphere_area(grid.n) * grid.volumes
     w, steps = newton(start, None, params, ball_system(grid, weights), polish=True)
-    return nonlocal_result(params, Field(grid, w), _mass(grid, w**params.p), steps)
+    return SteadyState(params, Field(grid, w), _mass(grid, w**params.p), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +166,10 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> SteadyState:
 def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: SteadyState) -> float:
     """Weighted energy omega_n * int(r^(n-1) phi^2 / U + p r^(n-1) psi^2) dr
 
-    of the node arrays (u, v) on the grid of steady, integrated by
-    radial_weights, with psi = v - ln W and phi = radial_cumulative(u - U) /
-    (omega_n r^(n-1)), the relative radial mass distribution.
+    of the node arrays (u, v), one value per node of the grid of steady
+    (ValueError otherwise), integrated by radial_weights, with
+    psi = v - ln W and phi = radial_cumulative(u - U) / (omega_n r^(n-1)),
+    the relative radial mass distribution.
     Non-negative; zero only when both fields match.  phi(0) = 0, but
     phi(R) = 0 only where the trapezoid masses of u and U match, and
     evolve() matches masses in the cell volumes: there |phi(R)| is 1.4e-6
@@ -176,6 +177,9 @@ def lyapunov_energy(u: np.ndarray, v: np.ndarray, steady: SteadyState) -> float:
     on the 128-node grid of klayer evolve.
     """
     U_ref, grid = steady.U.values, steady.W.grid
+    for name, x in (("u", u), ("v", v)):
+        if np.shape(x) != grid.shape:
+            raise ValueError(f"{name} shape {np.shape(x)} does not match grid ({grid.shape})")
     if U_ref.min() <= 0:  # U_ref is finite (Field checks it)
         raise ValueError("steady U must be positive for the energy weight")
     phi = radial_cumulative(grid, u - U_ref)

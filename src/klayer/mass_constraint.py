@@ -6,10 +6,9 @@ equation, eps Lap W = (m / integral(W^p)) W^(1+p), by a Newton whose
 Jacobian is the local one plus rank one, solved by Sherman-Morrison.
 
 Each domain has one solve function, and both return the core.SteadyState
-that core.nonlocal_result builds from the converged W, a core.Field, and
-integral(W^p), the integral taken by the one quadrature the Newton iterates
-with, so the reported constants are those the Newton closed the constraint
-with; U is the Field amplitude * W^p on W's own grid.  That Newton is
+of the converged W, a core.Field, and integral(W^p), the integral taken by
+the one quadrature the Newton iterates with, so the reported constants are
+those the Newton closed the constraint with.  That Newton is
 core.newton on every domain.  On the ball B_R (solve_nonlocal) it runs on
 radial_steady.ball_system with the weights core.radial_weights; its local
 Jacobian is tridiagonal.  The ball drives it over grids adapted to the
@@ -26,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Field, Params, RadialGrid, SteadyState, make_graded_grid, newton
-from .core import nonlocal_result, radial_weights
+from .core import radial_weights
 from .errors import NoConvergenceError
 from .radial_steady import ball_system, barrier_lower, lambda_leading, layer_width
 # kept only because the benchmark tracer wraps this name; ROADMAP item 3 drops it
@@ -90,7 +89,7 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> SteadyState:
         integral = float(weights @ prof.values**params.p)
         previous, sigma = sigma, params.epsilon * integral / params.m
         if grid.count == count and abs(sigma - previous) < _PASS_TOL * sigma:
-            return nonlocal_result(params, prof, integral, steps)
+            return SteadyState(params, prof, integral, steps)
         new = ball_grid(sigma, params, R, count)
         W = np.interp(new.nodes, grid.nodes, prof.values)
         grid = new

@@ -27,8 +27,8 @@ core.newton, the one Newton of every domain, solves both the local problem
 at a given sigma (solve_local_2d) and the nonlocal one, where
 sigma = eps * integral(W^p) / m follows the iterate (solve_nonlocal_2d,
 which starts it from mass_constraint's ball solve on the disk of equal area
-and returns the core.SteadyState that core.nonlocal_result builds, as the
-ball's solve does).  _cut_cell_system hands it the operator, the quadrature
+and returns the core.SteadyState of its W and integral(W^p), as the ball's
+solve does).  _cut_cell_system hands it the operator, the quadrature
 and a sparse LU, reused as a chord while the steps contract.
 
 The steady state is unique, so on a grid whose phi equals its flip along an
@@ -59,7 +59,7 @@ from scipy import sparse
 from scipy.ndimage import distance_transform_edt
 from scipy.sparse.linalg import splu
 
-from .core import Field, NewtonSystem, Params, SteadyState, newton, nonlocal_result
+from .core import Field, NewtonSystem, Params, SteadyState, newton
 from .errors import NoConvergenceError
 from .mass_constraint import solve_nonlocal
 from .radial_steady import layer_profile
@@ -607,7 +607,7 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> SteadyState:
     w, steps = newton(initial, None, params, _cut_cell_system(*system))
     w = w[orbit]
     integral = float(np.sum(grid.quad * w**params.p)) + grid.held_area * params.b**params.p
-    return nonlocal_result(params, grid.field(w, params.b), integral, steps)
+    return SteadyState(params, grid.field(w, params.b), integral, steps)
 
 
 # ---------------------------------------------------------------------------

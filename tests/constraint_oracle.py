@@ -16,12 +16,11 @@ stays in the certified bracket.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from klayer import mass_constraint
-from klayer.core import Field, Params, SteadyState, ball_volume, newton, nonlocal_result
+from klayer.core import Field, Params, SteadyState, ball_volume, newton
 from klayer.core import radial_weights
 from klayer.errors import NoConvergenceError
 from klayer.mass_constraint import ball_grid
@@ -40,10 +39,10 @@ def constraint_value(lam: float, params: Params, domain) -> float:
     return lam * integral
 
 
-def illinois(params: Params, domain, tol_rel: float = 1e-8) -> SteadyState:
-    """Root of g(lam) = m to |g - m| / m < tol_rel, built into the steady
-    pair by nonlocal_result; bisection_iters counts the evaluations of g and
-    constraint_residual is |g - m| / m at the accepted amplitude."""
+def illinois(params: Params, domain, tol_rel: float = 1e-8) -> tuple[SteadyState, float]:
+    """Root of g(lam) = m to |g - m| / m < tol_rel: the steady pair of the
+    accepted local solve, whose bisection_iters counts the evaluations of g,
+    beside |g - m| / m at the accepted amplitude."""
     if tol_rel <= 0:
         raise ValueError(f"tol_rel must be positive, got {tol_rel}")
     m = params.m
@@ -93,7 +92,7 @@ def illinois(params: Params, domain, tol_rel: float = 1e-8) -> SteadyState:
                     f_hi *= 0.5
                 side = 1
 
-    return replace(nonlocal_result(params, W, integral, iters), constraint_residual=abs(g - m) / m)
+    return SteadyState(params, W, integral, iters), abs(g - m) / m
 
 
 class BallLocalSolves:
@@ -147,7 +146,7 @@ def full_grid_passes(params: Params, R: float, count: int = 2500) -> SteadyState
         integral = float(weights @ prof.values**params.p)
         previous, sigma = sigma, params.epsilon * integral / params.m
         if abs(sigma - previous) < mass_constraint._PASS_TOL * sigma:
-            return nonlocal_result(params, prof, integral, steps)
+            return SteadyState(params, prof, integral, steps)
         new = ball_grid(sigma, params, R, count)
         W = np.interp(new.nodes, grid.nodes, prof.values)
         grid = new

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,12 @@ class TestVerifyExpansionCoarse:
             assert lam == solve_nonlocal(par, 2.0, 1500).lambda_eps
 
 
+def _steady_with_U(U):
+    """A steady record whose U is the Field U bit for bit: at p = 1 with
+    integral(W^p) = m, U = (m / m) * W^1 = W."""
+    return SteadyState(params=replace(DISK, p=1), W=U, integral=DISK.m, bisection_iters=0)
+
+
 class TestPLimit:
     def test_single_entry(self):
         rows = verify_p_limit(DISK, 1.0, [5.0], 0.1, count=1200)
@@ -252,8 +260,7 @@ class TestPLimit:
         # U == const on the disk: fraction within depth d is 1 - (1-d)^2
         grid = make_graded_grid(1.0, 2, 10.0 / 1999, 2000)
         U = Field(grid, np.ones(grid.count))
-        st = SteadyState(params=DISK, W=U, U=U, amplitude=1.0, lambda_eps=1.0,
-                         sigma=1.0, bisection_iters=0, constraint_residual=0.0)
+        st = _steady_with_U(U)
         got = boundary_mass_fraction(st, 0.1)
         assert got == pytest.approx(1.0 - 0.81, rel=1e-6)
 
@@ -262,8 +269,7 @@ class TestPLimit:
         # no depth holds no mass, a depth of R or more holds all of it
         grid = make_graded_grid(1.0, n, 0.05, 200)
         U = Field(grid, np.exp(-grid.nodes))
-        st = SteadyState(params=DISK, W=U, U=U, amplitude=1.0, lambda_eps=1.0,
-                         sigma=1.0, bisection_iters=0, constraint_residual=0.0)
+        st = _steady_with_U(U)
         assert boundary_mass_fraction(st, 0.0) == 0.0
         for depth in (1.0, 1.5, 1e9):
             assert boundary_mass_fraction(st, depth) == 1.0
@@ -273,8 +279,7 @@ class TestPLimit:
         # a negative depth used to give 0.0 and a nan depth nan
         grid = make_graded_grid(1.0, 2, 0.05, 200)
         U = Field(grid, np.ones(grid.count))
-        st = SteadyState(params=DISK, W=U, U=U, amplitude=1.0, lambda_eps=1.0,
-                         sigma=1.0, bisection_iters=0, constraint_residual=0.0)
+        st = _steady_with_U(U)
         with pytest.raises(ValueError, match="depth must be finite and >= 0"):
             boundary_mass_fraction(st, depth)
 

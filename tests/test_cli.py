@@ -354,6 +354,29 @@ class TestRunSteadyRadial:
         for key in ("lambda_eps", "amplitude", "sigma", "slope_W", "slope_U"):
             assert summary[key] == swept[key]
 
+    def test_doubling_b_doubles_w_exactly(self, tmp_path):
+        # W_b = b W_1 on the same grid and U does not depend on b, so the
+        # summary scales exactly: lambda_eps = int W^p / m by 4 at p = 2,
+        # slope_W by 2, and the thickness at the level b/2 not at all
+        argv = ["--eps", "0.01", "--p", "2", "--m", "1", "--n", "2", "--R", "1",
+                "--grid-count", "64"]
+        runs = {}
+        for b in (1, 2):
+            out = tmp_path / f"b{b}"
+            assert main(["steady-radial", *argv, "--b", str(b), "--out", str(out)]) == 0
+            profile = np.loadtxt(out / "steady_profile.csv", delimiter=",", skiprows=1)
+            lines = (out / "steady_summary.csv").read_text().splitlines()[1:]
+            runs[b] = profile.T, {k: float(v) for k, v in (ln.split(",") for ln in lines)}
+        (r1, W1, U1), one = runs[1]
+        (r2, W2, U2), two = runs[2]
+        assert np.array_equal(r2, r1)
+        assert np.array_equal(W2, 2.0 * W1)
+        assert np.array_equal(U2, U1)
+        assert two["lambda_eps"] == 4.0 * one["lambda_eps"]
+        assert two["slope_W"] == 2.0 * one["slope_W"]
+        for key in ("slope_U", "thickness", "bisection_iters"):
+            assert two[key] == one[key]
+
 
 class TestRunSweep:
     def test_sweep_csv_sorted(self, cfg_file, tmp_path):
@@ -596,6 +619,21 @@ class TestRunVerify:
         assert len(lines) == 5
         quantities = [ln.split(",")[0] for ln in lines[1:]]
         assert quantities == ["slope_W", "slope_U", "lambda_eps", "thickness"]
+
+    def test_uncrossed_level_stops_verify_and_reads_nan_in_sweep(self, tmp_path, capsys):
+        # W >= 0.937 on the unit disk at p 120, so the default level b/2 is
+        # never met: verify has no thickness to extrapolate and writes no
+        # report, while sweep records the thickness as nan
+        argv = ["--p", "120", "--b", "1", "--m", "1", "--n", "2", "--R", "1", "--eps", "0.1",
+                "--eps-list", "0.1 0.08 0.06", "--grid-count", "200"]
+        assert main(["verify", *argv, "--out", str(tmp_path / "v")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: target 0\.5 outside profile range \[0\.937\d*, 1\.0\]\n", err)
+        assert list((tmp_path / "v").iterdir()) == []
+        assert main(["sweep", *argv, "--out", str(tmp_path / "s")]) == 0
+        header, *rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+        assert header.endswith(",thickness") and len(rows) == 3
+        assert all(row.endswith(",nan") for row in rows)
 
 
 @pytest.mark.parametrize(

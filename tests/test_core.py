@@ -232,6 +232,11 @@ class TestRadialGridValidation:
         with pytest.raises(ValueError):
             RadialGrid(nodes=np.array([0.0, 0.5, 0.5, 1.0]), n=2)
 
+    def test_nodes_must_be_finite(self):
+        # an infinite last node used to give R = inf and nan cells
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            RadialGrid(nodes=np.array([0.0, 1.0, np.inf]), n=2)
+
     def test_profile_shape_and_finiteness(self):
         g = uniform_grid(1.0, 2, 16)
         with pytest.raises(ValueError):
@@ -267,13 +272,14 @@ def test_array_records_compare_by_identity(make):
     assert x == x
     assert x != twin
     assert hash(x) == hash(x)
-    # the records that hold them compare without raising
-    constants = dict(params=Params(epsilon=0.05, p=2, b=1, m=1, n=2), amplitude=1.0,
-                     lambda_eps=1.0, sigma=1.0, bisection_iters=0, constraint_residual=0.0)
-    st = SteadyState(W=x, U=x, **constants)
-    assert st == SteadyState(W=x, U=x, **constants)
-    assert st != SteadyState(W=twin, U=twin, **constants)
-    assert hash(st) == hash(st)
+    if isinstance(x, Field):
+        # the steady record, which holds a Field as W, compares without raising
+        constants = dict(params=Params(epsilon=0.05, p=2, b=1, m=1, n=2), integral=1.0,
+                         bisection_iters=0)
+        st = SteadyState(W=x, **constants)
+        assert st == SteadyState(W=x, **constants)
+        assert st != SteadyState(W=twin, **constants)
+        assert hash(st) == hash(st)
 
 
 def _stored_arrays():
@@ -499,7 +505,7 @@ class TestSteadyStateInvariants:
     def test_positive_constants_required(self):
         g = uniform_grid(1.0, 2, 16)
         W = Field(g, np.ones(16))
-        with pytest.raises(ValueError):
-            SteadyState(params=Params(epsilon=0.05, p=2, b=1, m=1, n=2), W=W, U=W,
-                        amplitude=-1.0, lambda_eps=1.0, sigma=1.0,
-                        bisection_iters=0, constraint_residual=0.0)
+        for integral in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                SteadyState(params=Params(epsilon=0.05, p=2, b=1, m=1, n=2), W=W,
+                            integral=integral, bisection_iters=0)

@@ -316,7 +316,7 @@ class TestEvolve:
         # and renormalise the mass by 0.649; evolve refuses the mismatch
         grid, ref = small
         grid3 = RadialGrid(nodes=grid.nodes, n=3)
-        mismatched = replace(ref, W=Field(grid3, ref.W.values), U=Field(grid3, ref.U.values))
+        mismatched = replace(ref, W=Field(grid3, ref.W.values))  # U follows W
         with pytest.raises(ValueError, match="grid dimension 3 != params dimension 2"):
             evolve(mismatched, ref.U.values, ref.W.values, dt=1e-3, t_end=1e-2)
 
@@ -325,7 +325,7 @@ class TestEvolve:
         grid, ref = small
         masked = build_domain(Disk(1.0), 0.2)
         disk = Field(masked, np.ones(masked.shape))
-        planar = replace(ref, W=disk, U=disk)
+        planar = replace(ref, W=disk)  # U follows W
         with pytest.raises(ValueError, match="must be a RadialGrid, got MaskedGrid"):
             evolve(planar, ref.U.values, ref.W.values, dt=1e-3, t_end=1e-2)
 
@@ -441,6 +441,16 @@ class TestLyapunov:
         grid, ref = setup
         assert lyapunov_energy(*perturbed_state(grid, ref), ref) > 0
 
+    @pytest.mark.parametrize("short", ["u", "v", "both"])
+    def test_one_value_per_node(self, small, short):
+        # a length-1 array used to broadcast: u = [1], v = [0] gave 2.418
+        grid, ref = small
+        u = np.ones(1) if short in ("u", "both") else ref.U.values
+        v = np.zeros(1) if short in ("v", "both") else log_w(ref)
+        named = "v" if short == "v" else "u"
+        with pytest.raises(ValueError, match=rf"^{named} shape \(1,\) does not match grid"):
+            lyapunov_energy(u, v, ref)
+
     def test_mass_matched_antiderivative_endpoint(self, setup):
         grid, ref = setup
         u, _ = perturbed_state(grid, ref)
@@ -502,7 +512,7 @@ class TestRelaxation:
             gaps = []
             for _ in range(4 if n > 1 else 1):
                 ref = relax_to_discrete_steady(grid, par)
-                steady = illinois(par, FixedGridBall(grid), tol_rel=1e-10)
+                steady, _ = illinois(par, FixedGridBall(grid), tol_rel=1e-10)
                 gaps.append((np.max(np.abs(ref.U.values - steady.U.values)),
                              np.max(np.abs(ref.W.values - steady.W.values))))
                 grid = refine_grid(grid)

@@ -518,7 +518,7 @@ class TestNonlocal2D:
         for p in (1, 2, 8):
             par = Params(epsilon=0.05, p=p, b=1, m=1, n=2)
             st = solve_nonlocal_2d(par, grid)
-            st_ref = illinois(par, GridLocalSolves(grid), tol_rel=1e-11)
+            st_ref, _ = illinois(par, GridLocalSolves(grid), tol_rel=1e-11)
             assert st.lambda_eps == pytest.approx(st_ref.lambda_eps, rel=2e-10)
             assert np.max(np.abs(st.W.values - st_ref.W.values)) <= 2e-10 * par.b
             assert np.all(st.W.values[~grid.inside] == par.b)
