@@ -65,7 +65,6 @@ class ExpansionReport:
     computed: np.ndarray
     leading_coefficient: float
     extrapolated_coefficient: float
-    relative_gap: float
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
@@ -74,6 +73,11 @@ class ExpansionReport:
             raise ValueError("sequences must share a length")
         if len(self.epsilons) < 3:
             raise ValueError("need at least 3 epsilons")
+
+    @property
+    def relative_gap(self) -> float:
+        gap = self.extrapolated_coefficient - self.leading_coefficient
+        return abs(gap) / abs(self.leading_coefficient)
 
 
 def slope_W_leading(params: Params, R: float) -> float:
@@ -161,16 +165,13 @@ def verify_expansion(
             measure_thickness(st.W, c)  # raises the NoCrossingError
     reports = {}
     for q, (k, _) in EXPANSION.items():
-        coeff = leading[q]
         computed = np.array([row[q] for row in rows])
-        extrapolated = _fit_with_log_correction(eps, computed * eps**k)
         reports[q] = ExpansionReport(
             quantity=q,
             epsilons=eps,
             computed=computed,
-            leading_coefficient=coeff,
-            extrapolated_coefficient=extrapolated,
-            relative_gap=abs(extrapolated - coeff) / abs(coeff),
+            leading_coefficient=leading[q],
+            extrapolated_coefficient=_fit_with_log_correction(eps, computed * eps**k),
         )
     return reports
 

@@ -19,6 +19,7 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -417,16 +418,24 @@ COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
+    """Execute a validated configuration; returns the process exit code.  A
+    failed command removes the directories made for config.out while empty."""
     import tempfile  # here, so that `import klayer.cli` pays nothing for it
 
+    made = [d for d in (config.out, *config.out.parents) if not d.exists()]  # deepest first
     config.out.mkdir(parents=True, exist_ok=True)
     try:
-        # an unnamed file, so no file of the user's is touched; it goes on close
-        tempfile.TemporaryFile(dir=config.out).close()
-    except OSError as exc:
-        raise OSError(f"output directory {config.out} is not writable: {exc}") from exc
-    return COMMANDS[config.command](config)
+        try:
+            # an unnamed file, so no file of the user's is touched; it goes on close
+            tempfile.TemporaryFile(dir=config.out).close()
+        except OSError as exc:
+            raise OSError(f"output directory {config.out} is not writable: {exc}") from exc
+        return COMMANDS[config.command](config)
+    except BaseException:
+        with contextlib.suppress(OSError):  # rmdir stops at the first that is not empty
+            for directory in made:
+                directory.rmdir()
+        raise
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:

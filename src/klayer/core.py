@@ -163,8 +163,8 @@ class SteadyState:
 
     params is the model the pair solves.  W is a Field on a RadialGrid (the
     ball, the evolution's pair) or a planar2d.MaskedGrid; integral, finite
-    and positive, is taken by the quadrature the solve iterated with.  The
-    rest follows from the two:
+    and positive, is the one newton returned with W, by the quadrature the
+    solve iterated with.  The rest follows from the two:
 
     amplitude  = m / integral   (U = amplitude * W^p, a Field on W's grid)
     lambda_eps = integral / m   (reciprocal of amplitude)
@@ -224,12 +224,12 @@ NEWTON_TOL = 1e-10
 class NewtonSystem(NamedTuple):
     """sigma (L w + b bvec) = M w^(1+p) over the unknowns w of one grid, as
     newton takes it: apply(w, b) = L w + b bvec, the diagonal of L
-    (negative), the row weights M (an array, or 1.0), the unknowns'
-    quadrature quad and held_area, the measure held at W = b, so that
-    integral(W^p) = quad @ w^p + held_area b^p; and factor(s, jd), the
-    Jacobian s L with its diagonal replaced by jd, factorised: its
-    .solve(rhs) takes one column or two, and newton reuses it over later
-    steps unless its reusable attribute is False."""
+    (negative), the row weights M (an array, or 1.0), the quadrature every
+    system carries, quad over the unknowns and held_area, the measure held
+    at W = b, so that integral(W^p) = quad @ w^p + held_area b^p; and
+    factor(s, jd), the Jacobian s L with its diagonal replaced by jd,
+    factorised: its .solve(rhs) takes one column or two, and newton reuses
+    it over later steps unless its reusable attribute is False."""
 
     apply: Callable
     diagonal: np.ndarray
@@ -250,8 +250,9 @@ def newton(w, sigma, params: Params, system: NewtonSystem, polish: bool = False)
     least 0.3.  A step that would take an entry below a tenth of its value
     is damped, and every iterate is floored at 1e-30 b.  Stops on the scaled
     and the absolute residual (STEP_TOL, NEWTON_TOL); with polish, one more
-    step follows, taken in q = W^(-p/2).  Returns (min(w, b), Newton steps);
-    raises NoConvergenceError after MAX_ITERS steps, when an iterate turns
+    step follows, taken in q = W^(-p/2).  Returns (min(w, b), its
+    integral(W^p) by the system's quadrature, Newton steps); raises
+    NoConvergenceError after MAX_ITERS steps, when an iterate turns
     non-finite, or when the converged w exceeds b.
     """
     p, b = params.p, params.b
@@ -313,7 +314,8 @@ def newton(w, sigma, params: Params, system: NewtonSystem, polish: bool = False)
     overshoot = float(np.max(w)) - b
     if overshoot > 1e-9 * b:
         raise NoConvergenceError(f"converged iterate exceeds b by {overshoot}")
-    return np.minimum(w, b), steps
+    w = np.minimum(w, b)
+    return w, float(system.quad @ w**p) + system.held_area * b**p, steps
 
 
 def _geometric_ratio(total: float, h0: float, k: int) -> float:

@@ -27,12 +27,12 @@ eps K W = V C W^(1+p) with C = m / (omega_n sum(V W^p)).
 relax_to_discrete_steady() solves it with core.newton on
 radial_steady.ball_system in 4-6 tridiagonal solves (no dt, no elliptic
 solve) and returns the core.SteadyState of the Newton's own iterate as W
-and its finite-volume mass as integral(W^p); it keeps the name from when it
-time-stepped to the pair, because the benchmark tracer times it under that
-name.  The pair carries its grid (on W) and parameters:
-evolve(reference, u0, w0, dt, t_end) and lyapunov_energy(u, v, steady) read
-them from it, take node arrays, and measure the diagnostics against it, its
-V being ln W.
+and the finite-volume mass integral(W^p) the Newton returns with it; it
+keeps the name from when it time-stepped to the pair, because the benchmark
+tracer times it under that name.  The pair carries its grid (on W) and
+parameters: evolve(reference, u0, w0, dt, t_end) and
+lyapunov_energy(u, v, steady) read them from it, take node arrays, and
+measure the diagnostics against it, its V being ln W.
 """
 
 from __future__ import annotations
@@ -148,15 +148,17 @@ def relax_to_discrete_steady(grid: RadialGrid, params: Params) -> SteadyState:
     from the lower barrier at sigma0 = eps^2 lambda_leading, as the ball's
     solve does, and takes its last step in q = W^(-p/2), which leaves the
     pair fixed under step() to a few ulps.  Returns the SteadyState of the
-    Newton's iterate as W and the finite-volume mass as integral(W^p), so
-    U = C W^p; step() takes V = ln W.  Raises NoConvergenceError as
-    core.newton does.
+    Newton's iterate as W and the finite-volume mass it returns as
+    integral(W^p), so U = C W^p; step() takes V = ln W.  Raises ValueError
+    unless grid.n is params.n, and NoConvergenceError as core.newton does.
     """
+    if grid.n != params.n:
+        raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
     sigma = params.epsilon**2 * lambda_leading(params, grid.R)
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
     weights = unit_sphere_area(grid.n) * grid.volumes
-    w, steps = newton(start, None, params, ball_system(grid, weights), polish=True)
-    return SteadyState(params, Field(grid, w), _mass(grid, w**params.p), steps)
+    w, integral, steps = newton(start, None, params, ball_system(grid, weights), polish=True)
+    return SteadyState(params, Field(grid, w), integral, steps)
 
 
 # ---------------------------------------------------------------------------

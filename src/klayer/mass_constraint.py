@@ -6,10 +6,10 @@ equation, eps Lap W = (m / integral(W^p)) W^(1+p), by a Newton whose
 Jacobian is the local one plus rank one, solved by Sherman-Morrison.
 
 Each domain has one solve function, and both return the core.SteadyState
-of the converged W, a core.Field, and integral(W^p), the integral taken by
-the one quadrature the Newton iterates with, so the reported constants are
-those the Newton closed the constraint with.  That Newton is
-core.newton on every domain.  On the ball B_R (solve_nonlocal) it runs on
+of the converged W, a core.Field, and the integral(W^p) that core.newton,
+the Newton of every domain, returns with it, taken by the one quadrature it
+iterates with, so the reported constants are those the Newton closed the
+constraint with, bit for bit.  On the ball B_R (solve_nonlocal) it runs on
 radial_steady.ball_system with the weights core.radial_weights; its local
 Jacobian is tridiagonal.  The ball drives it over grids adapted to the
 layer (ball_grid): each pass rebuilds the grid at the
@@ -58,9 +58,9 @@ def ball_grid(sigma: float, params: Params, R: float, count: int) -> RadialGrid:
 def solve_nonlocal(params: Params, R: float, count: int = 2500) -> SteadyState:
     """Solve the nonlocal problem on the ball B_R(0) in dimension params.n.
 
-    Each pass runs core.newton on the ball_system with the grid's radial_weights,
-    and the same weights applied to the returned profile give
-    integral(W^p).  The first pass starts from the lower barrier at
+    Each pass runs core.newton on the ball_system with the grid's
+    radial_weights, which returns the profile and its integral(W^p) by
+    those weights.  The first pass starts from the lower barrier at
     sigma0 = eps^2 * lambda_leading, the layer asymptotics of
     sigma = eps * lambda_eps, on ball_grid(sigma0) of count // 4 nodes, or
     of count nodes below count _COARSE_MIN, where the coarse pass costs
@@ -82,16 +82,13 @@ def solve_nonlocal(params: Params, R: float, count: int = 2500) -> SteadyState:
     W = barrier_lower(grid.nodes, sigma, params, R)
     steps = 0
     for _ in range(_MAX_PASSES):
-        weights = radial_weights(grid)
-        w, k = newton(W, None, params, ball_system(grid, weights))
-        prof = Field(grid, w)
+        w, integral, k = newton(W, None, params, ball_system(grid, radial_weights(grid)))
         steps += k
-        integral = float(weights @ prof.values**params.p)
         previous, sigma = sigma, params.epsilon * integral / params.m
         if grid.count == count and abs(sigma - previous) < _PASS_TOL * sigma:
-            return SteadyState(params, prof, integral, steps)
+            return SteadyState(params, Field(grid, w), integral, steps)
         new = ball_grid(sigma, params, R, count)
-        W = np.interp(new.nodes, grid.nodes, prof.values)
+        W = np.interp(new.nodes, grid.nodes, w)
         grid = new
     raise NoConvergenceError(
         f"radial grid passes did not settle sigma within {_MAX_PASSES} passes"

@@ -21,7 +21,7 @@ outside.  A node is an unknown only when phi < -_THETA_MIN h, so a node on
 the curve is held at b whatever the rounding sign of its phi.
 Quadrature weighs each node's cell by its inside-area fraction; MaskedGrid
 states it once, as quad over the unknowns and held_area over the nodes held
-at b, and the Newton and the reported integral(W^p) both sum it.
+at b; the Newton sums it, folded on the mirror orbits, into integral(W^p).
 
 core.newton, the one Newton of every domain, solves both the local problem
 at a given sigma (solve_local_2d) and the nonlocal one, where
@@ -346,7 +346,8 @@ class MaskedGrid:
     neighbours on the grid.
     The cut-cell quadrature gives each node h^2 times the inside-area
     fraction of its cell: quad holds it over the inside nodes, and
-    held_area sums it over the outside ones, where a field holds b.
+    held_area sums it over the outside ones, where a field holds b; the
+    Newton sums quad folded over the mirror orbits (_mirror_fold).
     """
 
     def __init__(self, h: float, phi: np.ndarray):
@@ -549,7 +550,7 @@ def solve_local_2d(
         if w.shape != (int(inside.sum()),):
             raise ValueError("initial iterate has wrong shape")
     reps, orbit, system = _mirror_fold(grid)
-    w, _ = newton(w[reps], sigma, params, _cut_cell_system(*system))
+    w, _, _ = newton(w[reps], sigma, params, _cut_cell_system(*system))
     return grid.field(w[orbit], params.b)
 
 
@@ -598,16 +599,15 @@ def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> SteadyState:
     R_eq + phi, phi the signed distance to the boundary.  Curvature moves
     the amplitude only at the next order, so this start lies close to the 2D
     solution, and one factorisation serves the whole solve on the disk, the
-    README ellipse and the star.
+    README ellipse and the star.  integral(W^p) is the Newton's, by the
+    quadrature folded over the mirror orbits.
     """
     R_eq = math.sqrt(grid.area() / math.pi)
     disk = solve_nonlocal(replace(params, n=2), R_eq).W
     reps, orbit, system = _mirror_fold(grid)
     initial = np.interp(R_eq + grid.phi[grid.inside][reps], disk.grid.nodes, disk.values)
-    w, steps = newton(initial, None, params, _cut_cell_system(*system))
-    w = w[orbit]
-    integral = float(np.sum(grid.quad * w**params.p)) + grid.held_area * params.b**params.p
-    return SteadyState(params, grid.field(w, params.b), integral, steps)
+    w, integral, steps = newton(initial, None, params, _cut_cell_system(*system))
+    return SteadyState(params, grid.field(w[orbit], params.b), integral, steps)
 
 
 # ---------------------------------------------------------------------------

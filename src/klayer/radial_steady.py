@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .core import Field, NewtonSystem, Params, RadialGrid, newton, unit_sphere_area
+from .core import Field, NewtonSystem, Params, RadialGrid, newton, radial_weights, unit_sphere_area
 from .errors import AxisSingularityError
 
 __all__ = [
@@ -176,7 +176,7 @@ def solve_banded(lo, di, up, rhs):
     return x
 
 
-def ball_system(grid: RadialGrid, quad=None) -> NewtonSystem:
+def ball_system(grid: RadialGrid, quad: np.ndarray) -> NewtonSystem:
     """sigma K W = V W^(1+p), W(R) = b, on the cells of grid as core.newton
     takes it, every node an unknown.
 
@@ -184,9 +184,10 @@ def ball_system(grid: RadialGrid, quad=None) -> NewtonSystem:
     flux into cell i over the face conductances g (no flux across r = 0),
     so K W / V approximates W'' + (n-1)/r W'.  The last row, b - W(R) with
     weight 0, holds W(R) = b from a start that has it.  quad weighs every
-    node in integral(W^p) (held_area 0): core.radial_weights on the ball,
-    omega_n V for evolve_radial's pair.  Each step is one solve_banded call;
-    gtsv factorises as it solves, so there is no factorisation to reuse.
+    node in the integral(W^p) that core.newton returns (held_area 0):
+    core.radial_weights on the ball, omega_n V for evolve_radial's pair.
+    Each step is one solve_banded call; gtsv factorises as it solves, so
+    there is no factorisation to reuse.
     """
     g = grid.conductances
     diagonal = -(np.concatenate(([0.0], g)) + np.concatenate((g, [0.0])))
@@ -214,18 +215,18 @@ def ball_system(grid: RadialGrid, quad=None) -> NewtonSystem:
 def solve_local_radial(sigma: float, params: Params, grid: RadialGrid) -> Field:
     """Solve sigma (W'' + (n-1)/r W') = W^(1+p), W'(0) = 0, W(R) = b.
 
-    core.newton on ball_system(grid) starts from the lower barrier (a
-    sub-solution, which keeps the iterates in the monotone basin) and stops
-    on the scaled and the absolute residual (see core.STEP_TOL and
-    core.NEWTON_TOL); NoConvergenceError when it does not get there in
-    core.MAX_ITERS steps.
+    core.newton on ball_system(grid, radial_weights(grid)) starts from the
+    lower barrier (a sub-solution, which keeps the iterates in the monotone
+    basin) and stops on the scaled and the absolute residual (see
+    core.STEP_TOL and core.NEWTON_TOL); NoConvergenceError when it does not
+    get there in core.MAX_ITERS steps.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if grid.n != params.n:
         raise ValueError(f"grid dimension {grid.n} != params dimension {params.n}")
     start = barrier_lower(grid.nodes, sigma, params, grid.R)
-    w, _ = newton(start, sigma, params, ball_system(grid))
+    w, _, _ = newton(start, sigma, params, ball_system(grid, radial_weights(grid)))
     return Field(grid, w)
 
 

@@ -139,15 +139,12 @@ def full_grid_passes(params: Params, R: float, count: int = 2500) -> SteadyState
     W = barrier_lower(grid.nodes, sigma, params, R)
     steps = 0
     for _ in range(mass_constraint._MAX_PASSES):
-        weights = radial_weights(grid)
-        w, k = newton(W, None, params, ball_system(grid, weights))
-        prof = Field(grid, w)
+        w, integral, k = newton(W, None, params, ball_system(grid, radial_weights(grid)))
         steps += k
-        integral = float(weights @ prof.values**params.p)
         previous, sigma = sigma, params.epsilon * integral / params.m
         if abs(sigma - previous) < mass_constraint._PASS_TOL * sigma:
-            return SteadyState(params, prof, integral, steps)
+            return SteadyState(params, Field(grid, w), integral, steps)
         new = ball_grid(sigma, params, R, count)
-        W = np.interp(new.nodes, grid.nodes, prof.values)
+        W = np.interp(new.nodes, grid.nodes, w)
         grid = new
     raise NoConvergenceError("radial grid passes did not settle sigma")

@@ -173,7 +173,6 @@ class TestExpansionReport:
                 computed=np.ones(3),
                 leading_coefficient=1.0,
                 extrapolated_coefficient=1.0,
-                relative_gap=0.0,
             )
         with pytest.raises(ValueError):
             ExpansionReport(
@@ -182,12 +181,17 @@ class TestExpansionReport:
                 computed=np.ones(2),
                 leading_coefficient=1.0,
                 extrapolated_coefficient=1.0,
-                relative_gap=0.0,
             )
 
     def test_requires_decreasing_eps(self):
         with pytest.raises(ValueError):
             verify_expansion(DISK, 1.0, [1e-3, 2e-3, 4e-3])
+
+    def test_relative_gap_is_derived(self):
+        report = ExpansionReport("slope_U", np.ones(3), np.ones(3), -2.0, -1.5)
+        assert report.relative_gap == 0.25
+        with pytest.raises(TypeError):
+            ExpansionReport("slope_U", np.ones(3), np.ones(3), -2.0, -1.5, 0.25)
 
 
 @pytest.fixture(scope="module")

@@ -311,7 +311,7 @@ class TestRunSteadyRadial:
         monkeypatch.setattr(cli, "solve_nonlocal", no_solve)
         out = tmp_path / "out"
         assert main(["steady-radial", "--config", str(cfg_file), "--out", str(out)]) == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_keeps_a_file_named_like_the_probe(self, cfg_file, tmp_path):
         # the writability probe used to touch and then delete out/.write_probe
@@ -629,11 +629,22 @@ class TestRunVerify:
         assert main(["verify", *argv, "--out", str(tmp_path / "v")]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: target 0\.5 outside profile range \[0\.937\d*, 1\.0\]\n", err)
-        assert list((tmp_path / "v").iterdir()) == []
+        assert not (tmp_path / "v").exists()
         assert main(["sweep", *argv, "--out", str(tmp_path / "s")]) == 0
         header, *rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
         assert header.endswith(",thickness") and len(rows) == 3
         assert all(row.endswith(",nan") for row in rows)
+
+    def test_failed_command_keeps_the_users_directories(self, tmp_path):
+        # run removes only the directories it made, and only when empty: a
+        # user's own empty --out, or its parent, survives a failed command
+        argv = ["verify", "--p", "120", "--b", "1", "--m", "1", "--n", "2", "--R", "1",
+                "--eps", "0.1", "--eps-list", "0.1 0.08 0.06", "--grid-count", "200"]
+        (tmp_path / "mine").mkdir()
+        assert main([*argv, "--out", str(tmp_path / "mine")]) == 1
+        assert main([*argv, "--out", str(tmp_path / "mine" / "a" / "b")]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["mine"]
+        assert list((tmp_path / "mine").iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -260,7 +260,7 @@ ARRAY_RECORDS = {
     "BoundarySamples": lambda: boundary_samples(Disk(1.0), 4),
     "EvolutionSeries": lambda: EvolutionSeries(*[np.zeros(3)] * 7),
     "ExpansionReport": lambda: ExpansionReport(
-        "lambda_eps", np.array([0.004, 0.002, 0.001]), np.ones(3), 1.0, 1.0, 0.0
+        "lambda_eps", np.array([0.004, 0.002, 0.001]), np.ones(3), 1.0, 1.0
     ),
 }
 

@@ -530,7 +530,7 @@ class TestRelaxation:
         # the ball
         built, solved = [], []
 
-        def system(grid, quad=None):
+        def system(grid, quad):
             built.append((grid, quad, ball_system(grid, quad)))
             return built[-1][2]
 
@@ -572,6 +572,13 @@ class TestRelaxation:
     def test_fixed_point_to_rounding(self, small):
         grid, ref = small
         assert step_move(grid, PAR, ref) <= 4 * ULP
+
+    def test_grid_dimension_checked(self):
+        # an n = 3 grid under n = 2 parameters gave an n = 3 pair labelled
+        # n = 2 (lambda_eps 2.7478), which asymptotics.measure reads as is
+        grid = make_graded_grid(1.0, 3, 10.0 / 127, 128)
+        with pytest.raises(ValueError, match=r"^grid dimension 3 != params dimension 2$"):
+            relax_to_discrete_steady(grid, PAR)
 
     def test_density_proportional_to_w_power_p(self, small):
         # zero Scharfetter-Gummel flux on every face means U = C W^p exactly

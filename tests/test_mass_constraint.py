@@ -7,7 +7,9 @@ import klayer.mass_constraint
 import klayer.radial_steady
 from klayer.asymptotics import measure_thickness
 from klayer.core import STEP_TOL, Field, Params, RadialGrid, newton, radial_weights
+from klayer.core import make_graded_grid, unit_sphere_area
 from klayer.errors import NoConvergenceError
+from klayer.evolve_radial import relax_to_discrete_steady
 from klayer.mass_constraint import ball_grid, solve_nonlocal
 from klayer.planar2d import Disk, Ellipse, build_domain, solve_nonlocal_2d
 from klayer.radial_steady import ball_system, boundary_slope
@@ -115,6 +117,32 @@ def test_planar_pair_shares_one_grid(shape):
     st = solve_nonlocal_2d(par, build_domain(shape, 0.05))
     assert st.U.grid is st.W.grid
     assert np.array_equal(st.U.values, st.amplitude * st.W.values**par.p)
+
+
+class TestIntegralIsTheNewtons:
+    """The radial nonlocal solves report the integral(W^p) of their own
+    Newton system, quad @ W^p + held_area b^p over the W they return, bit
+    for bit (the 2D solve: test_planar2d.py's TestQuadrature)."""
+
+    @staticmethod
+    def integral(system, w, params):
+        return float(system.quad @ w**params.p) + system.held_area * params.b**params.p
+
+    @pytest.mark.parametrize("n, p, eps", [(1, 4, 0.01), (2, 2, 0.004), (3, 8, 0.01)])
+    def test_ball(self, n, p, eps):
+        par = Params(epsilon=eps, p=p, b=1.5, m=2, n=n)
+        st = solve_nonlocal(par, 1.0, 500)
+        grid = st.W.grid
+        assert st.integral == self.integral(
+            ball_system(grid, radial_weights(grid)), st.W.values, par)
+
+    @pytest.mark.parametrize("n, p, eps", [(1, 4, 0.01), (2, 2, 0.05), (3, 8, 0.01)])
+    def test_evolution_pair(self, n, p, eps):
+        par = Params(epsilon=eps, p=p, b=1.5, m=2, n=n)
+        grid = make_graded_grid(1.0, n, 10.0 / 127, 128)
+        st = relax_to_discrete_steady(grid, par)
+        system = ball_system(grid, unit_sphere_area(n) * grid.volumes)
+        assert st.integral == self.integral(system, st.W.values, par)
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
@@ -399,7 +427,7 @@ class TestCoarseStart:
         ref = full_grid_passes(par, 1.0)
         grid = ball_grid(ref.sigma * (1 + 1e-12), par, 1.0, 2500)
         W = np.interp(grid.nodes, ref.W.grid.nodes, ref.W.values)
-        shifted, _ = newton(W, None, par, ball_system(grid, radial_weights(grid)))
+        shifted, _, _ = newton(W, None, par, ball_system(grid, radial_weights(grid)))
         shifted = Field(grid, shifted)
         slope = boundary_slope(ref.W)
         shift = abs(boundary_slope(shifted) / slope - 1)

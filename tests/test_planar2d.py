@@ -407,13 +407,15 @@ class TestQuadrature:
     @pytest.mark.parametrize("shape", SHAPES[:3], ids=SHAPE_IDS[:3])
     def test_reported_constants_use_the_quadrature(self, shape, h):
         # bit for bit: the constants are built from the quadrature the
-        # Newton iterates with, applied to the W it returns (at h = 0.03 a
-        # sum over the padded square's node weights misses by 1 ulp on all
-        # three shapes)
+        # Newton iterates with, quad folded over the mirror orbits, applied
+        # to the W it returns (at h = 0.03 a sum over the padded square's
+        # node weights misses by 1 ulp on all three shapes)
         grid = build_domain(shape, h)
         st = solve_nonlocal_2d(PAR, grid)
-        w = st.W.values[grid.inside]
-        integral = float(np.sum(grid.quad * w**PAR.p)) + grid.held_area * PAR.b**PAR.p
+        reps, _, (_, _, quad, held_area) = planar2d._mirror_fold(grid)
+        w = st.W.values[grid.inside][reps]
+        integral = float(quad @ w**PAR.p) + held_area * PAR.b**PAR.p
+        assert st.integral == integral
         assert st.amplitude == PAR.m / integral
         assert st.lambda_eps == integral / PAR.m
 
@@ -552,9 +554,9 @@ class TestNonlocal2D:
             return ball(params, R, *args)
 
         def counting(*args):
-            w, steps = newton(*args)
+            w, integral, steps = newton(*args)
             newtons.append(steps)
-            return w, steps
+            return w, integral, steps
 
         monkeypatch.setattr(planar2d, "solve_nonlocal", ball_solve)
         monkeypatch.setattr(planar2d, "newton", counting)
@@ -701,7 +703,7 @@ class TestMirrorFold:
         # below the Newton's own stop error; the step counts match
         grid = build_domain(shape, 0.02)
         st = solve_nonlocal_2d(PAR, grid)
-        w_ref, steps_ref = full_system_newton(PAR, grid)
+        w_ref, _, steps_ref = full_system_newton(PAR, grid)
         assert st.bisection_iters == steps_ref
         assert np.max(np.abs(st.W.values[grid.inside] - w_ref)) <= 1e-14 * PAR.b
         integral = float(np.sum(grid.quad * w_ref**PAR.p)) + grid.held_area * PAR.b**PAR.p
@@ -717,14 +719,14 @@ class TestMirrorFold:
         steps = []
 
         def counting(*args):
-            w, k = newton(*args)
+            w, integral, k = newton(*args)
             steps.append(k)
-            return w, k
+            return w, integral, k
 
         monkeypatch.setattr(planar2d, "newton", counting)
         W = solve_local_2d(st.sigma, PAR, grid)
         monkeypatch.undo()
-        w_ref, steps_ref = full_system_newton(PAR, grid, st.sigma)
+        w_ref, _, steps_ref = full_system_newton(PAR, grid, st.sigma)
         reps, _, (L, *_) = planar2d._mirror_fold(grid)
         extra = steps[0] - steps_ref
         if np.array_equal(L.diagonal(), grid.operator()[0].diagonal()[reps]):
@@ -749,15 +751,15 @@ class TestMirrorFold:
                      (L.data, full_L.data), (bvec, full_bvec), (quad, grid.quad)):
             assert np.array_equal(a, b)
         res = solve_nonlocal_2d(PAR, grid)
-        w_ref, steps_ref = full_system_newton(PAR, grid)
+        w_ref, _, steps_ref = full_system_newton(PAR, grid)
         assert res.bisection_iters == steps_ref
         assert np.array_equal(res.W.values[grid.inside], w_ref)
         W = solve_local_2d(res.sigma, PAR, grid)
-        w_ref, _ = full_system_newton(PAR, grid, res.sigma)
+        w_ref, _, _ = full_system_newton(PAR, grid, res.sigma)
         assert np.array_equal(W.values[grid.inside], w_ref)
 
 
-def ball_lu_system(grid, quad=None):
+def ball_lu_system(grid, quad):
     """ball_system with its Jacobian factorised by the 2D solve's sparse LU
     (planar2d._lu_factor, reused as a chord) in place of gtsv on every
     step."""
@@ -785,8 +787,8 @@ class TestNewtonOnBallOperator:
         quad = unit_sphere_area(n) * grid.volumes
         start = barrier_lower(grid.nodes, sigma0, par, grid.R)
         for sigma in (None, sigma0):
-            w, _ = newton(start, sigma, par, ball_lu_system(grid, quad))
-            ref, _ = newton(start, sigma, par, ball_system(grid, quad))
+            w, _, _ = newton(start, sigma, par, ball_lu_system(grid, quad))
+            ref, _, _ = newton(start, sigma, par, ball_system(grid, quad))
             assert np.max(np.abs(w - ref)) <= 3e-10 * b
 
 
@@ -811,12 +813,12 @@ class TestTwoColumnSolve:
         sigma0 = PAR.epsilon**2 * lambda_leading(PAR, np.sqrt(grid.area() / np.pi))
         start = layer_profile(-grid.phi[grid.inside], sigma0, PAR)
         system = planar2d._cut_cell_system(*grid.operator(), grid.quad, grid.held_area)
-        w, steps = newton(start, None, PAR, system)
+        w, _, steps = newton(start, None, PAR, system)
         widths = []
         monkeypatch.setattr(
             planar2d, "splu", lambda *a, **kw: ColumnByColumn(splu(*a, **kw), widths)
         )
-        w_ref, steps_ref = newton(start, None, PAR, system)
+        w_ref, _, steps_ref = newton(start, None, PAR, system)
         assert steps == steps_ref
         assert steps > 1
         assert widths == [2] * steps

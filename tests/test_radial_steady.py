@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from klayer.cli import RunConfig, _evolve_grid
-from klayer.core import Field, Params, make_graded_grid, newton, refine_grid
+from klayer.core import Field, Params, make_graded_grid, newton, radial_weights, refine_grid
 from klayer.errors import AxisSingularityError, NoConvergenceError
 from klayer.evolve_radial import relax_to_discrete_steady, step
 from klayer.mass_constraint import ball_grid, solve_nonlocal
@@ -69,7 +69,7 @@ class TestSolveLocalRadial:
         # from W == b, compared against the linearized problem
         # sigma K W = b^p V W on the solver's finite volumes, solved directly
         grid = make_graded_grid(1.0, 2, 10.0 / 399, 400)
-        W, _ = newton(np.ones(grid.count), 1e6, P2, ball_system(grid))
+        W, _, _ = newton(np.ones(grid.count), 1e6, P2, ball_system(grid, radial_weights(grid)))
         assert np.max(np.abs(W - 1.0)) <= 1e-3
 
         lo, di, up, V = fv_operator(grid)
