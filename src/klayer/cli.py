@@ -55,12 +55,9 @@ class RunConfig:
     t_end: float = 20.0
     dt: float = 0.0  # 0: t_end / 1000, which parse_config puts in its place
     perturb: float = 0.01
-    level_c: float = 0.0  # 0: b/2
+    level_c: float = 0.0  # 0: b / 2, which parse_config puts in its place
     samples: int = 48
     output_every: int = 20
-
-    def level(self) -> float:
-        return self.level_c if self.level_c > 0 else self.params.b / 2.0
 
 
 # config key -> (type, flag, commands that take it; empty: every command).
@@ -179,6 +176,7 @@ def parse_config(path: str | None, overrides: dict) -> RunConfig:
     if cfg.output_every < 1:
         raise ConfigError(f"'output_every' must be >= 1, got {cfg.output_every}")
     cfg.dt = cfg.dt or cfg.t_end / 1000
+    cfg.level_c = cfg.level_c or params.b / 2.0
     # the rows at t = 0, after every output_every steps and after the last
     rows = 1 + -(-evolve_radial.step_count(cfg.dt, cfg.t_end) // cfg.output_every)
     if rows < evolve_radial.FIT_MIN_SAMPLES:
@@ -303,7 +301,7 @@ def _run_steady_radial(cfg: RunConfig) -> int:
     _write_csv(cfg.out / "steady_profile.csv", "r,W,U", columns)
     summary = {
         **_constants(st),
-        **asymptotics.measure(st, cfg.level()),
+        **asymptotics.measure(st, cfg.level_c),
         "bisection_iters": st.bisection_iters,
         "constraint_residual": st.constraint_residual,
     }
@@ -319,7 +317,7 @@ def _run_steady_2d(cfg: RunConfig) -> int:
     i, j = np.nonzero(mask)  # the inside nodes, in the C order of [mask]
     columns = (grid.coords[i], grid.coords[j], st.W.values[mask], st.U.values[mask])
     _write_csv(cfg.out / "steady_field.csv", "x,y,W,U", columns)
-    table = planar2d.curvature_thickness_report(st.W, samples, cfg.level(), cfg.params)
+    table = planar2d.curvature_thickness_report(st.W, samples, cfg.level_c, cfg.params)
     _write_csv(cfg.out / "curvature_thickness.csv", "arclength,curvature,thickness", table.T)
     _write_summary(
         cfg.out / "steady_summary.csv",
@@ -368,7 +366,7 @@ def _run_evolve(cfg: RunConfig) -> int:
 def _run_verify(cfg: RunConfig) -> int:
     eps_list = cfg.eps_list or (4e-3, 2e-3, 1e-3)
     reports = asymptotics.verify_expansion(
-        cfg.params, cfg.R, eps_list, level_c=cfg.level(), count=cfg.grid_count
+        cfg.params, cfg.R, eps_list, level_c=cfg.level_c, count=cfg.grid_count
     )
     passed = []
     for quantity, report in reports.items():
@@ -399,7 +397,7 @@ def _run_sweep(cfg: RunConfig) -> int:
     for eps, p in sorted((eps, p) for eps in eps_list for p in p_list):
         par = replace(cfg.params, epsilon=eps, p=p)
         st = solve_nonlocal(par, cfg.R, cfg.grid_count)
-        rows.append({"eps": eps, "p": p, **_constants(st), **asymptotics.measure(st, cfg.level())})
+        rows.append({"eps": eps, "p": p, **_constants(st), **asymptotics.measure(st, cfg.level_c)})
     _write_csv(cfg.out / "sweep.csv", ",".join(rows[0]), zip(*(row.values() for row in rows)))
     return 0
 

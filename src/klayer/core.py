@@ -111,7 +111,12 @@ class RadialGrid:
         faces[0] = 0.0
         faces[-1] = nodes[-1]
         faces[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
-        volumes = (faces[1:] ** n - faces[:-1] ** n) / n
+        # faces^n by repeated multiplication, which scales by exactly 2^n
+        # when the faces double (libm's pow at n = 3 does not)
+        power = faces
+        for _ in range(n - 1):
+            power = power * faces
+        volumes = (power[1:] - power[:-1]) / n
         conductances = faces[1:-1] ** (n - 1) / np.diff(nodes)
         for name, value in (("nodes", nodes), ("volumes", volumes), ("conductances", conductances)):
             value.flags.writeable = False

@@ -388,48 +388,42 @@ class MaskedGrid:
         """Shortley-Weller Laplacian (csc matrix over inside nodes) and the
         Dirichlet load vector: Lap(W) ~ L @ w + bvec * b, assembled anew on
         each call."""
-        return _assemble_cut_laplacian(self)
+        inside, phi, h = self.inside, self.phi, self.h
+        N = int(inside.sum())
+        index = -np.ones(inside.shape, dtype=np.int64)
+        index[inside] = np.arange(N)
+        ii, jj = np.nonzero(inside)  # inside node k sits at (ii[k], jj[k])
+        phi_c = phi[inside]
 
-
-def _assemble_cut_laplacian(grid: MaskedGrid):
-    inside = grid.inside
-    phi = grid.phi
-    h = grid.h
-    N = int(inside.sum())
-    index = -np.ones(inside.shape, dtype=np.int64)
-    index[inside] = np.arange(N)
-    ii, jj = np.nonzero(inside)  # inside node k sits at (ii[k], jj[k])
-    phi_c = phi[inside]
-
-    rows, cols, data = [], [], []
-    bvec = np.zeros(N)
-    diag = np.zeros(N)
-    for di, dj in ((1, 0), (0, 1)):
-        # the arms towards +axis and -axis; the ring of outside nodes keeps both on the grid
-        arms = [(ii + di, jj + dj), (ii - di, jj - dj)]
-        nidx = [index[ni, nj] for ni, nj in arms]
-        cuts = [idx < 0 for idx in nidx]
-        tp, tm = np.ones(N), np.ones(N)
-        for theta, (ni, nj), cut in zip((tp, tm), arms, cuts):
-            # divide only on cut arms, where phi changes sign
-            frac = phi_c[cut] / (phi_c[cut] - phi[ni[cut], nj[cut]])
-            theta[cut] = np.clip(frac, _THETA_MIN, 1.0)
-        cp = 2.0 / (tp * (tp + tm)) / h**2
-        cm = 2.0 / (tm * (tp + tm)) / h**2
-        diag -= 2.0 / (tp * tm) / h**2
-        for coeff, idx, cut in zip((cp, cm), nidx, cuts):
-            rows.append(np.flatnonzero(~cut))
-            cols.append(idx[~cut])
-            data.append(coeff[~cut])
-            bvec[cut] += coeff[cut]
-    rows.append(np.arange(N))
-    cols.append(np.arange(N))
-    data.append(diag)
-    L = sparse.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
-    return L, bvec
+        rows, cols, data = [], [], []
+        bvec = np.zeros(N)
+        diag = np.zeros(N)
+        for di, dj in ((1, 0), (0, 1)):
+            # the arms towards +axis and -axis; the ring of outside nodes keeps both on the grid
+            arms = [(ii + di, jj + dj), (ii - di, jj - dj)]
+            nidx = [index[ni, nj] for ni, nj in arms]
+            cuts = [idx < 0 for idx in nidx]
+            tp, tm = np.ones(N), np.ones(N)
+            for theta, (ni, nj), cut in zip((tp, tm), arms, cuts):
+                # divide only on cut arms, where phi changes sign
+                frac = phi_c[cut] / (phi_c[cut] - phi[ni[cut], nj[cut]])
+                theta[cut] = np.clip(frac, _THETA_MIN, 1.0)
+            cp = 2.0 / (tp * (tp + tm)) / h**2
+            cm = 2.0 / (tm * (tp + tm)) / h**2
+            diag -= 2.0 / (tp * tm) / h**2
+            for coeff, idx, cut in zip((cp, cm), nidx, cuts):
+                rows.append(np.flatnonzero(~cut))
+                cols.append(idx[~cut])
+                data.append(coeff[~cut])
+                bvec[cut] += coeff[cut]
+        rows.append(np.arange(N))
+        cols.append(np.arange(N))
+        data.append(diag)
+        L = sparse.csc_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(N, N),
+        )
+        return L, bvec
 
 
 def build_domain(shape, h: float) -> MaskedGrid:
@@ -526,38 +520,26 @@ def _bilinear(coords: np.ndarray, points):
     return interpolate
 
 
-def solve_local_2d(
-    sigma: float,
-    params: Params,
-    grid: MaskedGrid,
-    initial: np.ndarray | None = None,
-) -> Field:
+def solve_local_2d(sigma: float, params: Params, grid: MaskedGrid) -> Field:
     """Solve sigma * Lap W = W^(1+p) with W = b on the boundary contour.
 
-    core.newton runs on the mirror orbits of _mirror_fold.  It
-    starts from the distance-based layer profile radial_steady.layer_profile
-    at the depth -phi below the boundary, unless an initial iterate over the
-    inside nodes, of shape (N_inside,), is given; of that iterate only the
-    orbit representatives' entries are read.
+    core.newton runs on the mirror orbits of _mirror_fold, from the
+    distance-based layer profile radial_steady.layer_profile at the depth
+    -phi below the boundary.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    inside = grid.inside
-    if initial is None:
-        w = layer_profile(-grid.phi[inside], sigma, params)
-    else:
-        w = np.asarray(initial, dtype=float)
-        if w.shape != (int(inside.sum()),):
-            raise ValueError("initial iterate has wrong shape")
     reps, orbit, system = _mirror_fold(grid)
-    w, _, _ = newton(w[reps], sigma, params, _cut_cell_system(*system))
+    start = layer_profile(-grid.phi[grid.inside][reps], sigma, params)
+    w, _, _ = newton(start, sigma, params, _cut_cell_system(*system))
     return grid.field(w[orbit], params.b)
 
 
 def _cut_cell_system(L, bvec, quad, held_area) -> NewtonSystem:
     """sigma (L w + b bvec) = w^(1+p), L a csc matrix over the unknowns, as
-    core.newton takes it, with row weight 1 and a sparse LU (_lu_factor)
-    that the Newton reuses while its full steps contract.
+    core.newton takes it, with row weight 1 and a factor(s, jd) that the
+    Newton reuses while its full steps contract: the sparse LU, without
+    pivoting, of s L with its diagonal replaced by jd.
 
     L must have a negative diagonal, non-negative off-diagonals, non-positive
     row sums and a structurally symmetric pattern, as MaskedGrid's
@@ -569,14 +551,6 @@ def _cut_cell_system(L, bvec, quad, held_area) -> NewtonSystem:
     at h = 0.01 (31 416 unknowns, unfolded; a 2-vCPU host) its median took
     3.3-6.0 ms against 4.3-7.3 ms for the two.
     """
-    return NewtonSystem(
-        lambda w, b: L @ w + bvec * b, L.diagonal(), 1.0, quad, held_area, _lu_factor(L)
-    )
-
-
-def _lu_factor(L):
-    """core.newton's factor(s, jd) for L (csc): the sparse LU, without
-    pivoting, of s L with its diagonal replaced by jd."""
 
     def factor(s, jd):
         J = sparse.csc_matrix(s * L)
@@ -588,7 +562,7 @@ def _lu_factor(L):
             options={"SymmetricMode": True},
         )
 
-    return factor
+    return NewtonSystem(lambda w, b: L @ w + bvec * b, L.diagonal(), 1.0, quad, held_area, factor)
 
 
 def solve_nonlocal_2d(params: Params, grid: MaskedGrid) -> SteadyState:

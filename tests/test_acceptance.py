@@ -56,7 +56,6 @@ from klayer.planar2d import (
     boundary_samples,
     build_domain,
     curvature_thickness_report,
-    solve_local_2d,
     solve_nonlocal_2d,
 )
 from klayer.radial_steady import (
@@ -67,6 +66,8 @@ from klayer.radial_steady import (
     solve_local_radial,
     upper_barrier_sigma_max,
 )
+
+from uniqueness_probe import local_newton_from
 
 DISK = Params(epsilon=1e-3, p=2, b=1, m=1, n=2)
 EPS_SWEEP = (4e-3, 2e-3, 1e-3)
@@ -443,10 +444,11 @@ def test_gate_12_uniqueness_probe():
     grid = build_domain(Disk(1.0), 0.02)
     res = solve_nonlocal_2d(par, grid)
     sigma = res.sigma
-    b_start = np.full(int(grid.inside.sum()), par.b)  # the constant supersolution
-    W_super = solve_local_2d(sigma, par, grid, initial=b_start)
-    near_zero = np.full(int(grid.inside.sum()), 1e-3 * par.b)
-    W_zero = solve_local_2d(sigma, par, grid, initial=near_zero)
+    # core.newton on the product's folded cut-cell system, from the constant
+    # supersolution b and from near zero
+    b_start = np.full(grid.quad.size, par.b)
+    W_super = local_newton_from(b_start, sigma, par, grid)
+    W_zero = local_newton_from(1e-3 * b_start, sigma, par, grid)
     diff = float(np.max(np.abs(W_super.values - W_zero.values)))
     ok = diff <= 10 * 1e-10
     report(

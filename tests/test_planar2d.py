@@ -33,6 +33,7 @@ from klayer.radial_steady import (
 )
 
 from constraint_oracle import GridLocalSolves, constraint_value, illinois
+from uniqueness_probe import local_newton_from
 
 PAR = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
 # the README disk, ellipse and star, and the elongated Ellipse(2, 0.5)
@@ -321,10 +322,8 @@ class TestCutLaplacian:
         grid = build_domain(Disk(1.0), 0.05)
         assert grid.operator()[0] is not grid.operator()[0]
         assembled = []
-        assemble = planar2d._assemble_cut_laplacian
-        monkeypatch.setattr(
-            planar2d, "_assemble_cut_laplacian", lambda g: assembled.append(g) or assemble(g)
-        )
+        assemble = MaskedGrid.operator
+        monkeypatch.setattr(MaskedGrid, "operator", lambda g: assembled.append(g) or assemble(g))
         solve_local_2d(0.01, PAR, grid)
         solve_nonlocal_2d(PAR, grid)
         assert len(assembled) == 2 and all(g is grid for g in assembled)
@@ -455,13 +454,26 @@ class TestLocal2D:
         assert np.max(deficit) <= PAR.b ** (1 + PAR.p) * 2.0**2 / (8 * sigma)
 
     def test_uniqueness_probe(self, disk_grid, radial_reference):
+        # core.newton on the product's folded system from the constant
+        # supersolution b and from near zero meets the solve's own W
         grid = disk_grid
         sigma = radial_reference.sigma
-        b_start = np.full(int(grid.inside.sum()), PAR.b)  # the constant supersolution
-        W_super = solve_local_2d(sigma, PAR, grid, initial=b_start)
         W_lower = solve_local_2d(sigma, PAR, grid)
-        diff = np.max(np.abs(W_super.values - W_lower.values))
-        assert diff <= 10 * 1e-10
+        b_start = np.full(grid.quad.size, PAR.b)
+        for start in (b_start, 1e-3 * b_start):
+            W = local_newton_from(start, sigma, PAR, grid)
+            diff = np.max(np.abs(W.values - W_lower.values))
+            assert diff <= 10 * 1e-10
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+    def test_probe_from_the_layer_profile_is_the_solve(self, shape):
+        # the probe's helper runs the system the solve runs: started where
+        # the solve starts, it gives the solve's bits
+        grid = build_domain(shape, 0.05)
+        sigma = 0.01
+        start = layer_profile(-grid.phi[grid.inside], sigma, PAR)
+        W = local_newton_from(start, sigma, PAR, grid)
+        assert np.array_equal(W.values, solve_local_2d(sigma, PAR, grid).values)
 
     def test_ordering_matches_default_factorisation(self, disk_grid, monkeypatch):
         # oracle: scipy's default column ordering with partial pivoting
@@ -761,12 +773,12 @@ class TestMirrorFold:
 
 def ball_lu_system(grid, quad):
     """ball_system with its Jacobian factorised by the 2D solve's sparse LU
-    (planar2d._lu_factor, reused as a chord) in place of gtsv on every
-    step."""
+    (the factor of planar2d._cut_cell_system, reused as a chord) in place
+    of gtsv on every step."""
     system = ball_system(grid, quad)
     g = grid.conductances
     L = sparse.diags([np.r_[g[:-1], 0.0], system.diagonal, g], [-1, 0, 1], format="csc")
-    return system._replace(factor=planar2d._lu_factor(L))
+    return system._replace(factor=planar2d._cut_cell_system(L, None, None, None).factor)
 
 
 class TestNewtonOnBallOperator:
