@@ -22,7 +22,10 @@ from klayer.cli import (
     main,
     parse_config,
 )
+from klayer.core import Params
 from klayer.planar2d import Star
+
+from traced_peak import traced_peak
 
 
 BASE_CFG = """\
@@ -218,7 +221,8 @@ class TestWriteCsv:
         _write_csv_per_value(tmp_path / "old.csv", "a,b,c,d", zip(*columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 3000])
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 3000, *(
+        cli.CSV_BLOCK_ROWS + k for k in (-1, 0, 1, cli.CSV_BLOCK_ROWS + 1))])
     def test_text_columns_and_chunks(self, tmp_path, n_rows):
         # str columns (numpy dtype object) are written as they stand, beside
         # number columns
@@ -255,6 +259,18 @@ class TestWriteCsv:
         _write_csv(tmp_path / "new.csv", "a,b", (col, ramp))
         _write_csv_per_value(tmp_path / "old.csv", "a,b", zip(col, ramp))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_peak_below_the_file_size(self, tmp_path):
+        # the README ellipse's field at h = 0.01, 31416 rows: measured 1.8 MB
+        # traced against a 2.3 MB file
+        grid = planar2d.build_domain(planar2d.Ellipse(1.4142, 0.7071), 0.01)
+        st = planar2d.solve_nonlocal_2d(Params(epsilon=0.05, p=2, b=1, m=1, n=2), grid)
+        i, j = np.nonzero(grid.inside)
+        columns = (grid.coords[i], grid.coords[j], st.W.values[grid.inside],
+                   st.U.values[grid.inside])
+        assert i.size > 31_000
+        peak = traced_peak(_write_csv, tmp_path / "field.csv", "x,y,W,U", columns)
+        assert peak < (tmp_path / "field.csv").stat().st_size
 
     def test_zero_rows(self, tmp_path):
         empty = np.array([], dtype=object)

@@ -33,6 +33,7 @@ from klayer.radial_steady import (
 )
 
 from constraint_oracle import GridLocalSolves, constraint_value, illinois
+from traced_peak import traced_peak
 from uniqueness_probe import local_newton_from
 
 PAR = Params(epsilon=0.05, p=2, b=1, m=1, n=2)
@@ -318,15 +319,26 @@ class TestCutLaplacian:
 
     def test_each_solve_assembles_once(self, monkeypatch):
         # the grid keeps no operator: each call assembles it anew, and each
-        # solve makes one call, from its _mirror_fold
+        # solve makes one call, from its _mirror_fold, for the rows of the
+        # fold's representatives only, never the full operator
         grid = build_domain(Disk(1.0), 0.05)
         assert grid.operator()[0] is not grid.operator()[0]
+        reps = planar2d._mirror_fold(grid)[0]
+        assert reps.size < grid.quad.size
         assembled = []
         assemble = MaskedGrid.operator
-        monkeypatch.setattr(MaskedGrid, "operator", lambda g: assembled.append(g) or assemble(g))
+
+        def recording(g, rows=None):
+            assembled.append((g, rows))
+            return assemble(g, rows)
+
+        monkeypatch.setattr(MaskedGrid, "operator", recording)
         solve_local_2d(0.01, PAR, grid)
         solve_nonlocal_2d(PAR, grid)
-        assert len(assembled) == 2 and all(g is grid for g in assembled)
+        assert len(assembled) == 2
+        for g, rows in assembled:
+            assert g is grid
+            assert rows is not None and np.array_equal(rows, reps)
 
     @pytest.mark.parametrize("node", [(0, 5), (10, 5), (5, 0), (5, 10)])
     def test_inside_node_on_the_edge_rejected(self, node):
@@ -678,6 +690,18 @@ def full_system_newton(params, grid, sigma=None):
     return newton(start, sigma, params, system)
 
 
+def off_centre_disk_grid():
+    """A disk off the grid's centre: no flip leaves its phi as it is."""
+    h = 0.05
+    coords = planar2d._grid_coords(49, h)
+    X, Y = np.meshgrid(coords, coords, indexing="ij")
+    return MaskedGrid(h, np.hypot(X - 0.13, Y + 0.07) - 0.9)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestMirrorFold:
     """The 2D Newton runs on one node per mirror orbit (_mirror_fold)."""
 
@@ -708,6 +732,40 @@ class TestMirrorFold:
         assert np.array_equal(bvec, grid.operator()[1][reps])
         assert quad.sum() == pytest.approx(grid.quad.sum(), rel=1e-14)
         assert held_area == grid.held_area
+
+    @staticmethod
+    def assert_fold_of_the_full_operator(grid):
+        # the oracle: the full operator's rows at reps, selected as csr,
+        # and their columns summed over the orbits, L[reps] E
+        reps, orbit, (L, bvec, _, _) = planar2d._mirror_fold(grid)
+        full_L, full_bvec = grid.operator()
+        rows_L, rows_bvec = grid.operator(reps)
+        selected = full_L.tocsr()[reps]
+        assert rows_L.format == "csr" and rows_L.shape == (reps.size, grid.quad.size)
+        for a, b in ((rows_L.indptr, selected.indptr), (rows_L.indices, selected.indices),
+                     (rows_L.data, selected.data), (rows_bvec, full_bvec[reps]),
+                     (bvec, full_bvec[reps])):
+            assert_same_bits(a, b)
+        E = sparse.csc_matrix((np.ones(orbit.size), (np.arange(orbit.size), orbit)),
+                              shape=(orbit.size, reps.size))
+        folded = sparse.csc_matrix(selected @ E)
+        for a, b in ((L.indptr, folded.indptr), (L.indices, folded.indices),
+                     (L.data, folded.data)):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("h", [0.05, 0.02])
+    @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=FOLD_IDS)
+    def test_rows_at_the_representatives_fold_as_the_full_operator(self, shape, h):
+        self.assert_fold_of_the_full_operator(build_domain(shape, h))
+
+    def test_rows_of_an_unfolded_grid_are_the_full_operator(self):
+        self.assert_fold_of_the_full_operator(off_centre_disk_grid())
+
+    def test_fold_holds_less_than_half_the_full_operator(self):
+        # the README ellipse at h = 0.01: measured 4.8 MB for the fold
+        # against 13.0 MB for the full operator
+        grid = build_domain(Ellipse(1.4142, 0.7071), 0.01)
+        assert traced_peak(planar2d._mirror_fold, grid) <= traced_peak(grid.operator) / 2
 
     @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=FOLD_IDS)
     def test_matches_the_full_system(self, shape, monkeypatch):
@@ -748,12 +806,9 @@ class TestMirrorFold:
         assert np.max(np.abs(W.values[grid.inside] - w_ref)) <= bound * PAR.b
 
     def test_asymmetric_grid_is_not_folded(self):
-        # a disk off the grid's centre: no flip leaves phi as it is, so each
-        # node is its own orbit and the solves give the full system's bits
-        h = 0.05
-        coords = planar2d._grid_coords(49, h)
-        X, Y = np.meshgrid(coords, coords, indexing="ij")
-        grid = MaskedGrid(h, np.hypot(X - 0.13, Y + 0.07) - 0.9)
+        # each node of the off-centre disk is its own orbit, and the solves
+        # give the full system's bits
+        grid = off_centre_disk_grid()
         count = grid.quad.size
         reps, orbit, (L, bvec, quad, held_area) = planar2d._mirror_fold(grid)
         assert np.array_equal(reps, np.arange(count))
